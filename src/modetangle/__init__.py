@@ -6,7 +6,7 @@ and a seeded Monte-Carlo harness for a heralded conversion of mode
 entanglement into particle entanglement.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .states import (
     BasisLabel,
@@ -38,7 +38,6 @@ from .polarization import (
 )
 from .interferometer import (
     BraggPhases,
-    MomentumLabels,
     bragg_output,
     interferometer_input,
     joint_probabilities,

@@ -25,17 +25,25 @@ import numpy as np
 
 from ._common import require_finite, scan_grid
 from .results import ScanResult
-from .states import BasisLabel, PureState, partial_trace, von_neumann_entropy
+from .states import (
+    BasisLabel,
+    PureState,
+    partial_trace,
+    reduced_spectra,
+    von_neumann_entropies,
+    von_neumann_entropy,
+)
 
 __all__ = [
     "BraggPhases",
-    "MomentumLabels",
     "interferometer_input",
     "bragg_output",
     "joint_probabilities",
     "momentum_correlation",
     "momentum_chsh_scan",
 ]
+
+_PAIR_DIMS = (2, 2)
 
 
 @dataclass(frozen=True)
@@ -54,61 +62,69 @@ class BraggPhases:
         return self.phi_a - self.phi_b
 
 
-@dataclass(frozen=True)
-class MomentumLabels:
-    """Names for the two input momenta and the four exit ports."""
-
-    p: str = "p"
-    p_prime: str = "p_prime"
-    outputs: tuple[str, str, str, str] = ("A+", "A-", "B+", "B-")
-
-    def __post_init__(self) -> None:
-        outputs = tuple(self.outputs)
-        object.__setattr__(self, "outputs", outputs)
-        if not self.p or not self.p_prime or self.p == self.p_prime:
-            raise ValueError("input momentum labels must be distinct and non-empty")
-        if len(outputs) != 4 or len(set(outputs)) != 4:
-            raise ValueError("exactly four distinct output labels are required")
-
-
 def interferometer_input() -> PureState:
     """(|p,-p> + |p',-p'>)/sqrt(2) over factors atom_1, atom_2."""
-    basis = BasisLabel(("atom_1", "atom_2"), (2, 2))
+    basis = BasisLabel(("atom_1", "atom_2"), _PAIR_DIMS)
     amps = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     return PureState(basis, amps)
 
 
-def bragg_output(phases: BraggPhases) -> PureState:
-    """Exit-port state over factors station_A, station_B (ports +,- each)."""
-    d = phases.difference
-    phase_b = np.exp(1j * phases.phi_b)
+def _bragg_amplitudes(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+    """(steps, 4) exit-port amplitudes over (A+,B+), (A+,B-), (A-,B+), (A-,B-)."""
+    d = phi_a - phi_b
+    phase_b = np.exp(1j * phi_b)
     scale = 1.0 / (2.0 * math.sqrt(2.0))
-    amps = scale * np.array(
+    return scale * np.stack(
         [
-            -1j * phase_b * (np.exp(1j * d) + 1.0),
+            _complex_product(-1j * phase_b, np.exp(1j * d) + 1.0),
             np.exp(1j * d) - 1.0,
             np.exp(-1j * d) - 1.0,
-            -1j * np.conj(phase_b) * (np.exp(-1j * d) + 1.0),
-        ]
+            _complex_product(-1j * np.conj(phase_b), np.exp(-1j * d) + 1.0),
+        ],
+        axis=-1,
     )
-    return PureState(BasisLabel(("station_A", "station_B"), (2, 2)), amps)
+
+
+def _complex_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # The textbook formula, one rounding per real operation.  numpy's
+    # vectorized complex multiply may fuse it into FMA instructions, which
+    # moves the last bit of S depending on the CPU; spelled out as separate
+    # real operations it rounds the same way everywhere.
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=complex)
+    out.real = u.real * v.real - u.imag * v.imag
+    out.imag = u.real * v.imag + u.imag * v.real
+    return out
+
+
+def _momentum_correlations(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+    joint = np.abs(_bragg_amplitudes(phi_a, phi_b)) ** 2
+    return joint[:, 0] + joint[:, 3] - joint[:, 1] - joint[:, 2]
+
+
+def _phases(phases: BraggPhases) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([phases.phi_a]), np.array([phases.phi_b])
+
+
+def bragg_output(phases: BraggPhases) -> PureState:
+    """Exit-port state over factors station_A, station_B (ports +,- each)."""
+    amps = _bragg_amplitudes(*_phases(phases))[0]
+    return PureState(BasisLabel(("station_A", "station_B"), _PAIR_DIMS), amps)
 
 
 def joint_probabilities(phases: BraggPhases) -> dict[str, float]:
     """Click probabilities for the four port pairs; they sum to one."""
-    joint = np.abs(bragg_output(phases).amplitudes.reshape(2, 2)) ** 2
+    joint = np.abs(_bragg_amplitudes(*_phases(phases))[0]) ** 2
     return {
-        "A+B+": float(joint[0, 0]),
-        "A+B-": float(joint[0, 1]),
-        "A-B+": float(joint[1, 0]),
-        "A-B-": float(joint[1, 1]),
+        "A+B+": float(joint[0]),
+        "A+B-": float(joint[1]),
+        "A-B+": float(joint[2]),
+        "A-B-": float(joint[3]),
     }
 
 
 def momentum_correlation(phases: BraggPhases) -> float:
     """E = P(A+B+) + P(A-B-) - P(A+B-) - P(A-B+); equals cos(phi_a - phi_b)."""
-    p = joint_probabilities(phases)
-    return p["A+B+"] + p["A-B-"] - p["A+B-"] - p["A-B+"]
+    return float(_momentum_correlations(*_phases(phases))[0])
 
 
 def momentum_chsh_scan(t_min: float, t_max: float, steps: int) -> ScanResult:
@@ -118,24 +134,20 @@ def momentum_chsh_scan(t_min: float, t_max: float, steps: int) -> ScanResult:
     correlation evaluations at stations (0, t, 2t, 3t) in half-angle
     units; both entropy columns stay at 1 bit.
     """
-    grid = scan_grid("vartheta", t_min, t_max, steps)
-    entropy_in = von_neumann_entropy(partial_trace(interferometer_input(), "atom_1"))
-    rows = []
-    for t in grid:
-        s_value = (
-            _station_correlation(0.0, t)
-            - _station_correlation(0.0, 3.0 * t)
-            + _station_correlation(2.0 * t, t)
-            + _station_correlation(2.0 * t, 3.0 * t)
-        )
-        out = bragg_output(BraggPhases(2.0 * t, 0.0))
-        entropy_out = von_neumann_entropy(partial_trace(out, "station_A"))
-        rows.append((float(t), s_value, entropy_in, entropy_out))
-    return ScanResult(
-        "vartheta", ("vartheta", "S", "entropy_in", "entropy_out"), tuple(rows)
+    t = scan_grid("vartheta", t_min, t_max, steps)
+    zero = np.zeros_like(t)
+    # Stations (0, t, 2t, 3t) live in half-angle units; the phase knob is twice that.
+    a, b, a2, b2 = (2.0 * station for station in (zero, t, 2.0 * t, 3.0 * t))
+    s_values = (
+        _momentum_correlations(a, b)
+        - _momentum_correlations(a, b2)
+        + _momentum_correlations(a2, b)
+        + _momentum_correlations(a2, b2)
     )
-
-
-def _station_correlation(alpha: float, beta: float) -> float:
-    # Station settings live in half-angle units; the phase knob is twice that.
-    return momentum_correlation(BraggPhases(2.0 * alpha, 2.0 * beta))
+    entropy_in = von_neumann_entropy(partial_trace(interferometer_input(), "atom_1"))
+    outputs = _bragg_amplitudes(2.0 * t, zero)
+    entropy_out = von_neumann_entropies(reduced_spectra(outputs, _PAIR_DIMS, 0))
+    return ScanResult.from_columns(
+        ("vartheta", "S", "entropy_in", "entropy_out"),
+        (t, s_values, np.full_like(t, entropy_in), entropy_out),
+    )

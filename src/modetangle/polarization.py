@@ -30,21 +30,21 @@ entropy swings between 0 and log2(3) limits with plateaus at 1 and 1.5 bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._common import require_finite, scan_grid
 from .results import ScanResult
 from .states import (
     BasisLabel,
     PureState,
-    apply_local_unitary,
-    partial_trace,
-    renyi_entropy,
-    von_neumann_entropy,
+    reduced_spectra,
+    renyi_entropies,
+    require_unitary,
+    von_neumann_entropies,
 )
 
 __all__ = [
@@ -63,7 +63,9 @@ __all__ = [
     "mode_rotation_entropy_scan",
 ]
 
-TWO_PI = 2.0 * math.pi
+_PAIR_DIMS = (2, 2)
+# (|HH> + |VV>)/sqrt(2) as a matrix: row index photon_A, column index photon_B.
+_EPR_PAIR = np.eye(2) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,6 @@ class AnalyzerSettings:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta_a", require_finite("theta_a", self.theta_a))
         object.__setattr__(self, "theta_b", require_finite("theta_b", self.theta_b))
-
-    def wrapped(self) -> tuple[float, float]:
-        """Angles reduced to [0, 2*pi), for reporting only."""
-        return (self.theta_a % TWO_PI, self.theta_b % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -98,23 +96,66 @@ class ChshSettings:
 
 def epr_state() -> PureState:
     """(|HH> + |VV>)/sqrt(2) over factors photon_A, photon_B."""
-    basis = BasisLabel(("photon_A", "photon_B"), (2, 2))
-    amps = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    return PureState(basis, amps)
+    return PureState(BasisLabel(("photon_A", "photon_B"), _PAIR_DIMS), _EPR_PAIR.reshape(-1))
 
 
 def analyzer_basis(theta: float) -> tuple[PureState, PureState]:
     """Transmitted and rejected single-photon states of an analyzer at theta."""
-    theta = require_finite("theta", theta)
+    rows = analyzer_matrix(theta).conj()
     basis = BasisLabel(("photon",), (2,))
-    plus = PureState(basis, np.array([math.cos(theta), math.sin(theta)]))
-    minus = PureState(basis, np.array([-math.sin(theta), math.cos(theta)]))
-    return plus, minus
+    return PureState(basis, rows[0]), PureState(basis, rows[1])
+
 
 def analyzer_matrix(theta: float) -> np.ndarray:
     """Change-of-basis matrix into the analyzer frame (rows are <+| and <-|)."""
-    plus, minus = analyzer_basis(theta)
-    return np.vstack([plus.amplitudes.conj(), minus.amplitudes.conj()])
+    return _analyzer_frames(_angles("theta", theta))[0]
+
+
+def _angles(name: str, value: float) -> np.ndarray:
+    return np.array([require_finite(name, value)])
+
+
+def _analyzer_frames(theta: np.ndarray) -> np.ndarray:
+    """(steps,) angles -> (steps, 2, 2) real unitaries with rows <+| and <-|."""
+    c, s = np.cos(theta), np.sin(theta)
+    frames = np.empty(theta.shape + (2, 2))
+    frames[:, 0, 0] = c
+    frames[:, 0, 1] = s
+    frames[:, 1, 0] = -s
+    frames[:, 1, 1] = c
+    return require_unitary(frames)
+
+
+def _analyzed_pairs(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
+    """(steps, 2, 2) pair amplitudes with each photon in its analyzer frame.
+
+    Row index is the photon_A port, column index the photon_B port.  The
+    frames and the pair are real, so the amplitudes are too.
+    """
+    return frames_a @ _EPR_PAIR @ np.swapaxes(frames_b, 1, 2)
+
+
+def _correlations(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
+    joint = _analyzed_pairs(frames_a, frames_b) ** 2
+    return joint[:, 0, 0] + joint[:, 1, 1] - joint[:, 0, 1] - joint[:, 1, 0]
+
+
+def _chsh_sums(
+    frames_a: np.ndarray, frames_b: np.ndarray, frames_a2: np.ndarray, frames_b2: np.ndarray
+) -> np.ndarray:
+    return (
+        _correlations(frames_a, frames_b)
+        - _correlations(frames_a, frames_b2)
+        + _correlations(frames_a2, frames_b)
+        + _correlations(frames_a2, frames_b2)
+    )
+
+
+def _settings_frames(settings: AnalyzerSettings) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        _analyzer_frames(np.array([settings.theta_a])),
+        _analyzer_frames(np.array([settings.theta_b])),
+    )
 
 
 def transformed_epr_state(settings: AnalyzerSettings) -> PureState:
@@ -124,10 +165,8 @@ def transformed_epr_state(settings: AnalyzerSettings) -> PureState:
     the amplitudes collapse to the closed pattern
     (cos t, sin t, -sin t, cos t)/sqrt(2) with t = theta_a - theta_b.
     """
-    state = epr_state()
-    state = apply_local_unitary(state, "photon_A", analyzer_matrix(settings.theta_a))
-    state = apply_local_unitary(state, "photon_B", analyzer_matrix(settings.theta_b))
-    return state
+    amps = _analyzed_pairs(*_settings_frames(settings))[0]
+    return PureState(epr_state().basis, amps.reshape(-1))
 
 
 def detection_probabilities(settings: AnalyzerSettings) -> dict[str, float]:
@@ -137,8 +176,7 @@ def detection_probabilities(settings: AnalyzerSettings) -> dict[str, float]:
     for joints.  Singles are marginals of the joints and the joints sum
     to one.
     """
-    amps = transformed_epr_state(settings).amplitudes.reshape(2, 2)
-    joint = np.abs(amps) ** 2
+    joint = _analyzed_pairs(*_settings_frames(settings))[0] ** 2
     probs = {
         "++": float(joint[0, 0]),
         "+-": float(joint[0, 1]),
@@ -154,26 +192,21 @@ def detection_probabilities(settings: AnalyzerSettings) -> dict[str, float]:
 
 def correlation(settings: AnalyzerSettings) -> float:
     """E = P(++) + P(--) - P(+-) - P(-+); equals cos(2(theta_a - theta_b))."""
-    p = detection_probabilities(settings)
-    return p["++"] + p["--"] - p["+-"] - p["-+"]
+    return float(_correlations(*_settings_frames(settings))[0])
 
 
 def chsh_sum_general(
     theta_a: float, theta_b: float, theta_a2: float, theta_b2: float
 ) -> float:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for four free angles."""
-    return (
-        correlation(AnalyzerSettings(theta_a, theta_b))
-        - correlation(AnalyzerSettings(theta_a, theta_b2))
-        + correlation(AnalyzerSettings(theta_a2, theta_b))
-        + correlation(AnalyzerSettings(theta_a2, theta_b2))
-    )
+    angles = {"theta_a": theta_a, "theta_b": theta_b, "theta_a2": theta_a2, "theta_b2": theta_b2}
+    frames = [_analyzer_frames(_angles(name, value)) for name, value in angles.items()]
+    return float(_chsh_sums(*frames)[0])
 
 
 def chsh_sum(settings: ChshSettings) -> float:
     """CHSH sum of the arithmetic arrangement; closed form 3cos(2t) - cos(6t)."""
-    a, b, a2, b2 = settings.station_angles()
-    return chsh_sum_general(a, b, a2, b2)
+    return chsh_sum_general(*settings.station_angles())
 
 
 def chsh_scan(theta_min: float, theta_max: float, steps: int) -> ScanResult:
@@ -182,37 +215,49 @@ def chsh_scan(theta_min: float, theta_max: float, steps: int) -> ScanResult:
     Columns: theta, S, entropy.  The entropy column is the one-photon
     entropy of the analyzed pair, recomputed at every angle.
     """
-    grid = scan_grid("theta", theta_min, theta_max, steps)
-    rows = []
-    for theta in grid:
-        s_value = chsh_sum(ChshSettings(theta))
-        state = transformed_epr_state(AnalyzerSettings(theta, 0.0))
-        entropy = von_neumann_entropy(partial_trace(state, "photon_A"))
-        rows.append((float(theta), s_value, entropy))
-    return ScanResult("theta", ("theta", "S", "entropy"), tuple(rows))
+    t = scan_grid("theta", theta_min, theta_max, steps)
+    stations = [_analyzer_frames(x) for x in (np.zeros_like(t), t, 2.0 * t, 3.0 * t)]
+    s_values = _chsh_sums(*stations)
+    pairs = _analyzed_pairs(stations[1], stations[0]).reshape(len(t), -1)
+    entropy = von_neumann_entropies(reduced_spectra(pairs, _PAIR_DIMS, 0))
+    return ScanResult.from_columns(("theta", "S", "entropy"), (t, s_values, entropy))
 
 
 # Ladder operators on a 3-level mode; photon number is conserved by the
 # rotation, so occupations 0..2 hold the full two-photon sector exactly.
 _MODE_LEVELS = 3
+_MODE_DIMS = (_MODE_LEVELS, _MODE_LEVELS)
+_START_INDEX = 1 * _MODE_LEVELS + 1  # |1,1>
 
 
-def _two_mode_rotation(phi: float) -> np.ndarray:
+@functools.cache
+def _rotation_eigensystem() -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvectors V of the Hermitian i*G, G the rotation generator.
+
+    exp(phi G) = V diag(exp(-i phi w)) V^H.  The arrays are read-only
+    because the cache hands the same ones to every caller.
+    """
     lower = np.diag(np.sqrt(np.arange(1, _MODE_LEVELS)), k=1)
     eye = np.eye(_MODE_LEVELS)
     a = np.kron(lower, eye)
     b = np.kron(eye, lower)
     generator = a @ b.conj().T - a.conj().T @ b
-    return expm(phi * generator)
+    w, v = np.linalg.eigh(1j * generator)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
+def _mode_rotation_amplitudes(phi: np.ndarray) -> np.ndarray:
+    """(steps, 9) amplitudes of exp(phi G)|1,1> over mode_a, mode_b."""
+    w, v = _rotation_eigensystem()
+    return (np.exp(-1j * np.outer(phi, w)) * v[_START_INDEX].conj()) @ v.T
 
 
 def mode_rotation_state(phi: float) -> PureState:
     """Two-mode rotation of |1,1> by phi over factors mode_a, mode_b."""
-    phi = require_finite("phi", phi)
-    basis = BasisLabel(("mode_a", "mode_b"), (_MODE_LEVELS, _MODE_LEVELS))
-    start = np.zeros(basis.dim)
-    start[1 * _MODE_LEVELS + 1] = 1.0
-    return PureState(basis, _two_mode_rotation(phi) @ start)
+    basis = BasisLabel(("mode_a", "mode_b"), _MODE_DIMS)
+    return PureState(basis, _mode_rotation_amplitudes(_angles("phi", phi))[0])
 
 
 def mode_rotation_entropy_scan(phi_min: float, phi_max: float, steps: int) -> ScanResult:
@@ -222,9 +267,9 @@ def mode_rotation_entropy_scan(phi_min: float, phi_max: float, steps: int) -> Sc
     and maxima; the von Neumann column hits 1.0 at phi = pi/4 and peaks
     at 1.5 bits at phi = pi/8.
     """
-    grid = scan_grid("phi", phi_min, phi_max, steps)
-    rows = []
-    for phi in grid:
-        rho = partial_trace(mode_rotation_state(phi), "mode_a")
-        rows.append((float(phi), von_neumann_entropy(rho), renyi_entropy(rho, 2.0)))
-    return ScanResult("phi", ("phi", "entropy_vn", "entropy_renyi2"), tuple(rows))
+    phi = scan_grid("phi", phi_min, phi_max, steps)
+    spectra = reduced_spectra(_mode_rotation_amplitudes(phi), _MODE_DIMS, 0)
+    return ScanResult.from_columns(
+        ("phi", "entropy_vn", "entropy_renyi2"),
+        (phi, von_neumann_entropies(spectra), renyi_entropies(spectra, 2.0)),
+    )

@@ -28,7 +28,7 @@ class ScanResult:
 
     def __post_init__(self) -> None:
         columns = tuple(self.columns)
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(float, row)) for row in self.rows)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "rows", rows)
         if not columns:
@@ -44,23 +44,40 @@ class ScanResult:
         if any(b <= a for a, b in zip(params, params[1:])):
             raise ValueError("scan parameter must be strictly increasing")
 
+    @classmethod
+    def from_columns(cls, columns: Sequence[str], values: Sequence) -> "ScanResult":
+        """Build from one 1-D numpy array per column, the scan parameter first."""
+        return cls(columns[0], tuple(columns), tuple(zip(*(v.tolist() for v in values))))
+
     def column(self, name: str) -> list[float]:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    The file gets mode 0o666 less the umask, as open() would give it, not
+    the 0o600 of the temp file.
+    """
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~_current_umask())
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _current_umask() -> int:
+    # The umask can only be read by setting it; restore it at once.
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def render_scan_csv(result: ScanResult, metadata: Mapping[str, object]) -> str:
@@ -79,10 +96,6 @@ def write_scan_csv(
 
 def write_json(obj: object, path: str | os.PathLike) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def write_lines(lines: Sequence[str], path: str | os.PathLike) -> None:
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _metadata_str(value: object) -> str:

@@ -1,15 +1,19 @@
 """Flat key=value run configuration for the conversion command.
 
-Lines hold one `key = value` pair; blank lines and text after '#' are
-ignored.  Unknown keys are hard errors that name the key, as are values
-outside their documented ranges.  The three adiabatic_* scales are
-all-or-none; when present they arm the campaign's physics gate.
+Lines hold one `key = value` pair.  Blank lines are ignored, and so is
+a '#' with the rest of its line when the '#' starts the line or follows
+whitespace; a '#' inside a value, as in `out_log = runs/#3/log.jsonl`,
+is part of the value.  Unknown keys are hard errors that name the key,
+as are values outside their documented ranges.  The three adiabatic_*
+scales are all-or-none; when present they arm the campaign's physics
+gate.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 
 from .oscillator import AdiabaticBudget, map_modes_to_eigenfunctions
@@ -18,6 +22,8 @@ from .protocol import AncillaConfig, ConversionConfig
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "to_conversion_config"]
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
+
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class ConfigError(ValueError):
@@ -115,7 +121,7 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
         raise ConfigError(None, f"no such configuration file: {os.fspath(path)}")
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw_line in enumerate(handle, start=1):
-            line = raw_line.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw_line, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -3,6 +3,10 @@
 Amplitudes are dense complex vectors in row-major order over the factor
 dimensions (first factor varies slowest).  Reduced density matrices come
 from an exact partial trace.  All entropies are base-2 (bits).
+
+The scans work on stacks of states, one per row: reduced_spectra and the
+*_entropies functions take (steps, ...) arrays, and the single-state
+partial_trace and entropies run the same code on one state.
 """
 
 from __future__ import annotations
@@ -20,9 +24,13 @@ __all__ = [
     "ReducedDensityMatrix",
     "tensor",
     "partial_trace",
+    "reduced_spectra",
+    "require_unitary",
     "apply_local_unitary",
     "von_neumann_entropy",
+    "von_neumann_entropies",
     "renyi_entropy",
+    "renyi_entropies",
     "fidelity",
 ]
 
@@ -132,16 +140,7 @@ class ReducedDensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} is not 1 within tolerance")
-        spectrum = np.linalg.eigvalsh(m)
-        if spectrum[0] < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"density matrix has eigenvalue {spectrum[0]} below {EIGENVALUE_FLOOR}"
-            )
+        spectrum = _checked_spectra(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -150,9 +149,34 @@ class ReducedDensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real eigenvalues, with tiny negatives clamped to 0."""
-        spectrum = np.array(getattr(self, "_spectrum"))
-        spectrum[(spectrum < 0.0) & (spectrum >= EIGENVALUE_FLOOR)] = 0.0
-        return spectrum
+        return _clamped(getattr(self, "_spectrum"))
+
+
+def _checked_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a (..., d, d) stack of density matrices.
+
+    Every matrix must be Hermitian within HERMITICITY_TOL, have unit trace
+    within TRACE_TOL and no eigenvalue below EIGENVALUE_FLOOR; the first
+    violation raises ValueError.
+    """
+    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) > HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    traces = np.real(np.trace(m, axis1=-2, axis2=-1)).reshape(-1)
+    worst = int(np.argmax(np.abs(traces - 1.0)))
+    if abs(traces[worst] - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {traces[worst]} is not 1 within tolerance")
+    spectra = np.linalg.eigvalsh(m)
+    lowest = float(np.min(spectra[..., 0]))
+    if lowest < EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"density matrix has eigenvalue {lowest} below {EIGENVALUE_FLOOR}"
+        )
+    return spectra
+
+
+def _clamped(spectra: np.ndarray) -> np.ndarray:
+    # Callers have already rejected anything below EIGENVALUE_FLOOR.
+    return np.where(spectra < 0.0, 0.0, spectra)
 
 
 def tensor(states: Sequence[PureState] | Iterable[PureState]) -> PureState:
@@ -179,10 +203,45 @@ def partial_trace(state: PureState, keep: str) -> ReducedDensityMatrix:
     The state is normalized first, so the result always has unit trace.
     """
     axis = state.basis.axis(keep)
-    dims = state.basis.factor_dims
-    psi = state.normalized().amplitudes.reshape(dims)
-    psi = np.moveaxis(psi, axis, 0).reshape(dims[axis], -1)
-    return ReducedDensityMatrix(psi @ psi.conj().T)
+    m = _reduced_matrices(state.amplitudes[np.newaxis], state.basis.factor_dims, axis)
+    return ReducedDensityMatrix(m[0])
+
+
+def reduced_spectra(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
+    """Validated spectra of the factor-`keep` reductions of a stack of states.
+
+    `amplitudes` has shape (steps, prod(dims)), one state per row in the
+    row-major order of `dims`; `keep` is the index of the kept factor.
+    Each row is normalized and exactly partial-traced, the reductions pass
+    the ReducedDensityMatrix checks, and the result has shape
+    (steps, dims[keep]): ascending eigenvalues with tiny negatives clamped
+    to 0.
+    """
+    return _clamped(_checked_spectra(_reduced_matrices(amplitudes, dims, keep)))
+
+
+def _reduced_matrices(amplitudes: np.ndarray, dims: Sequence[int], axis: int) -> np.ndarray:
+    amps = np.asarray(amplitudes, dtype=complex)
+    dims = tuple(int(d) for d in dims)
+    if amps.ndim != 2 or amps.shape[1] != int(np.prod(dims)):
+        raise ValueError(f"amplitude stack has shape {amps.shape}, basis dims are {dims}")
+    # Row-wise dots, summed in the order np.linalg.norm uses for one vector.
+    re, im = amps.real[:, np.newaxis], amps.imag[:, np.newaxis]
+    norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1)
+    if np.min(norms) < ZERO_NORM_TOL:
+        raise ValueError("cannot normalize a zero-norm state")
+    psi = (amps / norms[:, np.newaxis]).reshape((len(amps),) + dims)
+    psi = np.moveaxis(psi, axis + 1, 1).reshape(len(amps), dims[axis], -1)
+    return psi @ np.swapaxes(psi.conj(), 1, 2)
+
+
+def require_unitary(matrices: np.ndarray) -> np.ndarray:
+    """Return a (..., d, d) stack unchanged; ValueError unless every matrix is unitary."""
+    u = np.asarray(matrices)
+    gram = u @ np.swapaxes(u.conj(), -1, -2)
+    if np.max(np.abs(gram - np.eye(u.shape[-1]))) > UNITARITY_TOL:
+        raise ValueError("matrix is not unitary within tolerance")
+    return u
 
 
 def apply_local_unitary(state: PureState, factor: str, matrix: np.ndarray) -> PureState:
@@ -196,27 +255,21 @@ def apply_local_unitary(state: PureState, factor: str, matrix: np.ndarray) -> Pu
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"matrix shape {u.shape} does not match factor dim {d}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(d))) > UNITARITY_TOL:
-        raise ValueError("matrix is not unitary within tolerance")
+    require_unitary(u)
     psi = state.amplitudes.reshape(state.basis.factor_dims)
     psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [axis])), 0, axis)
     return PureState(state.basis, psi.reshape(-1))
 
 
-def _clamped_probabilities(rho: ReducedDensityMatrix) -> np.ndarray:
-    lam = rho.eigenvalues()
-    return lam[lam > 0.0]
+def von_neumann_entropies(spectra: np.ndarray) -> np.ndarray:
+    """-sum(p log2 p) over the last axis of clamped spectra, in bits."""
+    p = np.asarray(spectra, dtype=float)
+    terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    return _non_negative(-np.sum(terms, axis=-1))
 
 
-def von_neumann_entropy(rho: ReducedDensityMatrix) -> float:
-    """S = -sum(p log2 p) over the spectrum, in bits."""
-    p = _clamped_probabilities(rho)
-    s = float(-np.sum(p * np.log2(p)))
-    return s if s > 0.0 else 0.0
-
-
-def renyi_entropy(rho: ReducedDensityMatrix, alpha: float) -> float:
-    """Order-alpha Renyi entropy log2(sum p^alpha) / (1 - alpha), in bits.
+def renyi_entropies(spectra: np.ndarray, alpha: float) -> np.ndarray:
+    """Order-alpha Renyi entropies log2(sum p^alpha) / (1 - alpha) over the last axis, in bits.
 
     alpha must be positive and not equal to 1 (the von Neumann limit is
     its own function).
@@ -226,9 +279,23 @@ def renyi_entropy(rho: ReducedDensityMatrix, alpha: float) -> float:
         raise ValueError(f"Renyi order must be positive, got {alpha}")
     if alpha == 1.0:
         raise ValueError("Renyi order 1 is the von Neumann limit; use von_neumann_entropy")
-    p = _clamped_probabilities(rho)
-    s = float(np.log2(np.sum(p**alpha)) / (1.0 - alpha))
-    return s if s > 0.0 else 0.0
+    p = np.asarray(spectra, dtype=float)
+    terms = np.where(p > 0.0, p, 0.0) ** alpha
+    return _non_negative(np.log2(np.sum(terms, axis=-1)) / (1.0 - alpha))
+
+
+def _non_negative(s: np.ndarray) -> np.ndarray:
+    return np.where(s > 0.0, s, 0.0)
+
+
+def von_neumann_entropy(rho: ReducedDensityMatrix) -> float:
+    """S = -sum(p log2 p) over the spectrum, in bits."""
+    return float(von_neumann_entropies(rho.eigenvalues()))
+
+
+def renyi_entropy(rho: ReducedDensityMatrix, alpha: float) -> float:
+    """Order-alpha Renyi entropy of the spectrum, in bits (see renyi_entropies)."""
+    return float(renyi_entropies(rho.eigenvalues(), alpha))
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 from modetangle.cli import main
+from modetangle.runconfig import parse_run_config
 
 TWO_ROOT_TWO = 2.8284271247461903
 
@@ -248,6 +251,21 @@ class TestProtocolCommand:
         assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2
         assert "more than once" in capsys.readouterr().err
 
+    def test_hash_is_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            "# campaign three\n"
+            "trials = 5 # a comment after whitespace\n"
+            "seed = 1\t# after a tab\n"
+            "out_log = runs/#3/log.jsonl\n"
+            "out_summary = runs/#3/summary.json#v2\n",
+        )
+        rc = parse_run_config(config)
+        assert rc.trials == 5
+        assert rc.seed == 1
+        assert rc.out_log == "runs/#3/log.jsonl"
+        assert rc.out_summary == "runs/#3/summary.json#v2"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["protocol", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x")])
         assert code == 2
@@ -271,6 +289,20 @@ class TestProtocolCommand:
         assert "all-or-none" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_files_follow_the_umask(tmp_path, mask, mode):
+    config = write_config(tmp_path, "trials = 5\nseed = 1\n")
+    old_mask = os.umask(mask)
+    try:
+        assert main(["chsh", "--out", str(tmp_path / "scan.csv"), "--steps", "3"]) == 0
+        assert main(["oscillator", "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["protocol", config, "--out", str(tmp_path / "run")]) == 0
+    finally:
+        os.umask(old_mask)
+    for name in ("scan.csv", "report.json", "run.jsonl", "run.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
+
 class TestEntryPoint:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -289,3 +321,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_cli_import_leaves_scipy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, modetangle.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -7,7 +7,6 @@ import pytest
 
 from modetangle import (
     BraggPhases,
-    MomentumLabels,
     bragg_output,
     fidelity,
     interferometer_input,
@@ -137,17 +136,12 @@ class TestMomentumChshScan:
         for value in result.column("entropy_in") + result.column("entropy_out"):
             assert value == pytest.approx(1.0, abs=1e-10)
 
-
-class TestMomentumLabels:
-    def test_defaults_are_valid(self):
-        labels = MomentumLabels()
-        assert labels.outputs == ("A+", "A-", "B+", "B-")
-        assert labels.p != labels.p_prime
-
-    def test_duplicate_outputs_rejected(self):
-        with pytest.raises(ValueError):
-            MomentumLabels(outputs=("A+", "A+", "B+", "B-"))
-
-    def test_equal_momenta_rejected(self):
-        with pytest.raises(ValueError):
-            MomentumLabels(p="k", p_prime="k")
+    def test_long_scan_meets_the_closed_form(self):
+        steps = 10_000
+        result = momentum_chsh_scan(0.0, math.pi, steps)
+        t = np.array(result.column("vartheta"))
+        np.testing.assert_array_equal(t, np.linspace(0.0, math.pi, steps))
+        want = 3.0 * np.cos(2.0 * t) - np.cos(6.0 * t)
+        np.testing.assert_allclose(result.column("S"), want, rtol=0, atol=1e-9)
+        for name in ("entropy_in", "entropy_out"):
+            np.testing.assert_allclose(result.column(name), 1.0, rtol=0, atol=1e-9)

@@ -27,6 +27,18 @@ from modetangle.states import BasisLabel, PureState
 
 TWO_ROOT_TWO = 2.8284271247461903
 ROOT_HALF = 1.0 / math.sqrt(2.0)
+LONG_SCAN = 10_000
+
+
+def bell_curve(t):
+    return 3.0 * np.cos(2.0 * t) - np.cos(6.0 * t)
+
+
+def rotation_entropies(phi):
+    # spectrum {cos^2 2phi, sin^2 2phi / 2, sin^2 2phi / 2}
+    p = np.stack([np.cos(2.0 * phi) ** 2] + [np.sin(2.0 * phi) ** 2 / 2.0] * 2, axis=-1)
+    safe = np.where(p > 0.0, p, 1.0)
+    return -np.sum(p * np.log2(safe), axis=-1), -np.log2(np.sum(p**2, axis=-1))
 
 
 def closed_form_pair(theta_a, theta_b):
@@ -202,6 +214,13 @@ class TestChshScan:
         assert np.max(np.abs(s_values)) <= TWO_ROOT_TWO + 1e-12
         assert np.sum(np.abs(s_values) > 2.0) > 0
 
+    def test_long_scan_meets_the_closed_form(self):
+        result = chsh_scan(0.0, math.pi, LONG_SCAN)
+        t = np.array(result.column("theta"))
+        np.testing.assert_array_equal(t, np.linspace(0.0, math.pi, LONG_SCAN))
+        np.testing.assert_allclose(result.column("S"), bell_curve(t), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.column("entropy"), 1.0, rtol=0, atol=1e-9)
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             chsh_scan(0.0, math.pi, 1)
@@ -250,3 +269,10 @@ class TestModeRotationScan:
         np.testing.assert_array_equal(vn < 1e-10, r2 < 1e-10)
         assert np.argmax(vn) == np.argmax(r2)
         assert np.all(r2 <= vn + 1e-12)
+
+    def test_long_scan_meets_the_closed_form(self):
+        result = mode_rotation_entropy_scan(0.0, math.pi, LONG_SCAN)
+        phi = np.array(result.column("phi"))
+        vn, r2 = rotation_entropies(phi)
+        np.testing.assert_allclose(result.column("entropy_vn"), vn, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.column("entropy_renyi2"), r2, rtol=0, atol=1e-9)

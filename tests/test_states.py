@@ -18,6 +18,7 @@ from modetangle import (
     tensor,
     von_neumann_entropy,
 )
+from modetangle.states import reduced_spectra, renyi_entropies, von_neumann_entropies
 
 LOG2_3 = 1.584962500721156
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -143,6 +144,52 @@ class TestPartialTrace:
     def test_unknown_factor_rejected(self):
         with pytest.raises(LabelingError):
             partial_trace(pair_state([1.0, 0.0, 0.0, 0.0]), "middle")
+
+
+class TestReducedSpectra:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_matches_the_scalar_path_on_random_states(self, dims):
+        rng = np.random.default_rng(13)
+        states = [random_state(rng, dims=dims) for _ in range(50)]
+        stack = np.array([s.amplitudes for s in states])
+        for keep, name in enumerate(("left", "right")):
+            spectra = reduced_spectra(stack, dims, keep)
+            assert spectra.shape == (50, dims[keep])
+            vn = von_neumann_entropies(spectra)
+            r2 = renyi_entropies(spectra, 2.0)
+            r_half = renyi_entropies(spectra, 0.5)
+            for i, state in enumerate(states):
+                rho = partial_trace(state, name)
+                np.testing.assert_allclose(spectra[i], rho.eigenvalues(), atol=1e-12)
+                assert vn[i] == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+                assert r2[i] == pytest.approx(renyi_entropy(rho, 2.0), abs=1e-12)
+                assert r_half[i] == pytest.approx(renyi_entropy(rho, 0.5), abs=1e-12)
+
+    def test_matches_a_direct_eigendecomposition(self):
+        rng = np.random.default_rng(17)
+        dims = (2, 3)
+        states = [random_state(rng, dims=dims) for _ in range(20)]
+        stack = np.array([s.amplitudes for s in states])
+        for keep in (0, 1):
+            spectra = reduced_spectra(stack, dims, keep)
+            for i, state in enumerate(states):
+                psi = state.amplitudes.reshape(dims)
+                rho = psi @ psi.conj().T if keep == 0 else psi.T @ psi.conj()
+                np.testing.assert_allclose(spectra[i], np.linalg.eigvalsh(rho), atol=1e-12)
+
+    def test_unnormalized_rows_are_normalized(self):
+        stack = np.array([[3.0, 0.0, 0.0, 3.0], [0.0, 0.0, 0.0, 2.0]])
+        spectra = reduced_spectra(stack, (2, 2), 0)
+        np.testing.assert_allclose(spectra, [[0.5, 0.5], [0.0, 1.0]], atol=1e-12)
+
+    def test_one_zero_norm_row_rejects_the_stack(self):
+        stack = np.array([[ROOT_HALF, 0.0, 0.0, ROOT_HALF], [0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero-norm"):
+            reduced_spectra(stack, (2, 2), 0)
+
+    def test_shape_must_match_dims(self):
+        with pytest.raises(ValueError):
+            reduced_spectra(np.ones((3, 4)), (3, 3), 0)
 
 
 class TestReducedDensityMatrix:
