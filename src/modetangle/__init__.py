@@ -6,7 +6,7 @@ and a seeded Monte-Carlo harness for a heralded conversion of mode
 entanglement into particle entanglement.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .states import (
     BasisLabel,

@@ -7,6 +7,10 @@ import math
 import numpy as np
 
 
+class PhysicsPreconditionError(RuntimeError):
+    """A configured physical validity check failed; refusing to run."""
+
+
 def require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 from . import __version__
 from .interferometer import momentum_chsh_scan
-from .oscillator import build_model, first_order_energy, mode_overlap
+from .oscillator import build_model, first_order_energy, mode_overlap, require_converged
 from .polarization import chsh_scan, mode_rotation_entropy_scan
 from .protocol import (
     PhysicsPreconditionError,
@@ -122,6 +122,7 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
     model = build_model(args.anharmonicity, args.truncation)
     levels = list(range(min(REPORTED_LEVELS, model.truncation)))
     overlap_levels = list(range(min(OVERLAP_LEVELS, model.truncation)))
+    tail_weight = require_converged(model, levels)
     report = {
         "tool": f"modetangle {__version__}",
         "lambda": model.anharmonicity,
@@ -130,6 +131,7 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
         "first_order": [first_order_energy(n, model.anharmonicity) for n in levels],
         "overlaps": [mode_overlap(model, n) for n in overlap_levels],
         "x_squared": [model.x_squared_expectation(n) for n in overlap_levels],
+        "tail_weight": tail_weight,
     }
     write_json(report, args.out)
     return 0

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import require_finite
+from ._common import PhysicsPreconditionError, require_finite
 from .oscillator import (
     AdiabaticBudget,
     ModeAssignment,
@@ -47,6 +47,7 @@ from .oscillator import (
     build_model,
     default_mode_assignment,
     mode_overlap,
+    require_converged,
 )
 from .states import BasisLabel, PureState, fidelity, partial_trace, von_neumann_entropy
 
@@ -79,10 +80,6 @@ PARTICLE_BASIS = BasisLabel(("photon_1", "photon_2"), (2, 2))
 
 class ProjectionError(ValueError):
     """Selected component has zero weight in the input state."""
-
-
-class PhysicsPreconditionError(RuntimeError):
-    """A configured physical validity check failed; refusing to run."""
 
 
 @dataclass(frozen=True)
@@ -287,7 +284,6 @@ class _TrialContext:
 
     target: PureState
     target_entropy: float
-    target_fidelity: float
     unconverted: PureState
     unconverted_entropy: float
     unconverted_fidelity: float
@@ -295,9 +291,11 @@ class _TrialContext:
 
 def _build_context(config: ConversionConfig) -> _TrialContext:
     model = build_model(config.anharmonicity_on, config.truncation)
-    for _, level in config.assignment.pairs:
+    levels = [level for _, level in config.assignment.pairs]
+    for level in levels:
         if level >= config.truncation:
             raise ValueError(f"assigned level {level} outside truncation")
+    require_converged(model, levels)
     harmonic_amp, anharmonic_amp = ancilla_branch_amplitudes(config.ancilla)
     unconverted = select_middle_term(initial_mode_state())
     target = assemble_final_state(
@@ -306,7 +304,6 @@ def _build_context(config: ConversionConfig) -> _TrialContext:
     return _TrialContext(
         target=target,
         target_entropy=particle_entanglement_entropy(target),
-        target_fidelity=fidelity(target, target),
         unconverted=unconverted,
         unconverted_entropy=particle_entanglement_entropy(unconverted),
         unconverted_fidelity=fidelity(unconverted, target),
@@ -322,7 +319,7 @@ def _sample_trial(
     if registered:
         delivered = ctx.target
         entropy: float | None = ctx.target_entropy
-        fid: float | None = ctx.target_fidelity
+        fid: float | None = 1.0  # the delivered state is the target
     elif landed and not config.abort_gate_on:
         # loss slipped through: the potential never switched
         delivered = ctx.unconverted
@@ -370,7 +367,9 @@ def run_campaign(
 
     Each trial gets its own generator spawned from the master seed, so
     identical (config, n_trials, rng_seed) reproduce the log exactly.  A
-    configured adiabatic budget that fails its check refuses to run.
+    configured adiabatic budget that fails its check refuses to run, and
+    so does a truncation whose assigned levels put more than the
+    oscillator's TAIL_WEIGHT_LIMIT in the top basis states.
     """
     n_trials = int(n_trials)
     if n_trials < 1:

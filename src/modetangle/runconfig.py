@@ -16,7 +16,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 
-from .oscillator import AdiabaticBudget, map_modes_to_eigenfunctions
+from .oscillator import MIN_TRUNCATION, AdiabaticBudget, map_modes_to_eigenfunctions
 from .protocol import AncillaConfig, ConversionConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "to_conversion_config"]
@@ -149,8 +149,10 @@ def _validate(rc: RunConfig) -> None:
         raise ConfigError("eta", f"must lie in [0, 1], got {rc.eta}")
     if rc.anharmonicity < 0.0:
         raise ConfigError("lambda", f"must be non-negative, got {rc.anharmonicity}")
-    if rc.truncation < 8:
-        raise ConfigError("truncation", f"must be at least 8, got {rc.truncation}")
+    if rc.truncation < MIN_TRUNCATION:
+        raise ConfigError(
+            "truncation", f"must be at least {MIN_TRUNCATION}, got {rc.truncation}"
+        )
     for key, level in (("level_a", rc.level_a), ("level_b", rc.level_b)):
         if not 0 <= level < rc.truncation:
             raise ConfigError(key, f"must lie in [0, truncation), got {level}")

@@ -3,13 +3,16 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 
 import pytest
 
+import modetangle
 from modetangle.cli import main
+from modetangle.oscillator import TAIL_WEIGHT_LIMIT
 from modetangle.runconfig import parse_run_config
 
 TWO_ROOT_TWO = 2.8284271247461903
@@ -141,6 +144,20 @@ class TestOscillatorCommand:
             assert energy == pytest.approx(n + 0.5, abs=1e-10)
         assert report["eigenvalues"] == report["first_order"]
         assert all(s == pytest.approx(1.0, abs=1e-12) for s in report["overlaps"])
+        assert report["tail_weight"] == 0.0
+
+    def test_unconverged_truncation_refused(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["oscillator", "--out", str(out), "--lambda", "100", "--truncation", "64"])
+        assert code == 3
+        assert "truncation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_larger_truncation_converges(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["oscillator", "--out", str(out), "--lambda", "100", "--truncation", "256"])
+        assert code == 0
+        assert json.loads(out.read_text())["tail_weight"] < TAIL_WEIGHT_LIMIT
 
     def test_negative_coupling_rejected(self, tmp_path, capsys):
         code = main(["oscillator", "--out", str(tmp_path / "x.json"), "--lambda", "-0.1"])
@@ -283,6 +300,13 @@ class TestProtocolCommand:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_unconverged_truncation_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, "trials = 5\nlambda = 100\ntruncation = 64\n")
+        code = main(["protocol", config, "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "truncation" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_partial_adiabatic_keys(self, tmp_path, capsys):
         config = write_config(tmp_path, "trials = 5\nadiabatic_delta_e = 1.0\n")
         assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2
@@ -307,6 +331,13 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "modetangle" in capsys.readouterr().out
+
+    def test_pyproject_version_matches_package(self):
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(pyproject, encoding="utf-8") as handle:
+            match = re.search(r'^version\s*=\s*"([^"]+)"', handle.read(), re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == modetangle.__version__
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 2

@@ -17,6 +17,7 @@ from modetangle import (
     perturbation_strength,
     position_operator,
 )
+from modetangle.oscillator import _position_power_diagonals, _symmetric_banded
 
 
 class TestPositionOperator:
@@ -33,6 +34,46 @@ class TestPositionOperator:
         np.testing.assert_allclose(
             diag[:10], 0.75 * (2 * n * n + 2 * n + 1), atol=1e-10
         )
+
+
+class TestClosedFormBuild:
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_diagonals_match_cropped_dense_products(self, n):
+        x = position_operator(2 * n)
+        x2 = x @ x
+        closed_x2, closed_x4 = _position_power_diagonals(n)
+        np.testing.assert_allclose(_symmetric_banded(closed_x2), x2[:n, :n], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            _symmetric_banded(closed_x4), (x2 @ x2)[:n, :n], rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("g", [0.0, 0.04, 0.5, 5.0])
+    @pytest.mark.parametrize("n", [9, 64, 128])
+    def test_matches_dense_diagonalization(self, n, g):
+        # n = 9 gives parity blocks of different sizes (5 even, 4 odd)
+        x = position_operator(2 * n)
+        x2 = x @ x
+        h = np.diag(np.arange(n) + 0.5) + 0.25 * g * (x2 @ x2)[:n, :n]
+        values, vectors = np.linalg.eigh(h)
+        vectors = vectors * np.where(np.diag(vectors) < 0.0, -1.0, 1.0)
+        model = build_model(g, n)
+        np.testing.assert_allclose(model.eigenvalues, values, rtol=1e-10, atol=0)
+        levels = min(10, n)
+        np.testing.assert_allclose(
+            model.eigenvectors[:, :levels], vectors[:, :levels], rtol=0, atol=1e-10
+        )
+        assert np.all(np.diff(model.eigenvalues) > 0.0)
+        np.testing.assert_allclose(
+            model.eigenvectors.T @ model.eigenvectors, np.eye(n), rtol=0, atol=1e-12
+        )
+        assert np.all(np.diag(model.eigenvectors) >= 0.0)
+
+    def test_tail_weight_is_the_largest_top_four_weight(self):
+        model = build_model(5.0, 64)
+        weights = [np.sum(model.eigenstate(n)[-4:] ** 2) for n in range(10)]
+        assert model.tail_weight(range(10)) == pytest.approx(max(weights), rel=1e-12)
+        assert model.tail_weight([1, 2]) == pytest.approx(max(weights[1:3]), rel=1e-12)
+        assert build_model(0.0, 64).tail_weight(range(10)) == 0.0
 
 
 class TestHarmonicLimit:
@@ -144,11 +185,10 @@ class TestModeAssignment:
         assert assignment.level_of("photon_1") == 1
         assert assignment.level_of("photon_2") == 2
 
-    def test_round_trip(self):
+    def test_custom_binding(self):
         assignment = map_modes_to_eigenfunctions({"photon_1": 3, "photon_2": 5})
-        inverted = assignment.invert()
-        assert inverted == {3: "photon_1", 5: "photon_2"}
-        assert {p: n for n, p in inverted.items()} == assignment.levels()
+        assert assignment.level_of("photon_1") == 3
+        assert assignment.level_of("photon_2") == 5
 
     def test_duplicate_level_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
