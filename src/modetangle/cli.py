@@ -23,7 +23,7 @@ from dataclasses import replace
 
 from . import __version__
 from .interferometer import momentum_chsh_scan
-from .oscillator import build_model, first_order_energy, mode_overlap, require_converged
+from .oscillator import build_model, first_order_energy, mode_overlap, truncation_problem
 from .polarization import chsh_scan, mode_rotation_entropy_scan
 from .protocol import (
     PhysicsPreconditionError,
@@ -122,7 +122,6 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
     model = build_model(args.anharmonicity, args.truncation)
     levels = list(range(min(REPORTED_LEVELS, model.truncation)))
     overlap_levels = list(range(min(OVERLAP_LEVELS, model.truncation)))
-    tail_weight = require_converged(model, levels)
     report = {
         "tool": f"modetangle {__version__}",
         "lambda": model.anharmonicity,
@@ -131,9 +130,12 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
         "first_order": [first_order_energy(n, model.anharmonicity) for n in levels],
         "overlaps": [mode_overlap(model, n) for n in overlap_levels],
         "x_squared": [model.x_squared_expectation(n) for n in overlap_levels],
-        "tail_weight": tail_weight,
+        "tail_weight": model.tail_weight(levels),
     }
     write_json(report, args.out)
+    problem = truncation_problem(model, levels)
+    if problem is not None:
+        print(f"warning: {problem}", file=sys.stderr)
     return 0
 
 

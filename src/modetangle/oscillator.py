@@ -24,12 +24,14 @@ overlap with the corresponding harmonic level is non-negative.
 
 A truncation is too small when a level leans on the top of the basis.
 The tail weight of a level is the weight its eigenvector puts in the top
-TAIL_STATES basis states; require_converged refuses levels whose tail
-weight exceeds TAIL_WEIGHT_LIMIT.  For levels 0-9 the weight tracks how
-far the levels move when the truncation is doubled: 2e-24 at g = 0.1,
-N = 64 (levels move < 1e-14); 2.3e-11 at g = 1, N = 64 (1.2e-9);
-1.9e-6 at g = 5, N = 64 (3.4e-4); 1.5e-3 at g = 100, N = 64 (48); and
-9.5e-14 at g = 100, N = 256 (7e-8 on levels up to 81).  First-order
+TAIL_STATES basis states.  truncation_problem describes levels whose
+tail weight exceeds TAIL_WEIGHT_LIMIT; the oscillator command prints it
+as a warning and the protocol refuses to run through require_converged.
+For levels 0-9 the weight tracks how far the levels move when the
+truncation is doubled: 2e-24 at g = 0.1, N = 64 (levels move < 1e-14);
+2.3e-11 at g = 1, N = 64 (1.2e-9); 1.9e-6 at g = 5, N = 64 (3.4e-4);
+1.5e-3 at g = 100, N = 64 (48); and 9.5e-14 at g = 100, N = 256 (7e-8
+on levels up to 81).  First-order
 perturbation theory is no oracle at large g (Bender & Wu, Phys. Rev. 184,
 1231, 1969), so the truncation is checked against itself.
 
@@ -57,6 +59,7 @@ __all__ = [
     "AdiabaticCheck",
     "position_operator",
     "build_model",
+    "truncation_problem",
     "require_converged",
     "first_order_energy",
     "perturbation_strength",
@@ -182,17 +185,24 @@ def build_model(anharmonicity: float, truncation: int = 64) -> OscillatorModel:
     return OscillatorModel(g, n, values[order], eigenvectors, _symmetric_banded(x2))
 
 
-def require_converged(model: OscillatorModel, levels: Sequence[int]) -> float:
-    """Tail weight of the levels; refuses a truncation too small to resolve them."""
+def truncation_problem(model: OscillatorModel, levels: Sequence[int]) -> str | None:
+    """Why the truncation is too small to resolve the levels, or None if it is not."""
     weight = model.tail_weight(levels)
-    if weight > TAIL_WEIGHT_LIMIT:
-        raise PhysicsPreconditionError(
-            f"truncation {model.truncation} is too small for lambda={model.anharmonicity:.6g}: "
-            f"levels {', '.join(map(str, levels))} put weight {weight:.3g} in the top "
-            f"{TAIL_STATES} basis states (limit {TAIL_WEIGHT_LIMIT:g}); "
-            "use a larger truncation"
-        )
-    return weight
+    if weight <= TAIL_WEIGHT_LIMIT:
+        return None
+    return (
+        f"truncation {model.truncation} is too small for lambda={model.anharmonicity:.6g}: "
+        f"levels {', '.join(map(str, levels))} put weight {weight:.3g} in the top "
+        f"{TAIL_STATES} basis states (limit {TAIL_WEIGHT_LIMIT:g}); "
+        "use a larger truncation"
+    )
+
+
+def require_converged(model: OscillatorModel, levels: Sequence[int]) -> None:
+    """Refuses a truncation too small to resolve the levels."""
+    problem = truncation_problem(model, levels)
+    if problem is not None:
+        raise PhysicsPreconditionError(problem)
 
 
 def first_order_energy(n: int, anharmonicity: float) -> float:
