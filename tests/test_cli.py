@@ -315,6 +315,58 @@ class TestProtocolCommand:
         assert "all-or-none" in capsys.readouterr().err
 
 
+ADIABATIC_SCALES = {
+    "adiabatic_delta_e": "100",
+    "adiabatic_h_tilde": "1",
+    "adiabatic_t_meas": "100",
+}
+
+# (config values over `trials = 5`, names of which stderr must contain one)
+OUT_OF_RANGE = {
+    "trials": ({"trials": "0"}, ("trials", "n_trials")),
+    "seed": ({"seed": "-1"}, ("seed", "rng_seed")),
+    "eta": ({"eta": "1.5"}, ("eta",)),
+    "lambda": ({"lambda": "-0.1"}, ("lambda",)),
+    "truncation": ({"truncation": "4"}, ("truncation",)),
+    "level_a": ({"level_a": "64"}, ("level_a", "level")),
+    "level_b": ({"level_b": "-1"}, ("level_b", "level")),
+    "equal-levels": ({"level_a": "2", "level_b": "2"}, ("level_b", "level")),
+    "landing_prob": ({"landing_prob": "1.5"}, ("landing_prob",)),
+    "detect_amp": ({"detect_amp": "1.5"}, ("detect_amp",)),
+    "clock_period": ({"clock_period": "0"}, ("clock_period",)),
+    "clock-budget": ({"clock_period": "3.5"}, ("clock_period",)),
+    "travel_plus_register_time": (
+        {"travel_plus_register_time": "0"}, ("travel_plus_register_time",)
+    ),
+    "and_gate_time": ({"and_gate_time": "-1"}, ("and_gate_time",)),
+    "adiabatic_delta_e": (
+        {**ADIABATIC_SCALES, "adiabatic_delta_e": "0"}, ("adiabatic_delta_e",)
+    ),
+    "adiabatic_h_tilde": (
+        {**ADIABATIC_SCALES, "adiabatic_h_tilde": "-1"}, ("adiabatic_h_tilde",)
+    ),
+    "adiabatic_t_meas": (
+        {**ADIABATIC_SCALES, "adiabatic_t_meas": "0"}, ("adiabatic_t_meas",)
+    ),
+    "adiabatic_threshold": (
+        {**ADIABATIC_SCALES, "adiabatic_threshold": "0"}, ("adiabatic_threshold",)
+    ),
+    "adiabatic_threshold-alone": (
+        {"adiabatic_threshold": "0"}, ("adiabatic_threshold",)
+    ),
+}
+
+
+@pytest.mark.parametrize("values, names", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_config_is_refused(tmp_path, capsys, values, names):
+    values = {"trials": "5", **values}
+    config = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2
+    assert not list(tmp_path.glob("*.json*"))
+    err = capsys.readouterr().err
+    assert any(name in err for name in names), err
+
+
 @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_output_files_follow_the_umask(tmp_path, mask, mode):
     config = write_config(tmp_path, "trials = 5\nseed = 1\n")
