@@ -87,6 +87,7 @@ class OscillatorModel:
 
     eigenvalues are ascending; eigenvectors[:, n] is level n expressed in
     the harmonic number basis, sign-fixed so eigenvectors[n, n] >= 0.
+    The arrays are taken over and made read-only, not copied.
     """
 
     anharmonicity: float
@@ -98,7 +99,6 @@ class OscillatorModel:
     def __post_init__(self) -> None:
         for name in ("eigenvalues", "eigenvectors", "x_squared"):
             arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

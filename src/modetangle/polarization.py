@@ -52,7 +52,6 @@ __all__ = [
     "ChshSettings",
     "epr_state",
     "analyzer_basis",
-    "analyzer_matrix",
     "transformed_epr_state",
     "detection_probabilities",
     "correlation",
@@ -101,14 +100,9 @@ def epr_state() -> PureState:
 
 def analyzer_basis(theta: float) -> tuple[PureState, PureState]:
     """Transmitted and rejected single-photon states of an analyzer at theta."""
-    rows = analyzer_matrix(theta).conj()
+    rows = _analyzer_frames(_angles("theta", theta))[0].conj()
     basis = BasisLabel(("photon",), (2,))
     return PureState(basis, rows[0]), PureState(basis, rows[1])
-
-
-def analyzer_matrix(theta: float) -> np.ndarray:
-    """Change-of-basis matrix into the analyzer frame (rows are <+| and <-|)."""
-    return _analyzer_frames(_angles("theta", theta))[0]
 
 
 def _angles(name: str, value: float) -> np.ndarray:

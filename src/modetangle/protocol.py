@@ -84,27 +84,20 @@ class ProjectionError(ValueError):
 
 @dataclass(frozen=True)
 class AncillaConfig:
-    """Ancilla photon amplitudes and detector efficiency.
+    """Ancilla registration amplitude and detector efficiency.
 
-    alpha and beta are the two screen-path amplitudes (|alpha|^2 +
-    |beta|^2 = 1); detect_amp is the amplitude of the
-    registration branch of the final superposition, |detect_amp| <= 1.
+    detect_amp is the amplitude of the registration branch of the final
+    superposition, |detect_amp| <= 1; eta is the probability that a
+    landed photon registers.  The screen split of the ancilla enters the
+    trials as ConversionConfig.landing_prob.
     """
 
-    alpha: complex = ROOT_HALF
-    beta: complex = ROOT_HALF
     detect_amp: complex = ROOT_HALF
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        alpha = complex(self.alpha)
-        beta = complex(self.beta)
         detect = complex(self.detect_amp)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "detect_amp", detect)
-        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > AMPLITUDE_TOL:
-            raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
         if abs(detect) > 1.0 + AMPLITUDE_TOL:
             raise ValueError(f"|detect_amp| must not exceed 1, got {abs(detect)}")
         eta = require_finite("eta", self.eta)
@@ -291,11 +284,7 @@ class _TrialContext:
 
 def _build_context(config: ConversionConfig) -> _TrialContext:
     model = build_model(config.anharmonicity_on, config.truncation)
-    levels = [level for _, level in config.assignment.pairs]
-    for level in levels:
-        if level >= config.truncation:
-            raise ValueError(f"assigned level {level} outside truncation")
-    require_converged(model, levels)
+    require_converged(model, [level for _, level in config.assignment.pairs])
     harmonic_amp, anharmonic_amp = ancilla_branch_amplitudes(config.ancilla)
     unconverted = select_middle_term(initial_mode_state())
     target = assemble_final_state(
@@ -367,13 +356,16 @@ def run_campaign(
 
     Each trial gets its own generator spawned from the master seed, so
     identical (config, n_trials, rng_seed) reproduce the log exactly.  A
-    configured adiabatic budget that fails its check refuses to run, and
-    so does a truncation whose assigned levels put more than the
-    oscillator's TAIL_WEIGHT_LIMIT in the top basis states.
+    truncation whose assigned levels put more than the oscillator's
+    TAIL_WEIGHT_LIMIT in the top basis states refuses to run, and so does
+    a configured adiabatic budget that fails its check.
     """
     n_trials = int(n_trials)
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
+    ctx = _build_context(config)
     if config.adiabatic_budget is not None:
         check = adiabatic_check(config.adiabatic_budget)
         if not check.passed:
@@ -383,7 +375,6 @@ def run_campaign(
                 f"(margins r1={r1:.6g}, r2={r2:.6g}, "
                 f"threshold {config.adiabatic_budget.ratio_threshold:.6g})"
             )
-    ctx = _build_context(config)
     seeds = np.random.SeedSequence(rng_seed).spawn(n_trials)
     outcomes = tuple(
         _sample_trial(ctx, config, i, np.random.default_rng(seeds[i]))

@@ -3,10 +3,17 @@
 Lines hold one `key = value` pair.  Blank lines are ignored, and so is
 a '#' with the rest of its line when the '#' starts the line or follows
 whitespace; a '#' inside a value, as in `out_log = runs/#3/log.jsonl`,
-is part of the value.  Unknown keys are hard errors that name the key,
-as are values outside their documented ranges.  The three adiabatic_*
-scales are all-or-none; when present they arm the campaign's physics
-gate.
+is part of the value.  Unknown, duplicate and unparsable keys are hard
+errors that name the key.  The adiabatic_* keys are all-or-none: a
+threshold or any one scale needs all three scales, which then arm the
+campaign's physics gate.
+
+This module holds only the rules of the file format.  The range of each
+value is checked by the library object that uses it: AncillaConfig,
+ConversionConfig, ModeAssignment and AdiabaticBudget, whose errors
+to_conversion_config re-raises as a ConfigError naming the key, and
+build_model and run_campaign, which refuse the truncation, the levels,
+the trial count and the seed when the campaign starts.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 
-from .oscillator import MIN_TRUNCATION, AdiabaticBudget, map_modes_to_eigenfunctions
+from .oscillator import AdiabaticBudget, map_modes_to_eigenfunctions
 from .protocol import AncillaConfig, ConversionConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "to_conversion_config"]
@@ -24,6 +31,18 @@ __all__ = ["ConfigError", "RunConfig", "parse_run_config", "to_conversion_config
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 _COMMENT = re.compile(r"(?:^|\s)#")
+
+_ADIABATIC_SCALES = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas")
+
+# library parameter -> the config key that feeds it, where the two differ;
+# a library range error starts with the name of the parameter it refuses
+_CONFIG_KEYS = {
+    "anharmonicity_on": "lambda",
+    "delta_e": "adiabatic_delta_e",
+    "h_tilde": "adiabatic_h_tilde",
+    "t_meas": "adiabatic_t_meas",
+    "ratio_threshold": "adiabatic_threshold",
+}
 
 
 class ConfigError(ValueError):
@@ -46,8 +65,6 @@ class RunConfig:
     level_b: int = 2
     landing_prob: float = 0.5
     detect_amp: float = ROOT_HALF
-    alpha: float = ROOT_HALF
-    beta: float = ROOT_HALF
     clock_period: float = 10.0
     travel_plus_register_time: float = 3.0
     and_gate_time: float = 1.0
@@ -100,8 +117,6 @@ _PARSERS = {
     "level_b": ("level_b", _parse_int),
     "landing_prob": ("landing_prob", _parse_float),
     "detect_amp": ("detect_amp", _parse_float),
-    "alpha": ("alpha", _parse_float),
-    "beta": ("beta", _parse_float),
     "clock_period": ("clock_period", _parse_float),
     "travel_plus_register_time": ("travel_plus_register_time", _parse_float),
     "and_gate_time": ("and_gate_time", _parse_float),
@@ -115,7 +130,7 @@ _PARSERS = {
 
 
 def parse_run_config(path: str | os.PathLike) -> RunConfig:
-    """Read and validate a key=value file into a RunConfig."""
+    """Read a key=value file into a RunConfig; value ranges are not checked here."""
     values: dict[str, object] = {}
     if not os.path.exists(path):
         raise ConfigError(None, f"no such configuration file: {os.fspath(path)}")
@@ -135,92 +150,46 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
             if attr in values:
                 raise ConfigError(key, "key given more than once")
             values[attr] = convert(key, raw_value)
-    config = replace(RunConfig(), **values)
-    _validate(config)
-    return config
-
-
-def _validate(rc: RunConfig) -> None:
-    if rc.trials < 1:
-        raise ConfigError("trials", f"must be at least 1, got {rc.trials}")
-    if rc.seed < 0:
-        raise ConfigError("seed", f"must be non-negative, got {rc.seed}")
-    if not 0.0 <= rc.eta <= 1.0:
-        raise ConfigError("eta", f"must lie in [0, 1], got {rc.eta}")
-    if rc.anharmonicity < 0.0:
-        raise ConfigError("lambda", f"must be non-negative, got {rc.anharmonicity}")
-    if rc.truncation < MIN_TRUNCATION:
+    given = [key for key in (*_ADIABATIC_SCALES, "adiabatic_threshold") if key in values]
+    missing = [key for key in _ADIABATIC_SCALES if key not in values]
+    if given and missing:
         raise ConfigError(
-            "truncation", f"must be at least {MIN_TRUNCATION}, got {rc.truncation}"
+            None,
+            f"{', '.join(given)} given without {', '.join(missing)}; "
+            "the adiabatic_* scales are all-or-none",
         )
-    for key, level in (("level_a", rc.level_a), ("level_b", rc.level_b)):
-        if not 0 <= level < rc.truncation:
-            raise ConfigError(key, f"must lie in [0, truncation), got {level}")
-    if rc.level_a == rc.level_b:
-        raise ConfigError("level_b", "levels must be distinct")
-    if not 0.0 <= rc.landing_prob <= 1.0:
-        raise ConfigError("landing_prob", f"must lie in [0, 1], got {rc.landing_prob}")
-    if abs(rc.detect_amp) > 1.0:
-        raise ConfigError("detect_amp", f"magnitude must not exceed 1, got {rc.detect_amp}")
-    norm = rc.alpha**2 + rc.beta**2
-    if abs(norm - 1.0) > 1e-6:
-        raise ConfigError("alpha", f"alpha^2 + beta^2 must equal 1, got {norm}")
-    for key in ("clock_period", "travel_plus_register_time", "and_gate_time"):
-        if getattr(rc, key) <= 0.0:
-            raise ConfigError(key, "must be positive")
-    if rc.clock_period <= rc.travel_plus_register_time + rc.and_gate_time:
-        raise ConfigError(
-            "clock_period",
-            "must exceed travel_plus_register_time + and_gate_time",
-        )
-    adiabatic = {
-        "adiabatic_delta_e": rc.adiabatic_delta_e,
-        "adiabatic_h_tilde": rc.adiabatic_h_tilde,
-        "adiabatic_t_meas": rc.adiabatic_t_meas,
-    }
-    present = [k for k, v in adiabatic.items() if v is not None]
-    if present and len(present) != len(adiabatic):
-        missing = sorted(set(adiabatic) - set(present))[0]
-        raise ConfigError(missing, "adiabatic_* scales are all-or-none")
-    for key, value in adiabatic.items():
-        if value is not None and value <= 0.0:
-            raise ConfigError(key, f"must be positive, got {value}")
-    if rc.adiabatic_threshold <= 0.0:
-        raise ConfigError("adiabatic_threshold", "must be positive")
-    if not rc.out_log or not rc.out_summary:
-        raise ConfigError("out_log", "output paths must be non-empty")
+    return replace(RunConfig(), **values)
 
 
 def to_conversion_config(rc: RunConfig) -> ConversionConfig:
-    """Build the campaign configuration from a validated RunConfig."""
-    _validate(rc)
-    scale = math.sqrt(rc.alpha**2 + rc.beta**2)
-    ancilla = AncillaConfig(
-        alpha=rc.alpha / scale,
-        beta=rc.beta / scale,
-        detect_amp=rc.detect_amp,
-        eta=rc.eta,
-    )
-    assignment = map_modes_to_eigenfunctions(
-        {"photon_1": rc.level_a, "photon_2": rc.level_b}
-    )
-    budget = None
-    if rc.adiabatic_delta_e is not None:
-        budget = AdiabaticBudget(
-            delta_e=rc.adiabatic_delta_e,
-            h_tilde=rc.adiabatic_h_tilde,
-            t_meas=rc.adiabatic_t_meas,
-            ratio_threshold=rc.adiabatic_threshold,
+    """Build the campaign configuration from a RunConfig.
+
+    A value the library refuses is re-raised as a ConfigError naming the
+    config key that feeds it.
+    """
+    try:
+        budget = None
+        if rc.adiabatic_delta_e is not None:
+            budget = AdiabaticBudget(
+                delta_e=rc.adiabatic_delta_e,
+                h_tilde=rc.adiabatic_h_tilde,
+                t_meas=rc.adiabatic_t_meas,
+                ratio_threshold=rc.adiabatic_threshold,
+            )
+        return ConversionConfig(
+            anharmonicity_on=rc.anharmonicity,
+            truncation=rc.truncation,
+            assignment=map_modes_to_eigenfunctions(
+                {"photon_1": rc.level_a, "photon_2": rc.level_b}
+            ),
+            ancilla=AncillaConfig(detect_amp=rc.detect_amp, eta=rc.eta),
+            clock_period=rc.clock_period,
+            travel_plus_register_time=rc.travel_plus_register_time,
+            and_gate_time=rc.and_gate_time,
+            landing_prob=rc.landing_prob,
+            abort_gate_on=rc.gate_on,
+            adiabatic_budget=budget,
         )
-    return ConversionConfig(
-        anharmonicity_on=rc.anharmonicity,
-        truncation=rc.truncation,
-        assignment=assignment,
-        ancilla=ancilla,
-        clock_period=rc.clock_period,
-        travel_plus_register_time=rc.travel_plus_register_time,
-        and_gate_time=rc.and_gate_time,
-        landing_prob=rc.landing_prob,
-        abort_gate_on=rc.gate_on,
-        adiabatic_budget=budget,
-    )
+    except ValueError as exc:
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(_CONFIG_KEYS.get(name), str(exc)) from None

@@ -11,31 +11,35 @@ import time
 
 import numpy as np
 
-from modetangle import (
-    AncillaConfig,
-    AnalyzerSettings,
+from modetangle.interferometer import (
     BraggPhases,
-    ChshSettings,
-    ConversionConfig,
-    assemble_final_state,
     bragg_output,
-    build_model,
-    chsh_sum,
-    default_mode_assignment,
-    detection_probabilities,
-    final_state_from_overlaps,
-    first_order_energy,
     interferometer_input,
     joint_probabilities,
-    mode_rotation_state,
     momentum_correlation,
-    particle_entanglement_entropy,
-    partial_trace,
-    renyi_entropy,
-    run_campaign,
-    transformed_epr_state,
-    von_neumann_entropy,
 )
+from modetangle.oscillator import (
+    build_model,
+    default_mode_assignment,
+    first_order_energy,
+)
+from modetangle.polarization import (
+    AnalyzerSettings,
+    ChshSettings,
+    chsh_sum,
+    detection_probabilities,
+    mode_rotation_state,
+    transformed_epr_state,
+)
+from modetangle.protocol import (
+    AncillaConfig,
+    ConversionConfig,
+    assemble_final_state,
+    final_state_from_overlaps,
+    particle_entanglement_entropy,
+    run_campaign,
+)
+from modetangle.states import partial_trace, renyi_entropy, von_neumann_entropy
 from modetangle.cli import main
 
 TWO_ROOT_TWO = 2.8284271247461903

@@ -322,7 +322,7 @@ ADIABATIC_SCALES = {
 }
 
 # (config values over `trials = 5`, names of which stderr must contain one)
-OUT_OF_RANGE = {
+REFUSED_CONFIGS = {
     "trials": ({"trials": "0"}, ("trials", "n_trials")),
     "seed": ({"seed": "-1"}, ("seed", "rng_seed")),
     "eta": ({"eta": "1.5"}, ("eta",)),
@@ -354,11 +354,15 @@ OUT_OF_RANGE = {
     "adiabatic_threshold-alone": (
         {"adiabatic_threshold": "0"}, ("adiabatic_threshold",)
     ),
+    "adiabatic_threshold-alone-in-range": (
+        {"adiabatic_threshold": "5"}, ("adiabatic_threshold",)
+    ),
+    "alpha": ({"alpha": "0.6"}, ("unknown configuration key",)),
 }
 
 
-@pytest.mark.parametrize("values, names", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
-def test_out_of_range_config_is_refused(tmp_path, capsys, values, names):
+@pytest.mark.parametrize("values, names", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS.keys())
+def test_refused_config_exits_2_and_writes_nothing(tmp_path, capsys, values, names):
     values = {"trials": "5", **values}
     config = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
     assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2

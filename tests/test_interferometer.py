@@ -5,18 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from modetangle import (
+from modetangle.interferometer import (
     BraggPhases,
     bragg_output,
-    fidelity,
     interferometer_input,
     joint_probabilities,
     momentum_chsh_scan,
     momentum_correlation,
+)
+from modetangle.states import (
+    BasisLabel,
+    PureState,
+    fidelity,
     partial_trace,
     von_neumann_entropy,
 )
-from modetangle.states import BasisLabel, PureState
 
 TWO_ROOT_TWO = 2.8284271247461903
 ROOT_HALF = 1.0 / math.sqrt(2.0)

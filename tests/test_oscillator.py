@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modetangle import (
+from modetangle.oscillator import (
     AdiabaticBudget,
     adiabatic_check,
     budget_from_model,

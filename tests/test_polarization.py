@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modetangle import (
+from modetangle.polarization import (
     AnalyzerSettings,
     ChshSettings,
     analyzer_basis,
@@ -15,15 +15,18 @@ from modetangle import (
     correlation,
     detection_probabilities,
     epr_state,
-    fidelity,
     mode_rotation_entropy_scan,
     mode_rotation_state,
+    transformed_epr_state,
+)
+from modetangle.states import (
+    BasisLabel,
+    PureState,
+    fidelity,
     partial_trace,
     renyi_entropy,
-    transformed_epr_state,
     von_neumann_entropy,
 )
-from modetangle.states import BasisLabel, PureState
 
 TWO_ROOT_TWO = 2.8284271247461903
 ROOT_HALF = 1.0 / math.sqrt(2.0)

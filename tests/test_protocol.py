@@ -5,29 +5,29 @@ import math
 import numpy as np
 import pytest
 
-from modetangle import (
+from modetangle.oscillator import (
+    AdiabaticBudget,
+    build_model,
+    default_mode_assignment,
+    mode_overlap,
+)
+from modetangle.protocol import (
     AncillaConfig,
     ConversionConfig,
     PhysicsPreconditionError,
     ProjectionError,
-    AdiabaticBudget,
     ancilla_branch_amplitudes,
     assemble_final_state,
-    build_model,
-    default_mode_assignment,
     final_state_from_overlaps,
     initial_mode_state,
-    mode_overlap,
     outcome_json_line,
     particle_entanglement_entropy,
-    partial_trace,
     render_outcome_log,
     run_campaign,
     run_trial,
     select_middle_term,
-    von_neumann_entropy,
 )
-from modetangle.states import BasisLabel, PureState
+from modetangle.states import BasisLabel, PureState, partial_trace, von_neumann_entropy
 
 LOG2_3 = 1.584962500721156
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -240,9 +240,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AncillaConfig(eta=-0.1)
 
-    def test_screen_amplitudes_must_normalize(self):
-        with pytest.raises(ValueError):
-            AncillaConfig(alpha=1.0, beta=1.0)
+    def test_campaign_size_and_seed(self):
+        with pytest.raises(ValueError, match="n_trials"):
+            run_campaign(ConversionConfig(), 0, rng_seed=1)
+        with pytest.raises(ValueError, match="rng_seed"):
+            run_campaign(ConversionConfig(), 10, rng_seed=-1)
 
 
 class TestRunTrial:

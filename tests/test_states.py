@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modetangle import (
+from modetangle.states import (
     BasisLabel,
     BasisMismatchError,
     LabelingError,
@@ -14,11 +14,13 @@ from modetangle import (
     apply_local_unitary,
     fidelity,
     partial_trace,
+    reduced_spectra,
+    renyi_entropies,
     renyi_entropy,
     tensor,
+    von_neumann_entropies,
     von_neumann_entropy,
 )
-from modetangle.states import reduced_spectra, renyi_entropies, von_neumann_entropies
 
 LOG2_3 = 1.584962500721156
 ROOT_HALF = 1.0 / math.sqrt(2.0)
