@@ -32,7 +32,7 @@ from .protocol import (
     run_campaign,
 )
 from .results import atomic_write_text, write_json, write_scan_csv
-from .runconfig import ConfigError, parse_run_config, to_conversion_config
+from .runconfig import parse_run_config, to_conversion_config
 
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
@@ -180,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except PhysicsPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
