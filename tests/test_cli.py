@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -217,6 +218,19 @@ class TestProtocolCommand:
         assert (tmp_path / "first.json").read_bytes() == (
             tmp_path / "second.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "gate, digest",
+        [
+            ("on", "8c0626bfd2b8871a0ca5622c68c17acd2d90cb952d8f608786f7c662eb2b10f6"),
+            ("off", "9be120c5bde60c06fa6fe3c885595c6eb16dec3d6f5fa055160292d183a4be19"),
+        ],
+    )
+    def test_log_bytes_are_pinned(self, tmp_path, gate, digest):
+        """The trial stream and the line format: a change to either moves the digest."""
+        config = write_config(tmp_path, BASE_CONFIG)
+        assert main(["protocol", config, "--out", str(tmp_path / "run"), "--gate", gate]) == 0
+        assert hashlib.sha256((tmp_path / "run.jsonl").read_bytes()).hexdigest() == digest
 
     def test_flag_overrides(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)

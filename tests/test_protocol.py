@@ -30,6 +30,8 @@ from modetangle.protocol import (
 from modetangle.states import BasisLabel, PureState, partial_trace, von_neumann_entropy
 
 LOG2_3 = 1.584962500721156
+# trials per sampling and rendering chunk in modetangle.protocol
+CHUNK = 4096
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -268,6 +270,22 @@ class TestRunTrial:
         second = run_trial(config, rng_seed=99)
         assert outcome_json_line(first) == outcome_json_line(second)
 
+    def test_draws_are_those_of_default_rng(self):
+        config = ConversionConfig(ancilla=AncillaConfig(eta=0.5))
+        kinds = set()
+        for seed in range(40):
+            landing_draw, eta_draw = np.random.default_rng(seed).random(2)
+            outcome = run_trial(config, rng_seed=seed)
+            assert outcome.photon_detected == (landing_draw < 0.5)
+            assert outcome.registered == (landing_draw < 0.5 and eta_draw < 0.5)
+            kinds.add((outcome.photon_detected, outcome.registered))
+        assert len(kinds) == 3
+
+
+def rendered(result):
+    """The whole outcome log of a campaign as one string."""
+    return "".join(render_outcome_log(result.outcomes))
+
 
 class TestRunCampaign:
     def test_gate_on_statistics(self):
@@ -304,13 +322,28 @@ class TestRunCampaign:
         config = ConversionConfig(ancilla=AncillaConfig(eta=0.7))
         first = run_campaign(config, 500, rng_seed=29)
         second = run_campaign(config, 500, rng_seed=29)
-        assert render_outcome_log(first.outcomes) == render_outcome_log(second.outcomes)
+        assert rendered(first) == rendered(second)
 
     def test_different_seeds_differ(self):
         config = ConversionConfig(ancilla=AncillaConfig(eta=0.7))
         first = run_campaign(config, 500, rng_seed=29)
         third = run_campaign(config, 500, rng_seed=31)
-        assert render_outcome_log(first.outcomes) != render_outcome_log(third.outcomes)
+        assert rendered(first) != rendered(third)
+
+    @pytest.mark.parametrize("gate_on", [True, False])
+    def test_log_is_the_joined_outcome_lines(self, gate_on):
+        config = ConversionConfig(ancilla=AncillaConfig(eta=0.7), abort_gate_on=gate_on)
+        result = run_campaign(config, CHUNK + 5, rng_seed=37)
+        lines = [outcome_json_line(o) for o in result.outcomes]
+        assert len(lines) == CHUNK + 5
+        assert rendered(result) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("gate_on", [True, False])
+    def test_log_is_prefix_stable(self, gate_on):
+        config = ConversionConfig(ancilla=AncillaConfig(eta=0.7), abort_gate_on=gate_on)
+        long_log = rendered(run_campaign(config, CHUNK + 5, rng_seed=37))
+        short_log = rendered(run_campaign(config, 10, rng_seed=37))
+        assert "".join(long_log.splitlines(keepends=True)[:10]) == short_log
 
     def test_failing_budget_refuses_to_run(self):
         budget = AdiabaticBudget(0.02, 0.01, 1000.0)
