@@ -27,14 +27,19 @@ efficiency eta, and a clock-synchronized AND gate (when on) aborts every
 cycle without a registration, so only faithfully converted pairs are
 delivered.  With the gate off, lost-photon cycles deliver the
 unconverted product and drag the mean fidelity below one.
+
+A campaign therefore delivers one of only two pair states, and a trial
+is fixed by two booleans: whether the photon landed and whether it
+registered.  Campaigns are held as those two columns, sampled and
+rendered CHUNK trials at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +62,7 @@ __all__ = [
     "AncillaConfig",
     "ConversionConfig",
     "ConversionOutcome",
+    "CampaignOutcomes",
     "CampaignResult",
     "initial_mode_state",
     "select_middle_term",
@@ -74,6 +80,8 @@ __all__ = [
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 AMPLITUDE_TOL = 1e-12
 PROJECTION_TOL = 1e-15
+# trials per sampling and rendering step
+CHUNK = 4096
 
 PARTICLE_BASIS = BasisLabel(("photon_1", "photon_2"), (2, 2))
 
@@ -299,54 +307,81 @@ def _build_context(config: ConversionConfig) -> _TrialContext:
     )
 
 
-def _sample_trial(
-    ctx: _TrialContext, config: ConversionConfig, trial_id: int, rng: np.random.Generator
-) -> ConversionOutcome:
-    landed = bool(rng.random() < config.landing_prob)
-    registered = bool(landed and rng.random() < config.ancilla.eta)
-    aborted = bool(config.abort_gate_on and not registered)
-    if registered:
-        delivered = ctx.target
-        entropy: float | None = ctx.target_entropy
-        fid: float | None = 1.0  # the delivered state is the target
-    elif landed and not config.abort_gate_on:
-        # loss slipped through: the potential never switched
-        delivered = ctx.unconverted
-        entropy = ctx.unconverted_entropy
-        fid = ctx.unconverted_fidelity
-    else:
-        delivered = None
-        entropy = None
-        fid = None
-    return ConversionOutcome(
-        trial_id=trial_id,
-        photon_detected=landed,
-        registered=registered,
-        aborted=aborted,
-        delivered_state=delivered,
-        particle_entropy=entropy,
-        fidelity_to_target=fid,
-    )
+def _draw(config: ConversionConfig, seeds: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """The landed and registered columns of one trial per seed.
+
+    A trial takes the first two doubles of np.random.default_rng(seed):
+    PCG64's raw 64-bit outputs mapped to [0, 1) as Generator.random()
+    maps them, without building a Generator per trial.
+    """
+    raw = np.array([np.random.PCG64(seed).random_raw(2) for seed in seeds], dtype=np.uint64)
+    draws = (raw >> np.uint64(11)) * 2.0**-53
+    landed = draws[:, 0] < config.landing_prob
+    return landed, landed & (draws[:, 1] < config.ancilla.eta)
+
+
+class CampaignOutcomes(Sequence[ConversionOutcome]):
+    """The outcomes of a campaign, held as two boolean columns.
+
+    landed[i] and registered[i] are trial i's draws.  Everything else an
+    outcome records follows from them, the gate and the campaign's two
+    pair states, so each ConversionOutcome is built only when asked for.
+    A trial's kind is 0 when nothing landed, 1 when the photon landed
+    but did not register, 2 when it registered.
+    """
+
+    def __init__(
+        self, ctx: _TrialContext, gate_on: bool, landed: np.ndarray, registered: np.ndarray
+    ) -> None:
+        self.landed = landed
+        self.registered = registered
+        if gate_on:
+            loss = (None, None, None)
+        else:
+            # loss slipped through: the potential never switched
+            loss = (ctx.unconverted, ctx.unconverted_entropy, ctx.unconverted_fidelity)
+        # per kind: photon_detected, registered, aborted, delivered_state,
+        # particle_entropy, fidelity_to_target (the target's to itself is 1)
+        self._fields = (
+            (False, False, gate_on, None, None, None),
+            (True, False, gate_on, *loss),
+            (True, True, False, ctx.target, ctx.target_entropy, 1.0),
+        )
+
+    def __len__(self) -> int:
+        return len(self.landed)
+
+    def __getitem__(self, index: int) -> ConversionOutcome:
+        trial_id = range(len(self))[index]
+        return self.outcome(int(self.landed[trial_id]) + int(self.registered[trial_id]), trial_id)
+
+    def kinds(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The kind of each trial in [start, stop)."""
+        return self.landed[start:stop].astype(np.uint8) + self.registered[start:stop]
+
+    def outcome(self, kind: int, trial_id: int) -> ConversionOutcome:
+        return ConversionOutcome(trial_id, *self._fields[kind])
 
 
 def run_trial(
     config: ConversionConfig, rng_seed: int | np.random.SeedSequence, trial_id: int = 0
 ) -> ConversionOutcome:
-    """One seeded trial of the screened-ancilla conversion."""
+    """One seeded trial: the length-1 campaign drawn from rng_seed itself."""
     ctx = _build_context(config)
-    return _sample_trial(ctx, config, trial_id, np.random.default_rng(rng_seed))
+    outcomes = CampaignOutcomes(ctx, config.abort_gate_on, *_draw(config, [rng_seed]))
+    return replace(outcomes[0], trial_id=trial_id)
 
 
 @dataclass(frozen=True, eq=False)
 class CampaignResult:
-    """Aggregate statistics plus the ordered outcome log."""
+    """Aggregate statistics plus the ordered outcomes, as two boolean columns."""
 
     n_trials: int
     delivered_rate: float
     abort_rate: float
     mean_entropy: float | None
     min_fidelity: float | None
-    outcomes: tuple[ConversionOutcome, ...]
+    outcomes: CampaignOutcomes
 
 
 def run_campaign(
@@ -354,11 +389,13 @@ def run_campaign(
 ) -> CampaignResult:
     """Run seeded trials and aggregate delivery statistics.
 
-    Each trial gets its own generator spawned from the master seed, so
-    identical (config, n_trials, rng_seed) reproduce the log exactly.  A
-    truncation whose assigned levels put more than the oscillator's
-    TAIL_WEIGHT_LIMIT in the top basis states refuses to run, and so does
-    a configured adiabatic budget that fails its check.
+    Trial i draws from the i-th child of SeedSequence(rng_seed), spawned
+    CHUNK at a time, so identical (config, rng_seed) reproduce the log
+    exactly and the first trials do not depend on n_trials.  Memory is
+    two bytes per trial.  A truncation whose assigned levels put more
+    than the oscillator's TAIL_WEIGHT_LIMIT in the top basis states
+    refuses to run, and so does a configured adiabatic budget that fails
+    its check.
     """
     n_trials = int(n_trials)
     if n_trials < 1:
@@ -375,26 +412,29 @@ def run_campaign(
                 f"(margins r1={r1:.6g}, r2={r2:.6g}, "
                 f"threshold {config.adiabatic_budget.ratio_threshold:.6g})"
             )
-    seeds = np.random.SeedSequence(rng_seed).spawn(n_trials)
-    outcomes = tuple(
-        _sample_trial(ctx, config, i, np.random.default_rng(seeds[i]))
-        for i in range(n_trials)
-    )
-    delivered = [o for o in outcomes if o.delivered_state is not None]
-    aborted = sum(1 for o in outcomes if o.aborted)
-    mean_entropy = (
-        float(np.mean([o.particle_entropy for o in delivered])) if delivered else None
-    )
-    min_fidelity = (
-        min(o.fidelity_to_target for o in delivered) if delivered else None
-    )
+    root = np.random.SeedSequence(rng_seed)
+    landed = np.empty(n_trials, dtype=bool)
+    registered = np.empty(n_trials, dtype=bool)
+    for start in range(0, n_trials, CHUNK):
+        stop = min(start + CHUNK, n_trials)
+        landed[start:stop], registered[start:stop] = _draw(config, root.spawn(stop - start))
+    # the gate ships registered trials only; without it every landing ships
+    delivered = registered if config.abort_gate_on else landed
+    n_delivered = int(np.count_nonzero(delivered))
+    mean_entropy = min_fidelity = None
+    if n_delivered:
+        converted = registered[delivered]
+        mean_entropy = float(
+            np.mean(np.where(converted, ctx.target_entropy, ctx.unconverted_entropy))
+        )
+        min_fidelity = float(np.where(converted, 1.0, ctx.unconverted_fidelity).min())
     return CampaignResult(
         n_trials=n_trials,
-        delivered_rate=len(delivered) / n_trials,
-        abort_rate=aborted / n_trials,
+        delivered_rate=n_delivered / n_trials,
+        abort_rate=(n_trials - n_delivered) / n_trials if config.abort_gate_on else 0.0,
         mean_entropy=mean_entropy,
         min_fidelity=min_fidelity,
-        outcomes=outcomes,
+        outcomes=CampaignOutcomes(ctx, config.abort_gate_on, landed, registered),
     )
 
 
@@ -422,8 +462,18 @@ def outcome_json_line(outcome: ConversionOutcome) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def render_outcome_log(outcomes: Sequence[ConversionOutcome]) -> str:
-    return "\n".join(outcome_json_line(o) for o in outcomes) + "\n"
+def render_outcome_log(outcomes: CampaignOutcomes) -> Iterator[str]:
+    """Yield the JSON-lines log of a campaign, CHUNK lines at a time.
+
+    Line i is outcome_json_line(outcomes[i]) plus a newline.  The sorted
+    keys put trial_id last, so each line is the serialized line of its
+    kind of trial with trial_id 0, less the closing "0}", followed by the
+    trial id and the brace.
+    """
+    prefixes = [outcome_json_line(outcomes.outcome(kind, 0))[: -len("0}")] for kind in range(3)]
+    for start in range(0, len(outcomes), CHUNK):
+        kinds = outcomes.kinds(start, start + CHUNK).tolist()
+        yield "".join([f"{prefixes[kind]}{i}}}\n" for i, kind in enumerate(kinds, start)])
 
 
 def campaign_summary(result: CampaignResult, config: ConversionConfig, seed: int) -> dict:

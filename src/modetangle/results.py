@@ -2,7 +2,8 @@
 
 CSV files carry '#'-prefixed metadata lines, then one header row, then
 data rows at 12 significant digits.  All writes go to a temp file in the
-target directory followed by an atomic rename.
+target directory followed by an atomic rename; a long text can be handed
+over as an iterable of chunks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def format_number(value: float) -> str:
@@ -54,18 +55,20 @@ class ScanResult:
         return [row[idx] for row in self.rows]
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename.
+def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of its chunks, to path via a temp file and rename.
 
-    The file gets mode 0o666 less the umask, as open() would give it, not
-    the 0o600 of the temp file.
+    Chunks are written as they come, so a long text need never be held
+    whole.  The file gets mode 0o666 less the umask, as open() would give
+    it, not the 0o600 of the temp file.
     """
+    chunks = [text] if isinstance(text, str) else text
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~_current_umask())
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -4,12 +4,14 @@ Lines hold one `key = value` pair.  Blank lines are ignored, and so is
 a '#' with the rest of its line when the '#' starts the line or follows
 whitespace; a '#' inside a value, as in `out_log = runs/#3/log.jsonl`,
 is part of the value.  Unknown, duplicate and unparsable keys are hard
-errors that name the key.  The adiabatic_* keys are all-or-none: a
-threshold or any one scale needs all three scales, which then arm the
-campaign's physics gate.
+errors that name the key.
 
-This module holds only the rules of the file format.  The range of each
-value is checked by the library object that uses it: AncillaConfig,
+This module holds the rules of the file format, and one rule across
+keys: the adiabatic_* keys are all-or-none, so a threshold or any one
+scale needs all three scales, which then arm the campaign's physics
+gate.  to_conversion_config checks it on the RunConfig fields, so a
+RunConfig built in code meets it too.  The range of each value is
+checked by the library object that uses it: AncillaConfig,
 ConversionConfig, ModeAssignment and AdiabaticBudget, whose errors
 to_conversion_config re-raises as a ConfigError naming the key, and
 build_model and run_campaign, which refuse the truncation, the levels,
@@ -34,15 +36,17 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 _ADIABATIC_SCALES = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas")
 
-# library parameter -> the config key that feeds it, where the two differ;
-# a library range error starts with the name of the parameter it refuses
-_CONFIG_KEYS = {
-    "anharmonicity_on": "lambda",
+# AdiabaticBudget parameter -> the config key that feeds it
+_BUDGET_KEYS = {
     "delta_e": "adiabatic_delta_e",
     "h_tilde": "adiabatic_h_tilde",
     "t_meas": "adiabatic_t_meas",
     "ratio_threshold": "adiabatic_threshold",
 }
+
+# library parameter -> the config key that feeds it, where the two differ;
+# a library range error starts with the name of the parameter it refuses
+_CONFIG_KEYS = {"anharmonicity_on": "lambda", **_BUDGET_KEYS}
 
 
 class ConfigError(ValueError):
@@ -71,7 +75,7 @@ class RunConfig:
     adiabatic_delta_e: float | None = None
     adiabatic_h_tilde: float | None = None
     adiabatic_t_meas: float | None = None
-    adiabatic_threshold: float = 10.0
+    adiabatic_threshold: float | None = None
     out_log: str = "outcomes.jsonl"
     out_summary: str = "summary.json"
 
@@ -150,32 +154,31 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
             if attr in values:
                 raise ConfigError(key, "key given more than once")
             values[attr] = convert(key, raw_value)
-    given = [key for key in (*_ADIABATIC_SCALES, "adiabatic_threshold") if key in values]
-    missing = [key for key in _ADIABATIC_SCALES if key not in values]
-    if given and missing:
-        raise ConfigError(
-            None,
-            f"{', '.join(given)} given without {', '.join(missing)}; "
-            "the adiabatic_* scales are all-or-none",
-        )
     return replace(RunConfig(), **values)
 
 
 def to_conversion_config(rc: RunConfig) -> ConversionConfig:
     """Build the campaign configuration from a RunConfig.
 
-    A value the library refuses is re-raised as a ConfigError naming the
-    config key that feeds it.
+    Adiabatic values set without all three scales are refused.  A value
+    the library refuses is re-raised as a ConfigError naming the config
+    key that feeds it.
     """
+    budget_values = {
+        param: getattr(rc, key)
+        for param, key in _BUDGET_KEYS.items()
+        if getattr(rc, key) is not None
+    }
+    missing = [key for key in _ADIABATIC_SCALES if getattr(rc, key) is None]
+    if budget_values and missing:
+        given = [_BUDGET_KEYS[param] for param in budget_values]
+        raise ConfigError(
+            None,
+            f"{', '.join(given)} given without {', '.join(missing)}; "
+            "the adiabatic_* scales are all-or-none",
+        )
     try:
-        budget = None
-        if rc.adiabatic_delta_e is not None:
-            budget = AdiabaticBudget(
-                delta_e=rc.adiabatic_delta_e,
-                h_tilde=rc.adiabatic_h_tilde,
-                t_meas=rc.adiabatic_t_meas,
-                ratio_threshold=rc.adiabatic_threshold,
-            )
+        budget = AdiabaticBudget(**budget_values) if budget_values else None
         return ConversionConfig(
             anharmonicity_on=rc.anharmonicity,
             truncation=rc.truncation,

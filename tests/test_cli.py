@@ -8,13 +8,14 @@ import re
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import modetangle
 from modetangle.cli import main
 from modetangle.oscillator import TAIL_WEIGHT_LIMIT
-from modetangle.runconfig import parse_run_config
+from modetangle.runconfig import ConfigError, RunConfig, parse_run_config, to_conversion_config
 
 TWO_ROOT_TWO = 2.8284271247461903
 
@@ -327,6 +328,24 @@ class TestProtocolCommand:
         config = write_config(tmp_path, "trials = 5\nadiabatic_delta_e = 1.0\n")
         assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2
         assert "all-or-none" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"adiabatic_delta_e": 1.0},
+            {"adiabatic_h_tilde": 0.01, "adiabatic_t_meas": 1000.0},
+            {"adiabatic_threshold": 5.0},
+        ],
+    )
+    def test_partial_adiabatic_fields_built_in_code(self, values):
+        with pytest.raises(ConfigError, match="all-or-none"):
+            to_conversion_config(replace(RunConfig(), **values))
+
+    def test_adiabatic_threshold_defaults_to_the_budget_default(self):
+        scales = {"adiabatic_delta_e": 1.0, "adiabatic_h_tilde": 0.01, "adiabatic_t_meas": 1000.0}
+        budget = to_conversion_config(replace(RunConfig(), **scales)).adiabatic_budget
+        assert budget.ratio_threshold == 10.0
+        assert to_conversion_config(RunConfig()).adiabatic_budget is None
 
 
 ADIABATIC_SCALES = {

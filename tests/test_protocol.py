@@ -12,6 +12,7 @@ from modetangle.oscillator import (
     mode_overlap,
 )
 from modetangle.protocol import (
+    CHUNK,
     AncillaConfig,
     ConversionConfig,
     PhysicsPreconditionError,
@@ -30,8 +31,6 @@ from modetangle.protocol import (
 from modetangle.states import BasisLabel, PureState, partial_trace, von_neumann_entropy
 
 LOG2_3 = 1.584962500721156
-# trials per sampling and rendering chunk in modetangle.protocol
-CHUNK = 4096
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
