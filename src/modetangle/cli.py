@@ -40,6 +40,17 @@ PRECONDITION_ERROR = 3
 REPORTED_LEVELS = 10
 OVERLAP_LEVELS = 4
 
+# protocol flags that override a RunConfig field: (argument name, field);
+# --gate gives "on" or "off" for the boolean gate_on
+_PROTOCOL_OVERRIDES = (
+    ("eta", "eta"),
+    ("trials", "trials"),
+    ("seed", "seed"),
+    ("gate", "gate_on"),
+    ("anharmonicity", "anharmonicity"),
+    ("truncation", "truncation"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -142,20 +153,11 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
 def cmd_protocol(args: argparse.Namespace) -> int:
     rc = parse_run_config(args.config)
     overrides = {}
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.gate is not None:
-        overrides["gate_on"] = args.gate == "on"
-    if args.anharmonicity is not None:
-        overrides["anharmonicity"] = args.anharmonicity
-    if args.truncation is not None:
-        overrides["truncation"] = args.truncation
-    if overrides:
-        rc = replace(rc, **overrides)
+    for name, field in _PROTOCOL_OVERRIDES:
+        value = getattr(args, name)
+        if value is not None:
+            overrides[field] = value == "on" if name == "gate" else value
+    rc = replace(rc, **overrides)
     out_log = rc.out_log
     out_summary = rc.out_summary
     if args.out:

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._common import PhysicsPreconditionError, require_finite
+from ._pcg64 import SpawnedPCG64
 from .oscillator import (
     AdiabaticBudget,
     ModeAssignment,
@@ -80,7 +81,8 @@ __all__ = [
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 AMPLITUDE_TOL = 1e-12
 PROJECTION_TOL = 1e-15
-# trials per sampling and rendering step
+# trials per sampling and rendering step; it divides 2**32, so no sampling
+# block straddles the trial id at which a spawn key gains a second word
 CHUNK = 4096
 
 PARTICLE_BASIS = BasisLabel(("photon_1", "photon_2"), (2, 2))
@@ -307,17 +309,19 @@ def _build_context(config: ConversionConfig) -> _TrialContext:
     )
 
 
-def _draw(config: ConversionConfig, seeds: Iterable) -> tuple[np.ndarray, np.ndarray]:
-    """The landed and registered columns of one trial per seed.
+def _draw(
+    config: ConversionConfig, raw: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The landed and registered columns of trials from their raw draws.
 
-    A trial takes the first two doubles of np.random.default_rng(seed):
-    PCG64's raw 64-bit outputs mapped to [0, 1) as Generator.random()
-    maps them, without building a Generator per trial.
+    raw holds each trial's first two raw 64-bit PCG64 outputs as two
+    columns.  They map to [0, 1) as Generator.random() maps them, so a
+    trial takes the first two doubles of np.random.default_rng on its
+    SeedSequence.
     """
-    raw = np.array([np.random.PCG64(seed).random_raw(2) for seed in seeds], dtype=np.uint64)
-    draws = (raw >> np.uint64(11)) * 2.0**-53
-    landed = draws[:, 0] < config.landing_prob
-    return landed, landed & (draws[:, 1] < config.ancilla.eta)
+    landing, registering = ((column >> np.uint64(11)) * 2.0**-53 for column in raw)
+    landed = landing < config.landing_prob
+    return landed, landed & (registering < config.ancilla.eta)
 
 
 class CampaignOutcomes(Sequence[ConversionOutcome]):
@@ -363,12 +367,14 @@ class CampaignOutcomes(Sequence[ConversionOutcome]):
         return ConversionOutcome(trial_id, *self._fields[kind])
 
 
-def run_trial(
-    config: ConversionConfig, rng_seed: int | np.random.SeedSequence, trial_id: int = 0
-) -> ConversionOutcome:
-    """One seeded trial: the length-1 campaign drawn from rng_seed itself."""
+def run_trial(config: ConversionConfig, rng_seed: int, trial_id: int = 0) -> ConversionOutcome:
+    """One seeded trial: the length-1 campaign drawn from SeedSequence(rng_seed) itself.
+
+    Its draws are the first two doubles of np.random.default_rng(rng_seed).
+    """
+    stream = SpawnedPCG64(rng_seed)
     ctx = _build_context(config)
-    outcomes = CampaignOutcomes(ctx, config.abort_gate_on, *_draw(config, [rng_seed]))
+    outcomes = CampaignOutcomes(ctx, config.abort_gate_on, *_draw(config, stream.raw2()))
     return replace(outcomes[0], trial_id=trial_id)
 
 
@@ -389,19 +395,20 @@ def run_campaign(
 ) -> CampaignResult:
     """Run seeded trials and aggregate delivery statistics.
 
-    Trial i draws from the i-th child of SeedSequence(rng_seed), spawned
-    CHUNK at a time, so identical (config, rng_seed) reproduce the log
-    exactly and the first trials do not depend on n_trials.  Memory is
-    two bytes per trial.  A truncation whose assigned levels put more
-    than the oscillator's TAIL_WEIGHT_LIMIT in the top basis states
-    refuses to run, and so does a configured adiabatic budget that fails
-    its check.
+    Trial i takes the first two doubles of PCG64 seeded by the i-th
+    spawned child of SeedSequence(rng_seed), so identical (config,
+    rng_seed) reproduce the log exactly and the first trials do not
+    depend on n_trials.  The draws of CHUNK trials at a time come from
+    one vectorized pass of _pcg64.SpawnedPCG64, which reproduces numpy's
+    objects bit for bit.  Memory is two bytes per trial.  A truncation
+    whose assigned levels put more than the oscillator's
+    TAIL_WEIGHT_LIMIT in the top basis states refuses to run, and so does
+    a configured adiabatic budget that fails its check.
     """
     n_trials = int(n_trials)
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
+    stream = SpawnedPCG64(rng_seed)
     ctx = _build_context(config)
     if config.adiabatic_budget is not None:
         check = adiabatic_check(config.adiabatic_budget)
@@ -412,12 +419,12 @@ def run_campaign(
                 f"(margins r1={r1:.6g}, r2={r2:.6g}, "
                 f"threshold {config.adiabatic_budget.ratio_threshold:.6g})"
             )
-    root = np.random.SeedSequence(rng_seed)
     landed = np.empty(n_trials, dtype=bool)
     registered = np.empty(n_trials, dtype=bool)
     for start in range(0, n_trials, CHUNK):
         stop = min(start + CHUNK, n_trials)
-        landed[start:stop], registered[start:stop] = _draw(config, root.spawn(stop - start))
+        raw = stream.raw2(range(start, stop))
+        landed[start:stop], registered[start:stop] = _draw(config, raw)
     # the gate ships registered trials only; without it every landing ships
     delivered = registered if config.abort_gate_on else landed
     n_delivered = int(np.count_nonzero(delivered))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from modetangle._pcg64 import SpawnedPCG64
 from modetangle.oscillator import (
     AdiabaticBudget,
     build_model,
@@ -246,6 +247,8 @@ class TestConfigValidation:
             run_campaign(ConversionConfig(), 0, rng_seed=1)
         with pytest.raises(ValueError, match="rng_seed"):
             run_campaign(ConversionConfig(), 10, rng_seed=-1)
+        with pytest.raises(ValueError, match="rng_seed must be non-negative"):
+            run_trial(ConversionConfig(), rng_seed=-1)
 
 
 class TestRunTrial:
@@ -279,6 +282,41 @@ class TestRunTrial:
             assert outcome.registered == (landing_draw < 0.5 and eta_draw < 0.5)
             kinds.add((outcome.photon_detected, outcome.registered))
         assert len(kinds) == 3
+
+
+# 2**32 - 1 and 2**32 take one and two seed words, 2**64 + 3 three, and
+# 2**128 + 5 five, more than SeedSequence's pool of four
+ORACLE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]
+
+
+def numpy_raw2(seed_sequence):
+    return np.random.PCG64(seed_sequence).random_raw(2)
+
+
+class TestSpawnedPCG64:
+    """The campaign's draw kernel against numpy's own SeedSequence and PCG64."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_children_across_a_block_boundary(self, seed):
+        stream = SpawnedPCG64(seed)
+        children = np.random.SeedSequence(seed).spawn(CHUNK + 6)
+        expected = np.array([numpy_raw2(child) for child in children])
+        drawn = [stream.raw2(range(0, CHUNK)), stream.raw2(range(CHUNK, CHUNK + 6))]
+        assert np.array_equal(np.concatenate([np.stack(pair, axis=1) for pair in drawn]), expected)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_unspawned_root(self, seed):
+        assert np.array_equal(np.concatenate(SpawnedPCG64(seed).raw2()), numpy_raw2(seed))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_two_word_spawn_keys_from_2_to_the_32(self, seed):
+        block = range(2**32, 2**32 + 8)
+        expected = [numpy_raw2(np.random.SeedSequence(seed, spawn_key=(i,))) for i in block]
+        assert np.array_equal(np.stack(SpawnedPCG64(seed).raw2(block), axis=1), expected)
+
+    def test_block_straddling_2_to_the_32_refused(self):
+        with pytest.raises(ValueError, match="straddle"):
+            SpawnedPCG64(1).raw2(range(2**32 - 1, 2**32 + 1))
 
 
 def rendered(result):
