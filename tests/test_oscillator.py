@@ -1,6 +1,7 @@
 """Quartic-anharmonic oscillator model, overlaps, and adiabatic budget."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,11 @@ import pytest
 from modetangle.oscillator import (
     AdiabaticBudget,
     adiabatic_check,
-    budget_from_model,
     build_model,
     default_mode_assignment,
     first_order_energy,
     map_modes_to_eigenfunctions,
     mode_overlap,
-    perturbation_strength,
     position_operator,
 )
 from modetangle.oscillator import _position_power_diagonals, _symmetric_banded
@@ -57,16 +56,23 @@ class TestClosedFormBuild:
         values, vectors = np.linalg.eigh(h)
         vectors = vectors * np.where(np.diag(vectors) < 0.0, -1.0, 1.0)
         model = build_model(g, n)
+        stacked = np.column_stack([model.eigenstate(k) for k in range(n)])
         np.testing.assert_allclose(model.eigenvalues, values, rtol=1e-10, atol=0)
         levels = min(10, n)
         np.testing.assert_allclose(
-            model.eigenvectors[:, :levels], vectors[:, :levels], rtol=0, atol=1e-10
+            stacked[:, :levels], vectors[:, :levels], rtol=0, atol=1e-10
         )
         assert np.all(np.diff(model.eigenvalues) > 0.0)
-        np.testing.assert_allclose(
-            model.eigenvectors.T @ model.eigenvectors, np.eye(n), rtol=0, atol=1e-12
-        )
-        assert np.all(np.diag(model.eigenvectors) >= 0.0)
+        np.testing.assert_allclose(stacked.T @ stacked, np.eye(n), rtol=0, atol=1e-12)
+        assert np.all(np.diag(stacked) >= 0.0)
+        for k in range(levels):
+            v = vectors[:, k]
+            assert model.x_squared_expectation(k) == pytest.approx(
+                v @ x2[:n, :n] @ v, rel=1e-12, abs=0
+            )
+            assert mode_overlap(model, k) == pytest.approx(vectors[k, k], abs=1e-10)
+        dense_tail = np.max(np.sum(vectors[-4:, :levels] ** 2, axis=0))
+        assert model.tail_weight(range(levels)) == pytest.approx(dense_tail, rel=1e-9, abs=1e-18)
 
     def test_tail_weight_is_the_largest_top_four_weight(self):
         model = build_model(5.0, 64)
@@ -74,6 +80,22 @@ class TestClosedFormBuild:
         assert model.tail_weight(range(10)) == pytest.approx(max(weights), rel=1e-12)
         assert model.tail_weight([1, 2]) == pytest.approx(max(weights[1:3]), rel=1e-12)
         assert build_model(0.0, 64).tail_weight(range(10)) == 0.0
+
+    def test_model_holds_only_the_parity_blocks(self):
+        # the two block eigenvector matrices are N^2/2 floats; a dense N x N
+        # eigenvector or X^2 array would double the held memory and more
+        n = 1600
+        build_model(0.1, 64)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            model = build_model(0.1, n)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.truncation == n
+        assert held - base <= 1.1 * 8 * n * n / 2
+        assert peak - base < 20 * 2**20
 
 
 class TestHarmonicLimit:
@@ -85,7 +107,8 @@ class TestHarmonicLimit:
 
     def test_eigenvectors_are_the_number_basis(self):
         model = build_model(0.0, 32)
-        np.testing.assert_allclose(model.eigenvectors, np.eye(32), atol=1e-10)
+        stacked = np.column_stack([model.eigenstate(k) for k in range(32)])
+        np.testing.assert_allclose(stacked, np.eye(32), atol=1e-10)
 
     def test_overlaps_are_unity(self):
         model = build_model(0.0, 16)
@@ -122,10 +145,6 @@ class TestFirstOrderOracle:
             gap = abs(model.energy(0) - first_order_energy(0, g))
             ratios.append(gap / g**2)
         assert max(ratios) < 2.0 * min(ratios)
-
-    def test_perturbation_strength(self):
-        assert perturbation_strength(1, 0.16) == pytest.approx(0.15, abs=1e-12)
-        assert perturbation_strength(0, 0.0) == 0.0
 
 
 class TestAnharmonicSpectrum:
@@ -231,20 +250,3 @@ class TestAdiabaticCheck:
             AdiabaticBudget(1.0, -0.01, 10.0)
         with pytest.raises(ValueError):
             AdiabaticBudget(1.0, 0.01, math.inf)
-
-
-class TestBudgetFromModel:
-    def test_scales_come_from_the_model(self):
-        model = build_model(0.02, 64)
-        budget = budget_from_model(model, default_mode_assignment(), 1.0e4)
-        gap = model.energy(2) - model.energy(1)
-        assert budget.delta_e == pytest.approx(gap, abs=1e-12)
-        assert budget.h_tilde == pytest.approx(
-            perturbation_strength(2, 0.02), abs=1e-12
-        )
-        assert adiabatic_check(budget).passed
-
-    def test_zero_coupling_rejected(self):
-        model = build_model(0.0, 64)
-        with pytest.raises(ValueError):
-            budget_from_model(model, default_mode_assignment(), 1.0e4)
