@@ -85,10 +85,8 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
 
 
-def _spawn_words(children: range | None) -> list[np.ndarray]:
+def _spawn_words(children: range) -> list[np.ndarray]:
     """The spawn-key words of each child id, one array per word position."""
-    if children is None:
-        return []
     if children.start < 2**32 < children.stop:
         raise ValueError("children must not straddle 2**32")
     ids = np.arange(children.start, children.stop, dtype=_U64)
@@ -101,7 +99,7 @@ _STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
 class SpawnedPCG64:
-    """First raw outputs of PCG64 seeded by SeedSequence(rng_seed) or its children.
+    """First raw outputs of PCG64 seeded by the children of SeedSequence(rng_seed).
 
     The pool mixing of the seed's own words is the same for every child,
     so it is done once here; each call mixes in only the children's spawn
@@ -131,14 +129,13 @@ class SpawnedPCG64:
         self._pool = pool
         self._spawn_consts = consts[k:]
 
-    def raw2(self, children: range | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def raw2(self, children: range) -> tuple[np.ndarray, np.ndarray]:
         """PCG64(seq).random_raw(2) as two uint64 columns, one row per seq.
 
         seq is each child SeedSequence(rng_seed, spawn_key=(i,)) for i in
-        children, or SeedSequence(rng_seed) itself when children is None.
-        Children in one call must all lie below 2**32 or all at or above
-        it, since SeedSequence makes one spawn word of an id below 2**32
-        and two of one above.
+        children.  Children in one call must all lie below 2**32 or all at
+        or above it, since SeedSequence makes one spawn word of an id below
+        2**32 and two of one above.
         """
         pool = self._pool
         for j, word in enumerate(_spawn_words(children)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ from .protocol import (
     run_campaign,
 )
 from .results import atomic_write_text, write_json, write_scan_csv
-from .runconfig import parse_run_config, to_conversion_config
+from .runconfig import ConfigError, parse_run_config, to_conversion_config
 
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
@@ -163,6 +164,8 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     if args.out:
         out_log = args.out + ".jsonl"
         out_summary = args.out + ".json"
+    if os.path.realpath(out_log) == os.path.realpath(out_summary):
+        raise ConfigError(None, f"out_log and out_summary name the same file: {out_log}")
     config = to_conversion_config(rc)
     result = run_campaign(config, rc.trials, rc.seed)
     atomic_write_text(out_log, render_outcome_log(result.outcomes))

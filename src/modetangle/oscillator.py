@@ -69,9 +69,8 @@ __all__ = [
     "require_converged",
     "first_order_energy",
     "mode_overlap",
-    "map_modes_to_eigenfunctions",
     "default_mode_assignment",
-    "adiabatic_check",
+    "require_adiabatic",
 ]
 
 MIN_TRUNCATION = 8
@@ -273,14 +272,9 @@ class ModeAssignment:
         raise KeyError(f"no level assigned to {particle!r}")
 
 
-def map_modes_to_eigenfunctions(assignment: dict[str, int]) -> ModeAssignment:
-    """Validated particle-to-level binding (duplicate levels rejected)."""
-    return ModeAssignment(tuple(assignment.items()))
-
-
 def default_mode_assignment() -> ModeAssignment:
     """photon_1 -> level 1, photon_2 -> level 2."""
-    return map_modes_to_eigenfunctions({"photon_1": 1, "photon_2": 2})
+    return ModeAssignment((("photon_1", 1), ("photon_2", 2)))
 
 
 @dataclass(frozen=True)
@@ -300,19 +294,16 @@ class AdiabaticBudget:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class AdiabaticCheck:
-    passed: bool
-    margins: tuple[float, float]
-
-
-def adiabatic_check(budget: AdiabaticBudget) -> AdiabaticCheck:
-    """Both scale ratios must reach the threshold for a pass.
+def require_adiabatic(budget: AdiabaticBudget) -> None:
+    """Refuses a budget unless both scale ratios reach its threshold.
 
     r1 = delta_e / h_tilde (level spacing dominates the perturbation),
     r2 = t_meas * h_tilde (measurement slow against the induced dynamics).
     """
     r1 = budget.delta_e / budget.h_tilde
     r2 = budget.t_meas * budget.h_tilde
-    passed = bool(r1 >= budget.ratio_threshold and r2 >= budget.ratio_threshold)
-    return AdiabaticCheck(passed, (r1, r2))
+    if not (r1 >= budget.ratio_threshold and r2 >= budget.ratio_threshold):
+        raise PhysicsPreconditionError(
+            "adiabatic budget fails its separation-of-scales check "
+            f"(margins r1={r1:.6g}, r2={r2:.6g}, threshold {budget.ratio_threshold:.6g})"
+        )

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,10 @@ from .oscillator import (
     AdiabaticBudget,
     ModeAssignment,
     OscillatorModel,
-    adiabatic_check,
     build_model,
     default_mode_assignment,
     mode_overlap,
+    require_adiabatic,
     require_converged,
 )
 from .states import BasisLabel, PureState, fidelity, partial_trace, von_neumann_entropy
@@ -62,16 +62,12 @@ __all__ = [
     "PhysicsPreconditionError",
     "AncillaConfig",
     "ConversionConfig",
-    "ConversionOutcome",
-    "CampaignOutcomes",
-    "CampaignResult",
     "initial_mode_state",
     "select_middle_term",
     "ancilla_branch_amplitudes",
     "final_state_from_overlaps",
     "assemble_final_state",
     "particle_entanglement_entropy",
-    "run_trial",
     "run_campaign",
     "outcome_json_line",
     "render_outcome_log",
@@ -367,17 +363,6 @@ class CampaignOutcomes(Sequence[ConversionOutcome]):
         return ConversionOutcome(trial_id, *self._fields[kind])
 
 
-def run_trial(config: ConversionConfig, rng_seed: int, trial_id: int = 0) -> ConversionOutcome:
-    """One seeded trial: the length-1 campaign drawn from SeedSequence(rng_seed) itself.
-
-    Its draws are the first two doubles of np.random.default_rng(rng_seed).
-    """
-    stream = SpawnedPCG64(rng_seed)
-    ctx = _build_context(config)
-    outcomes = CampaignOutcomes(ctx, config.abort_gate_on, *_draw(config, stream.raw2()))
-    return replace(outcomes[0], trial_id=trial_id)
-
-
 @dataclass(frozen=True, eq=False)
 class CampaignResult:
     """Aggregate statistics plus the ordered outcomes, as two boolean columns."""
@@ -411,14 +396,7 @@ def run_campaign(
     stream = SpawnedPCG64(rng_seed)
     ctx = _build_context(config)
     if config.adiabatic_budget is not None:
-        check = adiabatic_check(config.adiabatic_budget)
-        if not check.passed:
-            r1, r2 = check.margins
-            raise PhysicsPreconditionError(
-                "adiabatic budget fails its separation-of-scales check "
-                f"(margins r1={r1:.6g}, r2={r2:.6g}, "
-                f"threshold {config.adiabatic_budget.ratio_threshold:.6g})"
-            )
+        require_adiabatic(config.adiabatic_budget)
     landed = np.empty(n_trials, dtype=bool)
     registered = np.empty(n_trials, dtype=bool)
     for start in range(0, n_trials, CHUNK):

@@ -6,16 +6,18 @@ whitespace; a '#' inside a value, as in `out_log = runs/#3/log.jsonl`,
 is part of the value.  Unknown, duplicate and unparsable keys are hard
 errors that name the key.
 
-This module holds the rules of the file format, and one rule across
-keys: the adiabatic_* keys are all-or-none, so a threshold or any one
-scale needs all three scales, which then arm the campaign's physics
-gate.  to_conversion_config checks it on the RunConfig fields, so a
-RunConfig built in code meets it too.  The range of each value is
-checked by the library object that uses it: AncillaConfig,
-ConversionConfig, ModeAssignment and AdiabaticBudget, whose errors
-to_conversion_config re-raises as a ConfigError naming the key, and
-build_model and run_campaign, which refuse the truncation, the levels,
-the trial count and the seed when the campaign starts.
+A RunConfig holds what the file gave: the trial count, the seed, eta
+and the output paths have file defaults, and every other field is None
+until its key is given.  to_conversion_config passes only the given
+fields to the library objects they feed, so each protocol default lives
+in the object that uses it.  _KEYS maps each key to its converter, its
+RunConfig field and that library parameter.
+
+The adiabatic_* keys are all-or-none: a threshold or any one scale needs
+all three scales, which then arm the campaign's physics gate.  The range
+of each value is checked by the library object that uses it, whose
+errors to_conversion_config re-raises as a ConfigError naming the key,
+and by build_model and run_campaign when the campaign starts.
 """
 
 from __future__ import annotations
@@ -24,29 +26,16 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
-from .oscillator import AdiabaticBudget, map_modes_to_eigenfunctions
+from .oscillator import AdiabaticBudget, ModeAssignment, default_mode_assignment
 from .protocol import AncillaConfig, ConversionConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "to_conversion_config"]
 
-ROOT_HALF = 1.0 / math.sqrt(2.0)
-
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 _ADIABATIC_SCALES = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas")
-
-# AdiabaticBudget parameter -> the config key that feeds it
-_BUDGET_KEYS = {
-    "delta_e": "adiabatic_delta_e",
-    "h_tilde": "adiabatic_h_tilde",
-    "t_meas": "adiabatic_t_meas",
-    "ratio_threshold": "adiabatic_threshold",
-}
-
-# library parameter -> the config key that feeds it, where the two differ;
-# a library range error starts with the name of the parameter it refuses
-_CONFIG_KEYS = {"anharmonicity_on": "lambda", **_BUDGET_KEYS}
 
 
 class ConfigError(ValueError):
@@ -59,19 +48,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The values of a config file; None marks a key that was not given."""
+
     trials: int = 1000
     seed: int = 0
-    eta: float = 0.9
-    gate_on: bool = True
-    anharmonicity: float = 0.1
-    truncation: int = 64
-    level_a: int = 1
-    level_b: int = 2
-    landing_prob: float = 0.5
-    detect_amp: float = ROOT_HALF
-    clock_period: float = 10.0
-    travel_plus_register_time: float = 3.0
-    and_gate_time: float = 1.0
+    # the file's detector misses one landed photon in ten, where
+    # AncillaConfig's default (eta = 1) is the ideal detector
+    eta: float | None = 0.9
+    gate_on: bool | None = None
+    anharmonicity: float | None = None
+    truncation: int | None = None
+    level_a: int | None = None
+    level_b: int | None = None
+    landing_prob: float | None = None
+    detect_amp: float | None = None
+    clock_period: float | None = None
+    travel_plus_register_time: float | None = None
+    and_gate_time: float | None = None
     adiabatic_delta_e: float | None = None
     adiabatic_h_tilde: float | None = None
     adiabatic_t_meas: float | None = None
@@ -109,28 +102,44 @@ def _parse_gate(key: str, raw: str) -> bool:
     raise ConfigError(key, f"expected 'on' or 'off', got {raw!r}")
 
 
-# key -> (attribute, converter)
-_PARSERS = {
-    "trials": ("trials", _parse_int),
-    "seed": ("seed", _parse_int),
-    "eta": ("eta", _parse_float),
-    "gate": ("gate_on", _parse_gate),
-    "lambda": ("anharmonicity", _parse_float),
-    "truncation": ("truncation", _parse_int),
-    "level_a": ("level_a", _parse_int),
-    "level_b": ("level_b", _parse_int),
-    "landing_prob": ("landing_prob", _parse_float),
-    "detect_amp": ("detect_amp", _parse_float),
-    "clock_period": ("clock_period", _parse_float),
-    "travel_plus_register_time": ("travel_plus_register_time", _parse_float),
-    "and_gate_time": ("and_gate_time", _parse_float),
-    "adiabatic_delta_e": ("adiabatic_delta_e", _parse_float),
-    "adiabatic_h_tilde": ("adiabatic_h_tilde", _parse_float),
-    "adiabatic_t_meas": ("adiabatic_t_meas", _parse_float),
-    "adiabatic_threshold": ("adiabatic_threshold", _parse_float),
-    "out_log": ("out_log", _parse_str),
-    "out_summary": ("out_summary", _parse_str),
+class _Key(NamedTuple):
+    field: str
+    parse: Callable[[str, str], object]
+    # the library object and parameter the value feeds; a ModeAssignment
+    # parameter is the particle bound to the level; None for file-only keys
+    owner: type | None = None
+    param: str | None = None
+
+
+_KEYS = {
+    "trials": _Key("trials", _parse_int),
+    "seed": _Key("seed", _parse_int),
+    "eta": _Key("eta", _parse_float, AncillaConfig, "eta"),
+    "gate": _Key("gate_on", _parse_gate, ConversionConfig, "abort_gate_on"),
+    "lambda": _Key("anharmonicity", _parse_float, ConversionConfig, "anharmonicity_on"),
+    "truncation": _Key("truncation", _parse_int, ConversionConfig, "truncation"),
+    "level_a": _Key("level_a", _parse_int, ModeAssignment, "photon_1"),
+    "level_b": _Key("level_b", _parse_int, ModeAssignment, "photon_2"),
+    "landing_prob": _Key("landing_prob", _parse_float, ConversionConfig, "landing_prob"),
+    "detect_amp": _Key("detect_amp", _parse_float, AncillaConfig, "detect_amp"),
+    "clock_period": _Key("clock_period", _parse_float, ConversionConfig, "clock_period"),
+    "travel_plus_register_time": _Key(
+        "travel_plus_register_time", _parse_float, ConversionConfig, "travel_plus_register_time"
+    ),
+    "and_gate_time": _Key("and_gate_time", _parse_float, ConversionConfig, "and_gate_time"),
+    "adiabatic_delta_e": _Key("adiabatic_delta_e", _parse_float, AdiabaticBudget, "delta_e"),
+    "adiabatic_h_tilde": _Key("adiabatic_h_tilde", _parse_float, AdiabaticBudget, "h_tilde"),
+    "adiabatic_t_meas": _Key("adiabatic_t_meas", _parse_float, AdiabaticBudget, "t_meas"),
+    "adiabatic_threshold": _Key(
+        "adiabatic_threshold", _parse_float, AdiabaticBudget, "ratio_threshold"
+    ),
+    "out_log": _Key("out_log", _parse_str),
+    "out_summary": _Key("out_summary", _parse_str),
 }
+
+# library parameter -> the config key that feeds it, where the two differ;
+# a library range error starts with the name of the parameter it refuses
+_RENAMED = {k.param: key for key, k in _KEYS.items() if k.param not in (None, key)}
 
 
 def parse_run_config(path: str | os.PathLike) -> RunConfig:
@@ -146,53 +155,49 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(None, f"line {lineno}: expected 'key = value', got {line!r}")
             key, raw_value = (part.strip() for part in line.split("=", 1))
-            if key not in _PARSERS:
+            if key not in _KEYS:
                 raise ConfigError(key, "unknown configuration key")
             if not raw_value:
                 raise ConfigError(key, "missing value")
-            attr, convert = _PARSERS[key]
-            if attr in values:
+            field = _KEYS[key].field
+            if field in values:
                 raise ConfigError(key, "key given more than once")
-            values[attr] = convert(key, raw_value)
+            values[field] = _KEYS[key].parse(key, raw_value)
     return replace(RunConfig(), **values)
 
 
 def to_conversion_config(rc: RunConfig) -> ConversionConfig:
-    """Build the campaign configuration from a RunConfig.
+    """Build the campaign configuration from the given fields of a RunConfig.
 
     Adiabatic values set without all three scales are refused.  A value
     the library refuses is re-raised as a ConfigError naming the config
     key that feeds it.
     """
-    budget_values = {
-        param: getattr(rc, key)
-        for param, key in _BUDGET_KEYS.items()
-        if getattr(rc, key) is not None
+    args: dict[type, dict[str, object]] = {
+        AdiabaticBudget: {}, ModeAssignment: {}, AncillaConfig: {}, ConversionConfig: {}
     }
+    for k in _KEYS.values():
+        value = getattr(rc, k.field)
+        if k.owner is not None and value is not None:
+            args[k.owner][k.param] = value
+    budget = args[AdiabaticBudget]
     missing = [key for key in _ADIABATIC_SCALES if getattr(rc, key) is None]
-    if budget_values and missing:
-        given = [_BUDGET_KEYS[param] for param in budget_values]
+    if budget and missing:
         raise ConfigError(
             None,
-            f"{', '.join(given)} given without {', '.join(missing)}; "
-            "the adiabatic_* scales are all-or-none",
+            f"{', '.join(_RENAMED[param] for param in budget)} given without "
+            f"{', '.join(missing)}; the adiabatic_* scales are all-or-none",
         )
+    config_args = args[ConversionConfig]
     try:
-        budget = AdiabaticBudget(**budget_values) if budget_values else None
-        return ConversionConfig(
-            anharmonicity_on=rc.anharmonicity,
-            truncation=rc.truncation,
-            assignment=map_modes_to_eigenfunctions(
-                {"photon_1": rc.level_a, "photon_2": rc.level_b}
-            ),
-            ancilla=AncillaConfig(detect_amp=rc.detect_amp, eta=rc.eta),
-            clock_period=rc.clock_period,
-            travel_plus_register_time=rc.travel_plus_register_time,
-            and_gate_time=rc.and_gate_time,
-            landing_prob=rc.landing_prob,
-            abort_gate_on=rc.gate_on,
-            adiabatic_budget=budget,
-        )
+        if budget:
+            config_args["adiabatic_budget"] = AdiabaticBudget(**budget)
+        if args[ModeAssignment]:
+            levels = {**dict(default_mode_assignment().pairs), **args[ModeAssignment]}
+            config_args["assignment"] = ModeAssignment(tuple(levels.items()))
+        if args[AncillaConfig]:
+            config_args["ancilla"] = AncillaConfig(**args[AncillaConfig])
+        return ConversionConfig(**config_args)
     except ValueError as exc:
         name = str(exc).split(" ", 1)[0]
-        raise ConfigError(_CONFIG_KEYS.get(name), str(exc)) from None
+        raise ConfigError(_RENAMED.get(name), str(exc)) from None

@@ -12,7 +12,7 @@ partial_trace and entropies run the same code on one state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +22,9 @@ __all__ = [
     "BasisLabel",
     "PureState",
     "ReducedDensityMatrix",
-    "tensor",
     "partial_trace",
     "reduced_spectra",
     "require_unitary",
-    "apply_local_unitary",
     "von_neumann_entropy",
     "von_neumann_entropies",
     "renyi_entropy",
@@ -179,24 +177,6 @@ def _clamped(spectra: np.ndarray) -> np.ndarray:
     return np.where(spectra < 0.0, 0.0, spectra)
 
 
-def tensor(states: Sequence[PureState] | Iterable[PureState]) -> PureState:
-    """Tensor product of labeled states; factor names must be disjoint."""
-    states = list(states)
-    if not states:
-        raise ValueError("tensor() needs at least one state")
-    names: tuple[str, ...] = ()
-    dims: tuple[int, ...] = ()
-    amps = np.array([1.0 + 0.0j])
-    for s in states:
-        overlap = set(names) & set(s.basis.factor_names)
-        if overlap:
-            raise LabelingError(f"duplicate factor name across product: {sorted(overlap)}")
-        names = names + s.basis.factor_names
-        dims = dims + s.basis.factor_dims
-        amps = np.kron(amps, s.amplitudes)
-    return PureState(BasisLabel(names, dims), amps)
-
-
 def partial_trace(state: PureState, keep: str) -> ReducedDensityMatrix:
     """Trace out every factor except `keep`.
 
@@ -242,23 +222,6 @@ def require_unitary(matrices: np.ndarray) -> np.ndarray:
     if np.max(np.abs(gram - np.eye(u.shape[-1]))) > UNITARITY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     return u
-
-
-def apply_local_unitary(state: PureState, factor: str, matrix: np.ndarray) -> PureState:
-    """Apply a unitary matrix to a single factor, leaving labels unchanged.
-
-    The matrix acts on amplitudes as given (no implicit conjugation), so a
-    change of basis to frame vectors {e_i} takes rows conj(e_i).
-    """
-    axis = state.basis.axis(factor)
-    d = state.basis.factor_dims[axis]
-    u = np.asarray(matrix, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError(f"matrix shape {u.shape} does not match factor dim {d}")
-    require_unitary(u)
-    psi = state.amplitudes.reshape(state.basis.factor_dims)
-    psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [axis])), 0, axis)
-    return PureState(state.basis, psi.reshape(-1))
 
 
 def von_neumann_entropies(spectra: np.ndarray) -> np.ndarray:

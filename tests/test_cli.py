@@ -8,13 +8,14 @@ import re
 import stat
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import modetangle
 from modetangle.cli import main
 from modetangle.oscillator import TAIL_WEIGHT_LIMIT
+from modetangle.protocol import AncillaConfig, ConversionConfig
 from modetangle.runconfig import ConfigError, RunConfig, parse_run_config, to_conversion_config
 
 TWO_ROOT_TWO = 2.8284271247461903
@@ -258,6 +259,16 @@ class TestProtocolCommand:
         assert (tmp_path / "here.jsonl").exists()
         assert (tmp_path / "here.json").exists()
 
+    def test_one_file_for_both_outputs_refused(self, tmp_path, monkeypatch, capsys):
+        config = write_config(
+            tmp_path, "trials = 5\nout_log = same.json\nout_summary = ./same.json\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["protocol", config]) == 2
+        err = capsys.readouterr().err
+        assert "out_log" in err and "out_summary" in err
+        assert not (tmp_path / "same.json").exists()
+
     def test_unknown_key(self, tmp_path, capsys):
         config = write_config(tmp_path, "trails = 10\n")
         code = main(["protocol", config, "--out", str(tmp_path / "x")])
@@ -340,6 +351,14 @@ class TestProtocolCommand:
     def test_partial_adiabatic_fields_built_in_code(self, values):
         with pytest.raises(ConfigError, match="all-or-none"):
             to_conversion_config(replace(RunConfig(), **values))
+
+    def test_defaults_are_the_library_defaults_with_the_file_eta(self):
+        built = to_conversion_config(RunConfig())
+        expected = ConversionConfig(ancilla=AncillaConfig(eta=0.9))
+        for field in fields(ConversionConfig):
+            assert getattr(built, field.name) == getattr(expected, field.name), field.name
+        assignment = to_conversion_config(RunConfig(level_b=4)).assignment
+        assert assignment.pairs == (("photon_1", 1), ("photon_2", 4))
 
     def test_adiabatic_threshold_defaults_to_the_budget_default(self):
         scales = {"adiabatic_delta_e": 1.0, "adiabatic_h_tilde": 0.01, "adiabatic_t_meas": 1000.0}

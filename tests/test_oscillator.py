@@ -6,15 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modetangle._common import PhysicsPreconditionError
 from modetangle.oscillator import (
     AdiabaticBudget,
-    adiabatic_check,
+    ModeAssignment,
     build_model,
     default_mode_assignment,
     first_order_energy,
-    map_modes_to_eigenfunctions,
     mode_overlap,
     position_operator,
+    require_adiabatic,
 )
 from modetangle.oscillator import _position_power_diagonals, _symmetric_banded
 
@@ -205,17 +206,17 @@ class TestModeAssignment:
         assert assignment.level_of("photon_2") == 2
 
     def test_custom_binding(self):
-        assignment = map_modes_to_eigenfunctions({"photon_1": 3, "photon_2": 5})
+        assignment = ModeAssignment((("photon_1", 3), ("photon_2", 5)))
         assert assignment.level_of("photon_1") == 3
         assert assignment.level_of("photon_2") == 5
 
     def test_duplicate_level_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            map_modes_to_eigenfunctions({"photon_1": 2, "photon_2": 2})
+            ModeAssignment((("photon_1", 2), ("photon_2", 2)))
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
-            map_modes_to_eigenfunctions({"photon_1": -1, "photon_2": 2})
+            ModeAssignment((("photon_1", -1), ("photon_2", 2)))
 
     def test_unknown_particle_rejected(self):
         with pytest.raises(KeyError):
@@ -224,24 +225,20 @@ class TestModeAssignment:
 
 class TestAdiabaticCheck:
     def test_wide_margins_pass(self):
-        check = adiabatic_check(AdiabaticBudget(1.0, 0.01, 1000.0))
-        assert check.passed
-        assert check.margins[0] == pytest.approx(100.0, abs=1e-12)
-        assert check.margins[1] == pytest.approx(10.0, abs=1e-12)
+        require_adiabatic(AdiabaticBudget(1.0, 0.01, 1000.0))
+        with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=10,"):
+            require_adiabatic(AdiabaticBudget(1.0, 0.01, 1000.0, ratio_threshold=10.5))
 
     def test_small_gap_fails(self):
-        check = adiabatic_check(AdiabaticBudget(0.02, 0.01, 1000.0))
-        assert not check.passed
-        assert check.margins[0] == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(PhysicsPreconditionError, match=r"r1=2, r2=10,"):
+            require_adiabatic(AdiabaticBudget(0.02, 0.01, 1000.0))
 
     def test_short_measurement_fails(self):
-        check = adiabatic_check(AdiabaticBudget(1.0, 0.01, 50.0))
-        assert not check.passed
-        assert check.margins[1] == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=0\.5,"):
+            require_adiabatic(AdiabaticBudget(1.0, 0.01, 50.0))
 
     def test_threshold_is_configurable(self):
-        budget = AdiabaticBudget(1.0, 0.01, 50.0, ratio_threshold=0.25)
-        assert adiabatic_check(budget).passed
+        require_adiabatic(AdiabaticBudget(1.0, 0.01, 50.0, ratio_threshold=0.25))
 
     def test_non_positive_scales_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import re
 import types
 
 import modetangle
-from modetangle.runconfig import _PARSERS
+from modetangle.runconfig import _KEYS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -19,7 +19,7 @@ def test_config_table_lists_the_accepted_keys():
     table = readme_text().split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
     first_cells = [row.split("|")[1] for row in table.splitlines() if row.startswith("| `")]
     keys = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
-    assert sorted(keys) == sorted(_PARSERS)
+    assert sorted(keys) == sorted(_KEYS)
 
 
 def test_library_section_imports_the_public_names():

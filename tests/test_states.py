@@ -11,13 +11,11 @@ from modetangle.states import (
     LabelingError,
     PureState,
     ReducedDensityMatrix,
-    apply_local_unitary,
     fidelity,
     partial_trace,
     reduced_spectra,
     renyi_entropies,
     renyi_entropy,
-    tensor,
     von_neumann_entropies,
     von_neumann_entropy,
 )
@@ -82,28 +80,6 @@ class TestPureState:
         state = pair_state([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             state.amplitudes[0] = 2.0
-
-
-class TestTensor:
-    def test_product_of_two_qubits(self):
-        a = PureState(BasisLabel(("a",), (2,)), np.array([1.0, 0.0]))
-        b = PureState(BasisLabel(("b",), (2,)), np.array([0.0, 1.0]))
-        combined = tensor([a, b])
-        assert combined.basis.factor_names == ("a", "b")
-        np.testing.assert_allclose(combined.amplitudes, [0.0, 1.0, 0.0, 0.0])
-
-    def test_matches_hand_kronecker(self):
-        rng = np.random.default_rng(5)
-        va = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        vb = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        a = PureState(BasisLabel(("a",), (2,)), va)
-        b = PureState(BasisLabel(("b",), (3,)), vb)
-        np.testing.assert_allclose(tensor([a, b]).amplitudes, np.kron(va, vb), atol=1e-12)
-
-    def test_duplicate_labels_rejected(self):
-        a = PureState(BasisLabel(("a",), (2,)), np.array([1.0, 0.0]))
-        with pytest.raises(LabelingError, match="duplicate"):
-            tensor([a, a])
 
 
 class TestPartialTrace:
@@ -304,14 +280,8 @@ class TestFidelity:
 class TestLocalUnitaries:
     def test_entropy_invariant_under_local_rotations(self):
         rng = np.random.default_rng(51)
-        bell = pair_state([ROOT_HALF, 0.0, 0.0, ROOT_HALF])
+        bell = np.array([ROOT_HALF, 0.0, 0.0, ROOT_HALF])
         for _ in range(30):
-            state = apply_local_unitary(bell, "left", random_unitary(rng))
-            state = apply_local_unitary(state, "right", random_unitary(rng))
-            entropy = von_neumann_entropy(partial_trace(state, "left"))
+            local = np.kron(random_unitary(rng), random_unitary(rng))
+            entropy = von_neumann_entropy(partial_trace(pair_state(local @ bell), "left"))
             assert entropy == pytest.approx(1.0, abs=1e-10)
-
-    def test_non_unitary_rejected(self):
-        bell = pair_state([ROOT_HALF, 0.0, 0.0, ROOT_HALF])
-        with pytest.raises(ValueError, match="unitary"):
-            apply_local_unitary(bell, "left", np.array([[1.0, 1.0], [0.0, 1.0]]))
