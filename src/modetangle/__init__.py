@@ -8,7 +8,7 @@ the README's Library section uses; everything else is imported from its
 defining module.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .polarization import ChshSettings, chsh_sum
 from .oscillator import build_model, mode_overlap

@@ -33,24 +33,13 @@ from .protocol import (
     run_campaign,
 )
 from .results import atomic_write_text, write_json, write_scan_csv
-from .runconfig import ConfigError, parse_run_config, to_conversion_config
+from .runconfig import _KEYS, ConfigError, parse_run_config, to_conversion_config
 
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
 
 REPORTED_LEVELS = 10
 OVERLAP_LEVELS = 4
-
-# protocol flags that override a RunConfig field: (argument name, field);
-# --gate gives "on" or "off" for the boolean gate_on
-_PROTOCOL_OVERRIDES = (
-    ("eta", "eta"),
-    ("trials", "trials"),
-    ("seed", "seed"),
-    ("gate", "gate_on"),
-    ("anharmonicity", "anharmonicity"),
-    ("truncation", "truncation"),
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,12 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protocol", help="run a seeded conversion campaign")
     p.add_argument("config", help="key=value configuration file")
     p.add_argument("--out", help="output prefix (writes PREFIX.jsonl and PREFIX.json)")
-    p.add_argument("--eta", type=float, help="override detector efficiency")
-    p.add_argument("--trials", type=int, help="override trial count")
-    p.add_argument("--seed", type=int, help="override master seed")
+    p.add_argument("--eta", help="override detector efficiency")
+    p.add_argument("--trials", help="override trial count")
+    p.add_argument("--seed", help="override master seed")
     p.add_argument("--gate", choices=("on", "off"), help="override the abort gate")
-    p.add_argument("--lambda", dest="anharmonicity", type=float, help="override anharmonicity")
-    p.add_argument("--truncation", type=int, help="override basis truncation")
+    p.add_argument("--lambda", help="override anharmonicity")
+    p.add_argument("--truncation", help="override basis truncation")
     p.set_defaults(func=cmd_protocol)
     return parser
 
@@ -153,11 +142,13 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
 
 def cmd_protocol(args: argparse.Namespace) -> int:
     rc = parse_run_config(args.config)
-    overrides = {}
-    for name, field in _PROTOCOL_OVERRIDES:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[field] = value == "on" if name == "gate" else value
+    # each override flag is named after the config key it overrides and
+    # parsed as that key would be in the file
+    overrides = {
+        _KEYS[key].field: _KEYS[key].parse(key, raw)
+        for key, raw in vars(args).items()
+        if key in _KEYS and raw is not None
+    }
     rc = replace(rc, **overrides)
     out_log = rc.out_log
     out_summary = rc.out_summary
@@ -170,7 +161,12 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     result = run_campaign(config, rc.trials, rc.seed)
     atomic_write_text(out_log, render_outcome_log(result.outcomes))
     summary = campaign_summary(result, config, rc.seed)
-    write_json(summary, out_summary)
+    try:
+        write_json(summary, out_summary)
+    except OSError:
+        # the log alone is half a result: leave neither file behind
+        os.unlink(out_log)
+        raise
     for key in ("delivered_rate", "abort_rate", "mean_entropy", "min_fidelity"):
         value = summary[key]
         print(f"{key}={'none' if value is None else format(value, '.12g')}")

@@ -13,7 +13,8 @@ so the truncated H is the exact projection of the full operator, and X^2
 likewise comes from its diagonals 0 and +-2.  H couples n only to n +- 2
 and n +- 4, so it commutes with parity: the even and the odd number
 states are diagonalized as two separate blocks and their levels merged
-in ascending order.
+in ascending order.  At g = 0 H is diagonal, and the blocks are written
+down in closed form rather than diagonalized.
 
 The model keeps the two block eigenvector matrices that eigh returns,
 N^2/2 floats in all, plus a rank map of N ints from each level to its
@@ -34,6 +35,7 @@ The tail weight of a level is the weight its eigenvector puts in the top
 TAIL_STATES basis states.  truncation_problem describes levels whose
 tail weight exceeds TAIL_WEIGHT_LIMIT; the oscillator command prints it
 as a warning and the protocol refuses to run through require_converged.
+At g = 0 nothing couples across the cut, so no truncation is too small.
 For levels 0-9 the weight tracks how far the levels move when the
 truncation is doubled: 2e-24 at g = 0.1, N = 64 (levels move < 1e-14);
 2.3e-11 at g = 1, N = 64 (1.2e-9); 1.9e-6 at g = 5, N = 64 (3.4e-4);
@@ -191,11 +193,16 @@ def build_model(anharmonicity: float, truncation: int = 64) -> OscillatorModel:
 
     # parity blocks: even states sit at rows 0::2, odd at 1::2, and the
     # offsets 2 and 4 become 1 and 2 inside a block; each block's H is
-    # freed as soon as its eigh returns
-    blocks = [
-        np.linalg.eigh(_symmetric_banded({o // 2: d[p::2] for o, d in h_diagonals.items()}))
-        for p in (0, 1)
-    ]
+    # freed as soon as its eigh returns.  At g = 0 H = diag(n + 1/2) is
+    # diagonal and ascending: each block's levels are its diagonal and its
+    # eigenvectors the number states, exactly what eigh returns for it
+    if g == 0.0:
+        blocks = [(d, np.eye(len(d))) for d in (h_diagonals[0][0::2], h_diagonals[0][1::2])]
+    else:
+        blocks = [
+            np.linalg.eigh(_symmetric_banded({o // 2: d[p::2] for o, d in h_diagonals.items()}))
+            for p in (0, 1)
+        ]
     values = np.concatenate([blocks[0][0], blocks[1][0]])
     order = np.argsort(values, kind="stable")
     rank = np.empty(n, dtype=int)
@@ -212,6 +219,9 @@ def build_model(anharmonicity: float, truncation: int = 64) -> OscillatorModel:
 
 def truncation_problem(model: OscillatorModel, levels: Sequence[int]) -> str | None:
     """Why the truncation is too small to resolve the levels, or None if it is not."""
+    if model.anharmonicity == 0.0:
+        # nothing couples across the cut: every level is a number state, exact at any N
+        return None
     weight = model.tail_weight(levels)
     if weight <= TAIL_WEIGHT_LIMIT:
         return None

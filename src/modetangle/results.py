@@ -60,19 +60,24 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
 
     Chunks are written as they come, so a long text need never be held
     whole.  The file gets mode 0o666 less the umask, as open() would give
-    it, not the 0o600 of the temp file.
+    it, not the 0o600 of the temp file.  An OSError names path, not the
+    temp file.
     """
     chunks = [text] if isinstance(text, str) else text
     directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~_current_umask())
             handle.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # name the file asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

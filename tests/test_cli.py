@@ -158,6 +158,17 @@ class TestOscillatorCommand:
         assert "truncation 64" in err
         assert json.loads(out.read_text())["tail_weight"] > TAIL_WEIGHT_LIMIT
 
+    def test_zero_coupling_is_exact_at_any_truncation(self, tmp_path, capsys):
+        # levels 8 and 9 are the top basis states, yet at lambda = 0 nothing
+        # couples them to the states the cut removes
+        out = tmp_path / "report.json"
+        code = main(["oscillator", "--out", str(out), "--lambda", "0", "--truncation", "12"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["eigenvalues"] == [n + 0.5 for n in range(10)]
+        assert report["tail_weight"] == 1.0
+
     def test_larger_truncation_converges(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["oscillator", "--out", str(out), "--lambda", "100", "--truncation", "256"])
@@ -250,6 +261,19 @@ class TestProtocolCommand:
         assert summary["anharmonicity_on"] == 0.0
         assert summary["abort_rate"] == 0.0
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "1e3", "trials: expected an integer"),
+            ("--lambda", "nan", "lambda: expected a finite number"),
+        ],
+    )
+    def test_flags_parse_as_their_config_keys(self, tmp_path, capsys, flag, value, message):
+        config = write_config(tmp_path, BASE_CONFIG)
+        assert main(["protocol", config, "--out", str(tmp_path / "x"), flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
     def test_default_output_paths(self, tmp_path, monkeypatch):
         config = write_config(
             tmp_path, "trials = 5\nseed = 1\nout_log = here.jsonl\nout_summary = here.json\n"
@@ -316,6 +340,27 @@ class TestProtocolCommand:
         assert code == 2
         assert "no such configuration file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "out_log, out_summary, missing",
+        [
+            ("ok.jsonl", "missing/s.json", "missing/s.json"),
+            ("missing/l.jsonl", "ok.json", "missing/l.jsonl"),
+        ],
+        ids=["summary", "log"],
+    )
+    def test_unwritable_output_leaves_neither_file(
+        self, tmp_path, monkeypatch, capsys, out_log, out_summary, missing
+    ):
+        config = write_config(
+            tmp_path, f"trials = 5\nout_log = {out_log}\nout_summary = {out_summary}\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["protocol", config]) == 1
+        err = capsys.readouterr().err
+        assert f"'{missing}'" in err
+        assert ".tmp-" not in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_failing_adiabatic_budget(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -334,6 +379,17 @@ class TestProtocolCommand:
         assert code == 3
         assert "truncation" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
+
+    def test_zero_coupling_small_truncation_runs(self, tmp_path, capsys):
+        # levels 4 and 5 sit in the top four basis states of truncation 8,
+        # which at lambda = 0 leaves them exact
+        config = write_config(
+            tmp_path, "trials = 5\nlambda = 0\ntruncation = 8\nlevel_a = 4\nlevel_b = 5\n"
+        )
+        assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "x.jsonl").exists()
+        assert json.loads((tmp_path / "x.json").read_text())["min_fidelity"] == 1.0
 
     def test_partial_adiabatic_keys(self, tmp_path, capsys):
         config = write_config(tmp_path, "trials = 5\nadiabatic_delta_e = 1.0\n")

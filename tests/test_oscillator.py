@@ -75,6 +75,25 @@ class TestClosedFormBuild:
         dense_tail = np.max(np.sum(vectors[-4:, :levels] ** 2, axis=0))
         assert model.tail_weight(range(levels)) == pytest.approx(dense_tail, rel=1e-9, abs=1e-18)
 
+    @pytest.mark.parametrize("n", [8, 9, 64, 1600])
+    def test_zero_coupling_is_not_diagonalized(self, n, monkeypatch):
+        # the dense eigh of H = diag(k + 1/2), sign-fixed, read as parity blocks
+        values, vectors = np.linalg.eigh(np.diag(np.arange(n) + 0.5))
+        vectors = vectors * np.where(np.diag(vectors) < 0.0, -1.0, 1.0)
+        k = np.arange(n)
+        columns = np.where(k % 2 == 0, k // 2, (n + 1) // 2 + k // 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called on a diagonal H")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for g in (0.0, -0.0):
+            model = build_model(g, n)
+            assert np.array_equal(model.eigenvalues, values)
+            assert np.array_equal(model.blocks[0], vectors[0::2, 0::2])
+            assert np.array_equal(model.blocks[1], vectors[1::2, 1::2])
+            assert np.array_equal(model.columns, columns)
+
     def test_tail_weight_is_the_largest_top_four_weight(self):
         model = build_model(5.0, 64)
         weights = [np.sum(model.eigenstate(n)[-4:] ** 2) for n in range(10)]
