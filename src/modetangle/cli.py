@@ -11,29 +11,52 @@ Scans write CSV with '#' metadata lines, a header row, and values at 12
 significant digits; the oscillator writes a JSON report; the protocol
 writes a JSON-lines outcome log plus a JSON summary.  Outputs are
 byte-stable for identical flags and seed.  Exit codes: 0 success, 2
-usage or configuration error, 3 failed physics precondition.
+usage or configuration error, 3 failed physics precondition, 1 output
+not written.
+
+Each library module is registered as a lazy module, which runs on its
+first attribute access (`importlib.util.LazyLoader`), so `--version` and
+`--help` start without numpy, and each command executes only the
+modules it calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
-from .interferometer import momentum_chsh_scan
-from .oscillator import build_model, first_order_energy, mode_overlap, truncation_problem
-from .polarization import chsh_scan, mode_rotation_entropy_scan
-from .protocol import (
-    PhysicsPreconditionError,
-    campaign_summary,
-    render_outcome_log,
-    run_campaign,
-)
-from .results import atomic_write_text, write_json, write_scan_csv
-from .runconfig import _KEYS, ConfigError, parse_run_config, to_conversion_config
+
+
+def _lazy(name: str):
+    """Put modetangle.<name> in sys.modules as a module that runs on first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# A command executes only the modules it reaches through these names, and
+# what those import.  Every layer module is registered here, states too,
+# so that bench/tracing.py finds each in sys.modules right after
+# importing this one.
+_common = _lazy("_common")
+interferometer = _lazy("interferometer")
+oscillator = _lazy("oscillator")
+polarization = _lazy("polarization")
+protocol = _lazy("protocol")
+results = _lazy("results")
+runconfig = _lazy("runconfig")
+_lazy("states")
 
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
@@ -95,20 +118,20 @@ def _scan_metadata(args: argparse.Namespace) -> dict:
 
 
 def cmd_chsh(args: argparse.Namespace) -> int:
-    result = chsh_scan(args.range_min, args.range_max, args.steps)
-    write_scan_csv(result, args.out, _scan_metadata(args))
+    result = polarization.chsh_scan(args.range_min, args.range_max, args.steps)
+    results.write_scan_csv(result, args.out, _scan_metadata(args))
     return 0
 
 
 def cmd_entropy_rotation(args: argparse.Namespace) -> int:
-    result = mode_rotation_entropy_scan(args.range_min, args.range_max, args.steps)
-    write_scan_csv(result, args.out, _scan_metadata(args))
+    result = polarization.mode_rotation_entropy_scan(args.range_min, args.range_max, args.steps)
+    results.write_scan_csv(result, args.out, _scan_metadata(args))
     return 0
 
 
 def cmd_interferometer(args: argparse.Namespace) -> int:
-    result = momentum_chsh_scan(args.range_min, args.range_max, args.steps)
-    write_scan_csv(result, args.out, _scan_metadata(args))
+    result = interferometer.momentum_chsh_scan(args.range_min, args.range_max, args.steps)
+    results.write_scan_csv(result, args.out, _scan_metadata(args))
     return 0
 
 
@@ -120,7 +143,7 @@ _SCAN_COMMANDS = {
 
 
 def cmd_oscillator(args: argparse.Namespace) -> int:
-    model = build_model(args.anharmonicity, args.truncation)
+    model = oscillator.build_model(args.anharmonicity, args.truncation)
     levels = list(range(min(REPORTED_LEVELS, model.truncation)))
     overlap_levels = list(range(min(OVERLAP_LEVELS, model.truncation)))
     report = {
@@ -128,26 +151,30 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
         "lambda": model.anharmonicity,
         "truncation": model.truncation,
         "eigenvalues": [model.energy(n) for n in levels],
-        "first_order": [first_order_energy(n, model.anharmonicity) for n in levels],
-        "overlaps": [mode_overlap(model, n) for n in overlap_levels],
+        "first_order": [oscillator.first_order_energy(n, model.anharmonicity) for n in levels],
+        "overlaps": [oscillator.mode_overlap(model, n) for n in overlap_levels],
         "x_squared": [model.x_squared_expectation(n) for n in overlap_levels],
         "tail_weight": model.tail_weight(levels),
     }
-    write_json(report, args.out)
-    problem = truncation_problem(model, levels)
+    results.write_json(report, args.out)
+    problem = oscillator.truncation_problem(model, levels)
     if problem is not None:
         print(f"warning: {problem}", file=sys.stderr)
     return 0
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
-    rc = parse_run_config(args.config)
+    # imported here, not at the top, so that --version and --help start
+    # without it and the inspect module it loads
+    from dataclasses import replace
+
+    rc = runconfig.parse_run_config(args.config)
     # each override flag is named after the config key it overrides and
     # parsed as that key would be in the file
     overrides = {
-        _KEYS[key].field: _KEYS[key].parse(key, raw)
+        runconfig._KEYS[key].field: runconfig._KEYS[key].parse(key, raw)
         for key, raw in vars(args).items()
-        if key in _KEYS and raw is not None
+        if key in runconfig._KEYS and raw is not None
     }
     rc = replace(rc, **overrides)
     out_log = rc.out_log
@@ -156,13 +183,13 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         out_log = args.out + ".jsonl"
         out_summary = args.out + ".json"
     if os.path.realpath(out_log) == os.path.realpath(out_summary):
-        raise ConfigError(None, f"out_log and out_summary name the same file: {out_log}")
-    config = to_conversion_config(rc)
-    result = run_campaign(config, rc.trials, rc.seed)
-    atomic_write_text(out_log, render_outcome_log(result.outcomes))
-    summary = campaign_summary(result, config, rc.seed)
+        raise runconfig.ConfigError(None, f"out_log and out_summary name the same file: {out_log}")
+    config = runconfig.to_conversion_config(rc)
+    result = protocol.run_campaign(config, rc.trials, rc.seed)
+    results.atomic_write_text(out_log, protocol.render_outcome_log(result.outcomes))
+    summary = protocol.campaign_summary(result, config, rc.seed)
     try:
-        write_json(summary, out_summary)
+        results.write_json(summary, out_summary)
     except OSError:
         # the log alone is half a result: leave neither file behind
         os.unlink(out_log)
@@ -181,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PhysicsPreconditionError as exc:
+    except _common.PhysicsPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
     except ValueError as exc:

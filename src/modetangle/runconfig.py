@@ -34,6 +34,7 @@ from .protocol import AncillaConfig, ConversionConfig
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "to_conversion_config"]
 
 _COMMENT = re.compile(r"(?:^|\s)#")
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 _ADIABATIC_SCALES = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas")
 
@@ -143,26 +144,39 @@ _RENAMED = {k.param: key for key, k in _KEYS.items() if k.param not in (None, ke
 
 
 def parse_run_config(path: str | os.PathLike) -> RunConfig:
-    """Read a key=value file into a RunConfig; value ranges are not checked here."""
+    """Read a key=value file into a RunConfig; value ranges are not checked here.
+
+    A file that is missing, cannot be read or is not UTF-8 text is refused
+    with a ConfigError that names it.
+    """
+    name = os.fspath(path)
+    try:
+        # an undecodable byte comes through as a lone surrogate, found below
+        # with its line number
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            lines = handle.readlines()
+    except FileNotFoundError:
+        raise ConfigError(None, f"no such configuration file: {name}") from None
+    except OSError as exc:
+        raise ConfigError(None, f"cannot read configuration file {name}: {exc.strerror}") from None
     values: dict[str, object] = {}
-    if not os.path.exists(path):
-        raise ConfigError(None, f"no such configuration file: {os.fspath(path)}")
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw_line in enumerate(handle, start=1):
-            line = _COMMENT.split(raw_line, 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(None, f"line {lineno}: expected 'key = value', got {line!r}")
-            key, raw_value = (part.strip() for part in line.split("=", 1))
-            if key not in _KEYS:
-                raise ConfigError(key, "unknown configuration key")
-            if not raw_value:
-                raise ConfigError(key, "missing value")
-            field = _KEYS[key].field
-            if field in values:
-                raise ConfigError(key, "key given more than once")
-            values[field] = _KEYS[key].parse(key, raw_value)
+    for lineno, raw_line in enumerate(lines, start=1):
+        if _UNDECODABLE.search(raw_line):
+            raise ConfigError(None, f"{name}: line {lineno}: not UTF-8 text")
+        line = _COMMENT.split(raw_line, 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(None, f"line {lineno}: expected 'key = value', got {line!r}")
+        key, raw_value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(key, "unknown configuration key")
+        if not raw_value:
+            raise ConfigError(key, "missing value")
+        field = _KEYS[key].field
+        if field in values:
+            raise ConfigError(key, "key given more than once")
+        values[field] = _KEYS[key].parse(key, raw_value)
     return replace(RunConfig(), **values)
 
 

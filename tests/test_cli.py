@@ -340,6 +340,20 @@ class TestProtocolCommand:
         assert code == 2
         assert "no such configuration file" in capsys.readouterr().err
 
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        config = tmp_path / "adir"
+        config.mkdir()
+        assert main(["protocol", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert f"error: cannot read configuration file {config}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"trials = 5\nseed = \xff\n")
+        assert main(["protocol", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: line 2: not UTF-8 text\n"
+        assert not list(tmp_path.glob("x*"))
+
     @pytest.mark.parametrize(
         "out_log, out_summary, missing",
         [
@@ -528,3 +542,74 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+
+# Runs the CLI in a fresh interpreter, then reports which modetangle
+# modules it executed: a module registered for loading on first use but
+# never touched is still of the lazy module type.
+LOADED_BY = """
+import json, sys, types
+from modetangle.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "numpy": "numpy" in sys.modules,
+    "registered": sorted(name for name in sys.modules if name.startswith("modetangle")),
+    "executed": sorted(name for name, module in sys.modules.items()
+                       if name.startswith("modetangle") and type(module) is types.ModuleType),
+}))
+"""
+
+
+def loaded_by(*argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLoading:
+    """Each command executes only the modules it uses (one fresh interpreter per case)."""
+
+    @pytest.mark.parametrize(
+        "argv", [["--version"], ["--help"], ["chsh", "--help"]],
+        ids=["version", "help", "chsh-help"],
+    )
+    def test_version_and_help_start_without_numpy(self, argv):
+        loaded = loaded_by(*argv)
+        assert loaded["code"] == 0
+        assert not loaded["numpy"]
+        assert loaded["executed"] == ["modetangle", "modetangle.cli"]
+
+    @pytest.mark.parametrize("command", ["chsh", "interferometer", "oscillator"])
+    def test_only_protocol_executes_the_protocol(self, tmp_path, command):
+        loaded = loaded_by(command, "--out", str(tmp_path / "out"))
+        assert loaded["code"] == 0
+        assert "modetangle.protocol" not in loaded["executed"]
+        assert "modetangle._pcg64" not in loaded["registered"]
+
+    def test_cli_import_registers_every_traced_layer(self):
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {BENCH!r})\n"
+            "from tracing import LAYERS\n"
+            "import modetangle.cli\n"
+            "print(json.dumps([m for m, *_ in LAYERS if m not in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_traced_run_records_the_layer_spans(self, tmp_path):
+        spans_path = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, os.path.join(BENCH, "tracing.py"), str(spans_path),
+             "chsh", "--out", str(tmp_path / "scan.csv"), "--steps", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = {span[2] for span in json.loads(spans_path.read_text())["spans"]}
+        assert {"cli.import", "cli.chsh", "polarization.chsh_scan",
+                "results.render_scan_csv", "results.atomic_write_text"} <= names

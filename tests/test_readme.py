@@ -1,8 +1,8 @@
 """The README's config table and Library imports match the code."""
 
+import importlib
 import os
 import re
-import types
 
 import modetangle
 from modetangle.runconfig import _KEYS
@@ -25,9 +25,7 @@ def test_config_table_lists_the_accepted_keys():
 def test_library_section_imports_the_public_names():
     block = re.search(r"from modetangle import \((.*?)\)", readme_text(), re.DOTALL).group(1)
     imported = set(re.findall(r"\w+", block))
-    public = {
-        name
-        for name, value in vars(modetangle).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert public == imported
+    assert set(modetangle.__all__) == imported
+    for name in modetangle.__all__:
+        value = getattr(modetangle, name)
+        assert value is vars(importlib.import_module(value.__module__))[name], name
