@@ -28,10 +28,8 @@ from .results import ScanResult
 from .states import (
     BasisLabel,
     PureState,
-    partial_trace,
     reduced_spectra,
     von_neumann_entropies,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -144,7 +142,9 @@ def momentum_chsh_scan(t_min: float, t_max: float, steps: int) -> ScanResult:
         + _momentum_correlations(a2, b)
         + _momentum_correlations(a2, b2)
     )
-    entropy_in = von_neumann_entropy(partial_trace(interferometer_input(), "atom_1"))
+    entropy_in = von_neumann_entropies(
+        reduced_spectra(interferometer_input().amplitudes[np.newaxis], _PAIR_DIMS, 0)
+    )[0]
     outputs = _bragg_amplitudes(2.0 * t, zero)
     entropy_out = von_neumann_entropies(reduced_spectra(outputs, _PAIR_DIMS, 0))
     return ScanResult.from_columns(

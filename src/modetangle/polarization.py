@@ -43,7 +43,6 @@ from .states import (
     PureState,
     reduced_spectra,
     renyi_entropies,
-    require_unitary,
     von_neumann_entropies,
 )
 
@@ -100,7 +99,7 @@ def epr_state() -> PureState:
 
 def analyzer_basis(theta: float) -> tuple[PureState, PureState]:
     """Transmitted and rejected single-photon states of an analyzer at theta."""
-    rows = _analyzer_frames(_angles("theta", theta))[0].conj()
+    rows = _analyzer_frames(_angles("theta", theta))[..., 0].conj()
     basis = BasisLabel(("photon",), (2,))
     return PureState(basis, rows[0]), PureState(basis, rows[1])
 
@@ -110,28 +109,29 @@ def _angles(name: str, value: float) -> np.ndarray:
 
 
 def _analyzer_frames(theta: np.ndarray) -> np.ndarray:
-    """(steps,) angles -> (steps, 2, 2) real unitaries with rows <+| and <-|."""
+    """(steps,) angles -> (2, 2, steps) real unitaries with rows <+| and <-|.
+
+    The step axis is last so that products over the 2x2 indices run as
+    elementwise loops over all steps at once.
+    """
     c, s = np.cos(theta), np.sin(theta)
-    frames = np.empty(theta.shape + (2, 2))
-    frames[:, 0, 0] = c
-    frames[:, 0, 1] = s
-    frames[:, 1, 0] = -s
-    frames[:, 1, 1] = c
-    return require_unitary(frames)
+    return np.array([[c, s], [-s, c]])
 
 
 def _analyzed_pairs(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
-    """(steps, 2, 2) pair amplitudes with each photon in its analyzer frame.
+    """(2, 2, steps) pair amplitudes with each photon in its analyzer frame.
 
     Row index is the photon_A port, column index the photon_B port.  The
-    frames and the pair are real, so the amplitudes are too.
+    frames and the pair are real, so the amplitudes are too.  einsum
+    without optimize sums in one fixed order, where a BLAS product would
+    round differently on different CPU kernels.
     """
-    return frames_a @ _EPR_PAIR @ np.swapaxes(frames_b, 1, 2)
+    return np.einsum("ijs,jk,lks->ils", frames_a, _EPR_PAIR, frames_b, optimize=False)
 
 
 def _correlations(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
     joint = _analyzed_pairs(frames_a, frames_b) ** 2
-    return joint[:, 0, 0] + joint[:, 1, 1] - joint[:, 0, 1] - joint[:, 1, 0]
+    return joint[0, 0] + joint[1, 1] - joint[0, 1] - joint[1, 0]
 
 
 def _chsh_sums(
@@ -159,7 +159,7 @@ def transformed_epr_state(settings: AnalyzerSettings) -> PureState:
     the amplitudes collapse to the closed pattern
     (cos t, sin t, -sin t, cos t)/sqrt(2) with t = theta_a - theta_b.
     """
-    amps = _analyzed_pairs(*_settings_frames(settings))[0]
+    amps = _analyzed_pairs(*_settings_frames(settings))[..., 0]
     return PureState(epr_state().basis, amps.reshape(-1))
 
 
@@ -170,7 +170,7 @@ def detection_probabilities(settings: AnalyzerSettings) -> dict[str, float]:
     for joints.  Singles are marginals of the joints and the joints sum
     to one.
     """
-    joint = _analyzed_pairs(*_settings_frames(settings))[0] ** 2
+    joint = _analyzed_pairs(*_settings_frames(settings))[..., 0] ** 2
     probs = {
         "++": float(joint[0, 0]),
         "+-": float(joint[0, 1]),
@@ -212,7 +212,7 @@ def chsh_scan(theta_min: float, theta_max: float, steps: int) -> ScanResult:
     t = scan_grid("theta", theta_min, theta_max, steps)
     stations = [_analyzer_frames(x) for x in (np.zeros_like(t), t, 2.0 * t, 3.0 * t)]
     s_values = _chsh_sums(*stations)
-    pairs = _analyzed_pairs(stations[1], stations[0]).reshape(len(t), -1)
+    pairs = _analyzed_pairs(stations[1], stations[0]).reshape(4, len(t)).T
     entropy = von_neumann_entropies(reduced_spectra(pairs, _PAIR_DIMS, 0))
     return ScanResult.from_columns(("theta", "S", "entropy"), (t, s_values, entropy))
 
@@ -245,7 +245,8 @@ def _rotation_eigensystem() -> tuple[np.ndarray, np.ndarray]:
 def _mode_rotation_amplitudes(phi: np.ndarray) -> np.ndarray:
     """(steps, 9) amplitudes of exp(phi G)|1,1> over mode_a, mode_b."""
     w, v = _rotation_eigensystem()
-    return (np.exp(-1j * np.outer(phi, w)) * v[_START_INDEX].conj()) @ v.T
+    weights = np.exp(-1j * np.outer(phi, w)) * v[_START_INDEX].conj()
+    return np.einsum("sk,jk->sj", weights, v, optimize=False)
 
 
 def mode_rotation_state(phi: float) -> PureState:

@@ -55,7 +55,7 @@ from .oscillator import (
     require_adiabatic,
     require_converged,
 )
-from .states import BasisLabel, PureState, fidelity, partial_trace, von_neumann_entropy
+from .states import BasisLabel, PureState, fidelity, reduced_spectra, von_neumann_entropies
 
 __all__ = [
     "ProjectionError",
@@ -274,7 +274,8 @@ def assemble_final_state(
 
 def particle_entanglement_entropy(state: PureState) -> float:
     """Entropy (bits) of one particle of a pair state."""
-    return von_neumann_entropy(partial_trace(state, state.basis.factor_names[0]))
+    spectra = reduced_spectra(state.amplitudes[np.newaxis], state.basis.factor_dims, 0)
+    return float(von_neumann_entropies(spectra)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,15 @@
 """Labeled tensor-product pure states and bipartite entanglement measures.
 
 Amplitudes are dense complex vectors in row-major order over the factor
-dimensions (first factor varies slowest).  Reduced density matrices come
-from an exact partial trace.  All entropies are base-2 (bits).
+dimensions (first factor varies slowest).  The reduced spectrum of a
+factor is the squared Schmidt coefficients of the state: the squared
+singular values of its amplitude matrix, kept factor by the rest.  All
+entropies are base-2 (bits).
 
 The scans work on stacks of states, one per row: reduced_spectra and the
-*_entropies functions take (steps, ...) arrays, and the single-state
-partial_trace and entropies run the same code on one state.
+*_entropies functions take (steps, ...) arrays, and a single state is the
+length-1 stack.  partial_trace and ReducedDensityMatrix build and check an
+explicit reduced density matrix for callers that want one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "ReducedDensityMatrix",
     "partial_trace",
     "reduced_spectra",
-    "require_unitary",
     "von_neumann_entropy",
     "von_neumann_entropies",
     "renyi_entropy",
@@ -38,7 +40,6 @@ MAX_FACTORS = 4
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-12
-UNITARITY_TOL = 1e-10
 ZERO_NORM_TOL = 1e-15
 
 
@@ -138,43 +139,27 @@ class ReducedDensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        spectrum = _checked_spectra(m)
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        trace = float(np.trace(m).real)
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace} is not 1 within tolerance")
+        spectrum = np.linalg.eigvalsh(m)
+        if spectrum[0] < EIGENVALUE_FLOOR:
+            raise ValueError(
+                f"density matrix has eigenvalue {spectrum[0]} below {EIGENVALUE_FLOOR}"
+            )
+        spectrum = np.where(spectrum < 0.0, 0.0, spectrum)
         m = m.copy()
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", int(m.shape[0]))
         object.__setattr__(self, "_spectrum", spectrum)
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real eigenvalues, with tiny negatives clamped to 0."""
-        return _clamped(getattr(self, "_spectrum"))
-
-
-def _checked_spectra(m: np.ndarray) -> np.ndarray:
-    """Ascending spectra of a (..., d, d) stack of density matrices.
-
-    Every matrix must be Hermitian within HERMITICITY_TOL, have unit trace
-    within TRACE_TOL and no eigenvalue below EIGENVALUE_FLOOR; the first
-    violation raises ValueError.
-    """
-    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) > HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    traces = np.real(np.trace(m, axis1=-2, axis2=-1)).reshape(-1)
-    worst = int(np.argmax(np.abs(traces - 1.0)))
-    if abs(traces[worst] - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {traces[worst]} is not 1 within tolerance")
-    spectra = np.linalg.eigvalsh(m)
-    lowest = float(np.min(spectra[..., 0]))
-    if lowest < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"density matrix has eigenvalue {lowest} below {EIGENVALUE_FLOOR}"
-        )
-    return spectra
-
-
-def _clamped(spectra: np.ndarray) -> np.ndarray:
-    # Callers have already rejected anything below EIGENVALUE_FLOOR.
-    return np.where(spectra < 0.0, 0.0, spectra)
+        return getattr(self, "_spectrum")
 
 
 def partial_trace(state: PureState, keep: str) -> ReducedDensityMatrix:
@@ -183,45 +168,40 @@ def partial_trace(state: PureState, keep: str) -> ReducedDensityMatrix:
     The state is normalized first, so the result always has unit trace.
     """
     axis = state.basis.axis(keep)
-    m = _reduced_matrices(state.amplitudes[np.newaxis], state.basis.factor_dims, axis)
-    return ReducedDensityMatrix(m[0])
+    psi = _kept_matrices(state.amplitudes[np.newaxis], state.basis.factor_dims, axis)[0]
+    return ReducedDensityMatrix(psi @ psi.conj().T)
 
 
 def reduced_spectra(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
-    """Validated spectra of the factor-`keep` reductions of a stack of states.
+    """Spectra of the factor-`keep` reductions of a stack of states.
 
     `amplitudes` has shape (steps, prod(dims)), one state per row in the
     row-major order of `dims`; `keep` is the index of the kept factor.
-    Each row is normalized and exactly partial-traced, the reductions pass
-    the ReducedDensityMatrix checks, and the result has shape
-    (steps, dims[keep]): ascending eigenvalues with tiny negatives clamped
-    to 0.
+    Each row is normalized, and its spectrum is its squared Schmidt
+    coefficients, padded with zeros when the rest of the state has fewer
+    dimensions than the kept factor.  The result has shape
+    (steps, dims[keep]), ascending and non-negative.
     """
-    return _clamped(_checked_spectra(_reduced_matrices(amplitudes, dims, keep)))
+    psi = _kept_matrices(amplitudes, dims, keep)
+    squares = np.linalg.svd(psi, compute_uv=False)[:, ::-1] ** 2
+    return np.pad(squares, ((0, 0), (max(psi.shape[1] - psi.shape[2], 0), 0)))
 
 
-def _reduced_matrices(amplitudes: np.ndarray, dims: Sequence[int], axis: int) -> np.ndarray:
+def _kept_matrices(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
+    """Normalized rows as (steps, dims[keep], rest) matrices.
+
+    ValueError if the stack does not match dims or a row has zero norm.
+    """
     amps = np.asarray(amplitudes, dtype=complex)
     dims = tuple(int(d) for d in dims)
     if amps.ndim != 2 or amps.shape[1] != int(np.prod(dims)):
         raise ValueError(f"amplitude stack has shape {amps.shape}, basis dims are {dims}")
-    # Row-wise dots, summed in the order np.linalg.norm uses for one vector.
-    re, im = amps.real[:, np.newaxis], amps.imag[:, np.newaxis]
-    norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1)
+    # Elementwise sums, not BLAS dots, so the norms round the same on every CPU.
+    norms = np.sqrt(np.sum(amps.real * amps.real + amps.imag * amps.imag, axis=1))
     if np.min(norms) < ZERO_NORM_TOL:
         raise ValueError("cannot normalize a zero-norm state")
     psi = (amps / norms[:, np.newaxis]).reshape((len(amps),) + dims)
-    psi = np.moveaxis(psi, axis + 1, 1).reshape(len(amps), dims[axis], -1)
-    return psi @ np.swapaxes(psi.conj(), 1, 2)
-
-
-def require_unitary(matrices: np.ndarray) -> np.ndarray:
-    """Return a (..., d, d) stack unchanged; ValueError unless every matrix is unitary."""
-    u = np.asarray(matrices)
-    gram = u @ np.swapaxes(u.conj(), -1, -2)
-    if np.max(np.abs(gram - np.eye(u.shape[-1]))) > UNITARITY_TOL:
-        raise ValueError("matrix is not unitary within tolerance")
-    return u
+    return np.moveaxis(psi, keep + 1, 1).reshape(len(amps), dims[keep], -1)
 
 
 def von_neumann_entropies(spectra: np.ndarray) -> np.ndarray:

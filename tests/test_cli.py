@@ -235,9 +235,10 @@ class TestProtocolCommand:
     @pytest.mark.parametrize(
         "gate, digest",
         [
-            ("on", "8c0626bfd2b8871a0ca5622c68c17acd2d90cb952d8f608786f7c662eb2b10f6"),
-            ("off", "9be120c5bde60c06fa6fe3c885595c6eb16dec3d6f5fa055160292d183a4be19"),
+            ("on", "05a4919e31c20ccac9bf5fd60d7f586f1a5a60736ed627df1e00928205dea792"),
+            ("off", "c3b461780b6bdf60d2bb2b6d386c418d256add3dd66c0fe71b43cb501b22576e"),
         ],
+        ids=("on", "off"),
     )
     def test_log_bytes_are_pinned(self, tmp_path, gate, digest):
         """The trial stream and the line format: a change to either moves the digest."""

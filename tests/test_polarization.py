@@ -270,7 +270,12 @@ class TestModeRotationScan:
         vn = np.array(result.column("entropy_vn"))
         r2 = np.array(result.column("entropy_renyi2"))
         np.testing.assert_array_equal(vn < 1e-10, r2 < 1e-10)
-        assert np.argmax(vn) == np.argmax(r2)
+        # The grid is symmetric under phi -> pi/2 - phi and phi -> phi + pi/2,
+        # so each column's four maxima tie in exact arithmetic: compare the
+        # sets of peak indices, not an argmax that the last bit decides.
+        peaks = [set(np.flatnonzero(col >= col.max() - 1e-12)) for col in (vn, r2)]
+        assert peaks[0] == peaks[1]
+        assert len(peaks[0]) == 4
         assert np.all(r2 <= vn + 1e-12)
 
     def test_long_scan_meets_the_closed_form(self):

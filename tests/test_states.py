@@ -155,6 +155,24 @@ class TestReducedSpectra:
                 rho = psi @ psi.conj().T if keep == 0 else psi.T @ psi.conj()
                 np.testing.assert_allclose(spectra[i], np.linalg.eigvalsh(rho), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_small_schmidt_weights_keep_their_relative_accuracy(self, d):
+        # Weights (1 - (d-1)e, e, ...) in random local frames.  Diagonalizing
+        # the Gram matrix psi psi^H loses e = 1e-12 to rounding near 1e-16;
+        # the singular values of psi keep it to high relative accuracy.
+        rng = np.random.default_rng(61)
+        small = 1e-12
+        weights = np.array([small] * (d - 1) + [1.0 - (d - 1) * small])
+        stack = np.array(
+            [
+                (random_unitary(rng, d) * np.sqrt(weights)) @ random_unitary(rng, d).T
+                for _ in range(200)
+            ]
+        ).reshape(200, d * d)
+        for keep in (0, 1):
+            spectra = reduced_spectra(stack, (d, d), keep)
+            np.testing.assert_allclose(spectra, np.tile(weights, (200, 1)), rtol=1e-6, atol=0)
+
     def test_unnormalized_rows_are_normalized(self):
         stack = np.array([[3.0, 0.0, 0.0, 3.0], [0.0, 0.0, 0.0, 2.0]])
         spectra = reduced_spectra(stack, (2, 2), 0)
