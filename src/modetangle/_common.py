@@ -1,8 +1,9 @@
-"""Small shared helpers for parameter validation and scan grids."""
+"""Shared helpers: parameter validation, scan grids and the CHSH combination."""
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +20,7 @@ def require_finite(name: str, value: float) -> float:
 
 
 def scan_grid(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
-    """Uniform grid for a scan; needs hi > lo and at least two steps."""
+    """Uniform grid for a scan; needs hi > lo, at least two steps and distinct points."""
     lo = require_finite(f"{name}_min", lo)
     hi = require_finite(f"{name}_max", hi)
     steps = int(steps)
@@ -27,4 +28,21 @@ def scan_grid(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
         raise ValueError(f"steps must be at least 2, got {steps}")
     if hi <= lo:
         raise ValueError(f"{name}_max must exceed {name}_min")
-    return np.linspace(lo, hi, steps)
+    grid = np.linspace(lo, hi, steps)
+    # a range only a few ulps wide rounds neighbouring points together
+    if np.any(grid[1:] <= grid[:-1]):
+        raise ValueError("scan parameter must be strictly increasing")
+    return grid
+
+
+def chsh_stations(t):
+    """Station settings (a, b, a', b') = (0, t, 2t, 3t), as floats or arrays like t.
+
+    t is finite, so t - t is +0.0 in the type and shape of t.
+    """
+    return (t - t, t, 2.0 * t, 3.0 * t)
+
+
+def chsh_sums(correlate: Callable, a, b, a2, b2):
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for the correlation function E."""
+    return correlate(a, b) - correlate(a, b2) + correlate(a2, b) + correlate(a2, b2)

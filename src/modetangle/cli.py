@@ -1,14 +1,14 @@
 """Command-line front end.
 
-    modetangle chsh --out scan.csv [--range-min A --range-max B --steps N]
-    modetangle entropy-rotation --out scan.csv [...]
-    modetangle interferometer --out scan.csv [...]
+    modetangle SCAN --out scan.csv [--range-min A --range-max B --steps N --seed S]
     modetangle oscillator --out report.json [--lambda G --truncation N]
     modetangle protocol CONFIG [--out PREFIX] [--eta E --trials N --seed S
                                 --gate on|off --lambda G --truncation N]
 
-Scans write CSV with '#' metadata lines, a header row, and values at 12
-significant digits; the oscillator writes a JSON report; the protocol
+SCAN is chsh, entropy-rotation or interferometer.  The three share one
+command, cmd_scan, which runs the scan function the parser names for
+each and writes CSV with '#' metadata lines, a header row, and values at
+12 significant digits.  The oscillator writes a JSON report; the protocol
 writes a JSON-lines outcome log plus a JSON summary.  Outputs are
 byte-stable for identical flags and seed.  Exit codes: 0 success, 2
 usage or configuration error, 3 failed physics precondition, 1 output
@@ -73,19 +73,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"modetangle {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each scan names its module and function; cmd_scan looks the function up
+    # only when it runs, so that --help loads no numpy
     scans = (
-        ("chsh", "CHSH sum and pair entropy over the separation angle", 0.0, math.pi),
-        ("entropy-rotation", "mode-bipartition entropy over the rotation angle", 0.0, math.pi),
-        ("interferometer", "momentum Bell scan over the station half-angle", 0.0, math.pi),
+        ("chsh", "CHSH sum and pair entropy over the separation angle",
+         polarization, "chsh_scan"),
+        ("entropy-rotation", "mode-bipartition entropy over the rotation angle",
+         polarization, "mode_rotation_entropy_scan"),
+        ("interferometer", "momentum Bell scan over the station half-angle",
+         interferometer, "momentum_chsh_scan"),
     )
-    for name, help_text, lo, hi in scans:
+    for name, help_text, module, function in scans:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="CSV output path")
-        p.add_argument("--range-min", type=float, default=lo)
-        p.add_argument("--range-max", type=float, default=hi)
+        p.add_argument("--range-min", type=float, default=0.0)
+        p.add_argument("--range-max", type=float, default=math.pi)
         p.add_argument("--steps", type=int, default=181)
         p.add_argument("--seed", type=int, default=0, help="recorded in metadata")
-        p.set_defaults(func=_SCAN_COMMANDS[name])
+        p.set_defaults(func=cmd_scan, scan=(module, function))
 
     p = sub.add_parser("oscillator", help="diagonalize the quartic-anharmonic model")
     p.add_argument("--out", required=True, help="JSON output path")
@@ -106,8 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan_metadata(args: argparse.Namespace) -> dict:
-    return {
+def cmd_scan(args: argparse.Namespace) -> int:
+    module, function = args.scan
+    result = getattr(module, function)(args.range_min, args.range_max, args.steps)
+    metadata = {
         "tool": f"modetangle {__version__}",
         "command": args.command,
         "range_min": args.range_min,
@@ -115,31 +122,8 @@ def _scan_metadata(args: argparse.Namespace) -> dict:
         "steps": args.steps,
         "seed": args.seed,
     }
-
-
-def cmd_chsh(args: argparse.Namespace) -> int:
-    result = polarization.chsh_scan(args.range_min, args.range_max, args.steps)
-    results.write_scan_csv(result, args.out, _scan_metadata(args))
+    results.atomic_write_text(args.out, results.render_scan_csv(result, metadata))
     return 0
-
-
-def cmd_entropy_rotation(args: argparse.Namespace) -> int:
-    result = polarization.mode_rotation_entropy_scan(args.range_min, args.range_max, args.steps)
-    results.write_scan_csv(result, args.out, _scan_metadata(args))
-    return 0
-
-
-def cmd_interferometer(args: argparse.Namespace) -> int:
-    result = interferometer.momentum_chsh_scan(args.range_min, args.range_max, args.steps)
-    results.write_scan_csv(result, args.out, _scan_metadata(args))
-    return 0
-
-
-_SCAN_COMMANDS = {
-    "chsh": cmd_chsh,
-    "entropy-rotation": cmd_entropy_rotation,
-    "interferometer": cmd_interferometer,
-}
 
 
 def cmd_oscillator(args: argparse.Namespace) -> int:
@@ -164,19 +148,8 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
-    # imported here, not at the top, so that --version and --help start
-    # without it and the inspect module it loads
-    from dataclasses import replace
-
-    rc = runconfig.parse_run_config(args.config)
-    # each override flag is named after the config key it overrides and
-    # parsed as that key would be in the file
-    overrides = {
-        runconfig._KEYS[key].field: runconfig._KEYS[key].parse(key, raw)
-        for key, raw in vars(args).items()
-        if key in runconfig._KEYS and raw is not None
-    }
-    rc = replace(rc, **overrides)
+    # each override flag is named after the config key it overrides
+    rc = runconfig.with_overrides(runconfig.parse_run_config(args.config), vars(args))
     out_log = rc.out_log
     out_summary = rc.out_summary
     if args.out:

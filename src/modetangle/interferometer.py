@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import require_finite, scan_grid
+from ._common import chsh_stations, chsh_sums, require_finite, scan_grid
 from .results import ScanResult
 from .states import (
     BasisLabel,
@@ -133,19 +133,13 @@ def momentum_chsh_scan(t_min: float, t_max: float, steps: int) -> ScanResult:
     units; both entropy columns stay at 1 bit.
     """
     t = scan_grid("vartheta", t_min, t_max, steps)
-    zero = np.zeros_like(t)
     # Stations (0, t, 2t, 3t) live in half-angle units; the phase knob is twice that.
-    a, b, a2, b2 = (2.0 * station for station in (zero, t, 2.0 * t, 3.0 * t))
-    s_values = (
-        _momentum_correlations(a, b)
-        - _momentum_correlations(a, b2)
-        + _momentum_correlations(a2, b)
-        + _momentum_correlations(a2, b2)
-    )
+    a, b, a2, b2 = (2.0 * station for station in chsh_stations(t))
+    s_values = chsh_sums(_momentum_correlations, a, b, a2, b2)
     entropy_in = von_neumann_entropies(
         reduced_spectra(interferometer_input().amplitudes[np.newaxis], _PAIR_DIMS, 0)
     )[0]
-    outputs = _bragg_amplitudes(2.0 * t, zero)
+    outputs = _bragg_amplitudes(b, a)  # phi_a = 2t, phi_b = 0
     entropy_out = von_neumann_entropies(reduced_spectra(outputs, _PAIR_DIMS, 0))
     return ScanResult.from_columns(
         ("vartheta", "S", "entropy_in", "entropy_out"),

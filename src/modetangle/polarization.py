@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import require_finite, scan_grid
+from ._common import chsh_stations, chsh_sums, require_finite, scan_grid
 from .results import ScanResult
 from .states import (
     BasisLabel,
@@ -88,8 +88,7 @@ class ChshSettings:
         object.__setattr__(self, "separation", require_finite("separation", self.separation))
 
     def station_angles(self) -> tuple[float, float, float, float]:
-        t = self.separation
-        return (0.0, t, 2.0 * t, 3.0 * t)
+        return chsh_stations(self.separation)
 
 
 def epr_state() -> PureState:
@@ -132,17 +131,6 @@ def _analyzed_pairs(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
 def _correlations(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
     joint = _analyzed_pairs(frames_a, frames_b) ** 2
     return joint[0, 0] + joint[1, 1] - joint[0, 1] - joint[1, 0]
-
-
-def _chsh_sums(
-    frames_a: np.ndarray, frames_b: np.ndarray, frames_a2: np.ndarray, frames_b2: np.ndarray
-) -> np.ndarray:
-    return (
-        _correlations(frames_a, frames_b)
-        - _correlations(frames_a, frames_b2)
-        + _correlations(frames_a2, frames_b)
-        + _correlations(frames_a2, frames_b2)
-    )
 
 
 def _settings_frames(settings: AnalyzerSettings) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +183,7 @@ def chsh_sum_general(
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for four free angles."""
     angles = {"theta_a": theta_a, "theta_b": theta_b, "theta_a2": theta_a2, "theta_b2": theta_b2}
     frames = [_analyzer_frames(_angles(name, value)) for name, value in angles.items()]
-    return float(_chsh_sums(*frames)[0])
+    return float(chsh_sums(_correlations, *frames)[0])
 
 
 def chsh_sum(settings: ChshSettings) -> float:
@@ -210,8 +198,8 @@ def chsh_scan(theta_min: float, theta_max: float, steps: int) -> ScanResult:
     entropy of the analyzed pair, recomputed at every angle.
     """
     t = scan_grid("theta", theta_min, theta_max, steps)
-    stations = [_analyzer_frames(x) for x in (np.zeros_like(t), t, 2.0 * t, 3.0 * t)]
-    s_values = _chsh_sums(*stations)
+    stations = [_analyzer_frames(x) for x in chsh_stations(t)]
+    s_values = chsh_sums(_correlations, *stations)
     pairs = _analyzed_pairs(stations[1], stations[0]).reshape(4, len(t)).T
     entropy = von_neumann_entropies(reduced_spectra(pairs, _PAIR_DIMS, 0))
     return ScanResult.from_columns(("theta", "S", "entropy"), (t, s_values, entropy))

@@ -21,38 +21,18 @@ def format_number(value: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Rows of (parameter, derived columns) with the parameter strictly increasing."""
+    """Named columns of floats, the scan parameter first."""
 
-    parameter_name: str
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        columns = tuple(self.columns)
-        rows = tuple(tuple(map(float, row)) for row in self.rows)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
-        if not columns:
-            raise ValueError("a scan needs at least one column")
-        if columns[0] != self.parameter_name:
-            raise ValueError("first column must be the scan parameter")
-        if len(rows) < 2:
-            raise ValueError("a scan needs at least two rows")
-        for row in rows:
-            if len(row) != len(columns):
-                raise ValueError("row arity does not match the column list")
-        params = [row[0] for row in rows]
-        if any(b <= a for a, b in zip(params, params[1:])):
-            raise ValueError("scan parameter must be strictly increasing")
+    values: tuple[list[float], ...]
 
     @classmethod
     def from_columns(cls, columns: Sequence[str], values: Sequence) -> "ScanResult":
-        """Build from one 1-D numpy array per column, the scan parameter first."""
-        return cls(columns[0], tuple(columns), tuple(zip(*(v.tolist() for v in values))))
+        """Build from one 1-D numpy array per column."""
+        return cls(tuple(columns), tuple(v.tolist() for v in values))
 
     def column(self, name: str) -> list[float]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        return list(self.values[self.columns.index(name)])
 
 
 def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
@@ -91,15 +71,9 @@ def _current_umask() -> int:
 def render_scan_csv(result: ScanResult, metadata: Mapping[str, object]) -> str:
     lines = [f"# {key}={_metadata_str(value)}" for key, value in sorted(metadata.items())]
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(format_number(v) for v in row))
+    for row in zip(*result.values):
+        lines.append(",".join(map(format_number, row)))
     return "\n".join(lines) + "\n"
-
-
-def write_scan_csv(
-    result: ScanResult, path: str | os.PathLike, metadata: Mapping[str, object]
-) -> None:
-    atomic_write_text(path, render_scan_csv(result, metadata))
 
 
 def write_json(obj: object, path: str | os.PathLike) -> None:

@@ -11,7 +11,8 @@ and the output paths have file defaults, and every other field is None
 until its key is given.  to_conversion_config passes only the given
 fields to the library objects they feed, so each protocol default lives
 in the object that uses it.  _KEYS maps each key to its converter, its
-RunConfig field and that library parameter.
+RunConfig field and that library parameter; with_overrides applies
+command-line values with the same converters.
 
 The adiabatic_* keys are all-or-none: a threshold or any one scale needs
 all three scales, which then arm the campaign's physics gate.  The range
@@ -26,12 +27,14 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .oscillator import AdiabaticBudget, ModeAssignment, default_mode_assignment
 from .protocol import AncillaConfig, ConversionConfig
 
-__all__ = ["ConfigError", "RunConfig", "parse_run_config", "to_conversion_config"]
+__all__ = [
+    "ConfigError", "RunConfig", "parse_run_config", "to_conversion_config", "with_overrides"
+]
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -178,6 +181,14 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
             raise ConfigError(key, "key given more than once")
         values[field] = _KEYS[key].parse(key, raw_value)
     return replace(RunConfig(), **values)
+
+
+def with_overrides(rc: RunConfig, raw: Mapping[str, str | None]) -> RunConfig:
+    """rc with each given value in raw parsed as its key would be in a file; non-keys pass."""
+    return replace(rc, **{
+        _KEYS[key].field: _KEYS[key].parse(key, value)
+        for key, value in raw.items() if key in _KEYS and value is not None
+    })
 
 
 def to_conversion_config(rc: RunConfig) -> ConversionConfig:

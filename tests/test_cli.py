@@ -117,6 +117,37 @@ class TestScanCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
+    def test_range_narrower_than_steps_rejected(self, tmp_path, capsys, command):
+        """Ten points in a range four ulps wide cannot all differ."""
+        out = tmp_path / "x.csv"
+        code = main(
+            [command, "--out", str(out), "--range-min", "1",
+             "--range-max", "1.0000000000000004", "--steps", "10"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: scan parameter must be strictly increasing\n"
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-*"))
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("chsh", "6caf3987e8c4901bc329f5fe1ba0e2eadad15b774333b643b7cfaa3d5b55c38c"),
+            ("entropy-rotation",
+             "28c68e84a04a4800649a43e02c94455347ed033396e3a6382fe8723f8fbc7e45"),
+            ("interferometer",
+             "acebe6ee1fc7618ea2836443be3d75af28cc60fe097c6b8efbb659bf27158217"),
+        ],
+    )
+    def test_scan_bytes_are_pinned(self, tmp_path, command, digest):
+        """Header and values of each default scan; the '#' metadata (version) is left out."""
+        out = tmp_path / "scan.csv"
+        assert main([command, "--out", str(out)]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"#"))
+        assert hashlib.sha256(body).hexdigest() == digest
+
     def test_unwritable_output(self, tmp_path):
         code = main(["chsh", "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 1
