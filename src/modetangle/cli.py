@@ -150,17 +150,17 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
 def cmd_protocol(args: argparse.Namespace) -> int:
     # each override flag is named after the config key it overrides
     rc = runconfig.with_overrides(runconfig.parse_run_config(args.config), vars(args))
-    out_log = rc.out_log
-    out_summary = rc.out_summary
+    out_log = rc["out_log"]
+    out_summary = rc["out_summary"]
     if args.out:
         out_log = args.out + ".jsonl"
         out_summary = args.out + ".json"
     if os.path.realpath(out_log) == os.path.realpath(out_summary):
         raise runconfig.ConfigError(None, f"out_log and out_summary name the same file: {out_log}")
     config = runconfig.to_conversion_config(rc)
-    result = protocol.run_campaign(config, rc.trials, rc.seed)
+    result = protocol.run_campaign(config, rc["trials"], rc["seed"])
     results.atomic_write_text(out_log, protocol.render_outcome_log(result.outcomes))
-    summary = protocol.campaign_summary(result, config, rc.seed)
+    summary = protocol.campaign_summary(result, config, rc["seed"])
     try:
         results.write_json(summary, out_summary)
     except OSError:
@@ -169,7 +169,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         raise
     for key in ("delivered_rate", "abort_rate", "mean_entropy", "min_fidelity"):
         value = summary[key]
-        print(f"{key}={'none' if value is None else format(value, '.12g')}")
+        print(f"{key}={'none' if value is None else results.format_number(value)}")
     return 0
 
 

@@ -36,6 +36,7 @@ rendered CHUNK trials at a time.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections.abc import Iterator, Sequence
@@ -104,6 +105,8 @@ class AncillaConfig:
     def __post_init__(self) -> None:
         detect = complex(self.detect_amp)
         object.__setattr__(self, "detect_amp", detect)
+        if not cmath.isfinite(detect):
+            raise ValueError(f"detect_amp must be finite, got {detect}")
         if abs(detect) > 1.0 + AMPLITUDE_TOL:
             raise ValueError(f"|detect_amp| must not exceed 1, got {abs(detect)}")
         eta = require_finite("eta", self.eta)
@@ -160,7 +163,11 @@ class ConversionConfig:
 
 @dataclass(frozen=True, eq=False)
 class ConversionOutcome:
-    """Record of one trial; delivered fields are None when nothing ships."""
+    """Record of one trial; delivered fields are None when nothing ships.
+
+    Only CampaignOutcomes builds these, from its three fixed rows, one per
+    kind of trial, so every record is consistent by construction.
+    """
 
     trial_id: int
     photon_detected: bool
@@ -169,17 +176,6 @@ class ConversionOutcome:
     delivered_state: PureState | None
     particle_entropy: float | None
     fidelity_to_target: float | None
-
-    def __post_init__(self) -> None:
-        if self.registered and not self.photon_detected:
-            raise ValueError("a registration requires a landed photon")
-        if self.aborted and self.delivered_state is not None:
-            raise ValueError("an aborted trial cannot deliver a state")
-        delivered = self.delivered_state is not None
-        if delivered != (self.particle_entropy is not None):
-            raise ValueError("particle_entropy must accompany a delivered state")
-        if delivered != (self.fidelity_to_target is not None):
-            raise ValueError("fidelity_to_target must accompany a delivered state")
 
 
 def initial_mode_state() -> PureState:
@@ -235,6 +231,8 @@ def final_state_from_overlaps(
     """
     h = complex(harmonic_amp)
     a = complex(anharmonic_amp)
+    if not (cmath.isfinite(h) and cmath.isfinite(a)):
+        raise ValueError(f"branch amplitudes must be finite, got {h} and {a}")
     if abs(abs(h) ** 2 + abs(a) ** 2 - 1.0) > 1e-9:
         raise ValueError("branch amplitudes must satisfy |h|^2 + |a|^2 = 1")
     s1, t1 = _overlap_pair("overlap_1", overlap_1)

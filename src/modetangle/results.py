@@ -15,8 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
+# the one number format: CSV cells, float metadata and printed protocol rates
+_NUMBER = "%.12g"
+
+
 def format_number(value: float) -> str:
-    return format(float(value), ".12g")
+    return _NUMBER % float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +75,9 @@ def _current_umask() -> int:
 def render_scan_csv(result: ScanResult, metadata: Mapping[str, object]) -> str:
     lines = [f"# {key}={_metadata_str(value)}" for key, value in sorted(metadata.items())]
     lines.append(",".join(result.columns))
-    for row in zip(*result.values):
-        lines.append(",".join(map(format_number, row)))
+    # one template per row: the columns hold floats already
+    row_template = ",".join([_NUMBER] * len(result.columns))
+    lines.extend(row_template % row for row in zip(*result.values))
     return "\n".join(lines) + "\n"
 
 

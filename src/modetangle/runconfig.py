@@ -6,13 +6,14 @@ whitespace; a '#' inside a value, as in `out_log = runs/#3/log.jsonl`,
 is part of the value.  Unknown, duplicate and unparsable keys are hard
 errors that name the key.
 
-A RunConfig holds what the file gave: the trial count, the seed, eta
-and the output paths have file defaults, and every other field is None
-until its key is given.  to_conversion_config passes only the given
-fields to the library objects they feed, so each protocol default lives
-in the object that uses it.  _KEYS maps each key to its converter, its
-RunConfig field and that library parameter; with_overrides applies
-command-line values with the same converters.
+A run configuration is a plain mapping from config key to parsed value.
+parse_run_config gives the file's keys over the file defaults (the
+trial count, the seed, eta and the output paths); every other key is
+absent until given.  to_conversion_config passes only the keys present
+to the library objects they feed, so each protocol default lives in the
+object that uses it.  _KEYS maps each key to its converter and that
+library parameter; with_overrides applies command-line values with the
+same converters.
 
 The adiabatic_* keys are all-or-none: a threshold or any one scale needs
 all three scales, which then arm the campaign's physics gate.  The range
@@ -26,15 +27,12 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 from .oscillator import AdiabaticBudget, ModeAssignment, default_mode_assignment
 from .protocol import AncillaConfig, ConversionConfig
 
-__all__ = [
-    "ConfigError", "RunConfig", "parse_run_config", "to_conversion_config", "with_overrides"
-]
+__all__ = ["ConfigError", "parse_run_config", "to_conversion_config", "with_overrides"]
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -48,33 +46,6 @@ class ConfigError(ValueError):
     def __init__(self, key: str | None, message: str):
         self.key = key
         super().__init__(message if key is None else f"{key}: {message}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The values of a config file; None marks a key that was not given."""
-
-    trials: int = 1000
-    seed: int = 0
-    # the file's detector misses one landed photon in ten, where
-    # AncillaConfig's default (eta = 1) is the ideal detector
-    eta: float | None = 0.9
-    gate_on: bool | None = None
-    anharmonicity: float | None = None
-    truncation: int | None = None
-    level_a: int | None = None
-    level_b: int | None = None
-    landing_prob: float | None = None
-    detect_amp: float | None = None
-    clock_period: float | None = None
-    travel_plus_register_time: float | None = None
-    and_gate_time: float | None = None
-    adiabatic_delta_e: float | None = None
-    adiabatic_h_tilde: float | None = None
-    adiabatic_t_meas: float | None = None
-    adiabatic_threshold: float | None = None
-    out_log: str = "outcomes.jsonl"
-    out_summary: str = "summary.json"
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -107,7 +78,6 @@ def _parse_gate(key: str, raw: str) -> bool:
 
 
 class _Key(NamedTuple):
-    field: str
     parse: Callable[[str, str], object]
     # the library object and parameter the value feeds; a ModeAssignment
     # parameter is the particle bound to the level; None for file-only keys
@@ -116,38 +86,44 @@ class _Key(NamedTuple):
 
 
 _KEYS = {
-    "trials": _Key("trials", _parse_int),
-    "seed": _Key("seed", _parse_int),
-    "eta": _Key("eta", _parse_float, AncillaConfig, "eta"),
-    "gate": _Key("gate_on", _parse_gate, ConversionConfig, "abort_gate_on"),
-    "lambda": _Key("anharmonicity", _parse_float, ConversionConfig, "anharmonicity_on"),
-    "truncation": _Key("truncation", _parse_int, ConversionConfig, "truncation"),
-    "level_a": _Key("level_a", _parse_int, ModeAssignment, "photon_1"),
-    "level_b": _Key("level_b", _parse_int, ModeAssignment, "photon_2"),
-    "landing_prob": _Key("landing_prob", _parse_float, ConversionConfig, "landing_prob"),
-    "detect_amp": _Key("detect_amp", _parse_float, AncillaConfig, "detect_amp"),
-    "clock_period": _Key("clock_period", _parse_float, ConversionConfig, "clock_period"),
-    "travel_plus_register_time": _Key(
-        "travel_plus_register_time", _parse_float, ConversionConfig, "travel_plus_register_time"
-    ),
-    "and_gate_time": _Key("and_gate_time", _parse_float, ConversionConfig, "and_gate_time"),
-    "adiabatic_delta_e": _Key("adiabatic_delta_e", _parse_float, AdiabaticBudget, "delta_e"),
-    "adiabatic_h_tilde": _Key("adiabatic_h_tilde", _parse_float, AdiabaticBudget, "h_tilde"),
-    "adiabatic_t_meas": _Key("adiabatic_t_meas", _parse_float, AdiabaticBudget, "t_meas"),
-    "adiabatic_threshold": _Key(
-        "adiabatic_threshold", _parse_float, AdiabaticBudget, "ratio_threshold"
-    ),
-    "out_log": _Key("out_log", _parse_str),
-    "out_summary": _Key("out_summary", _parse_str),
+    "trials": _Key(_parse_int),
+    "seed": _Key(_parse_int),
+    "eta": _Key(_parse_float, AncillaConfig, "eta"),
+    "gate": _Key(_parse_gate, ConversionConfig, "abort_gate_on"),
+    "lambda": _Key(_parse_float, ConversionConfig, "anharmonicity_on"),
+    "truncation": _Key(_parse_int, ConversionConfig, "truncation"),
+    "level_a": _Key(_parse_int, ModeAssignment, "photon_1"),
+    "level_b": _Key(_parse_int, ModeAssignment, "photon_2"),
+    "landing_prob": _Key(_parse_float, ConversionConfig, "landing_prob"),
+    "detect_amp": _Key(_parse_float, AncillaConfig, "detect_amp"),
+    "clock_period": _Key(_parse_float, ConversionConfig, "clock_period"),
+    "travel_plus_register_time": _Key(_parse_float, ConversionConfig, "travel_plus_register_time"),
+    "and_gate_time": _Key(_parse_float, ConversionConfig, "and_gate_time"),
+    "adiabatic_delta_e": _Key(_parse_float, AdiabaticBudget, "delta_e"),
+    "adiabatic_h_tilde": _Key(_parse_float, AdiabaticBudget, "h_tilde"),
+    "adiabatic_t_meas": _Key(_parse_float, AdiabaticBudget, "t_meas"),
+    "adiabatic_threshold": _Key(_parse_float, AdiabaticBudget, "ratio_threshold"),
+    "out_log": _Key(_parse_str),
+    "out_summary": _Key(_parse_str),
 }
 
 # library parameter -> the config key that feeds it, where the two differ;
 # a library range error starts with the name of the parameter it refuses
 _RENAMED = {k.param: key for key, k in _KEYS.items() if k.param not in (None, key)}
 
+_FILE_DEFAULTS = {
+    "trials": 1000,
+    "seed": 0,
+    # the file's detector misses one landed photon in ten, where
+    # AncillaConfig's default (eta = 1) is the ideal detector
+    "eta": 0.9,
+    "out_log": "outcomes.jsonl",
+    "out_summary": "summary.json",
+}
 
-def parse_run_config(path: str | os.PathLike) -> RunConfig:
-    """Read a key=value file into a RunConfig; value ranges are not checked here.
+
+def parse_run_config(path: str | os.PathLike) -> dict[str, object]:
+    """Read a key=value file over the file defaults; value ranges are not checked here.
 
     A file that is missing, cannot be read or is not UTF-8 text is refused
     with a ConfigError that names it.
@@ -176,41 +152,44 @@ def parse_run_config(path: str | os.PathLike) -> RunConfig:
             raise ConfigError(key, "unknown configuration key")
         if not raw_value:
             raise ConfigError(key, "missing value")
-        field = _KEYS[key].field
-        if field in values:
+        if key in values:
             raise ConfigError(key, "key given more than once")
-        values[field] = _KEYS[key].parse(key, raw_value)
-    return replace(RunConfig(), **values)
+        values[key] = _KEYS[key].parse(key, raw_value)
+    return {**_FILE_DEFAULTS, **values}
 
 
-def with_overrides(rc: RunConfig, raw: Mapping[str, str | None]) -> RunConfig:
+def with_overrides(rc: Mapping[str, object], raw: Mapping[str, str | None]) -> dict[str, object]:
     """rc with each given value in raw parsed as its key would be in a file; non-keys pass."""
-    return replace(rc, **{
-        _KEYS[key].field: _KEYS[key].parse(key, value)
+    return {**rc, **{
+        key: _KEYS[key].parse(key, value)
         for key, value in raw.items() if key in _KEYS and value is not None
-    })
+    }}
 
 
-def to_conversion_config(rc: RunConfig) -> ConversionConfig:
-    """Build the campaign configuration from the given fields of a RunConfig.
+def to_conversion_config(rc: Mapping[str, object]) -> ConversionConfig:
+    """Build the campaign configuration from the keys present in rc.
 
-    Adiabatic values set without all three scales are refused.  A value
-    the library refuses is re-raised as a ConfigError naming the config
-    key that feeds it.
+    An unknown key, and adiabatic values set without all three scales,
+    are refused.  A value the library refuses is re-raised as a
+    ConfigError naming the config key that feeds it.
     """
     args: dict[type, dict[str, object]] = {
         AdiabaticBudget: {}, ModeAssignment: {}, AncillaConfig: {}, ConversionConfig: {}
     }
-    for k in _KEYS.values():
-        value = getattr(rc, k.field)
-        if k.owner is not None and value is not None:
+    for key, value in rc.items():
+        if key not in _KEYS:
+            raise ConfigError(key, "unknown configuration key")
+        k = _KEYS[key]
+        if k.owner is not None:
             args[k.owner][k.param] = value
     budget = args[AdiabaticBudget]
-    missing = [key for key in _ADIABATIC_SCALES if getattr(rc, key) is None]
+    missing = [key for key in _ADIABATIC_SCALES if key not in rc]
     if budget and missing:
+        # name the given keys in table order, whatever order rc holds them in
+        given = [key for key in _KEYS if key in rc and _KEYS[key].owner is AdiabaticBudget]
         raise ConfigError(
             None,
-            f"{', '.join(_RENAMED[param] for param in budget)} given without "
+            f"{', '.join(given)} given without "
             f"{', '.join(missing)}; the adiabatic_* scales are all-or-none",
         )
     config_args = args[ConversionConfig]

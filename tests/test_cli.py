@@ -8,15 +8,17 @@ import re
 import stat
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import modetangle
 from modetangle.cli import main
 from modetangle.oscillator import TAIL_WEIGHT_LIMIT
 from modetangle.protocol import AncillaConfig, ConversionConfig
-from modetangle.runconfig import ConfigError, RunConfig, parse_run_config, to_conversion_config
+from modetangle.results import ScanResult, render_scan_csv
+from modetangle.runconfig import ConfigError, parse_run_config, to_conversion_config
 
 TWO_ROOT_TWO = 2.8284271247461903
 
@@ -147,6 +149,14 @@ class TestScanCommands:
         lines = out.read_bytes().splitlines(keepends=True)
         body = b"".join(line for line in lines if not line.startswith(b"#"))
         assert hashlib.sha256(body).hexdigest() == digest
+
+    def test_csv_numbers_at_the_edges_match_format_12g(self):
+        edges = [-0.0, 5e-324, 1e-320, 0.1, 123456789012.5, 1e16, math.inf, math.nan]
+        result = ScanResult.from_columns(("x", "y"), (np.array(edges), np.array(edges[::-1])))
+        text = render_scan_csv(result, {"seed": 0})
+        expected = [f"{format(x, '.12g')},{format(y, '.12g')}" for x, y in zip(edges, edges[::-1])]
+        assert text.splitlines() == ["# seed=0", "x,y", *expected]
+        assert expected[0] == "-0,nan" and expected[1] == "4.94065645841e-324,inf"
 
     def test_unwritable_output(self, tmp_path):
         code = main(["chsh", "--out", str(tmp_path / "missing" / "x.csv")])
@@ -362,10 +372,10 @@ class TestProtocolCommand:
             "out_summary = runs/#3/summary.json#v2\n",
         )
         rc = parse_run_config(config)
-        assert rc.trials == 5
-        assert rc.seed == 1
-        assert rc.out_log == "runs/#3/log.jsonl"
-        assert rc.out_summary == "runs/#3/summary.json#v2"
+        assert rc["trials"] == 5
+        assert rc["seed"] == 1
+        assert rc["out_log"] == "runs/#3/log.jsonl"
+        assert rc["out_summary"] == "runs/#3/summary.json#v2"
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["protocol", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x")])
@@ -452,21 +462,27 @@ class TestProtocolCommand:
     )
     def test_partial_adiabatic_fields_built_in_code(self, values):
         with pytest.raises(ConfigError, match="all-or-none"):
-            to_conversion_config(replace(RunConfig(), **values))
+            to_conversion_config(values)
 
-    def test_defaults_are_the_library_defaults_with_the_file_eta(self):
-        built = to_conversion_config(RunConfig())
+    def test_unknown_key_built_in_code(self):
+        with pytest.raises(ConfigError, match="unknown configuration key") as info:
+            to_conversion_config({"bogus": 1})
+        assert info.value.key == "bogus"
+
+    def test_defaults_are_the_library_defaults_with_the_file_eta(self, tmp_path):
+        rc = parse_run_config(write_config(tmp_path, ""))
+        built = to_conversion_config(rc)
         expected = ConversionConfig(ancilla=AncillaConfig(eta=0.9))
         for field in fields(ConversionConfig):
             assert getattr(built, field.name) == getattr(expected, field.name), field.name
-        assignment = to_conversion_config(RunConfig(level_b=4)).assignment
+        assignment = to_conversion_config({**rc, "level_b": 4}).assignment
         assert assignment.pairs == (("photon_1", 1), ("photon_2", 4))
 
     def test_adiabatic_threshold_defaults_to_the_budget_default(self):
         scales = {"adiabatic_delta_e": 1.0, "adiabatic_h_tilde": 0.01, "adiabatic_t_meas": 1000.0}
-        budget = to_conversion_config(replace(RunConfig(), **scales)).adiabatic_budget
+        budget = to_conversion_config(scales).adiabatic_budget
         assert budget.ratio_threshold == 10.0
-        assert to_conversion_config(RunConfig()).adiabatic_budget is None
+        assert to_conversion_config({}).adiabatic_budget is None
 
 
 ADIABATIC_SCALES = {

@@ -119,6 +119,13 @@ class TestBranchAmplitudes:
         with pytest.raises(ValueError):
             AncillaConfig(detect_amp=1.2)
 
+    @pytest.mark.parametrize(
+        "amp", [complex(math.nan, 0.0), complex(0.5, math.nan)], ids=["real", "imag"]
+    )
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match="detect_amp must be finite"):
+            AncillaConfig(detect_amp=amp)
+
 
 class TestFinalStateAssembly:
     def test_orthogonal_balanced_limit_is_a_bell_pair(self):
@@ -167,6 +174,20 @@ class TestFinalStateAssembly:
     def test_unbalanced_branch_norm_rejected(self):
         with pytest.raises(ValueError):
             final_state_from_overlaps(1.0, 1.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "h_amp, a_amp",
+        [
+            (complex(math.nan, 0.0), ROOT_HALF),
+            (complex(ROOT_HALF, math.nan), ROOT_HALF),
+            (ROOT_HALF, complex(math.nan, 0.0)),
+            (ROOT_HALF, complex(ROOT_HALF, math.nan)),
+        ],
+        ids=["harmonic-real", "harmonic-imag", "anharmonic-real", "anharmonic-imag"],
+    )
+    def test_non_finite_branch_amplitudes_rejected(self, h_amp, a_amp):
+        with pytest.raises(ValueError, match="branch amplitudes must be finite"):
+            final_state_from_overlaps(h_amp, a_amp, 0.5, 0.9)
 
     def test_entropy_against_brute_force_grid(self):
         mixes = np.linspace(0.15, math.pi / 2 - 0.15, 5)
