@@ -127,7 +127,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_oscillator(args: argparse.Namespace) -> int:
-    model = oscillator.build_model(args.anharmonicity, args.truncation)
+    model = oscillator.build_model(args.anharmonicity, args.truncation, levels=REPORTED_LEVELS)
     levels = list(range(min(REPORTED_LEVELS, model.truncation)))
     overlap_levels = list(range(min(OVERLAP_LEVELS, model.truncation)))
     report = {

@@ -9,19 +9,49 @@ diagonals 0, +-2 and +-4:
     <k|X^4|k+2> = (1/2)(2k + 3) sqrt((k+1)(k+2))
     <k|X^4|k+4> = (1/4) sqrt((k+1)(k+2)(k+3)(k+4))
 
-so the truncated H is the exact projection of the full operator, and X^2
-likewise comes from its diagonals 0 and +-2.  H couples n only to n +- 2
-and n +- 4, so it commutes with parity: the even and the odd number
-states are diagonalized as two separate blocks and their levels merged
-in ascending order.  At g = 0 H is diagonal, and the blocks are written
-down in closed form rather than diagonalized.
+so the truncated H_N is the exact projection of the full operator, and
+X^2 likewise comes from its diagonals 0 and +-2.  H couples n only to
+n +- 2 and n +- 4, so it commutes with parity: the even and the odd
+number states form two pentadiagonal blocks H_p, whose levels are merged
+in ascending order.
 
-The model keeps the two block eigenvector matrices that eigh returns,
-N^2/2 floats in all, plus a rank map of N ints from each level to its
-block and column.  No N x N array is formed: eigenstate scatters one
-column into the number basis on demand, mode_overlap and tail_weight
-read entries of the level's column, and <X^2> is an O(N) sum over that
-column with the X^2 diagonals restricted to its parity.
+build_model computes only the lowest levels it is asked for, and
+diagonalizes only a leading block of each H_p: the parity blocks A_M of
+the truncation M, which is BLOCK_START at first and doubles until the
+requested levels of A_M are certified as those of H_N (a Rayleigh-Ritz
+compression; Parlett, The Symmetric Eigenvalue Problem, ch. 10).  Two
+checks certify them, each O(N) with no N x N array:
+
+1. Cut residual.  A block eigenvector padded with zeros misses being an
+   eigenvector of H_N only in the two rows just beyond the cut, which
+   reach the last two rows of the block.  That residual must not exceed
+   eps ||A_M||_1, the rounding scale of the block's own eigh, so a level
+   is no less accurate than one from the whole of H_N, whose scale is
+   eps ||H_N||_1.
+2. Index.  At a shift s halfway between the last requested level and the
+   next block level, each H_p must have as many eigenvalues below s as
+   its A_M.  The count is the number of negative pivots of the LDL^T of
+   H_p - s I, which keeps bandwidth 2 (Sylvester's law of inertia).  A
+   pivot is too small when the growth it causes could carry an
+   eigenvalue across s.  Such a pivot, or a count that differs, doubles
+   M.
+
+When M reaches N the block is H_N itself and there is nothing to
+certify: this is the full eigh of both parity blocks.  It is the path
+for every level (levels=None), for a truncation of at most BLOCK_START,
+and wherever the levels lean on the top of the basis (g = 100 at every
+truncation up to 1600).  At g = 0 H is diagonal, and the leading blocks
+are written down in closed form rather than diagonalized; nothing
+couples across the cut, so BLOCK_START is certified at once.
+
+The model keeps the leading rows and the requested columns of the two
+block eigenvector matrices, plus a rank map from each level to its
+block and column: O(M k) floats for k levels, N^2/2 for every level.
+No N x N array is formed: eigenstate scatters one column into the
+number basis, zero beyond the block, mode_overlap reads an entry of the
+level's column, tail_weight reads the top of the padded column, and
+<X^2> is an O(M) sum over the column with the X^2 diagonals restricted
+to its parity.  A level that was not computed is refused.
 
 The diagonal element gives the first-order shift, hence
 
@@ -35,7 +65,9 @@ The tail weight of a level is the weight its eigenvector puts in the top
 TAIL_STATES basis states.  truncation_problem describes levels whose
 tail weight exceeds TAIL_WEIGHT_LIMIT; the oscillator command prints it
 as a warning and the protocol refuses to run through require_converged.
-At g = 0 nothing couples across the cut, so no truncation is too small.
+A level certified from a leading block is zero there, so its tail weight
+reads 0.0.  At g = 0 nothing couples across the cut, so no truncation is
+too small.
 For levels 0-9 the weight tracks how far the levels move when the
 truncation is doubled: 2e-24 at g = 0.1, N = 64 (levels move < 1e-14);
 2.3e-11 at g = 1, N = 64 (1.2e-9); 1.9e-6 at g = 5, N = 64 (3.4e-4);
@@ -54,6 +86,7 @@ which must reach the configured threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -78,6 +111,9 @@ __all__ = [
 MIN_TRUNCATION = 8
 TAIL_STATES = 4
 TAIL_WEIGHT_LIMIT = 1e-12
+# the leading truncation build_model diagonalizes first; it doubles until certified
+BLOCK_START = 64
+_EPS = float(np.finfo(float).eps)
 
 
 def position_operator(dim: int) -> np.ndarray:
@@ -88,16 +124,17 @@ def position_operator(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OscillatorModel:
-    """Diagonalized truncated model; immutable after construction.
+    """The lowest levels of the truncated model; immutable after construction.
 
-    eigenvalues are ascending.  The eigenvectors are held as the two
-    parity blocks: blocks[p][:, c] is a level of parity p over the basis
-    states p, p + 2, p + 4, ...  columns[n] is the rank map: level n is
-    column columns[n] of the even block if that is below the even
-    block's width, otherwise column columns[n] - width of the odd block.
-    Each column is sign-fixed so the level's harmonic component
-    <n|n(g)> is non-negative.  The arrays are taken over and made
-    read-only, not copied.
+    eigenvalues holds the computed levels, ascending.  Their eigenvectors
+    are held as the two parity blocks: blocks[p][:, c] is a level of
+    parity p over the leading basis states p, p + 2, p + 4, ..., and is
+    zero on the states below the truncation that follow them.
+    columns[n] is the rank map: level n is column columns[n] of the even
+    block if that is below the even block's width, otherwise column
+    columns[n] - width of the odd block.  Each column is sign-fixed so
+    the level's harmonic component <n|n(g)> is non-negative.  The arrays
+    are taken over and made read-only, not copied.
     """
 
     anharmonicity: float
@@ -114,21 +151,22 @@ class OscillatorModel:
         return float(self.eigenvalues[self._check_level(n)])
 
     def eigenstate(self, n: int) -> np.ndarray:
-        """Level n over the whole number basis, zero on the other parity."""
+        """Level n over the whole number basis, zero on the other parity and beyond its block."""
         parity, column = self._block_column(n)
         out = np.zeros(self.truncation)
-        out[parity::2] = column
+        out[parity::2][: len(column)] = column
         return out
 
     def x_squared_expectation(self, n: int) -> float:
         """<n(g)|X^2|n(g)>; equals n + 1/2 at zero anharmonicity."""
         parity, u = self._block_column(n)
         x2, _ = _position_power_diagonals(self.truncation)
-        # inside a block the X^2 diagonals 0 and +-2 become 0 and +-1.  Form
-        # X^2 u row by row before the dot product: the diagonal and the
-        # off-diagonal terms cancel within each row, where summing them as
-        # two separate totals loses ~7e-15 relative at g = 100
-        d0, d1 = x2[0][parity::2], x2[2][parity::2]
+        # inside a block the X^2 diagonals 0 and +-2 become 0 and +-1, and
+        # the zeros beyond the block's rows add nothing.  Form X^2 u row by
+        # row before the dot product: the diagonal and the off-diagonal
+        # terms cancel within each row, where summing them as two separate
+        # totals loses ~7e-15 relative at g = 100
+        d0, d1 = x2[0][parity::2][: len(u)], x2[2][parity::2][: len(u) - 1]
         x2u = d0 * u
         x2u[:-1] += d1 * u[1:]
         x2u[1:] += d1 * u[:-1]
@@ -136,8 +174,7 @@ class OscillatorModel:
 
     def tail_weight(self, levels: Sequence[int]) -> float:
         """Largest weight any of the levels puts in the top TAIL_STATES basis states."""
-        # the top TAIL_STATES basis states are the last TAIL_STATES // 2 rows of each block
-        tails = [self._block_column(n)[1][-(TAIL_STATES // 2):] for n in levels]
+        tails = [self.eigenstate(n)[-TAIL_STATES:] for n in levels]
         return float(max(np.sum(t * t) for t in tails))
 
     def _block_column(self, n: int) -> tuple[int, np.ndarray]:
@@ -150,6 +187,10 @@ class OscillatorModel:
         n = int(n)
         if not 0 <= n < self.truncation:
             raise ValueError(f"level {n} outside truncation {self.truncation}")
+        if n >= len(self.eigenvalues):
+            raise ValueError(
+                f"level {n} was not computed; the model holds levels 0-{len(self.eigenvalues) - 1}"
+            )
         return n
 
 
@@ -178,43 +219,177 @@ def _position_power_diagonals(dim: int) -> tuple[dict, dict]:
     return x2, x4
 
 
-def build_model(anharmonicity: float, truncation: int = 64) -> OscillatorModel:
-    """Diagonalize H = diag(n + 1/2) + (g/4) X^4 at the given truncation."""
+def _parity_blocks(anharmonicity: float, truncation: int) -> list[list[np.ndarray]]:
+    """Main, first and second diagonals of the even and of the odd block of H_N."""
+    _, x4 = _position_power_diagonals(truncation)
+    h_diagonals = {offset: 0.25 * anharmonicity * d for offset, d in x4.items()}
+    h_diagonals[0] += np.arange(truncation) + 0.5
+    # even states sit at rows 0::2, odd at 1::2, and the offsets 2 and 4
+    # become 1 and 2 inside a block
+    return [[h_diagonals[offset][p::2] for offset in (0, 2, 4)] for p in (0, 1)]
+
+
+def _leading(diagonals: list[np.ndarray], width: int) -> list[np.ndarray]:
+    """Diagonals 0, 1 and 2 of the leading width x width block of a pentadiagonal matrix."""
+    return [d[: width - offset] for offset, d in enumerate(diagonals)]
+
+
+def _norm1(diagonals: list[np.ndarray]) -> float:
+    """||A||_1 of the symmetric pentadiagonal A with main, first and second diagonals."""
+    main, first, second = (np.abs(d) for d in diagonals)
+    sums = main.copy()
+    sums[:-1] += first
+    sums[1:] += first
+    sums[:-2] += second
+    sums[2:] += second
+    return float(sums.max())
+
+
+def _cut_residual(diagonals: list[np.ndarray], vectors: np.ndarray) -> np.ndarray:
+    """||A v - theta v|| for each column v of vectors, padded with zeros, beyond the cut.
+
+    A is the pentadiagonal matrix with these diagonals, and vectors are
+    eigenvectors of its leading block, whose width is their length.  Only
+    the rows m and m + 1 just beyond the block reach it, through its last
+    two rows.
+    """
+    main, first, second = diagonals
+    m = len(vectors)
+    if m == len(main):
+        return np.zeros(vectors.shape[1])
+    coupling = np.zeros((2, 2))
+    coupling[0] = second[m - 2], first[m - 1]
+    if m + 1 < len(main):
+        coupling[1, 1] = second[m - 1]
+    return np.linalg.norm(coupling @ vectors[-2:], axis=0)
+
+
+def _count_below(diagonals: list[np.ndarray], shift: float) -> tuple[int, float]:
+    """Eigenvalues below shift of a symmetric pentadiagonal A, and how far the count can err.
+
+    A - shift I = L D L^T is factored without pivoting, and by Sylvester's
+    law of inertia the count is the number of negative pivots.  The
+    computed factors are those of some A + E with |E| <= gamma_3 |L||D||L^T|
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 9.3; the
+    rounding of A - shift I is inside that bound), so the count is exact
+    unless an eigenvalue of A lies within ||E||_2 of the shift.  The second
+    value bounds ||E||_2 by 4 eps times the largest row sum of |L||D||L^T|;
+    it is infinite at a zero pivot.
+    """
+    main, first, second = diagonals
+    a = (main - shift).tolist()
+    b = [0.0, *first.tolist()]  # b[i] = A[i, i - 1]
+    c = [0.0, 0.0, *second.tolist()]  # c[i] = A[i, i - 2]
+    pivots, sub1, sub2 = [], [], []  # D[i], L[i, i - 1], L[i, i - 2]
+    d1 = d2 = 1.0  # D[i - 1] and D[i - 2]; any nonzero value before row 0
+    l1 = 0.0  # L[i - 1, i - 2]
+    for ai, bi, ci in zip(a, b, c):
+        li2 = ci / d2
+        li1 = (bi - ci * l1) / d1
+        di = ai - li1 * li1 * d1 - li2 * li2 * d2
+        if di == 0.0:
+            return 0, math.inf
+        pivots.append(di)
+        sub1.append(li1)
+        sub2.append(li2)
+        d2, d1, l1 = d1, di, li1
+    d, l1s, l2s = np.abs(pivots), np.abs(sub1), np.abs(sub2)
+    # row sums of |L||D||L^T|: w = |D| times the column sums of |L|, then |L| w
+    w = d.copy()
+    w[:-1] += d[:-1] * l1s[1:]
+    w[:-2] += d[:-2] * l2s[2:]
+    rows = w.copy()
+    rows[1:] += l1s[1:] * w[:-1]
+    rows[2:] += l2s[2:] * w[:-2]
+    return int(np.count_nonzero(np.asarray(pivots) < 0.0)), 4.0 * _EPS * float(rows.max())
+
+
+def _leading_eigenpairs(diagonals: list[np.ndarray], width: int, closed_form: bool):
+    """Ascending eigenvalues and eigenvectors of the leading width x width block."""
+    block = _leading(diagonals, width)
+    if closed_form:
+        # at g = 0 the block is diagonal and ascending: its levels are its
+        # diagonal and its eigenvectors the number states, exactly what eigh
+        # returns for it
+        return block[0], np.eye(width)
+    return np.linalg.eigh(_symmetric_banded(dict(enumerate(block))))
+
+
+def _certified(parity_blocks: list, pairs: list, merged: np.ndarray, k: int) -> bool:
+    """Whether the k lowest merged block levels are the k lowest levels of H_N.
+
+    The two checks of the module docstring: each requested level's cut
+    residual within eps ||A_M||_1, and the same count below the shift in
+    each parity block of H_N as in its leading block.
+    """
+    shift = 0.5 * (merged[k - 1] + merged[k])
+    margin = 0.5 * (merged[k] - merged[k - 1])
+    below = [int(np.count_nonzero(values < shift)) for values, _ in pairs]
+    for diagonals, (_, vectors), kp in zip(parity_blocks, pairs, below):
+        residual = _cut_residual(diagonals, vectors[:, :kp])
+        if np.any(residual > _EPS * _norm1(_leading(diagonals, len(vectors)))):
+            return False
+    for diagonals, kp in zip(parity_blocks, below):
+        count, error = _count_below(diagonals, shift)
+        if count != kp or not error <= 0.5 * margin:
+            return False
+    return True
+
+
+def build_model(
+    anharmonicity: float, truncation: int = 64, levels: int | None = None
+) -> OscillatorModel:
+    """The lowest levels of H = diag(n + 1/2) + (g/4) X^4 at the given truncation.
+
+    levels is how many levels to compute, every level when None.  Each is
+    taken from a leading block that is certified or is the whole of H_N,
+    as the module docstring describes.
+    """
     g = require_finite("anharmonicity", anharmonicity)
     if g < 0.0:
         raise ValueError(f"anharmonicity must be non-negative, got {g}")
     n = int(truncation)
     if n < MIN_TRUNCATION:
         raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {n}")
+    k = n if levels is None else min(int(levels), n)
+    if k < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
 
-    _, x4 = _position_power_diagonals(n)
-    h_diagonals = {offset: 0.25 * g * d for offset, d in x4.items()}
-    h_diagonals[0] += np.arange(n) + 0.5
+    parity_blocks = _parity_blocks(g, n)
+    m = BLOCK_START
+    while True:
+        m = min(m, n)
+        # the shift needs a block level above the k requested, unless the
+        # block is H_N; each block's dense H is freed as soon as its eigh returns
+        if m > k or m == n:
+            pairs = [
+                _leading_eigenpairs(diagonals, (m + 1 - p) // 2, g == 0.0)
+                for p, diagonals in enumerate(parity_blocks)
+            ]
+            values = np.concatenate([pairs[0][0], pairs[1][0]])
+            order = np.argsort(values, kind="stable")
+            if m == n or _certified(parity_blocks, pairs, values[order], k):
+                break
+        m *= 2
 
-    # parity blocks: even states sit at rows 0::2, odd at 1::2, and the
-    # offsets 2 and 4 become 1 and 2 inside a block; each block's H is
-    # freed as soon as its eigh returns.  At g = 0 H = diag(n + 1/2) is
-    # diagonal and ascending: each block's levels are its diagonal and its
-    # eigenvectors the number states, exactly what eigh returns for it
-    if g == 0.0:
-        blocks = [(d, np.eye(len(d))) for d in (h_diagonals[0][0::2], h_diagonals[0][1::2])]
-    else:
-        blocks = [
-            np.linalg.eigh(_symmetric_banded({o // 2: d[p::2] for o, d in h_diagonals.items()}))
-            for p in (0, 1)
-        ]
-    values = np.concatenate([blocks[0][0], blocks[1][0]])
-    order = np.argsort(values, kind="stable")
-    rank = np.empty(n, dtype=int)
-    rank[order] = np.arange(n)
-    width = len(blocks[0][0])
-    for p, level in ((0, rank[:width]), (1, rank[width:])):
+    # eigh returns each block ascending, so the k lowest levels are the
+    # first k_p columns of each block; keep those alone
+    kept = order[:k]
+    even_width = len(pairs[0][0])
+    k0 = int(np.count_nonzero(kept < even_width))
+    blocks = []
+    for (_, vectors), kp in zip(pairs, (k0, k - k0)):
+        blocks.append(vectors if kp == vectors.shape[1] else vectors[:, :kp].copy())
+    columns = np.where(kept < even_width, kept, kept - even_width + k0)
+    rank = np.empty(k, dtype=int)
+    rank[columns] = np.arange(k)
+    for p, level in ((0, rank[:k0]), (1, rank[k0:])):
         # one global sign per column: keep the harmonic-level component >= 0;
         # a level of the other parity has no such component and keeps +1
-        vectors = blocks[p][1]
+        vectors = blocks[p]
         harmonic = np.where(level % 2 == p, vectors[(level - p) // 2, np.arange(len(level))], 0.0)
         vectors *= np.where(harmonic < 0.0, -1.0, 1.0)
-    return OscillatorModel(g, n, values[order], (blocks[0][1], blocks[1][1]), order)
+    return OscillatorModel(g, n, values[kept], (blocks[0], blocks[1]), columns)
 
 
 def truncation_problem(model: OscillatorModel, levels: Sequence[int]) -> str | None:

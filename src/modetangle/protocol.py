@@ -288,8 +288,9 @@ class _TrialContext:
 
 
 def _build_context(config: ConversionConfig) -> _TrialContext:
-    model = build_model(config.anharmonicity_on, config.truncation)
-    require_converged(model, [level for _, level in config.assignment.pairs])
+    levels = [level for _, level in config.assignment.pairs]
+    model = build_model(config.anharmonicity_on, config.truncation, levels=max(levels) + 1)
+    require_converged(model, levels)
     harmonic_amp, anharmonic_amp = ancilla_branch_amplitudes(config.ancilla)
     unconverted = select_middle_term(initial_mode_state())
     target = assemble_final_state(

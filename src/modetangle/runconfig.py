@@ -41,7 +41,10 @@ _ADIABATIC_SCALES = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas
 
 
 class ConfigError(ValueError):
-    """Malformed configuration; carries the offending key when known."""
+    """Malformed configuration; carries the offending key when known.
+
+    A refused level assignment carries the level keys given, joined by ', '.
+    """
 
     def __init__(self, key: str | None, message: str):
         self.key = key
@@ -107,9 +110,12 @@ _KEYS = {
     "out_summary": _Key(_parse_str),
 }
 
-# library parameter -> the config key that feeds it, where the two differ;
-# a library range error starts with the name of the parameter it refuses
-_RENAMED = {k.param: key for key, k in _KEYS.items() if k.param not in (None, key)}
+# library parameter -> the config key that feeds it.  A library range
+# error starts with the name of the parameter it refuses, or with |name|;
+# ModeAssignment refuses its levels as a whole, and the level keys given
+# are named instead
+_PARAM_KEYS = {k.param: key for key, k in _KEYS.items() if k.owner not in (None, ModeAssignment)}
+_REFUSED_NAME = re.compile(r"\|?(\w*)")
 
 _FILE_DEFAULTS = {
     "trials": 1000,
@@ -171,7 +177,8 @@ def to_conversion_config(rc: Mapping[str, object]) -> ConversionConfig:
 
     An unknown key, and adiabatic values set without all three scales,
     are refused.  A value the library refuses is re-raised as a
-    ConfigError naming the config key that feeds it.
+    ConfigError naming the config key that feeds it, or the level keys
+    given when the level assignment is refused.
     """
     args: dict[type, dict[str, object]] = {
         AdiabaticBudget: {}, ModeAssignment: {}, AncillaConfig: {}, ConversionConfig: {}
@@ -203,5 +210,9 @@ def to_conversion_config(rc: Mapping[str, object]) -> ConversionConfig:
             config_args["ancilla"] = AncillaConfig(**args[AncillaConfig])
         return ConversionConfig(**config_args)
     except ValueError as exc:
-        name = str(exc).split(" ", 1)[0]
-        raise ConfigError(_RENAMED.get(name), str(exc)) from None
+        name = _REFUSED_NAME.match(str(exc)).group(1)
+        if name == "levels":
+            key = ", ".join(lv for lv in _KEYS if lv in rc and _KEYS[lv].owner is ModeAssignment)
+        else:
+            key = _PARAM_KEYS.get(name)
+        raise ConfigError(key, str(exc)) from None

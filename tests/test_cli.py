@@ -469,6 +469,24 @@ class TestProtocolCommand:
             to_conversion_config({"bogus": 1})
         assert info.value.key == "bogus"
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("level_b = -1\n", "level_b"),
+            ("level_a = 2\nlevel_b = 2\n", "level_a, level_b"),
+            ("detect_amp = 1.5\n", "detect_amp"),
+            ("eta = 2\n", "eta"),
+        ],
+        ids=["negative-level", "equal-levels", "detect_amp", "eta"],
+    )
+    def test_library_refusal_names_the_key(self, tmp_path, capsys, text, key):
+        config = write_config(tmp_path, "trials = 5\n" + text)
+        with pytest.raises(ConfigError) as info:
+            to_conversion_config(parse_run_config(config))
+        assert info.value.key == key
+        assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
     def test_defaults_are_the_library_defaults_with_the_file_eta(self, tmp_path):
         rc = parse_run_config(write_config(tmp_path, ""))
         built = to_conversion_config(rc)

@@ -17,7 +17,12 @@ from modetangle.oscillator import (
     position_operator,
     require_adiabatic,
 )
-from modetangle.oscillator import _position_power_diagonals, _symmetric_banded
+from modetangle.oscillator import (
+    _count_below,
+    _parity_blocks,
+    _position_power_diagonals,
+    _symmetric_banded,
+)
 
 
 class TestPositionOperator:
@@ -116,6 +121,106 @@ class TestClosedFormBuild:
         assert model.truncation == n
         assert held - base <= 1.1 * 8 * n * n / 2
         assert peak - base < 20 * 2**20
+
+
+def full_hamiltonian(g, n):
+    return np.diag(np.arange(n) + 0.5) + 0.25 * g * _symmetric_banded(_position_power_diagonals(n)[1])
+
+
+class TestLeadingBlock:
+    @pytest.mark.parametrize("g", [0.05, 0.1, 0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("n", [256, 800, 1600])
+    def test_agrees_with_the_full_path(self, g, n):
+        tol = 4 * np.finfo(float).eps * np.max(np.sum(np.abs(full_hamiltonian(g, n)), axis=0))
+        leading, full = build_model(g, n, levels=10), build_model(g, n)
+        np.testing.assert_allclose(leading.eigenvalues, full.eigenvalues[:10], rtol=0, atol=tol)
+        for k in range(10):
+            assert abs(mode_overlap(leading, k) - mode_overlap(full, k)) <= tol
+            assert abs(leading.x_squared_expectation(k) - full.x_squared_expectation(k)) <= tol
+        assert len(leading.eigenvalues) == 10
+
+    @pytest.mark.parametrize("g", [0.1, 5.0, 100.0])
+    @pytest.mark.parametrize("n", [9, 64, 256])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_index_count_matches_eigvalsh(self, g, n, parity):
+        diagonals = _parity_blocks(g, n)[parity]
+        values = np.linalg.eigvalsh(_symmetric_banded(dict(enumerate(diagonals))))
+        size = len(values)
+        picks = sorted({0, 1, 3, 9, size // 2, size - 2} & set(range(size - 1)))
+        shifts = [-1.0, values[-1] + 1.0] + [0.5 * (values[i] + values[i + 1]) for i in picks]
+        for shift in shifts:
+            count, error = _count_below(diagonals, shift)
+            assert error < np.min(np.abs(values - shift))
+            assert count == np.sum(values < shift), shift
+
+    @pytest.mark.parametrize(
+        "spoil", [lambda count, error: (count + 1, error), lambda count, error: (count, math.inf)],
+        ids=["count-differs", "tiny-pivot"],
+    )
+    def test_failed_index_check_doubles_to_the_full_blocks(self, spoil, monkeypatch):
+        from modetangle import oscillator
+
+        count_below = oscillator._count_below
+        monkeypatch.setattr(
+            oscillator, "_count_below", lambda *args: spoil(*count_below(*args))
+        )
+        model = build_model(0.1, 800, levels=10)
+        assert [block.shape[0] for block in model.blocks] == [400, 400]
+        assert np.array_equal(model.eigenvalues, build_model(0.1, 800).eigenvalues[:10])
+
+    def test_no_large_eigh(self, monkeypatch):
+        widths = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            widths.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        build_model(0.1, 1600, levels=10)
+        assert widths and max(widths) <= 64
+
+    def test_model_holds_the_leading_rows_and_requested_columns(self):
+        n, k, m = 1600, 10, 128
+        build_model(0.1, 64, levels=k)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            model = build_model(0.1, n, levels=k)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [block.shape for block in model.blocks] == [(m // 2, k // 2)] * 2
+        assert held - base <= (m * m + n * k) * 8 * 1.1
+
+    def test_level_not_computed_is_refused(self):
+        model = build_model(0.1, 64, levels=10)
+        for read in (
+            model.energy,
+            model.eigenstate,
+            model.x_squared_expectation,
+            lambda level: mode_overlap(model, level),
+            lambda level: model.tail_weight([level]),
+        ):
+            with pytest.raises(ValueError, match="not computed"):
+                read(10)
+
+    def test_cut_levels_have_no_tail_weight(self):
+        model = build_model(0.1, 800, levels=10)
+        assert model.blocks[0].shape[0] < 400
+        assert model.tail_weight(range(10)) == 0.0
+        assert np.all(model.eigenstate(9)[2 * model.blocks[1].shape[0]:] == 0.0)
+
+    @pytest.mark.parametrize("n", [64, 800])
+    def test_strong_coupling_report_is_the_full_path(self, n, tmp_path, monkeypatch):
+        from modetangle import cli, oscillator
+
+        argv = ["oscillator", "--lambda", "100", "--truncation", str(n), "--out"]
+        assert cli.main(argv + [str(tmp_path / "leading.json")]) == 0
+        build = oscillator.build_model
+        monkeypatch.setattr(oscillator, "build_model", lambda g, n, levels=None: build(g, n))
+        assert cli.main(argv + [str(tmp_path / "full.json")]) == 0
+        assert (tmp_path / "leading.json").read_bytes() == (tmp_path / "full.json").read_bytes()
 
 
 class TestHarmonicLimit:
