@@ -29,9 +29,10 @@ delivered.  With the gate off, lost-photon cycles deliver the
 unconverted product and drag the mean fidelity below one.
 
 A campaign therefore delivers one of only two pair states, and a trial
-is fixed by two booleans: whether the photon landed and whether it
-registered.  Campaigns are held as those two columns, sampled and
-rendered CHUNK trials at a time.
+is fixed by its kind: the photon did not land (0), landed but did not
+register (1), or registered (2).  Campaigns are held as one kind byte per
+trial and the outcome of each kind, sampled and rendered CHUNK trials at
+a time.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ import cmath
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._common import PhysicsPreconditionError, require_finite
 from ._pcg64 import SpawnedPCG64
 from .oscillator import (
+    MIN_TRUNCATION,
     AdiabaticBudget,
     ModeAssignment,
     OscillatorModel,
@@ -121,13 +123,14 @@ class ConversionConfig:
 
     clock_period must exceed travel_plus_register_time + and_gate_time so
     the abort decision for one cycle lands before the next one starts.
-    An optional adiabatic budget gates whole campaigns.
+    An optional adiabatic budget gates whole campaigns.  The truncation
+    must reach MIN_TRUNCATION and exceed every assigned level.
     """
 
     anharmonicity_on: float = 0.1
     truncation: int = 64
-    assignment: ModeAssignment = None  # type: ignore[assignment]
-    ancilla: AncillaConfig = None  # type: ignore[assignment]
+    assignment: ModeAssignment = field(default_factory=default_mode_assignment)
+    ancilla: AncillaConfig = field(default_factory=AncillaConfig)
     clock_period: float = 10.0
     travel_plus_register_time: float = 3.0
     and_gate_time: float = 1.0
@@ -136,10 +139,6 @@ class ConversionConfig:
     adiabatic_budget: AdiabaticBudget | None = None
 
     def __post_init__(self) -> None:
-        if self.assignment is None:
-            object.__setattr__(self, "assignment", default_mode_assignment())
-        if self.ancilla is None:
-            object.__setattr__(self, "ancilla", AncillaConfig())
         g = require_finite("anharmonicity_on", self.anharmonicity_on)
         if g < 0.0:
             raise ValueError(f"anharmonicity_on must be non-negative, got {g}")
@@ -159,14 +158,21 @@ class ConversionConfig:
                 "clock_period must exceed travel_plus_register_time + and_gate_time "
                 f"({self.clock_period} <= {budget})"
             )
+        n = self.truncation
+        if n < MIN_TRUNCATION:
+            raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {n}")
+        levels = [level for _, level in self.assignment.pairs]
+        if max(levels) >= n:
+            raise ValueError(f"levels must lie below truncation {n}, got {levels}")
 
 
 @dataclass(frozen=True, eq=False)
 class ConversionOutcome:
     """Record of one trial; delivered fields are None when nothing ships.
 
-    Only CampaignOutcomes builds these, from its three fixed rows, one per
-    kind of trial, so every record is consistent by construction.
+    Only a campaign builds these: one template per kind of trial, and per
+    trial a copy of its kind's template, so every record is consistent by
+    construction.
     """
 
     trial_id: int
@@ -276,39 +282,30 @@ def particle_entanglement_entropy(state: PureState) -> float:
     return float(von_neumann_entropies(spectra)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class _TrialContext:
-    """Per-campaign precomputation; trials only consume random draws."""
-
-    target: PureState
-    target_entropy: float
-    unconverted: PureState
-    unconverted_entropy: float
-    unconverted_fidelity: float
-
-
-def _build_context(config: ConversionConfig) -> _TrialContext:
+def _outcome_templates(config: ConversionConfig) -> tuple[ConversionOutcome, ...]:
+    """The outcome of each kind of trial, with trial id 0."""
     levels = [level for _, level in config.assignment.pairs]
     model = build_model(config.anharmonicity_on, config.truncation, levels=max(levels) + 1)
     require_converged(model, levels)
     harmonic_amp, anharmonic_amp = ancilla_branch_amplitudes(config.ancilla)
-    unconverted = select_middle_term(initial_mode_state())
-    target = assemble_final_state(
-        harmonic_amp, anharmonic_amp, model, config.assignment
-    )
-    return _TrialContext(
-        target=target,
-        target_entropy=particle_entanglement_entropy(target),
-        unconverted=unconverted,
-        unconverted_entropy=particle_entanglement_entropy(unconverted),
-        unconverted_fidelity=fidelity(unconverted, target),
+    target = assemble_final_state(harmonic_amp, anharmonic_amp, model, config.assignment)
+    gate_on = config.abort_gate_on
+    loss = (None, None, None)
+    if not gate_on:
+        # loss slipped through: the potential never switched
+        state = select_middle_term(initial_mode_state())
+        loss = (state, particle_entanglement_entropy(state), fidelity(state, target))
+    entropy = particle_entanglement_entropy(target)
+    return (
+        ConversionOutcome(0, False, False, gate_on, None, None, None),
+        ConversionOutcome(0, True, False, gate_on, *loss),
+        # the target's fidelity to itself is 1
+        ConversionOutcome(0, True, True, False, target, entropy, 1.0),
     )
 
 
-def _draw(
-    config: ConversionConfig, raw: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The landed and registered columns of trials from their raw draws.
+def _draw(config: ConversionConfig, raw: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The kinds of trials from their raw draws.
 
     raw holds each trial's first two raw 64-bit PCG64 outputs as two
     columns.  They map to [0, 1) as Generator.random() maps them, so a
@@ -317,55 +314,37 @@ def _draw(
     """
     landing, registering = ((column >> np.uint64(11)) * 2.0**-53 for column in raw)
     landed = landing < config.landing_prob
-    return landed, landed & (registering < config.ancilla.eta)
+    return landed.astype(np.uint8) + (landed & (registering < config.ancilla.eta))
 
 
+@dataclass(frozen=True, eq=False)
 class CampaignOutcomes(Sequence[ConversionOutcome]):
-    """The outcomes of a campaign, held as two boolean columns.
+    """The outcomes of a campaign, held as one kind byte per trial.
 
-    landed[i] and registered[i] are trial i's draws.  Everything else an
-    outcome records follows from them, the gate and the campaign's two
-    pair states, so each ConversionOutcome is built only when asked for.
-    A trial's kind is 0 when nothing landed, 1 when the photon landed
-    but did not register, 2 when it registered.
+    kinds[i] is trial i's kind: 0 when nothing landed, 1 when the photon
+    landed but did not register, 2 when it registered.  templates[k] is
+    the outcome of a kind-k trial with trial id 0, so each
+    ConversionOutcome is built only when asked for.
     """
 
-    def __init__(
-        self, ctx: _TrialContext, gate_on: bool, landed: np.ndarray, registered: np.ndarray
-    ) -> None:
-        self.landed = landed
-        self.registered = registered
-        if gate_on:
-            loss = (None, None, None)
-        else:
-            # loss slipped through: the potential never switched
-            loss = (ctx.unconverted, ctx.unconverted_entropy, ctx.unconverted_fidelity)
-        # per kind: photon_detected, registered, aborted, delivered_state,
-        # particle_entropy, fidelity_to_target (the target's to itself is 1)
-        self._fields = (
-            (False, False, gate_on, None, None, None),
-            (True, False, gate_on, *loss),
-            (True, True, False, ctx.target, ctx.target_entropy, 1.0),
-        )
+    templates: tuple[ConversionOutcome, ...]
+    kinds: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.landed)
+        return len(self.kinds)
 
     def __getitem__(self, index: int) -> ConversionOutcome:
         trial_id = range(len(self))[index]
-        return self.outcome(int(self.landed[trial_id]) + int(self.registered[trial_id]), trial_id)
-
-    def kinds(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The kind of each trial in [start, stop)."""
-        return self.landed[start:stop].astype(np.uint8) + self.registered[start:stop]
-
-    def outcome(self, kind: int, trial_id: int) -> ConversionOutcome:
-        return ConversionOutcome(trial_id, *self._fields[kind])
+        t = self.templates[self.kinds[trial_id]]
+        return ConversionOutcome(
+            trial_id, t.photon_detected, t.registered, t.aborted,
+            t.delivered_state, t.particle_entropy, t.fidelity_to_target,
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class CampaignResult:
-    """Aggregate statistics plus the ordered outcomes, as two boolean columns."""
+    """Aggregate statistics plus the ordered outcomes, one kind byte per trial."""
 
     n_trials: int
     delivered_rate: float
@@ -385,7 +364,7 @@ def run_campaign(
     rng_seed) reproduce the log exactly and the first trials do not
     depend on n_trials.  The draws of CHUNK trials at a time come from
     one vectorized pass of _pcg64.SpawnedPCG64, which reproduces numpy's
-    objects bit for bit.  Memory is two bytes per trial.  A truncation
+    objects bit for bit.  Memory is one byte per trial.  A truncation
     whose assigned levels put more than the oscillator's
     TAIL_WEIGHT_LIMIT in the top basis states refuses to run, and so does
     a configured adiabatic budget that fails its check.
@@ -394,32 +373,31 @@ def run_campaign(
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     stream = SpawnedPCG64(rng_seed)
-    ctx = _build_context(config)
+    templates = _outcome_templates(config)
     if config.adiabatic_budget is not None:
         require_adiabatic(config.adiabatic_budget)
-    landed = np.empty(n_trials, dtype=bool)
-    registered = np.empty(n_trials, dtype=bool)
+    kinds = np.empty(n_trials, dtype=np.uint8)
     for start in range(0, n_trials, CHUNK):
         stop = min(start + CHUNK, n_trials)
-        raw = stream.raw2(range(start, stop))
-        landed[start:stop], registered[start:stop] = _draw(config, raw)
+        kinds[start:stop] = _draw(config, stream.raw2(range(start, stop)))
     # the gate ships registered trials only; without it every landing ships
-    delivered = registered if config.abort_gate_on else landed
-    n_delivered = int(np.count_nonzero(delivered))
+    ships = np.array([t.delivered_state is not None for t in templates])
+    shipped = kinds[ships[kinds]]
+    n_delivered = len(shipped)
     mean_entropy = min_fidelity = None
     if n_delivered:
-        converted = registered[delivered]
-        mean_entropy = float(
-            np.mean(np.where(converted, ctx.target_entropy, ctx.unconverted_entropy))
-        )
-        min_fidelity = float(np.where(converted, 1.0, ctx.unconverted_fidelity).min())
+        # per kind; the None of a kind that ships nothing reads as NaN, never indexed
+        entropies = np.array([t.particle_entropy for t in templates], dtype=float)
+        fidelities = np.array([t.fidelity_to_target for t in templates], dtype=float)
+        mean_entropy = float(np.mean(entropies[shipped]))
+        min_fidelity = float(fidelities[shipped].min())
     return CampaignResult(
         n_trials=n_trials,
         delivered_rate=n_delivered / n_trials,
         abort_rate=(n_trials - n_delivered) / n_trials if config.abort_gate_on else 0.0,
         mean_entropy=mean_entropy,
         min_fidelity=min_fidelity,
-        outcomes=CampaignOutcomes(ctx, config.abort_gate_on, landed, registered),
+        outcomes=CampaignOutcomes(templates, kinds),
     )
 
 
@@ -455,9 +433,9 @@ def render_outcome_log(outcomes: CampaignOutcomes) -> Iterator[str]:
     kind of trial with trial_id 0, less the closing "0}", followed by the
     trial id and the brace.
     """
-    prefixes = [outcome_json_line(outcomes.outcome(kind, 0))[: -len("0}")] for kind in range(3)]
+    prefixes = [outcome_json_line(t)[: -len("0}")] for t in outcomes.templates]
     for start in range(0, len(outcomes), CHUNK):
-        kinds = outcomes.kinds(start, start + CHUNK).tolist()
+        kinds = outcomes.kinds[start:start + CHUNK].tolist()
         yield "".join([f"{prefixes[kind]}{i}}}\n" for i, kind in enumerate(kinds, start)])
 
 

@@ -476,8 +476,10 @@ class TestProtocolCommand:
             ("level_a = 2\nlevel_b = 2\n", "level_a, level_b"),
             ("detect_amp = 1.5\n", "detect_amp"),
             ("eta = 2\n", "eta"),
+            ("level_a = 70\n", "level_a"),
+            ("truncation = 7\n", "truncation"),
         ],
-        ids=["negative-level", "equal-levels", "detect_amp", "eta"],
+        ids=["negative-level", "equal-levels", "detect_amp", "eta", "level-cut", "truncation"],
     )
     def test_library_refusal_names_the_key(self, tmp_path, capsys, text, key):
         config = write_config(tmp_path, "trials = 5\n" + text)

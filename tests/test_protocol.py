@@ -1,6 +1,7 @@
 """Conversion protocol: selection, assembly, trials, and campaigns."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,21 @@ class TestRunCampaign:
     def test_trial_count_validated(self):
         with pytest.raises(ValueError):
             run_campaign(ConversionConfig(), 0, rng_seed=1)
+
+    def test_outcomes_hold_about_one_byte_per_trial(self):
+        # one kind byte per trial; a second byte-wide column would hold two
+        n = 200_000
+        config = ConversionConfig(ancilla=AncillaConfig(eta=0.9))
+        run_campaign(config, 10, rng_seed=41)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            result = run_campaign(config, n, rng_seed=41)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.outcomes) == n
+        assert held - base <= 1.25 * n
 
 
 class TestOutcomeSerialization:
