@@ -40,9 +40,13 @@ When M reaches N the block is H_N itself and there is nothing to
 certify: this is the full eigh of both parity blocks.  It is the path
 for every level (levels=None), for a truncation of at most BLOCK_START,
 and wherever the levels lean on the top of the basis (g = 100 at every
-truncation up to 1600).  At g = 0 H is diagonal, and the leading blocks
-are written down in closed form rather than diagonalized; nothing
-couples across the cut, so BLOCK_START is certified at once.
+truncation up to 1600 on OpenBLAS's SkylakeX kernel).  The cut residual
+is held to eigh's own rounding scale, so the width depends on the BLAS
+kernel: at N = 1600, Haswell certifies g = 100 at M = 1024 and
+Sandybridge g = 5 at M = 256, where SkylakeX takes 512.  At g = 0 H is
+diagonal, and the leading blocks are written down in closed form rather
+than diagonalized; nothing couples across the cut, so BLOCK_START is
+certified at once.
 
 The model keeps the leading rows and the requested columns of the two
 block eigenvector matrices, plus a rank map from each level to its
@@ -96,7 +100,6 @@ from ._common import PhysicsPreconditionError, require_finite
 
 __all__ = [
     "OscillatorModel",
-    "ModeAssignment",
     "AdiabaticBudget",
     "position_operator",
     "build_model",
@@ -104,7 +107,6 @@ __all__ = [
     "require_converged",
     "first_order_energy",
     "mode_overlap",
-    "default_mode_assignment",
     "require_adiabatic",
 ]
 
@@ -428,38 +430,6 @@ def mode_overlap(model: OscillatorModel, n: int) -> float:
     """Overlap <n_harmonic|n(g)>, non-negative by the sign convention."""
     parity, column = model._block_column(n)
     return float(column[n // 2]) if n % 2 == parity else 0.0
-
-
-@dataclass(frozen=True)
-class ModeAssignment:
-    """Binding of particle labels to oscillator levels, one level each."""
-
-    pairs: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple((str(p), int(n)) for p, n in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        particles = [p for p, _ in pairs]
-        levels = [n for _, n in pairs]
-        if not pairs:
-            raise ValueError("assignment must bind at least one particle")
-        if len(set(particles)) != len(particles):
-            raise ValueError("each particle may be assigned only once")
-        if len(set(levels)) != len(levels):
-            raise ValueError(f"levels must be distinct, got {levels}")
-        if any(n < 0 for n in levels):
-            raise ValueError("levels must be non-negative")
-
-    def level_of(self, particle: str) -> int:
-        for p, n in self.pairs:
-            if p == particle:
-                return n
-        raise KeyError(f"no level assigned to {particle!r}")
-
-
-def default_mode_assignment() -> ModeAssignment:
-    """photon_1 -> level 1, photon_2 -> level 2."""
-    return ModeAssignment((("photon_1", 1), ("photon_2", 2)))
 
 
 @dataclass(frozen=True)

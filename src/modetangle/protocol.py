@@ -40,8 +40,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +51,7 @@ from ._pcg64 import SpawnedPCG64
 from .oscillator import (
     MIN_TRUNCATION,
     AdiabaticBudget,
-    ModeAssignment,
-    OscillatorModel,
     build_model,
-    default_mode_assignment,
     mode_overlap,
     require_adiabatic,
     require_converged,
@@ -63,13 +61,11 @@ from .states import BasisLabel, PureState, fidelity, reduced_spectra, von_neuman
 __all__ = [
     "ProjectionError",
     "PhysicsPreconditionError",
-    "AncillaConfig",
     "ConversionConfig",
     "initial_mode_state",
     "select_middle_term",
     "ancilla_branch_amplitudes",
     "final_state_from_overlaps",
-    "assemble_final_state",
     "particle_entanglement_entropy",
     "run_campaign",
     "outcome_json_line",
@@ -92,19 +88,38 @@ class ProjectionError(ValueError):
 
 
 @dataclass(frozen=True)
-class AncillaConfig:
-    """Ancilla registration amplitude and detector efficiency.
+class ConversionConfig:
+    """Full configuration of a conversion run.
 
-    detect_amp is the amplitude of the registration branch of the final
-    superposition, |detect_amp| <= 1; eta is the probability that a
-    landed photon registers.  The screen split of the ancilla enters the
-    trials as ConversionConfig.landing_prob.
+    photon_1 and photon_2 take the distinct oscillator levels level_a and
+    level_b.  detect_amp, |detect_amp| <= 1, is the amplitude of the
+    registration branch of the final superposition; a landed photon
+    registers with probability eta.
+    clock_period must exceed travel_plus_register_time + and_gate_time so
+    the abort decision for one cycle lands before the next one starts.
+    An optional adiabatic budget gates whole campaigns.  The truncation
+    must reach MIN_TRUNCATION and exceed both levels.
     """
 
+    anharmonicity_on: float = 0.1
+    truncation: int = 64
+    level_a: int = 1
+    level_b: int = 2
     detect_amp: complex = ROOT_HALF
     eta: float = 1.0
+    clock_period: float = 10.0
+    travel_plus_register_time: float = 3.0
+    and_gate_time: float = 1.0
+    landing_prob: float = 0.5
+    abort_gate_on: bool = True
+    adiabatic_budget: AdiabaticBudget | None = None
 
     def __post_init__(self) -> None:
+        levels = [self._integer("level_a"), self._integer("level_b")]
+        if levels[0] == levels[1]:
+            raise ValueError(f"levels must be distinct, got {levels}")
+        if min(levels) < 0:
+            raise ValueError("levels must be non-negative")
         detect = complex(self.detect_amp)
         object.__setattr__(self, "detect_amp", detect)
         if not cmath.isfinite(detect):
@@ -115,30 +130,6 @@ class AncillaConfig:
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta}")
         object.__setattr__(self, "eta", eta)
-
-
-@dataclass(frozen=True)
-class ConversionConfig:
-    """Full configuration of a conversion run.
-
-    clock_period must exceed travel_plus_register_time + and_gate_time so
-    the abort decision for one cycle lands before the next one starts.
-    An optional adiabatic budget gates whole campaigns.  The truncation
-    must reach MIN_TRUNCATION and exceed every assigned level.
-    """
-
-    anharmonicity_on: float = 0.1
-    truncation: int = 64
-    assignment: ModeAssignment = field(default_factory=default_mode_assignment)
-    ancilla: AncillaConfig = field(default_factory=AncillaConfig)
-    clock_period: float = 10.0
-    travel_plus_register_time: float = 3.0
-    and_gate_time: float = 1.0
-    landing_prob: float = 0.5
-    abort_gate_on: bool = True
-    adiabatic_budget: AdiabaticBudget | None = None
-
-    def __post_init__(self) -> None:
         g = require_finite("anharmonicity_on", self.anharmonicity_on)
         if g < 0.0:
             raise ValueError(f"anharmonicity_on must be non-negative, got {g}")
@@ -158,12 +149,21 @@ class ConversionConfig:
                 "clock_period must exceed travel_plus_register_time + and_gate_time "
                 f"({self.clock_period} <= {budget})"
             )
-        n = self.truncation
+        n = self._integer("truncation")
         if n < MIN_TRUNCATION:
             raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {n}")
-        levels = [level for _, level in self.assignment.pairs]
         if max(levels) >= n:
             raise ValueError(f"levels must lie below truncation {n}, got {levels}")
+
+    def _integer(self, name: str) -> int:
+        """The field as an int; a value that is no integer, such as 64.7, is refused."""
+        value = getattr(self, name)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(self, name, value)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,14 +212,14 @@ def select_middle_term(state: PureState) -> PureState:
     return PureState(PARTICLE_BASIS, amps)
 
 
-def ancilla_branch_amplitudes(config: AncillaConfig) -> tuple[complex, complex]:
+def ancilla_branch_amplitudes(detect_amp: complex) -> tuple[complex, complex]:
     """Amplitudes (harmonic_amp, anharmonic_amp) of the two final branches.
 
     The registration branch carries detect_amp; the complementary
     no-registration branch carries sqrt(1 - |detect_amp|^2) with the
     conventional zero phase.
     """
-    anharmonic = complex(config.detect_amp)
+    anharmonic = complex(detect_amp)
     harmonic = complex(math.sqrt(max(0.0, 1.0 - abs(anharmonic) ** 2)))
     return harmonic, anharmonic
 
@@ -259,23 +259,6 @@ def _overlap_pair(name: str, s: float) -> tuple[float, float]:
     return s, math.sqrt(max(0.0, 1.0 - s * s))
 
 
-def assemble_final_state(
-    harmonic_amp: complex,
-    anharmonic_amp: complex,
-    model: OscillatorModel,
-    assignment: ModeAssignment,
-) -> PureState:
-    """Pair state with the mode overlaps read off an oscillator model."""
-    level_1 = assignment.level_of("photon_1")
-    level_2 = assignment.level_of("photon_2")
-    return final_state_from_overlaps(
-        harmonic_amp,
-        anharmonic_amp,
-        mode_overlap(model, level_1),
-        mode_overlap(model, level_2),
-    )
-
-
 def particle_entanglement_entropy(state: PureState) -> float:
     """Entropy (bits) of one particle of a pair state."""
     spectra = reduced_spectra(state.amplitudes[np.newaxis], state.basis.factor_dims, 0)
@@ -284,11 +267,16 @@ def particle_entanglement_entropy(state: PureState) -> float:
 
 def _outcome_templates(config: ConversionConfig) -> tuple[ConversionOutcome, ...]:
     """The outcome of each kind of trial, with trial id 0."""
-    levels = [level for _, level in config.assignment.pairs]
+    levels = [config.level_a, config.level_b]
     model = build_model(config.anharmonicity_on, config.truncation, levels=max(levels) + 1)
     require_converged(model, levels)
-    harmonic_amp, anharmonic_amp = ancilla_branch_amplitudes(config.ancilla)
-    target = assemble_final_state(harmonic_amp, anharmonic_amp, model, config.assignment)
+    harmonic_amp, anharmonic_amp = ancilla_branch_amplitudes(config.detect_amp)
+    target = final_state_from_overlaps(
+        harmonic_amp,
+        anharmonic_amp,
+        mode_overlap(model, config.level_a),
+        mode_overlap(model, config.level_b),
+    )
     gate_on = config.abort_gate_on
     loss = (None, None, None)
     if not gate_on:
@@ -314,7 +302,7 @@ def _draw(config: ConversionConfig, raw: tuple[np.ndarray, np.ndarray]) -> np.nd
     """
     landing, registering = ((column >> np.uint64(11)) * 2.0**-53 for column in raw)
     landed = landing < config.landing_prob
-    return landed.astype(np.uint8) + (landed & (registering < config.ancilla.eta))
+    return landed.astype(np.uint8) + (landed & (registering < config.eta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,7 +353,7 @@ def run_campaign(
     depend on n_trials.  The draws of CHUNK trials at a time come from
     one vectorized pass of _pcg64.SpawnedPCG64, which reproduces numpy's
     objects bit for bit.  Memory is one byte per trial.  A truncation
-    whose assigned levels put more than the oscillator's
+    whose two levels put more than the oscillator's
     TAIL_WEIGHT_LIMIT in the top basis states refuses to run, and so does
     a configured adiabatic budget that fails its check.
     """
@@ -448,7 +436,7 @@ def campaign_summary(result: CampaignResult, config: ConversionConfig, seed: int
         "abort_rate": result.abort_rate,
         "mean_entropy": result.mean_entropy,
         "min_fidelity": result.min_fidelity,
-        "eta": config.ancilla.eta,
+        "eta": config.eta,
         "abort_gate_on": config.abort_gate_on,
         "anharmonicity_on": config.anharmonicity_on,
         "landing_prob": config.landing_prob,

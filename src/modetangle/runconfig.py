@@ -9,9 +9,10 @@ errors that name the key.
 A run configuration is a plain mapping from config key to parsed value.
 parse_run_config gives the file's keys over the file defaults (the
 trial count, the seed, eta and the output paths); every other key is
-absent until given.  to_conversion_config passes only the keys present
-to the library objects they feed, so each protocol default lives in the
-object that uses it.  _KEYS maps each key to its converter and that
+absent until given.  to_conversion_config passes only the keys present:
+the adiabatic_* keys to an AdiabaticBudget and the other library keys
+to ConversionConfig, so each protocol default lives in the object that
+uses it.  _KEYS maps each key to its converter and that
 library parameter; with_overrides applies command-line values with the
 same converters.
 
@@ -29,8 +30,8 @@ import os
 import re
 from typing import Callable, Mapping, NamedTuple
 
-from .oscillator import AdiabaticBudget, ModeAssignment, default_mode_assignment
-from .protocol import AncillaConfig, ConversionConfig
+from .oscillator import AdiabaticBudget
+from .protocol import ConversionConfig
 
 __all__ = ["ConfigError", "parse_run_config", "to_conversion_config", "with_overrides"]
 
@@ -43,7 +44,7 @@ _ADIABATIC_SCALES = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas
 class ConfigError(ValueError):
     """Malformed configuration; carries the offending key when known.
 
-    A refused level assignment carries the level keys given, joined by ', '.
+    A refusal of the two levels carries the level keys given, joined by ', '.
     """
 
     def __init__(self, key: str | None, message: str):
@@ -82,8 +83,7 @@ def _parse_gate(key: str, raw: str) -> bool:
 
 class _Key(NamedTuple):
     parse: Callable[[str, str], object]
-    # the library object and parameter the value feeds; a ModeAssignment
-    # parameter is the particle bound to the level; None for file-only keys
+    # the library object and parameter the value feeds; None for file-only keys
     owner: type | None = None
     param: str | None = None
 
@@ -91,14 +91,14 @@ class _Key(NamedTuple):
 _KEYS = {
     "trials": _Key(_parse_int),
     "seed": _Key(_parse_int),
-    "eta": _Key(_parse_float, AncillaConfig, "eta"),
+    "eta": _Key(_parse_float, ConversionConfig, "eta"),
     "gate": _Key(_parse_gate, ConversionConfig, "abort_gate_on"),
     "lambda": _Key(_parse_float, ConversionConfig, "anharmonicity_on"),
     "truncation": _Key(_parse_int, ConversionConfig, "truncation"),
-    "level_a": _Key(_parse_int, ModeAssignment, "photon_1"),
-    "level_b": _Key(_parse_int, ModeAssignment, "photon_2"),
+    "level_a": _Key(_parse_int, ConversionConfig, "level_a"),
+    "level_b": _Key(_parse_int, ConversionConfig, "level_b"),
     "landing_prob": _Key(_parse_float, ConversionConfig, "landing_prob"),
-    "detect_amp": _Key(_parse_float, AncillaConfig, "detect_amp"),
+    "detect_amp": _Key(_parse_float, ConversionConfig, "detect_amp"),
     "clock_period": _Key(_parse_float, ConversionConfig, "clock_period"),
     "travel_plus_register_time": _Key(_parse_float, ConversionConfig, "travel_plus_register_time"),
     "and_gate_time": _Key(_parse_float, ConversionConfig, "and_gate_time"),
@@ -111,17 +111,16 @@ _KEYS = {
 }
 
 # library parameter -> the config key that feeds it.  A library range
-# error starts with the name of the parameter it refuses, or with |name|;
-# ModeAssignment refuses its levels as a whole, and the level keys given
-# are named instead
-_PARAM_KEYS = {k.param: key for key, k in _KEYS.items() if k.owner not in (None, ModeAssignment)}
+# error starts with the name of the parameter it refuses, or with |name|,
+# or with "levels" when it refuses the two levels, named by the keys given
+_PARAM_KEYS = {k.param: key for key, k in _KEYS.items() if k.owner is not None}
 _REFUSED_NAME = re.compile(r"\|?(\w*)")
 
 _FILE_DEFAULTS = {
     "trials": 1000,
     "seed": 0,
     # the file's detector misses one landed photon in ten, where
-    # AncillaConfig's default (eta = 1) is the ideal detector
+    # ConversionConfig's default (eta = 1) is the ideal detector
     "eta": 0.9,
     "out_log": "outcomes.jsonl",
     "out_summary": "summary.json",
@@ -178,11 +177,9 @@ def to_conversion_config(rc: Mapping[str, object]) -> ConversionConfig:
     An unknown key, and adiabatic values set without all three scales,
     are refused.  A value the library refuses is re-raised as a
     ConfigError naming the config key that feeds it, or the level keys
-    given when the level assignment is refused.
+    given when the two levels are refused.
     """
-    args: dict[type, dict[str, object]] = {
-        AdiabaticBudget: {}, ModeAssignment: {}, AncillaConfig: {}, ConversionConfig: {}
-    }
+    args: dict[type, dict[str, object]] = {AdiabaticBudget: {}, ConversionConfig: {}}
     for key, value in rc.items():
         if key not in _KEYS:
             raise ConfigError(key, "unknown configuration key")
@@ -203,16 +200,11 @@ def to_conversion_config(rc: Mapping[str, object]) -> ConversionConfig:
     try:
         if budget:
             config_args["adiabatic_budget"] = AdiabaticBudget(**budget)
-        if args[ModeAssignment]:
-            levels = {**dict(default_mode_assignment().pairs), **args[ModeAssignment]}
-            config_args["assignment"] = ModeAssignment(tuple(levels.items()))
-        if args[AncillaConfig]:
-            config_args["ancilla"] = AncillaConfig(**args[AncillaConfig])
         return ConversionConfig(**config_args)
     except ValueError as exc:
         name = _REFUSED_NAME.match(str(exc)).group(1)
         if name == "levels":
-            key = ", ".join(lv for lv in _KEYS if lv in rc and _KEYS[lv].owner is ModeAssignment)
+            key = ", ".join(lv for lv in ("level_a", "level_b") if lv in rc)
         else:
             key = _PARAM_KEYS.get(name)
         raise ConfigError(key, str(exc)) from None

@@ -20,8 +20,8 @@ from modetangle.interferometer import (
 )
 from modetangle.oscillator import (
     build_model,
-    default_mode_assignment,
     first_order_energy,
+    mode_overlap,
 )
 from modetangle.polarization import (
     AnalyzerSettings,
@@ -32,9 +32,7 @@ from modetangle.polarization import (
     transformed_epr_state,
 )
 from modetangle.protocol import (
-    AncillaConfig,
     ConversionConfig,
-    assemble_final_state,
     final_state_from_overlaps,
     particle_entanglement_entropy,
     run_campaign,
@@ -202,8 +200,9 @@ def test_oscillator_spectrum_limits():
 def test_conversion_entropy_oracle():
     violations = []
 
-    unconverted = assemble_final_state(
-        ROOT_HALF, ROOT_HALF, build_model(0.0, 64), default_mode_assignment()
+    harmonic = build_model(0.0, 64)
+    unconverted = final_state_from_overlaps(
+        ROOT_HALF, ROOT_HALF, mode_overlap(harmonic, 1), mode_overlap(harmonic, 2)
     )
     entropy = particle_entanglement_entropy(unconverted)
     if abs(entropy) > 1e-12:
@@ -234,7 +233,7 @@ def test_seeded_campaign_statistics():
     violations = []
     start = time.perf_counter()
 
-    config = ConversionConfig(ancilla=AncillaConfig(eta=0.9))
+    config = ConversionConfig(eta=0.9)
     result = run_campaign(config, 100_000, rng_seed=42)
     expected = 0.9 * config.landing_prob
     sigma = math.sqrt(expected * (1.0 - expected) / 100_000)
@@ -245,7 +244,7 @@ def test_seeded_campaign_statistics():
     if abs(result.min_fidelity - 1.0) > 1e-12:
         violations.append(f"gate-on min fidelity {result.min_fidelity!r}")
 
-    open_gate = ConversionConfig(ancilla=AncillaConfig(eta=0.9), abort_gate_on=False)
+    open_gate = ConversionConfig(eta=0.9, abort_gate_on=False)
     odd = run_campaign(open_gate, 20_000, rng_seed=7)
     fidelities = [
         o.fidelity_to_target for o in odd.outcomes if o.fidelity_to_target is not None

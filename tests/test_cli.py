@@ -16,7 +16,7 @@ import pytest
 import modetangle
 from modetangle.cli import main
 from modetangle.oscillator import TAIL_WEIGHT_LIMIT
-from modetangle.protocol import AncillaConfig, ConversionConfig
+from modetangle.protocol import ConversionConfig
 from modetangle.results import ScanResult, render_scan_csv
 from modetangle.runconfig import ConfigError, parse_run_config, to_conversion_config
 
@@ -492,11 +492,11 @@ class TestProtocolCommand:
     def test_defaults_are_the_library_defaults_with_the_file_eta(self, tmp_path):
         rc = parse_run_config(write_config(tmp_path, ""))
         built = to_conversion_config(rc)
-        expected = ConversionConfig(ancilla=AncillaConfig(eta=0.9))
+        expected = ConversionConfig(eta=0.9)
         for field in fields(ConversionConfig):
             assert getattr(built, field.name) == getattr(expected, field.name), field.name
-        assignment = to_conversion_config({**rc, "level_b": 4}).assignment
-        assert assignment.pairs == (("photon_1", 1), ("photon_2", 4))
+        config = to_conversion_config({**rc, "level_b": 4})
+        assert (config.level_a, config.level_b) == (1, 4)
 
     def test_adiabatic_threshold_defaults_to_the_budget_default(self):
         scales = {"adiabatic_delta_e": 1.0, "adiabatic_h_tilde": 0.01, "adiabatic_t_meas": 1000.0}

@@ -9,9 +9,7 @@ import pytest
 from modetangle._common import PhysicsPreconditionError
 from modetangle.oscillator import (
     AdiabaticBudget,
-    ModeAssignment,
     build_model,
-    default_mode_assignment,
     first_order_energy,
     mode_overlap,
     position_operator,
@@ -321,30 +319,6 @@ class TestModeOverlap:
     def test_out_of_range_level_rejected(self):
         with pytest.raises(ValueError):
             mode_overlap(build_model(0.1, 16), 16)
-
-
-class TestModeAssignment:
-    def test_default_binding(self):
-        assignment = default_mode_assignment()
-        assert assignment.level_of("photon_1") == 1
-        assert assignment.level_of("photon_2") == 2
-
-    def test_custom_binding(self):
-        assignment = ModeAssignment((("photon_1", 3), ("photon_2", 5)))
-        assert assignment.level_of("photon_1") == 3
-        assert assignment.level_of("photon_2") == 5
-
-    def test_duplicate_level_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            ModeAssignment((("photon_1", 2), ("photon_2", 2)))
-
-    def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            ModeAssignment((("photon_1", -1), ("photon_2", 2)))
-
-    def test_unknown_particle_rejected(self):
-        with pytest.raises(KeyError):
-            default_mode_assignment().level_of("photon_9")
 
 
 class TestAdiabaticCheck:

@@ -7,20 +7,13 @@ import numpy as np
 import pytest
 
 from modetangle._pcg64 import SpawnedPCG64
-from modetangle.oscillator import (
-    AdiabaticBudget,
-    build_model,
-    default_mode_assignment,
-    mode_overlap,
-)
+from modetangle.oscillator import AdiabaticBudget, build_model, mode_overlap
 from modetangle.protocol import (
     CHUNK,
-    AncillaConfig,
     ConversionConfig,
     PhysicsPreconditionError,
     ProjectionError,
     ancilla_branch_amplitudes,
-    assemble_final_state,
     final_state_from_overlaps,
     initial_mode_state,
     outcome_json_line,
@@ -98,14 +91,14 @@ class TestSelectMiddleTerm:
 
 class TestBranchAmplitudes:
     def test_balanced_default(self):
-        h_amp, a_amp = ancilla_branch_amplitudes(AncillaConfig())
+        h_amp, a_amp = ancilla_branch_amplitudes(ConversionConfig().detect_amp)
         assert h_amp == pytest.approx(ROOT_HALF, abs=1e-12)
         assert a_amp == pytest.approx(ROOT_HALF, abs=1e-12)
 
     def test_extreme_settings(self):
-        h_amp, a_amp = ancilla_branch_amplitudes(AncillaConfig(detect_amp=0.0))
+        h_amp, a_amp = ancilla_branch_amplitudes(0.0)
         assert (h_amp, a_amp) == (1.0, 0.0)
-        h_amp, a_amp = ancilla_branch_amplitudes(AncillaConfig(detect_amp=1.0))
+        h_amp, a_amp = ancilla_branch_amplitudes(1.0)
         assert h_amp == pytest.approx(0.0, abs=1e-12)
         assert a_amp == pytest.approx(1.0, abs=1e-12)
 
@@ -113,19 +106,19 @@ class TestBranchAmplitudes:
         rng = np.random.default_rng(307)
         for _ in range(20):
             amp = rng.random() * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            h_amp, a_amp = ancilla_branch_amplitudes(AncillaConfig(detect_amp=amp))
+            h_amp, a_amp = ancilla_branch_amplitudes(amp)
             assert abs(h_amp) ** 2 + abs(a_amp) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_overlarge_amplitude_rejected(self):
         with pytest.raises(ValueError):
-            AncillaConfig(detect_amp=1.2)
+            ConversionConfig(detect_amp=1.2)
 
     @pytest.mark.parametrize(
         "amp", [complex(math.nan, 0.0), complex(0.5, math.nan)], ids=["real", "imag"]
     )
     def test_non_finite_amplitude_rejected(self, amp):
         with pytest.raises(ValueError, match="detect_amp must be finite"):
-            AncillaConfig(detect_amp=amp)
+            ConversionConfig(detect_amp=amp)
 
 
 class TestFinalStateAssembly:
@@ -215,8 +208,9 @@ class TestFinalStateAssembly:
         # same construction carried out with the model's actual level
         # vectors in the untruncated space
         model = build_model(0.8, 48)
-        assignment = default_mode_assignment()
-        state = assemble_final_state(ROOT_HALF, ROOT_HALF, model, assignment)
+        state = final_state_from_overlaps(
+            ROOT_HALF, ROOT_HALF, mode_overlap(model, 1), mode_overlap(model, 2)
+        )
         entropy = particle_entanglement_entropy(state)
 
         v1 = model.eigenstate(1)
@@ -236,17 +230,24 @@ class TestFinalStateAssembly:
 
 class TestAssembleFromModel:
     def test_overlaps_read_off_the_model(self):
+        # a certain delivery ships the campaign's target, built from the
+        # overlaps of the configured levels
+        config = ConversionConfig(
+            anharmonicity_on=0.3, level_a=3, level_b=0, detect_amp=0.6,
+            eta=1.0, landing_prob=1.0,
+        )
+        state = one_trial(config, rng_seed=0).delivered_state
         model = build_model(0.3, 64)
-        assignment = default_mode_assignment()
-        state = assemble_final_state(ROOT_HALF, ROOT_HALF, model, assignment)
-        s1 = mode_overlap(model, 1)
-        s2 = mode_overlap(model, 2)
-        direct = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, s1, s2)
+        s1 = mode_overlap(model, 3)
+        s2 = mode_overlap(model, 0)
+        direct = final_state_from_overlaps(0.8, 0.6, s1, s2)
         np.testing.assert_allclose(state.amplitudes, direct.amplitudes, atol=1e-12)
 
     def test_zero_coupling_gives_zero_entropy(self):
         model = build_model(0.0, 64)
-        state = assemble_final_state(ROOT_HALF, ROOT_HALF, model, default_mode_assignment())
+        state = final_state_from_overlaps(
+            ROOT_HALF, ROOT_HALF, mode_overlap(model, 1), mode_overlap(model, 2)
+        )
         assert particle_entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -261,7 +262,36 @@ class TestConfigValidation:
 
     def test_eta_range(self):
         with pytest.raises(ValueError):
-            AncillaConfig(eta=-0.1)
+            ConversionConfig(eta=-0.1)
+
+    def test_default_levels(self):
+        config = ConversionConfig()
+        assert (config.level_a, config.level_b) == (1, 2)
+
+    def test_custom_levels(self):
+        config = ConversionConfig(level_a=3, level_b=5)
+        assert (config.level_a, config.level_b) == (3, 5)
+
+    def test_equal_levels_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ConversionConfig(level_a=2, level_b=2)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ConversionConfig(level_a=-1)
+
+    @pytest.mark.parametrize("name", ["truncation", "level_a", "level_b"])
+    @pytest.mark.parametrize("value", [64.7, "64", None], ids=["float", "str", "none"])
+    def test_non_integer_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ConversionConfig(**{name: value})
+
+    def test_numpy_integers_admitted(self):
+        config = ConversionConfig(
+            truncation=np.int64(32), level_a=np.int32(3), level_b=np.uint8(0)
+        )
+        assert (config.truncation, config.level_a, config.level_b) == (32, 3, 0)
+        assert all(type(v) is int for v in (config.truncation, config.level_a, config.level_b))
 
     def test_campaign_size_and_seed(self):
         with pytest.raises(ValueError, match="n_trials"):
@@ -277,28 +307,28 @@ def one_trial(config, rng_seed):
 
 class TestRunTrial:
     def test_certain_delivery(self):
-        config = ConversionConfig(landing_prob=1.0, ancilla=AncillaConfig(eta=1.0))
+        config = ConversionConfig(landing_prob=1.0, eta=1.0)
         outcome = one_trial(config, rng_seed=3)
         assert outcome.photon_detected and outcome.registered
         assert not outcome.aborted
         assert outcome.fidelity_to_target == pytest.approx(1.0, abs=1e-12)
 
     def test_dead_detector_always_aborts(self):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.0))
+        config = ConversionConfig(eta=0.0)
         for seed in range(5):
             outcome = one_trial(config, rng_seed=seed)
             assert outcome.aborted
             assert outcome.delivered_state is None
 
     def test_same_seed_same_outcome(self):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.5))
+        config = ConversionConfig(eta=0.5)
         first = one_trial(config, rng_seed=99)
         second = one_trial(config, rng_seed=99)
         assert outcome_json_line(first) == outcome_json_line(second)
 
     def test_draws_are_those_of_default_rng(self):
         """Trial 0 takes the first two doubles of default_rng on the seed's first spawned child."""
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.5))
+        config = ConversionConfig(eta=0.5)
         kinds = set()
         for seed in range(40):
             child = np.random.SeedSequence(seed).spawn(1)[0]
@@ -348,7 +378,7 @@ def rendered(result):
 
 class TestRunCampaign:
     def test_gate_on_statistics(self):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.9))
+        config = ConversionConfig(eta=0.9)
         result = run_campaign(config, 20_000, rng_seed=17)
         expected = 0.9 * 0.5
         sigma = math.sqrt(expected * (1.0 - expected) / 20_000)
@@ -357,7 +387,7 @@ class TestRunCampaign:
         assert result.abort_rate == pytest.approx(1.0 - result.delivered_rate, abs=1e-12)
 
     def test_gate_off_lets_errors_through(self):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.9), abort_gate_on=False)
+        config = ConversionConfig(eta=0.9, abort_gate_on=False)
         result = run_campaign(config, 20_000, rng_seed=19)
         landing_sigma = math.sqrt(0.25 / 20_000)
         assert abs(result.delivered_rate - 0.5) < 3.0 * landing_sigma
@@ -371,27 +401,27 @@ class TestRunCampaign:
         assert np.mean(fidelities) < 1.0
 
     def test_zero_coupling_delivers_zero_entropy(self):
-        config = ConversionConfig(anharmonicity_on=0.0, ancilla=AncillaConfig(eta=0.8))
+        config = ConversionConfig(anharmonicity_on=0.0, eta=0.8)
         result = run_campaign(config, 2_000, rng_seed=23)
         for outcome in result.outcomes:
             if outcome.particle_entropy is not None:
                 assert outcome.particle_entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_seeds_reproduce_the_log(self):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.7))
+        config = ConversionConfig(eta=0.7)
         first = run_campaign(config, 500, rng_seed=29)
         second = run_campaign(config, 500, rng_seed=29)
         assert rendered(first) == rendered(second)
 
     def test_different_seeds_differ(self):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.7))
+        config = ConversionConfig(eta=0.7)
         first = run_campaign(config, 500, rng_seed=29)
         third = run_campaign(config, 500, rng_seed=31)
         assert rendered(first) != rendered(third)
 
     @pytest.mark.parametrize("gate_on", [True, False])
     def test_log_is_the_joined_outcome_lines(self, gate_on):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.7), abort_gate_on=gate_on)
+        config = ConversionConfig(eta=0.7, abort_gate_on=gate_on)
         result = run_campaign(config, CHUNK + 5, rng_seed=37)
         lines = [outcome_json_line(o) for o in result.outcomes]
         assert len(lines) == CHUNK + 5
@@ -399,7 +429,7 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("gate_on", [True, False])
     def test_log_is_prefix_stable(self, gate_on):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.7), abort_gate_on=gate_on)
+        config = ConversionConfig(eta=0.7, abort_gate_on=gate_on)
         long_log = rendered(run_campaign(config, CHUNK + 5, rng_seed=37))
         short_log = rendered(run_campaign(config, 10, rng_seed=37))
         assert "".join(long_log.splitlines(keepends=True)[:10]) == short_log
@@ -423,7 +453,7 @@ class TestRunCampaign:
     def test_outcomes_hold_about_one_byte_per_trial(self):
         # one kind byte per trial; a second byte-wide column would hold two
         n = 200_000
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.9))
+        config = ConversionConfig(eta=0.9)
         run_campaign(config, 10, rng_seed=41)
         tracemalloc.start()
         try:
@@ -438,7 +468,7 @@ class TestRunCampaign:
 
 class TestOutcomeSerialization:
     def test_line_schema(self):
-        config = ConversionConfig(landing_prob=1.0, ancilla=AncillaConfig(eta=1.0))
+        config = ConversionConfig(landing_prob=1.0, eta=1.0)
         outcome = one_trial(config, rng_seed=3)
         line = outcome_json_line(outcome)
         import json
@@ -451,7 +481,7 @@ class TestOutcomeSerialization:
         assert all(len(pair) == 2 for pair in payload["delivered_state"]["amplitudes"])
 
     def test_aborted_line_has_no_state(self):
-        config = ConversionConfig(ancilla=AncillaConfig(eta=0.0))
+        config = ConversionConfig(eta=0.0)
         outcome = one_trial(config, rng_seed=3)
         import json
 

@@ -1,4 +1,4 @@
-"""The README's config table and Library imports match the code."""
+"""The README's config table and Library example match the code."""
 
 import importlib
 import os
@@ -29,3 +29,12 @@ def test_library_section_imports_the_public_names():
     for name in modetangle.__all__:
         value = getattr(modetangle, name)
         assert value is vars(importlib.import_module(value.__module__))[name], name
+
+
+def test_library_section_example_runs():
+    section = readme_text().split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert 0.0 < namespace["result"].delivered_rate < 1.0
+
