@@ -18,6 +18,17 @@ Each library module is registered as a lazy module, which runs on its
 first attribute access (`importlib.util.LazyLoader`), so `--version` and
 `--help` start without numpy, and each command executes only the
 modules it calls.
+
+main runs BLAS on one thread: when numpy is not yet loaded, it sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
+any module loads it, whatever the caller set.  The kernels here are
+small (2x2 and 3x3 Schmidt spectra, 32-wide leading `eigh` blocks), and
+a thread pool costs them more than it gives: starting it adds ~0.1 s of
+CPU time to the numpy import, and a 32-wide `eigh` takes ~16 ms on two
+threads against ~0.2 ms on one (2-vCPU host).  One thread also makes the
+oscillator's full-width blocks independent of the thread count.  When
+numpy is already loaded, as in library use, main leaves os.environ
+alone and the caller's setting holds.
 """
 
 from __future__ import annotations
@@ -174,6 +185,10 @@ def cmd_protocol(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # OpenBLAS reads its thread count once, when numpy loads it
+    if "numpy" not in sys.modules:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

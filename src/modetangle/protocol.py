@@ -98,7 +98,8 @@ class ConversionConfig:
     clock_period must exceed travel_plus_register_time + and_gate_time so
     the abort decision for one cycle lands before the next one starts.
     An optional adiabatic budget gates whole campaigns.  The truncation
-    must reach MIN_TRUNCATION and exceed both levels.
+    must reach MIN_TRUNCATION and exceed both levels.  abort_gate_on must
+    be a bool or a numpy bool, stored as a bool.
     """
 
     anharmonicity_on: float = 0.1
@@ -154,6 +155,10 @@ class ConversionConfig:
             raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {n}")
         if max(levels) >= n:
             raise ValueError(f"levels must lie below truncation {n}, got {levels}")
+        # a string such as "off" is truthy: only a bool says which way the gate is set
+        if not isinstance(self.abort_gate_on, (bool, np.bool_)):
+            raise ValueError(f"abort_gate_on must be a bool, got {self.abort_gate_on!r}")
+        object.__setattr__(self, "abort_gate_on", bool(self.abort_gate_on))
 
     def _integer(self, name: str) -> int:
         """The field as an int; a value that is no integer, such as 64.7, is refused."""

@@ -7,6 +7,11 @@ OPENBLAS_CORETYPE and one thread count, runs every command in COMMANDS
 in process through cli.main, and prints the SHA-256 of each file it
 wrote.  Every child must print the same hashes.
 
+The child imports numpy before it calls cli.main.  main pins BLAS to one
+thread only when numpy is not yet loaded, so this way the library runs
+at the thread count the child was given, and the thread axis still
+checks the scan kernels at two threads.
+
 SkylakeX is not forced, since a CPU without AVX-512 cannot run it; the
 unset case runs whatever the CPU picks, SkylakeX included.
 """
@@ -34,6 +39,7 @@ THREAD_COUNTS = (1, 2)
 
 CHILD = """
 import contextlib, hashlib, io, pathlib, sys, tempfile
+import numpy  # loaded before main, which then leaves the thread count alone
 from modetangle.cli import main
 
 with tempfile.TemporaryDirectory() as tmp:

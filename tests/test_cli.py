@@ -618,12 +618,13 @@ BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "ben
 # modules it executed: a module registered for loading on first use but
 # never touched is still of the lazy module type.
 LOADED_BY = """
-import json, sys, types
+import json, os, sys, types
 from modetangle.cli import main
 code = main(sys.argv[1:])
 print(json.dumps({
     "code": code,
     "numpy": "numpy" in sys.modules,
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     "registered": sorted(name for name in sys.modules if name.startswith("modetangle")),
     "executed": sorted(name for name, module in sys.modules.items()
                        if name.startswith("modetangle") and type(module) is types.ModuleType),
@@ -631,8 +632,10 @@ print(json.dumps({
 """
 
 
-def loaded_by(*argv):
-    proc = subprocess.run([sys.executable, "-c", LOADED_BY, *argv], capture_output=True, text=True)
+def loaded_by(*argv, env=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, *argv], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -681,3 +684,26 @@ class TestLoading:
         names = {span[2] for span in json.loads(spans_path.read_text())["spans"]}
         assert {"cli.import", "cli.chsh", "polarization.chsh_scan",
                 "results.render_scan_csv", "results.atomic_write_text"} <= names
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread unless numpy was loaded before main."""
+
+    @pytest.mark.parametrize(
+        "argv", [["chsh"], ["oscillator", "--lambda", "0.1"]], ids=["chsh", "oscillator"]
+    )
+    def test_command_runs_one_thread_whatever_the_caller_set(self, tmp_path, argv):
+        # at OPENBLAS_NUM_THREADS=2 an unpinned child on a multi-core host has 2 threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        loaded = loaded_by(*argv, "--out", str(tmp_path / "out"), env=env)
+        if loaded["threads"] is None:
+            pytest.skip("no /proc/self/task to count the threads")
+        assert loaded["code"] == 0
+        assert loaded["numpy"]
+        assert loaded["threads"] == 1
+
+    def test_main_leaves_the_environment_alone_once_numpy_is_loaded(self, tmp_path):
+        assert "numpy" in sys.modules  # this test module imports it
+        before = dict(os.environ)
+        assert main(["chsh", "--out", str(tmp_path / "scan.csv"), "--steps", "3"]) == 0
+        assert dict(os.environ) == before

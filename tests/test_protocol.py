@@ -293,6 +293,15 @@ class TestConfigValidation:
         assert (config.truncation, config.level_a, config.level_b) == (32, 3, 0)
         assert all(type(v) is int for v in (config.truncation, config.level_a, config.level_b))
 
+    @pytest.mark.parametrize("value", ["off", 1, None], ids=["str", "int", "none"])
+    def test_non_bool_gate_refused_by_name(self, value):
+        with pytest.raises(ValueError, match="^abort_gate_on must be a bool"):
+            ConversionConfig(abort_gate_on=value)
+
+    def test_numpy_bool_gate_admitted(self):
+        config = ConversionConfig(abort_gate_on=np.bool_(False))
+        assert config.abort_gate_on is False
+
     def test_campaign_size_and_seed(self):
         with pytest.raises(ValueError, match="n_trials"):
             run_campaign(ConversionConfig(), 0, rng_seed=1)
