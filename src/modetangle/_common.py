@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 
 class PhysicsPreconditionError(RuntimeError):
     """A configured physical validity check failed; refusing to run."""
@@ -19,8 +17,14 @@ def require_finite(name: str, value: float) -> float:
     return value
 
 
-def scan_grid(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
-    """Uniform grid for a scan; needs hi > lo, at least two steps and distinct points."""
+def scan_grid(name: str, lo: float, hi: float, steps: int):
+    """Uniform grid for a scan, a numpy array; needs hi > lo, at least two steps and distinct points.
+
+    numpy is imported here, not with the module, since the oscillator
+    uses this module and runs without numpy.
+    """
+    import numpy as np
+
     lo = require_finite(f"{name}_min", lo)
     hi = require_finite(f"{name}_max", hi)
     steps = int(steps)

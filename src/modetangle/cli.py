@@ -15,20 +15,20 @@ usage or configuration error, 3 failed physics precondition, 1 output
 not written.
 
 Each library module is registered as a lazy module, which runs on its
-first attribute access (`importlib.util.LazyLoader`), so `--version` and
-`--help` start without numpy, and each command executes only the
-modules it calls.
+first attribute access (`importlib.util.LazyLoader`), so each command
+executes only the modules it calls.  `--version`, `--help` and
+`oscillator` start without numpy: the oscillator solves its parity
+blocks in plain Python, through oscillator, _common and results, none
+of which imports numpy.
 
-main runs BLAS on one thread: when numpy is not yet loaded, it sets
+main runs BLAS on one thread, for the scans and `protocol`, the commands
+that load numpy: when numpy is not yet loaded, it sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
 any module loads it, whatever the caller set.  The kernels here are
-small (2x2 and 3x3 Schmidt spectra, 32-wide leading `eigh` blocks), and
-a thread pool costs them more than it gives: starting it adds ~0.1 s of
-CPU time to the numpy import, and a 32-wide `eigh` takes ~16 ms on two
-threads against ~0.2 ms on one (2-vCPU host).  One thread also makes the
-oscillator's full-width blocks independent of the thread count.  When
-numpy is already loaded, as in library use, main leaves os.environ
-alone and the caller's setting holds.
+small (2x2 and 3x3 Schmidt spectra), and a thread pool costs them more
+than it gives: starting it adds ~0.1 s of CPU time to the numpy import
+(2-vCPU host).  When numpy is already loaded, as in library use, main
+leaves os.environ alone and the caller's setting holds.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="recorded in metadata")
         p.set_defaults(func=cmd_scan, scan=(module, function))
 
-    p = sub.add_parser("oscillator", help="diagonalize the quartic-anharmonic model")
+    p = sub.add_parser("oscillator", help="the lowest levels of the quartic-anharmonic model")
     p.add_argument("--out", required=True, help="JSON output path")
     p.add_argument("--lambda", dest="anharmonicity", type=float, default=0.0)
     p.add_argument("--truncation", type=int, default=64)

@@ -15,45 +15,61 @@ n +- 2 and n +- 4, so it commutes with parity: the even and the odd
 number states form two pentadiagonal blocks H_p, whose levels are merged
 in ascending order.
 
-build_model computes only the lowest levels it is asked for, and
-diagonalizes only a leading block of each H_p: the parity blocks A_M of
-the truncation M, which is BLOCK_START at first and doubles until the
+build_model computes only the lowest levels it is asked for, and solves
+only a leading block of each H_p: the parity blocks A_M of the
+truncation M, which is BLOCK_START at first and doubles until the
 requested levels of A_M are certified as those of H_N (a Rayleigh-Ritz
-compression; Parlett, The Symmetric Eigenvalue Problem, ch. 10).  Two
-checks certify them, each O(N) with no N x N array:
+compression; Parlett, The Symmetric Eigenvalue Problem, ch. 10).
+
+A block is solved in plain Python for its lowest pairs only, the classical
+method for a few eigenpairs of a band matrix (Barth, Martin & Wilkinson,
+Numer. Math. 9, 1967; Parlett, ch. 3 and 4):
+
+1. Isolation.  The number of eigenvalues below a shift s is the number
+   of negative pivots of the LDL^T of A_M - s I, which keeps bandwidth 2
+   (Sylvester's law of inertia).  Bisection on that count finds how many
+   of the wanted levels each parity holds, then an interval that holds
+   each level alone.
+2. Vector.  Rayleigh quotient iteration inside that interval, each step a
+   banded LU with partial pivoting of A_M - s I, until the residual is
+   at the block's rounding scale eps ||A_M||_1.  It starts from the
+   level's number state, or from the level as the previous, narrower
+   block gave it, which one step then finishes.
+3. Level.  The vector's Rayleigh quotient.
+
+Only +, -, *, /, math.sqrt and math.fsum touch the floats, and every sum
+has a fixed order or is math.fsum (correctly rounded), so a level does
+not depend on the CPU, a BLAS library, or the Python version.  At
+N = 16 and 32, levels 0-9 lie within 0.4 eps ||H_N||_1 of a 50-digit
+bisection of the same blocks.
+
+Two checks certify the levels of A_M as those of H_N, each O(N):
 
 1. Cut residual.  A block eigenvector padded with zeros misses being an
    eigenvector of H_N only in the two rows just beyond the cut, which
    reach the last two rows of the block.  That residual must not exceed
-   eps ||A_M||_1, the rounding scale of the block's own eigh, so a level
+   eps ||A_M||_1, the rounding scale of the block's own solve, so a level
    is no less accurate than one from the whole of H_N, whose scale is
    eps ||H_N||_1.
 2. Index.  At a shift s halfway between the last requested level and the
    next block level, each H_p must have as many eigenvalues below s as
-   its A_M.  The count is the number of negative pivots of the LDL^T of
-   H_p - s I, which keeps bandwidth 2 (Sylvester's law of inertia).  A
-   pivot is too small when the growth it causes could carry an
-   eigenvalue across s.  Such a pivot, or a count that differs, doubles
-   M.
+   its A_M: the count of negative LDL^T pivots above.  A pivot is too
+   small when the growth it causes could carry an eigenvalue across s.
+   Such a pivot, or a count that differs, doubles M.
 
 When M reaches N the block is H_N itself and there is nothing to
-certify: this is the full eigh of both parity blocks.  It is the path
-for every level (levels=None), for a truncation of at most BLOCK_START,
-and wherever the levels lean on the top of the basis (g = 100 at every
-truncation up to 1600 on OpenBLAS's SkylakeX kernel).  The cut residual
-is held to eigh's own rounding scale, so the width depends on the BLAS
-kernel: at N = 1600, Haswell certifies g = 100 at M = 1024 and
-Sandybridge g = 5 at M = 256, where SkylakeX takes 512.  At g = 0 H is
-diagonal, and the leading blocks are written down in closed form rather
-than diagonalized; nothing couples across the cut, so BLOCK_START is
-certified at once.
+certify.  It is the path for a truncation of at most BLOCK_START and
+wherever the levels lean on the top of the basis: g = 100 takes the
+full blocks up to N = 800 and is certified at M = 1024 for N = 1600.
+At g = 0 H is diagonal, and the leading blocks are written down in
+closed form rather than solved; nothing couples across the cut, so
+BLOCK_START is certified at once.
 
-The model keeps the leading rows and the requested columns of the two
-block eigenvector matrices, plus a rank map from each level to its
-block and column: O(M k) floats for k levels, N^2/2 for every level.
-No N x N array is formed: eigenstate scatters one column into the
-number basis, zero beyond the block, mode_overlap reads an entry of the
-level's column, tail_weight reads the top of the padded column, and
+The model keeps the leading rows of the requested columns, plus a rank
+map from each level to its block and column: O(M k) floats for k
+levels.  No N x N array is formed: eigenstate scatters one column into
+the number basis, zero beyond the block, mode_overlap reads an entry of
+the level's column, tail_weight reads the top of the padded column, and
 <X^2> is an O(M) sum over the column with the X^2 diagonals restricted
 to its parity.  A level that was not computed is refused.
 
@@ -92,16 +108,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from ._common import PhysicsPreconditionError, require_finite
 
 __all__ = [
     "OscillatorModel",
     "AdiabaticBudget",
-    "position_operator",
     "build_model",
     "truncation_problem",
     "require_converged",
@@ -113,15 +126,11 @@ __all__ = [
 MIN_TRUNCATION = 8
 TAIL_STATES = 4
 TAIL_WEIGHT_LIMIT = 1e-12
-# the leading truncation build_model diagonalizes first; it doubles until certified
+# the leading truncation build_model solves first; it doubles until certified
 BLOCK_START = 64
-_EPS = float(np.finfo(float).eps)
-
-
-def position_operator(dim: int) -> np.ndarray:
-    """X = (a + a+)/sqrt(2) in the number basis, dimension dim."""
-    off = np.sqrt(np.arange(1, dim) / 2.0)
-    return np.diag(off, k=1) + np.diag(off, k=-1)
+_EPS = 2.0**-52
+# Rayleigh quotient iterations allowed per level; a few suffice once the level is isolated
+_MAX_ITERATIONS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,61 +138,57 @@ class OscillatorModel:
     """The lowest levels of the truncated model; immutable after construction.
 
     eigenvalues holds the computed levels, ascending.  Their eigenvectors
-    are held as the two parity blocks: blocks[p][:, c] is a level of
-    parity p over the leading basis states p, p + 2, p + 4, ..., and is
-    zero on the states below the truncation that follow them.
+    are held as the columns of the two parity blocks: blocks[p][c] is a
+    level of parity p over the leading basis states p, p + 2, p + 4, ...,
+    and is zero on the states below the truncation that follow them.
     columns[n] is the rank map: level n is column columns[n] of the even
-    block if that is below the even block's width, otherwise column
-    columns[n] - width of the odd block.  Each column is sign-fixed so
-    the level's harmonic component <n|n(g)> is non-negative.  The arrays
-    are taken over and made read-only, not copied.
+    block if that is below the even block's column count, otherwise
+    column columns[n] minus that count of the odd block.  Each column is
+    sign-fixed so the level's harmonic component <n|n(g)> is non-negative.
     """
 
     anharmonicity: float
     truncation: int
-    eigenvalues: np.ndarray
-    blocks: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    columns: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        for arr in (self.eigenvalues, *self.blocks, self.columns):
-            arr.setflags(write=False)
+    eigenvalues: tuple[float, ...]
+    blocks: tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]] = field(repr=False)
+    columns: tuple[int, ...] = field(repr=False)
 
     def energy(self, n: int) -> float:
-        return float(self.eigenvalues[self._check_level(n)])
+        return self.eigenvalues[self._check_level(n)]
 
-    def eigenstate(self, n: int) -> np.ndarray:
+    def eigenstate(self, n: int) -> list[float]:
         """Level n over the whole number basis, zero on the other parity and beyond its block."""
         parity, column = self._block_column(n)
-        out = np.zeros(self.truncation)
-        out[parity::2][: len(column)] = column
+        out = [0.0] * self.truncation
+        out[parity : parity + 2 * len(column) : 2] = column
         return out
 
     def x_squared_expectation(self, n: int) -> float:
         """<n(g)|X^2|n(g)>; equals n + 1/2 at zero anharmonicity."""
         parity, u = self._block_column(n)
-        x2, _ = _position_power_diagonals(self.truncation)
+        x2, _ = _position_power_diagonals(parity + 2 * len(u))
         # inside a block the X^2 diagonals 0 and +-2 become 0 and +-1, and
         # the zeros beyond the block's rows add nothing.  Form X^2 u row by
         # row before the dot product: the diagonal and the off-diagonal
         # terms cancel within each row, where summing them as two separate
         # totals loses ~7e-15 relative at g = 100
-        d0, d1 = x2[0][parity::2][: len(u)], x2[2][parity::2][: len(u) - 1]
-        x2u = d0 * u
-        x2u[:-1] += d1 * u[1:]
-        x2u[1:] += d1 * u[:-1]
-        return float(u @ x2u)
+        d0, d1 = x2[0][parity::2], x2[2][parity::2]
+        x2u = [d * ui for d, ui in zip(d0, u)]
+        for i, d in enumerate(d1[: len(u) - 1]):
+            x2u[i] += d * u[i + 1]
+            x2u[i + 1] += d * u[i]
+        return math.fsum([ui * ri for ui, ri in zip(u, x2u)])
 
     def tail_weight(self, levels: Sequence[int]) -> float:
         """Largest weight any of the levels puts in the top TAIL_STATES basis states."""
         tails = [self.eigenstate(n)[-TAIL_STATES:] for n in levels]
-        return float(max(np.sum(t * t) for t in tails))
+        return max(math.fsum([t * t for t in tail]) for tail in tails)
 
-    def _block_column(self, n: int) -> tuple[int, np.ndarray]:
+    def _block_column(self, n: int) -> tuple[int, tuple[float, ...]]:
         """Parity of level n and its column in that parity's block."""
-        c = int(self.columns[self._check_level(n)])
-        width = self.blocks[0].shape[1]
-        return (0, self.blocks[0][:, c]) if c < width else (1, self.blocks[1][:, c - width])
+        c = self.columns[self._check_level(n)]
+        width = len(self.blocks[0])
+        return (0, self.blocks[0][c]) if c < width else (1, self.blocks[1][c - width])
 
     def _check_level(self, n: int) -> int:
         n = int(n)
@@ -196,77 +201,88 @@ class OscillatorModel:
         return n
 
 
-def _symmetric_banded(diagonals: dict[int, np.ndarray]) -> np.ndarray:
-    """Dense symmetric matrix from its main and upper diagonals {offset: values}."""
-    size = len(diagonals[0])
-    out = np.zeros((size, size))
-    for offset, values in diagonals.items():
-        i = np.arange(len(values))
-        out[i, i + offset] = values
-        out[i + offset, i] = values
-    return out
-
-
 def _position_power_diagonals(dim: int) -> tuple[dict, dict]:
     """Closed-form diagonals {offset: values} of X^2 and X^4 in the number basis."""
-    k = np.arange(dim, dtype=float)
-    root2 = np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0))
-    root4 = np.sqrt((k[:-4] + 1.0) * (k[:-4] + 2.0) * (k[:-4] + 3.0) * (k[:-4] + 4.0))
-    x2 = {0: k + 0.5, 2: 0.5 * root2}
+    k = [float(i) for i in range(dim)]
+    root2 = [math.sqrt((ki + 1.0) * (ki + 2.0)) for ki in k[:-2]]
+    root4 = [math.sqrt((ki + 1.0) * (ki + 2.0) * (ki + 3.0) * (ki + 4.0)) for ki in k[:-4]]
+    x2 = {0: [ki + 0.5 for ki in k], 2: [0.5 * r for r in root2]}
     x4 = {
-        0: 0.75 * (2.0 * k * k + 2.0 * k + 1.0),
-        2: 0.5 * (2.0 * k[:-2] + 3.0) * root2,
-        4: 0.25 * root4,
+        0: [0.75 * (2.0 * ki * ki + 2.0 * ki + 1.0) for ki in k],
+        2: [0.5 * (2.0 * ki + 3.0) * r for ki, r in zip(k, root2)],
+        4: [0.25 * r for r in root4],
     }
     return x2, x4
 
 
-def _parity_blocks(anharmonicity: float, truncation: int) -> list[list[np.ndarray]]:
+def _parity_blocks(anharmonicity: float, truncation: int) -> list[list[list[float]]]:
     """Main, first and second diagonals of the even and of the odd block of H_N."""
     _, x4 = _position_power_diagonals(truncation)
-    h_diagonals = {offset: 0.25 * anharmonicity * d for offset, d in x4.items()}
-    h_diagonals[0] += np.arange(truncation) + 0.5
+    q = 0.25 * anharmonicity
+    h = [[q * d + (k + 0.5) for k, d in enumerate(x4[0])]]
+    h += ([q * d for d in x4[offset]] for offset in (2, 4))
     # even states sit at rows 0::2, odd at 1::2, and the offsets 2 and 4
     # become 1 and 2 inside a block
-    return [[h_diagonals[offset][p::2] for offset in (0, 2, 4)] for p in (0, 1)]
+    return [[d[p::2] for d in h] for p in (0, 1)]
 
 
-def _leading(diagonals: list[np.ndarray], width: int) -> list[np.ndarray]:
+def _leading(diagonals: list[list[float]], width: int) -> list[list[float]]:
     """Diagonals 0, 1 and 2 of the leading width x width block of a pentadiagonal matrix."""
     return [d[: width - offset] for offset, d in enumerate(diagonals)]
 
 
-def _norm1(diagonals: list[np.ndarray]) -> float:
-    """||A||_1 of the symmetric pentadiagonal A with main, first and second diagonals."""
-    main, first, second = (np.abs(d) for d in diagonals)
-    sums = main.copy()
-    sums[:-1] += first
-    sums[1:] += first
-    sums[:-2] += second
-    sums[2:] += second
-    return float(sums.max())
+class _Band(NamedTuple):
+    """A symmetric pentadiagonal matrix A, laid out for the row loops below.
+
+    first[i] = A[i, i - 1] and second[i] = A[i, i - 2]; both start with
+    the zeros above row 0 and end with four zeros below the last row, so
+    A[i, i + 1] = first[i + 1] and A[i, i + 2] = second[i + 2].  radii[i]
+    sums |A[i, j]| over j != i, and rounding is eps ||A||_1.
+    """
+
+    main: list[float]
+    first: list[float]
+    second: list[float]
+    radii: list[float]
+    rounding: float
 
 
-def _cut_residual(diagonals: list[np.ndarray], vectors: np.ndarray) -> np.ndarray:
-    """||A v - theta v|| for each column v of vectors, padded with zeros, beyond the cut.
+def _band(diagonals: list[list[float]]) -> _Band:
+    """The _Band of the matrix with these main, first and second diagonals."""
+    main, first, second = diagonals
+    first = [0.0, *first, 0.0, 0.0, 0.0, 0.0]
+    second = [0.0, 0.0, *second, 0.0, 0.0, 0.0, 0.0]
+    radii = [
+        abs(first[i + 1]) + abs(first[i]) + abs(second[i + 2]) + abs(second[i])
+        for i in range(len(main))
+    ]
+    # ||A||_1 is the largest absolute row sum
+    norm = max(abs(a) + r for a, r in zip(main, radii))
+    return _Band(main, first, second, radii, _EPS * norm)
 
-    A is the pentadiagonal matrix with these diagonals, and vectors are
-    eigenvectors of its leading block, whose width is their length.  Only
-    the rows m and m + 1 just beyond the block reach it, through its last
-    two rows.
+
+def _cut_residual(diagonals: list[list[float]], vectors: Sequence[Sequence[float]]) -> list[float]:
+    """||A v - theta v|| for each vector v, padded with zeros, beyond the cut.
+
+    A is the pentadiagonal matrix with these diagonals, and the vectors
+    are eigenvectors of its leading block, whose width is their length.
+    Only the rows m and m + 1 just beyond the block reach it, through its
+    last two rows.
     """
     main, first, second = diagonals
-    m = len(vectors)
-    if m == len(main):
-        return np.zeros(vectors.shape[1])
-    coupling = np.zeros((2, 2))
-    coupling[0] = second[m - 2], first[m - 1]
-    if m + 1 < len(main):
-        coupling[1, 1] = second[m - 1]
-    return np.linalg.norm(coupling @ vectors[-2:], axis=0)
+    out = []
+    for v in vectors:
+        m = len(v)
+        if m == len(main):
+            out.append(0.0)
+            continue
+        row_m = second[m - 2] * v[m - 2] + first[m - 1] * v[m - 1]
+        row_m1 = second[m - 1] * v[m - 1] if m + 1 < len(main) else 0.0
+        out.append(math.sqrt(row_m * row_m + row_m1 * row_m1))
+    return out
 
 
-def _count_below(diagonals: list[np.ndarray], shift: float) -> tuple[int, float]:
+def _count_below(diagonals: list[list[float]], shift: float) -> tuple[int, float]:
     """Eigenvalues below shift of a symmetric pentadiagonal A, and how far the count can err.
 
     A - shift I = L D L^T is factored without pivoting, and by Sylvester's
@@ -276,48 +292,258 @@ def _count_below(diagonals: list[np.ndarray], shift: float) -> tuple[int, float]
     rounding of A - shift I is inside that bound), so the count is exact
     unless an eigenvalue of A lies within ||E||_2 of the shift.  The second
     value bounds ||E||_2 by 4 eps times the largest row sum of |L||D||L^T|;
-    it is infinite at a zero pivot.
+    it is infinite at a zero pivot.  The factorization is that of
+    _negative_pivots, which bisection calls without the bound.
     """
     main, first, second = diagonals
-    a = (main - shift).tolist()
-    b = [0.0, *first.tolist()]  # b[i] = A[i, i - 1]
-    c = [0.0, 0.0, *second.tolist()]  # c[i] = A[i, i - 2]
-    pivots, sub1, sub2 = [], [], []  # D[i], L[i, i - 1], L[i, i - 2]
+    first, second = [0.0, *first], [0.0, 0.0, *second]  # A[i, i - 1] and A[i, i - 2]
+    count = 0
     d1 = d2 = 1.0  # D[i - 1] and D[i - 2]; any nonzero value before row 0
     l1 = 0.0  # L[i - 1, i - 2]
-    for ai, bi, ci in zip(a, b, c):
+    # w_j = |D_j| (1 + |L[j + 1, j]| + |L[j + 2, j]|) is complete once row
+    # j + 2 is factored, and row j of |L||D||L^T| sums to w_j
+    # + |L[j, j - 1]| w_{j - 1} + |L[j, j - 2]| w_{j - 2}.  w1 is w_{i - 1}
+    # so far and w2-w4 are w_{i - 2} to w_{i - 4}; e, s and t are |D| and
+    # |L| on the first and second subdiagonals, of rows i - 1 and i - 2
+    w1 = w2 = w3 = w4 = e1 = e2 = s1 = s2 = t1 = t2 = 0.0
+    top = 0.0
+    for ai, bi, ci in zip(main, first, second):
         li2 = ci / d2
-        li1 = (bi - ci * l1) / d1
-        di = ai - li1 * li1 * d1 - li2 * li2 * d2
-        if di == 0.0:
+        b = bi - ci * l1
+        li1 = b / d1
+        di = ai - shift - li1 * b - li2 * ci
+        if di < 0.0:
+            count += 1
+        elif di == 0.0:
             return 0, math.inf
-        pivots.append(di)
-        sub1.append(li1)
-        sub2.append(li2)
+        s, t = abs(li1), abs(li2)
+        w1 += e1 * s
+        w2 += e2 * t
+        row = w2 + s2 * w3 + t2 * w4  # row i - 2
+        if row > top:
+            top = row
+        e = abs(di)
+        w1, w2, w3, w4, e1, e2, s1, s2, t1, t2 = e, w1, w2, w3, e, e1, s, s1, t, t1
         d2, d1, l1 = d1, di, li1
-    d, l1s, l2s = np.abs(pivots), np.abs(sub1), np.abs(sub2)
-    # row sums of |L||D||L^T|: w = |D| times the column sums of |L|, then |L| w
-    w = d.copy()
-    w[:-1] += d[:-1] * l1s[1:]
-    w[:-2] += d[:-2] * l2s[2:]
-    rows = w.copy()
-    rows[1:] += l1s[1:] * w[:-1]
-    rows[2:] += l2s[2:] * w[:-2]
-    return int(np.count_nonzero(np.asarray(pivots) < 0.0)), 4.0 * _EPS * float(rows.max())
+    top = max(top, w2 + s2 * w3 + t2 * w4, w1 + s1 * w2 + t1 * w3)
+    return count, 4.0 * _EPS * top
 
 
-def _leading_eigenpairs(diagonals: list[np.ndarray], width: int, closed_form: bool):
-    """Ascending eigenvalues and eigenvectors of the leading width x width block."""
-    block = _leading(diagonals, width)
-    if closed_form:
-        # at g = 0 the block is diagonal and ascending: its levels are its
-        # diagonal and its eigenvectors the number states, exactly what eigh
-        # returns for it
-        return block[0], np.eye(width)
-    return np.linalg.eigh(_symmetric_banded(dict(enumerate(block))))
+def _negative_pivots(band: _Band, shift: float) -> int:
+    """The count of _count_below alone: eigenvalues of the band below shift.
+
+    A pivot that is exactly zero is taken as a negative one of the size
+    of the band's rounding, as if the shift were that much higher.
+    """
+    main, first, second, _, rounding = band
+    count = 0
+    d1 = d2 = 1.0
+    l1 = 0.0
+    for ai, bi, ci in zip(main, first, second):
+        li2 = ci / d2
+        b = bi - ci * l1
+        li1 = b / d1
+        di = ai - shift - li1 * b - li2 * ci
+        if di <= 0.0:
+            count += 1
+            if di == 0.0:
+                di = -rounding
+        d2, d1, l1 = d1, di, li1
+    return count
 
 
-def _certified(parity_blocks: list, pairs: list, merged: np.ndarray, k: int) -> bool:
+def _banded_lu(band: _Band, shift: float) -> tuple[list, list]:
+    """LU with partial pivoting of A - shift I for the band A.
+
+    Column j has nonzeros in rows j to j + 2 only, so each step picks its
+    pivot among three rows, and a row of U reaches 4 columns right of the
+    diagonal (Golub & Van Loan, Matrix Computations, sec. 4.3).  Returns,
+    per step, which row became the pivot (0-2 below j) with the two
+    multipliers, and the row of U as its five entries from the diagonal
+    on.  A pivot smaller than the band's rounding is raised to it, sign
+    kept: in inverse iteration a singular A - shift I only means that the
+    shift is exact, and the solution stays within the float range.
+    """
+    main, first, second, _, rounding = band
+    d = [a - shift for a in main]
+    d += (0.0, 0.0)
+    # the rows now in positions j and j + 1, from column j on
+    x0, x1, x2, x3, x4 = d[0], first[1], second[2], 0.0, 0.0
+    y0, y1, y2, y3, y4 = first[1], d[1], first[2], second[3], 0.0
+    steps, upper = [], []
+    # row j + 2 is still A's own at step j: A[j + 2, j:j + 5]
+    for z0, z1, z2, z3, z4 in zip(second[2:], first[2:], d[2:], first[3:], second[4:]):
+        ax, ay, az = abs(x0), abs(y0), abs(z0)
+        if ay > ax and ay >= az:
+            x0, x1, x2, x3, x4, y0, y1, y2, y3, y4 = y0, y1, y2, y3, y4, x0, x1, x2, x3, x4
+            pivot = 1
+        elif az > ax:
+            x0, x1, x2, x3, x4, z0, z1, z2, z3, z4 = z0, z1, z2, z3, z4, x0, x1, x2, x3, x4
+            pivot = 2
+        else:
+            pivot = 0
+        if abs(x0) < rounding:
+            x0 = -rounding if x0 < 0.0 else rounding
+        m1, m2 = y0 / x0, z0 / x0
+        steps.append((pivot, m1, m2))
+        upper.append((x0, x1, x2, x3, x4))
+        x0, x1, x2, x3, x4, y0, y1, y2, y3, y4 = (
+            y1 - m1 * x1, y2 - m1 * x2, y3 - m1 * x3, y4 - m1 * x4, 0.0,
+            z1 - m2 * x1, z2 - m2 * x2, z3 - m2 * x3, z4 - m2 * x4, 0.0,
+        )
+    return steps, upper
+
+
+def _banded_solve(factors: tuple[list, list], rhs: list[float]) -> list[float]:
+    """x with (A - shift I) x = rhs, from the factors _banded_lu returns."""
+    steps, upper = factors
+    f0, f1 = rhs[0], rhs[1]
+    y = []
+    for (pivot, m1, m2), f2 in zip(steps, [*rhs[2:], 0.0, 0.0]):
+        if pivot == 1:
+            f0, f1 = f1, f0
+        elif pivot == 2:
+            f0, f2 = f2, f0
+        y.append(f0)
+        f0, f1 = f1 - m1 * f0, f2 - m2 * f0
+    x = [0.0] * (len(y) + 4)
+    for j in range(len(y) - 1, -1, -1):
+        u0, u1, u2, u3, u4 = upper[j]
+        x[j] = (y[j] - u1 * x[j + 1] - u2 * x[j + 2] - u3 * x[j + 3] - u4 * x[j + 4]) / u0
+    del x[-4:]
+    return x
+
+
+def _rayleigh_quotient(band: _Band, v: list[float]) -> float:
+    """v^T A v / v^T v for the band A, with A v formed row by row."""
+    main, first, second, _, _ = band
+    u = [0.0, 0.0, *v, 0.0, 0.0]  # u[i + 2] = v[i]
+    av = [
+        a * u[i + 2] + first[i + 1] * u[i + 3] + first[i] * u[i + 1]
+        + second[i + 2] * u[i + 4] + second[i] * u[i]
+        for i, a in enumerate(main)
+    ]
+    return math.fsum([vi * r for vi, r in zip(v, av)]) / math.fsum([vi * vi for vi in v])
+
+
+def _isolate(band: _Band, lo: float, hi: float, count: int) -> list[tuple[float, float]]:
+    """Intervals [l, u), one per eigenvalue, for the count lowest eigenvalues, all in [lo, hi).
+
+    Bisection on the count below a shift.  Two eigenvalues too close for
+    a float to fall between them share an interval.
+    """
+    intervals = [(lo, hi)] * count
+    pending = [(lo, 0, hi, count)]
+    while pending:
+        l, cl, u, cu = pending.pop()
+        mid = 0.5 * (l + u)
+        if cu - cl == 1 or not l < mid < u:
+            intervals[cl:cu] = [(l, u)] * (cu - cl)
+            continue
+        # a count out of order with its neighbours' is rounding; clamp it
+        cm = min(max(_negative_pivots(band, mid), cl), cu)
+        if cm > cl:
+            pending.append((l, cl, mid, cm))
+        if cu > cm:
+            pending.append((mid, cm, u, cu))
+    return intervals
+
+
+def _eigenvector(band: _Band, level: int, lo: float, hi: float, guess: tuple) -> list[float]:
+    """Unit eigenvector of the band's level, which [lo, hi) holds alone.
+
+    Rayleigh quotient iteration from guess, a (value, vector) pair, with
+    the shift kept inside [lo, hi): a quotient that leaves it is replaced
+    by a bisection step.  It stops once the residual ||(A - shift I) x||
+    of the new unit vector x, which is 1/||(A - shift I)^-1 v|| for the
+    previous one v, is within 4 eps ||A||_1 (Parlett, ch. 4).
+    """
+    shift, v = guess
+    if not lo <= shift < hi:
+        shift = 0.5 * (lo + hi)
+    for _ in range(_MAX_ITERATIONS):
+        x = _banded_solve(_banded_lu(band, shift), v)
+        # ||x|| = root 2^e, scaled by a power of two so that no square
+        # overflows or underflows; the scaling is exact and moves no bit
+        e = math.frexp(max(map(abs, x)))[1]
+        scale = math.ldexp(1.0, -e)
+        x = [xi * scale for xi in x]
+        root = math.sqrt(math.fsum([xi * xi for xi in x]))
+        x = [xi / root for xi in x]
+        if math.ldexp(1.0 / root, -e) <= 4.0 * band.rounding:
+            return x
+        # (A - shift I) x = v / ||x||, so x^T A x = shift + x^T v / ||x||
+        quotient = shift + math.ldexp(math.fsum([xi * vi for xi, vi in zip(x, v)]) / root, -e)
+        if not lo <= quotient < hi:
+            mid = 0.5 * (lo + hi)
+            if _negative_pivots(band, mid) > level:
+                hi = mid
+            else:
+                lo = mid
+            quotient = 0.5 * (lo + hi)
+        shift, v = quotient, x
+    return v
+
+
+def _lowest_pairs(blocks: list[list[list[float]]], count: int, guesses: list) -> list:
+    """(values, vectors) of each parity block: the count lowest levels of the two together.
+
+    Each block's levels ascend, and its vectors are tuples over the
+    block's rows.  A shift is bisected until the two blocks have count
+    eigenvalues below it together, which tells how many each holds; then
+    each level is isolated, its vector found by inverse iteration and its
+    value taken as the vector's Rayleigh quotient.  guesses holds pairs in
+    the same form, from narrower blocks, to start the iterations from.
+    """
+    bands = [_band(diagonals) for diagonals in blocks]
+    slack = 4.0 * max(band.rounding for band in bands)
+    # Gershgorin: every eigenvalue is above lo, and by interlacing each
+    # block has at least min(width, count) eigenvalues below hi
+    lo = min(a - r for band in bands for a, r in zip(band.main, band.radii)) - slack
+    hi = max(a + r for band in bands for a, r in zip(band.main[:count], band.radii)) + slack
+    counts = [_negative_pivots(band, hi) for band in bands]
+    fewer = lo  # fewer than count eigenvalues below it
+    while counts[0] + counts[1] > count:
+        mid = 0.5 * (fewer + hi)
+        if not fewer < mid < hi:
+            break
+        at_mid = [_negative_pivots(band, mid) for band in bands]
+        if at_mid[0] + at_mid[1] >= count:
+            hi, counts = mid, at_mid
+        else:
+            fewer = mid
+    pairs = []
+    for band, kp, (values, vectors) in zip(bands, counts, guesses):
+        width = len(band.main)
+        starts = [(value, [*x, *[0.0] * (width - len(x))]) for value, x in zip(values, vectors)]
+        for level in range(len(starts), kp):
+            # the number state of the level's row, whose Rayleigh quotient is its diagonal
+            unit = [0.0] * width
+            unit[level] = 1.0
+            starts.append((band.main[level], unit))
+        vectors = [
+            tuple(_eigenvector(band, level, l, u, start))
+            for level, ((l, u), start) in enumerate(zip(_isolate(band, lo, hi, kp), starts))
+        ]
+        values = [_rayleigh_quotient(band, v) for v in vectors]
+        order = sorted(range(kp), key=values.__getitem__)
+        pairs.append(([values[c] for c in order], [vectors[c] for c in order]))
+    return pairs
+
+
+def _number_states(blocks: list[list[list[float]]], count: int) -> list:
+    """_lowest_pairs of diagonal blocks: the diagonals, and the number states."""
+    mains = [diagonals[0] for diagonals in blocks]
+    highest = sorted(mains[0] + mains[1])[count - 1]
+    pairs = []
+    for main in mains:
+        kp = sum(1 for a in main if a <= highest)
+        width = len(main)
+        pairs.append((main[:kp], [(0.0,) * j + (1.0,) + (0.0,) * (width - j - 1) for j in range(kp)]))
+    return pairs
+
+
+def _certified(parity_blocks: list, widths: list[int], pairs: list, merged: list[float], k: int) -> bool:
     """Whether the k lowest merged block levels are the k lowest levels of H_N.
 
     The two checks of the module docstring: each requested level's cut
@@ -326,10 +552,10 @@ def _certified(parity_blocks: list, pairs: list, merged: np.ndarray, k: int) -> 
     """
     shift = 0.5 * (merged[k - 1] + merged[k])
     margin = 0.5 * (merged[k] - merged[k - 1])
-    below = [int(np.count_nonzero(values < shift)) for values, _ in pairs]
-    for diagonals, (_, vectors), kp in zip(parity_blocks, pairs, below):
-        residual = _cut_residual(diagonals, vectors[:, :kp])
-        if np.any(residual > _EPS * _norm1(_leading(diagonals, len(vectors)))):
+    below = [sum(1 for value in values if value < shift) for values, _ in pairs]
+    for diagonals, width, (_, vectors), kp in zip(parity_blocks, widths, pairs, below):
+        limit = _band(_leading(diagonals, width)).rounding
+        if any(r > limit for r in _cut_residual(diagonals, vectors[:kp])):
             return False
     for diagonals, kp in zip(parity_blocks, below):
         count, error = _count_below(diagonals, shift)
@@ -338,14 +564,12 @@ def _certified(parity_blocks: list, pairs: list, merged: np.ndarray, k: int) -> 
     return True
 
 
-def build_model(
-    anharmonicity: float, truncation: int = 64, levels: int | None = None
-) -> OscillatorModel:
+def build_model(anharmonicity: float, truncation: int, levels: int) -> OscillatorModel:
     """The lowest levels of H = diag(n + 1/2) + (g/4) X^4 at the given truncation.
 
-    levels is how many levels to compute, every level when None.  Each is
-    taken from a leading block that is certified or is the whole of H_N,
-    as the module docstring describes.
+    levels is how many levels to compute; a count above the truncation
+    is clamped to it.  Each is taken from a leading block that is
+    certified or is the whole of H_N, as the module docstring describes.
     """
     g = require_finite("anharmonicity", anharmonicity)
     if g < 0.0:
@@ -353,45 +577,62 @@ def build_model(
     n = int(truncation)
     if n < MIN_TRUNCATION:
         raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {n}")
-    k = n if levels is None else min(int(levels), n)
+    k = min(int(levels), n)
     if k < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
 
     parity_blocks = _parity_blocks(g, n)
+    # the last diagonal entry is H_N's largest, and ||H_N||_1 < 3 times it;
+    # the solver's scaling needs ||H_N||_1 well inside the float range
+    top = max(block[0][-1] for block in parity_blocks)
+    if not top < 2.0**1000:
+        raise ValueError(
+            f"anharmonicity {g:g} is too large for truncation {n}: H reaches {top:.3g}, "
+            "beyond the float range the solver handles"
+        )
+    pairs = [([], []), ([], [])]  # a failed block's pairs start the next block's iterations
     m = BLOCK_START
     while True:
         m = min(m, n)
         # the shift needs a block level above the k requested, unless the
-        # block is H_N; each block's dense H is freed as soon as its eigh returns
+        # block is H_N
         if m > k or m == n:
-            pairs = [
-                _leading_eigenpairs(diagonals, (m + 1 - p) // 2, g == 0.0)
-                for p, diagonals in enumerate(parity_blocks)
-            ]
-            values = np.concatenate([pairs[0][0], pairs[1][0]])
-            order = np.argsort(values, kind="stable")
-            if m == n or _certified(parity_blocks, pairs, values[order], k):
+            widths = [(m + 1 - p) // 2 for p in (0, 1)]
+            leading = [_leading(d, w) for d, w in zip(parity_blocks, widths)]
+            if g == 0.0:
+                pairs = _number_states(leading, min(k + 1, m))
+            else:
+                pairs = _lowest_pairs(leading, min(k + 1, m), pairs)
+            values = pairs[0][0] + pairs[1][0]
+            order = sorted(range(len(values)), key=values.__getitem__)  # stable: even first on a tie
+            merged = [values[i] for i in order]
+            # at g = 0 nothing couples across the cut, so any block is certified
+            if m == n or g == 0.0 or _certified(parity_blocks, widths, pairs, merged, k):
                 break
         m *= 2
 
-    # eigh returns each block ascending, so the k lowest levels are the
-    # first k_p columns of each block; keep those alone
+    # each block ascends, so the k lowest levels are the first k_p columns
+    # of each block; keep those alone
     kept = order[:k]
-    even_width = len(pairs[0][0])
-    k0 = int(np.count_nonzero(kept < even_width))
+    even_count = len(pairs[0][0])
+    k0 = sum(1 for i in kept if i < even_count)
+    columns = [i if i < even_count else i - even_count + k0 for i in kept]
+    rank = [0] * k
+    for level, c in enumerate(columns):
+        rank[c] = level
     blocks = []
-    for (_, vectors), kp in zip(pairs, (k0, k - k0)):
-        blocks.append(vectors if kp == vectors.shape[1] else vectors[:, :kp].copy())
-    columns = np.where(kept < even_width, kept, kept - even_width + k0)
-    rank = np.empty(k, dtype=int)
-    rank[columns] = np.arange(k)
-    for p, level in ((0, rank[:k0]), (1, rank[k0:])):
-        # one global sign per column: keep the harmonic-level component >= 0;
-        # a level of the other parity has no such component and keeps +1
-        vectors = blocks[p]
-        harmonic = np.where(level % 2 == p, vectors[(level - p) // 2, np.arange(len(level))], 0.0)
-        vectors *= np.where(harmonic < 0.0, -1.0, 1.0)
-    return OscillatorModel(g, n, values[kept], (blocks[0], blocks[1]), columns)
+    for p, offset, kp in ((0, 0, k0), (1, k0, k - k0)):
+        fixed = []
+        for c, column in enumerate(pairs[p][1][:kp]):
+            # one global sign per column: keep the harmonic-level component >= 0;
+            # a level of the other parity has no such component and keeps +1
+            level = rank[offset + c]
+            if level % 2 == p and column[(level - p) // 2] < 0.0:
+                column = tuple(-x for x in column)
+            fixed.append(column)
+        blocks.append(tuple(fixed))
+    eigenvalues = tuple(values[i] for i in kept)
+    return OscillatorModel(g, n, eigenvalues, (blocks[0], blocks[1]), tuple(columns))
 
 
 def truncation_problem(model: OscillatorModel, levels: Sequence[int]) -> str | None:
@@ -429,7 +670,7 @@ def first_order_energy(n: int, anharmonicity: float) -> float:
 def mode_overlap(model: OscillatorModel, n: int) -> float:
     """Overlap <n_harmonic|n(g)>, non-negative by the sign convention."""
     parity, column = model._block_column(n)
-    return float(column[n // 2]) if n % 2 == parity else 0.0
+    return column[n // 2] if n % 2 == parity else 0.0
 
 
 @dataclass(frozen=True)

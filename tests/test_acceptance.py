@@ -169,7 +169,7 @@ def test_oscillator_spectrum_limits():
     violations = []
     start = time.perf_counter()
 
-    harmonic = build_model(0.0, 64)
+    harmonic = build_model(0.0, 64, levels=64)
     drift = max(abs(harmonic.energy(n) - (n + 0.5)) for n in range(64))
     if drift > 1e-10:
         violations.append(f"harmonic spectrum off by {drift:.3e}")
@@ -177,7 +177,7 @@ def test_oscillator_spectrum_limits():
     couplings = (0.01, 0.02, 0.04)
     ratios = []
     for g in couplings:
-        model = build_model(g, 64)
+        model = build_model(g, 64, levels=1)
         deviation = abs(model.energy(0) - first_order_energy(0, g))
         ratios.append(deviation / g**2)
     if min(ratios) <= 0.0:
@@ -185,8 +185,8 @@ def test_oscillator_spectrum_limits():
     elif max(ratios) / min(ratios) > 2.0:
         violations.append(f"C ratio {max(ratios) / min(ratios):.3f} exceeds 2")
 
-    coarse = build_model(0.5, 64)
-    fine = build_model(0.5, 128)
+    coarse = build_model(0.5, 64, levels=10)
+    fine = build_model(0.5, 128, levels=10)
     doubling = max(abs(coarse.energy(n) - fine.energy(n)) for n in range(10))
     if doubling > 1e-8:
         violations.append(f"truncation-doubling drift {doubling:.3e}")
@@ -200,7 +200,7 @@ def test_oscillator_spectrum_limits():
 def test_conversion_entropy_oracle():
     violations = []
 
-    harmonic = build_model(0.0, 64)
+    harmonic = build_model(0.0, 64, levels=3)
     unconverted = final_state_from_overlaps(
         ROOT_HALF, ROOT_HALF, mode_overlap(harmonic, 1), mode_overlap(harmonic, 2)
     )

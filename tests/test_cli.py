@@ -163,6 +163,10 @@ class TestScanCommands:
         assert code == 1
 
 
+# sha256 of the oscillator report at lambda = 0.1, N = 1600, without its "tool" line
+OSCILLATOR_DIGEST = "a8593ee83a4eca841f5f95aec707c8cd43f3b19a545340d5ba2d0954b9c229e5"
+
+
 class TestOscillatorCommand:
     def test_report_contents(self, tmp_path):
         out = tmp_path / "report.json"
@@ -215,6 +219,18 @@ class TestOscillatorCommand:
         code = main(["oscillator", "--out", str(out), "--lambda", "100", "--truncation", "256"])
         assert code == 0
         assert json.loads(out.read_text())["tail_weight"] < TAIL_WEIGHT_LIMIT
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        """Every value of a certified report; the "tool" line (version) is left out.
+
+        The levels are solved in plain Python, so these bytes hold on every
+        CPU and Python version.
+        """
+        out = tmp_path / "report.json"
+        assert main(["oscillator", "--out", str(out), "--lambda", "0.1", "--truncation", "1600"]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b'  "tool"'))
+        assert hashlib.sha256(body).hexdigest() == OSCILLATOR_DIGEST
 
     def test_negative_coupling_rejected(self, tmp_path, capsys):
         code = main(["oscillator", "--out", str(tmp_path / "x.json"), "--lambda", "-0.1"])
@@ -276,8 +292,8 @@ class TestProtocolCommand:
     @pytest.mark.parametrize(
         "gate, digest",
         [
-            ("on", "05a4919e31c20ccac9bf5fd60d7f586f1a5a60736ed627df1e00928205dea792"),
-            ("off", "c3b461780b6bdf60d2bb2b6d386c418d256add3dd66c0fe71b43cb501b22576e"),
+            ("on", "eaade50ac08118766ff0cded10fe170b80a95105e15a087e1c23acaaa1e3eb97"),
+            ("off", "21b6417b9d13eed1d8f2d5c770ba45260e3594f899e71b4dce40dc2bba794720"),
         ],
         ids=("on", "off"),
     )
@@ -653,6 +669,21 @@ class TestLoading:
         assert not loaded["numpy"]
         assert loaded["executed"] == ["modetangle", "modetangle.cli"]
 
+    @pytest.mark.parametrize("anharmonicity", ["0", "0.1", "100"])
+    def test_oscillator_runs_without_numpy(self, tmp_path, anharmonicity):
+        loaded = loaded_by(
+            "oscillator", "--lambda", anharmonicity, "--out", str(tmp_path / "out")
+        )
+        assert loaded["code"] == 0
+        assert not loaded["numpy"]
+
+    def test_protocol_loads_numpy(self, tmp_path):
+        loaded = loaded_by(
+            "protocol", write_config(tmp_path, BASE_CONFIG), "--out", str(tmp_path / "run")
+        )
+        assert loaded["code"] == 0
+        assert loaded["numpy"]
+
     @pytest.mark.parametrize("command", ["chsh", "interferometer", "oscillator"])
     def test_only_protocol_executes_the_protocol(self, tmp_path, command):
         loaded = loaded_by(command, "--out", str(tmp_path / "out"))
@@ -689,11 +720,11 @@ class TestLoading:
 class TestBlasThreads:
     """The CLI runs BLAS on one thread unless numpy was loaded before main."""
 
-    @pytest.mark.parametrize(
-        "argv", [["chsh"], ["oscillator", "--lambda", "0.1"]], ids=["chsh", "oscillator"]
-    )
-    def test_command_runs_one_thread_whatever_the_caller_set(self, tmp_path, argv):
-        # at OPENBLAS_NUM_THREADS=2 an unpinned child on a multi-core host has 2 threads
+    @pytest.mark.parametrize("command", ["chsh", "protocol"])
+    def test_command_runs_one_thread_whatever_the_caller_set(self, tmp_path, command):
+        # at OPENBLAS_NUM_THREADS=2 an unpinned child on a multi-core host has 2 threads;
+        # the oscillator loads no numpy, so the protocol stands for the other numpy command
+        argv = [command] if command == "chsh" else [command, write_config(tmp_path, BASE_CONFIG)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
         loaded = loaded_by(*argv, "--out", str(tmp_path / "out"), env=env)
         if loaded["threads"] is None:

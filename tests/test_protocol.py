@@ -207,7 +207,7 @@ class TestFinalStateAssembly:
     def test_model_backed_assembly_matches_full_space(self):
         # same construction carried out with the model's actual level
         # vectors in the untruncated space
-        model = build_model(0.8, 48)
+        model = build_model(0.8, 48, levels=3)
         state = final_state_from_overlaps(
             ROOT_HALF, ROOT_HALF, mode_overlap(model, 1), mode_overlap(model, 2)
         )
@@ -237,14 +237,14 @@ class TestAssembleFromModel:
             eta=1.0, landing_prob=1.0,
         )
         state = one_trial(config, rng_seed=0).delivered_state
-        model = build_model(0.3, 64)
+        model = build_model(0.3, 64, levels=4)
         s1 = mode_overlap(model, 3)
         s2 = mode_overlap(model, 0)
         direct = final_state_from_overlaps(0.8, 0.6, s1, s2)
         np.testing.assert_allclose(state.amplitudes, direct.amplitudes, atol=1e-12)
 
     def test_zero_coupling_gives_zero_entropy(self):
-        model = build_model(0.0, 64)
+        model = build_model(0.0, 64, levels=3)
         state = final_state_from_overlaps(
             ROOT_HALF, ROOT_HALF, mode_overlap(model, 1), mode_overlap(model, 2)
         )
