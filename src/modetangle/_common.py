@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 
@@ -15,6 +16,14 @@ def require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int; a value that is no integer, such as 64.7, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def scan_grid(name: str, lo: float, hi: float, steps: int):

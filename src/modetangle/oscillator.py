@@ -61,17 +61,17 @@ When M reaches N the block is H_N itself and there is nothing to
 certify.  It is the path for a truncation of at most BLOCK_START and
 wherever the levels lean on the top of the basis: g = 100 takes the
 full blocks up to N = 800 and is certified at M = 1024 for N = 1600.
-At g = 0 H is diagonal, and the leading blocks are written down in
-closed form rather than solved; nothing couples across the cut, so
-BLOCK_START is certified at once.
+At g = 0 H is diagonal: the cut residual is exactly 0 and the count is
+exact, so the first block solved is certified, and the solver returns
+the levels n + 1/2 and the number states exactly.
 
-The model keeps the leading rows of the requested columns, plus a rank
-map from each level to its block and column: O(M k) floats for k
-levels.  No N x N array is formed: eigenstate scatters one column into
-the number basis, zero beyond the block, mode_overlap reads an entry of
-the level's column, tail_weight reads the top of the padded column, and
-<X^2> is an O(M) sum over the column with the X^2 diagonals restricted
-to its parity.  A level that was not computed is refused.
+The model keeps each level's parity and its column over the leading
+rows of its block: O(M k) floats for k levels.  No N x N array is
+formed: eigenstate scatters the column into the number basis, zero
+beyond the block, mode_overlap reads an entry of the column,
+tail_weight reads the top of the padded column, and <X^2> is an O(M)
+sum over the column with the X^2 diagonals restricted to its parity.
+A level that was not computed is refused.
 
 The diagonal element gives the first-order shift, hence
 
@@ -110,7 +110,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from ._common import PhysicsPreconditionError, require_finite
+from ._common import PhysicsPreconditionError, require_finite, require_integer
 
 __all__ = [
     "OscillatorModel",
@@ -137,35 +137,32 @@ _MAX_ITERATIONS = 50
 class OscillatorModel:
     """The lowest levels of the truncated model; immutable after construction.
 
-    eigenvalues holds the computed levels, ascending.  Their eigenvectors
-    are held as the columns of the two parity blocks: blocks[p][c] is a
-    level of parity p over the leading basis states p, p + 2, p + 4, ...,
-    and is zero on the states below the truncation that follow them.
-    columns[n] is the rank map: level n is column columns[n] of the even
-    block if that is below the even block's column count, otherwise
-    column columns[n] minus that count of the odd block.  Each column is
-    sign-fixed so the level's harmonic component <n|n(g)> is non-negative.
+    eigenvalues holds the computed levels, ascending.  vectors[n] is
+    (p, column): level n has parity p, and column holds its
+    eigenvector over the leading basis states p, p + 2, p + 4, ...; it is
+    zero on the states below the truncation that follow them.  Each
+    column is sign-fixed so the level's harmonic component <n|n(g)> is
+    non-negative.
     """
 
     anharmonicity: float
     truncation: int
     eigenvalues: tuple[float, ...]
-    blocks: tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]] = field(repr=False)
-    columns: tuple[int, ...] = field(repr=False)
+    vectors: tuple[tuple[int, tuple[float, ...]], ...] = field(repr=False)
 
     def energy(self, n: int) -> float:
         return self.eigenvalues[self._check_level(n)]
 
     def eigenstate(self, n: int) -> list[float]:
         """Level n over the whole number basis, zero on the other parity and beyond its block."""
-        parity, column = self._block_column(n)
+        parity, column = self.vectors[self._check_level(n)]
         out = [0.0] * self.truncation
         out[parity : parity + 2 * len(column) : 2] = column
         return out
 
     def x_squared_expectation(self, n: int) -> float:
         """<n(g)|X^2|n(g)>; equals n + 1/2 at zero anharmonicity."""
-        parity, u = self._block_column(n)
+        parity, u = self.vectors[self._check_level(n)]
         x2, _ = _position_power_diagonals(parity + 2 * len(u))
         # inside a block the X^2 diagonals 0 and +-2 become 0 and +-1, and
         # the zeros beyond the block's rows add nothing.  Form X^2 u row by
@@ -184,14 +181,8 @@ class OscillatorModel:
         tails = [self.eigenstate(n)[-TAIL_STATES:] for n in levels]
         return max(math.fsum([t * t for t in tail]) for tail in tails)
 
-    def _block_column(self, n: int) -> tuple[int, tuple[float, ...]]:
-        """Parity of level n and its column in that parity's block."""
-        c = self.columns[self._check_level(n)]
-        width = len(self.blocks[0])
-        return (0, self.blocks[0][c]) if c < width else (1, self.blocks[1][c - width])
-
     def _check_level(self, n: int) -> int:
-        n = int(n)
+        n = require_integer("level", n)
         if not 0 <= n < self.truncation:
             raise ValueError(f"level {n} outside truncation {self.truncation}")
         if n >= len(self.eigenvalues):
@@ -226,11 +217,6 @@ def _parity_blocks(anharmonicity: float, truncation: int) -> list[list[list[floa
     return [[d[p::2] for d in h] for p in (0, 1)]
 
 
-def _leading(diagonals: list[list[float]], width: int) -> list[list[float]]:
-    """Diagonals 0, 1 and 2 of the leading width x width block of a pentadiagonal matrix."""
-    return [d[: width - offset] for offset, d in enumerate(diagonals)]
-
-
 class _Band(NamedTuple):
     """A symmetric pentadiagonal matrix A, laid out for the row loops below.
 
@@ -261,28 +247,30 @@ def _band(diagonals: list[list[float]]) -> _Band:
     return _Band(main, first, second, radii, _EPS * norm)
 
 
-def _cut_residual(diagonals: list[list[float]], vectors: Sequence[Sequence[float]]) -> list[float]:
+def _leading(band: _Band, width: int) -> _Band:
+    """The leading width x width block of the band."""
+    return _band([band.main[:width], band.first[1:width], band.second[2:width]])
+
+
+def _cut_residual(band: _Band, vectors: Sequence[Sequence[float]]) -> list[float]:
     """||A v - theta v|| for each vector v, padded with zeros, beyond the cut.
 
-    A is the pentadiagonal matrix with these diagonals, and the vectors
-    are eigenvectors of its leading block, whose width is their length.
-    Only the rows m and m + 1 just beyond the block reach it, through its
-    last two rows.
+    A is the band, and the vectors are eigenvectors of its leading block,
+    whose width is their length.  Only the rows m and m + 1 just beyond
+    the block reach it, through its last two rows; below A's last row the
+    band's zero padding stands in for them.
     """
-    main, first, second = diagonals
+    _, first, second, _, _ = band
     out = []
     for v in vectors:
         m = len(v)
-        if m == len(main):
-            out.append(0.0)
-            continue
-        row_m = second[m - 2] * v[m - 2] + first[m - 1] * v[m - 1]
-        row_m1 = second[m - 1] * v[m - 1] if m + 1 < len(main) else 0.0
+        row_m = second[m] * v[m - 2] + first[m] * v[m - 1]
+        row_m1 = second[m + 1] * v[m - 1]
         out.append(math.sqrt(row_m * row_m + row_m1 * row_m1))
     return out
 
 
-def _count_below(diagonals: list[list[float]], shift: float) -> tuple[int, float]:
+def _count_below(band: _Band, shift: float) -> tuple[int, float]:
     """Eigenvalues below shift of a symmetric pentadiagonal A, and how far the count can err.
 
     A - shift I = L D L^T is factored without pivoting, and by Sylvester's
@@ -295,8 +283,7 @@ def _count_below(diagonals: list[list[float]], shift: float) -> tuple[int, float
     it is infinite at a zero pivot.  The factorization is that of
     _negative_pivots, which bisection calls without the bound.
     """
-    main, first, second = diagonals
-    first, second = [0.0, *first], [0.0, 0.0, *second]  # A[i, i - 1] and A[i, i - 2]
+    main, first, second, _, _ = band
     count = 0
     d1 = d2 = 1.0  # D[i - 1] and D[i - 2]; any nonzero value before row 0
     l1 = 0.0  # L[i - 1, i - 2]
@@ -485,8 +472,8 @@ def _eigenvector(band: _Band, level: int, lo: float, hi: float, guess: tuple) ->
     return v
 
 
-def _lowest_pairs(blocks: list[list[list[float]]], count: int, guesses: list) -> list:
-    """(values, vectors) of each parity block: the count lowest levels of the two together.
+def _lowest_pairs(bands: list[_Band], count: int, guesses: list) -> list:
+    """(values, vectors) of each parity band: the count lowest levels of the two together.
 
     Each block's levels ascend, and its vectors are tuples over the
     block's rows.  A shift is bisected until the two blocks have count
@@ -495,7 +482,6 @@ def _lowest_pairs(blocks: list[list[list[float]]], count: int, guesses: list) ->
     value taken as the vector's Rayleigh quotient.  guesses holds pairs in
     the same form, from narrower blocks, to start the iterations from.
     """
-    bands = [_band(diagonals) for diagonals in blocks]
     slack = 4.0 * max(band.rounding for band in bands)
     # Gershgorin: every eigenvalue is above lo, and by interlacing each
     # block has at least min(width, count) eigenvalues below hi
@@ -531,19 +517,7 @@ def _lowest_pairs(blocks: list[list[list[float]]], count: int, guesses: list) ->
     return pairs
 
 
-def _number_states(blocks: list[list[list[float]]], count: int) -> list:
-    """_lowest_pairs of diagonal blocks: the diagonals, and the number states."""
-    mains = [diagonals[0] for diagonals in blocks]
-    highest = sorted(mains[0] + mains[1])[count - 1]
-    pairs = []
-    for main in mains:
-        kp = sum(1 for a in main if a <= highest)
-        width = len(main)
-        pairs.append((main[:kp], [(0.0,) * j + (1.0,) + (0.0,) * (width - j - 1) for j in range(kp)]))
-    return pairs
-
-
-def _certified(parity_blocks: list, widths: list[int], pairs: list, merged: list[float], k: int) -> bool:
+def _certified(bands: list[_Band], leading: list[_Band], pairs: list, merged: list[float], k: int) -> bool:
     """Whether the k lowest merged block levels are the k lowest levels of H_N.
 
     The two checks of the module docstring: each requested level's cut
@@ -553,12 +527,11 @@ def _certified(parity_blocks: list, widths: list[int], pairs: list, merged: list
     shift = 0.5 * (merged[k - 1] + merged[k])
     margin = 0.5 * (merged[k] - merged[k - 1])
     below = [sum(1 for value in values if value < shift) for values, _ in pairs]
-    for diagonals, width, (_, vectors), kp in zip(parity_blocks, widths, pairs, below):
-        limit = _band(_leading(diagonals, width)).rounding
-        if any(r > limit for r in _cut_residual(diagonals, vectors[:kp])):
+    for band, block, (_, vectors), kp in zip(bands, leading, pairs, below):
+        if any(r > block.rounding for r in _cut_residual(band, vectors[:kp])):
             return False
-    for diagonals, kp in zip(parity_blocks, below):
-        count, error = _count_below(diagonals, shift)
+    for band, kp in zip(bands, below):
+        count, error = _count_below(band, shift)
         if count != kp or not error <= 0.5 * margin:
             return False
     return True
@@ -574,17 +547,17 @@ def build_model(anharmonicity: float, truncation: int, levels: int) -> Oscillato
     g = require_finite("anharmonicity", anharmonicity)
     if g < 0.0:
         raise ValueError(f"anharmonicity must be non-negative, got {g}")
-    n = int(truncation)
+    n = require_integer("truncation", truncation)
     if n < MIN_TRUNCATION:
         raise ValueError(f"truncation must be at least {MIN_TRUNCATION}, got {n}")
-    k = min(int(levels), n)
+    k = min(require_integer("levels", levels), n)
     if k < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
 
-    parity_blocks = _parity_blocks(g, n)
+    bands = [_band(diagonals) for diagonals in _parity_blocks(g, n)]
     # the last diagonal entry is H_N's largest, and ||H_N||_1 < 3 times it;
     # the solver's scaling needs ||H_N||_1 well inside the float range
-    top = max(block[0][-1] for block in parity_blocks)
+    top = max(band.main[-1] for band in bands)
     if not top < 2.0**1000:
         raise ValueError(
             f"anharmonicity {g:g} is too large for truncation {n}: H reaches {top:.3g}, "
@@ -597,42 +570,23 @@ def build_model(anharmonicity: float, truncation: int, levels: int) -> Oscillato
         # the shift needs a block level above the k requested, unless the
         # block is H_N
         if m > k or m == n:
-            widths = [(m + 1 - p) // 2 for p in (0, 1)]
-            leading = [_leading(d, w) for d, w in zip(parity_blocks, widths)]
-            if g == 0.0:
-                pairs = _number_states(leading, min(k + 1, m))
-            else:
-                pairs = _lowest_pairs(leading, min(k + 1, m), pairs)
-            values = pairs[0][0] + pairs[1][0]
-            order = sorted(range(len(values)), key=values.__getitem__)  # stable: even first on a tie
-            merged = [values[i] for i in order]
-            # at g = 0 nothing couples across the cut, so any block is certified
-            if m == n or g == 0.0 or _certified(parity_blocks, widths, pairs, merged, k):
+            leading = [_leading(band, (m + 1 - p) // 2) for p, band in enumerate(bands)]
+            pairs = _lowest_pairs(leading, min(k + 1, m), pairs)
+            ranked = [(value, p, vector) for p in (0, 1) for value, vector in zip(*pairs[p])]
+            ranked.sort(key=lambda r: r[0])  # stable: even first on a tie
+            merged = [value for value, _, _ in ranked]
+            if m == n or _certified(bands, leading, pairs, merged, k):
                 break
         m *= 2
 
-    # each block ascends, so the k lowest levels are the first k_p columns
-    # of each block; keep those alone
-    kept = order[:k]
-    even_count = len(pairs[0][0])
-    k0 = sum(1 for i in kept if i < even_count)
-    columns = [i if i < even_count else i - even_count + k0 for i in kept]
-    rank = [0] * k
-    for level, c in enumerate(columns):
-        rank[c] = level
-    blocks = []
-    for p, offset, kp in ((0, 0, k0), (1, k0, k - k0)):
-        fixed = []
-        for c, column in enumerate(pairs[p][1][:kp]):
-            # one global sign per column: keep the harmonic-level component >= 0;
-            # a level of the other parity has no such component and keeps +1
-            level = rank[offset + c]
-            if level % 2 == p and column[(level - p) // 2] < 0.0:
-                column = tuple(-x for x in column)
-            fixed.append(column)
-        blocks.append(tuple(fixed))
-    eigenvalues = tuple(values[i] for i in kept)
-    return OscillatorModel(g, n, eigenvalues, (blocks[0], blocks[1]), tuple(columns))
+    vectors = []
+    for level, (_, p, column) in enumerate(ranked[:k]):
+        # one global sign per level: keep the harmonic-level component >= 0;
+        # a level of the other parity has no such component and keeps +1
+        if level % 2 == p and column[level // 2] < 0.0:
+            column = tuple(-x for x in column)
+        vectors.append((p, column))
+    return OscillatorModel(g, n, tuple(merged[:k]), tuple(vectors))
 
 
 def truncation_problem(model: OscillatorModel, levels: Sequence[int]) -> str | None:
@@ -661,7 +615,7 @@ def require_converged(model: OscillatorModel, levels: Sequence[int]) -> None:
 def first_order_energy(n: int, anharmonicity: float) -> float:
     """Small-g oracle E_n = n + 1/2 + (3g/16)(2n^2 + 2n + 1)."""
     g = require_finite("anharmonicity", anharmonicity)
-    n = int(n)
+    n = require_integer("level", n)
     if n < 0:
         raise ValueError(f"level must be non-negative, got {n}")
     return n + 0.5 + (3.0 * g / 16.0) * (2.0 * n * n + 2.0 * n + 1.0)
@@ -669,7 +623,8 @@ def first_order_energy(n: int, anharmonicity: float) -> float:
 
 def mode_overlap(model: OscillatorModel, n: int) -> float:
     """Overlap <n_harmonic|n(g)>, non-negative by the sign convention."""
-    parity, column = model._block_column(n)
+    n = model._check_level(n)
+    parity, column = model.vectors[n]
     return column[n // 2] if n % 2 == parity else 0.0
 
 

@@ -40,13 +40,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import PhysicsPreconditionError, require_finite
+from ._common import PhysicsPreconditionError, require_finite, require_integer
 from ._pcg64 import SpawnedPCG64
 from .oscillator import (
     MIN_TRUNCATION,
@@ -162,11 +161,7 @@ class ConversionConfig:
 
     def _integer(self, name: str) -> int:
         """The field as an int; a value that is no integer, such as 64.7, is refused."""
-        value = getattr(self, name)
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        value = require_integer(name, getattr(self, name))
         object.__setattr__(self, name, value)
         return value
 

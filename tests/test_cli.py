@@ -163,8 +163,14 @@ class TestScanCommands:
         assert code == 1
 
 
-# sha256 of the oscillator report at lambda = 0.1, N = 1600, without its "tool" line
-OSCILLATOR_DIGEST = "a8593ee83a4eca841f5f95aec707c8cd43f3b19a545340d5ba2d0954b9c229e5"
+# sha256 of the oscillator report at (lambda, N), without its "tool" line;
+# lambda = 0 runs the solver on diagonal blocks, and lambda = 100 at
+# N = 800 solves the full blocks
+OSCILLATOR_DIGESTS = {
+    ("0.1", "1600"): "a8593ee83a4eca841f5f95aec707c8cd43f3b19a545340d5ba2d0954b9c229e5",
+    ("0", "1600"): "01d8fdd82a38ef8454ce66789d1e56a6e0877d8dcbc696c010b8501522f068f7",
+    ("100", "800"): "e1ad9ea01567f35dea41a1f105b10f5f948a6281aaa54ab776abccc8cc884cf6",
+}
 
 
 class TestOscillatorCommand:
@@ -221,16 +227,18 @@ class TestOscillatorCommand:
         assert json.loads(out.read_text())["tail_weight"] < TAIL_WEIGHT_LIMIT
 
     def test_report_bytes_are_pinned(self, tmp_path):
-        """Every value of a certified report; the "tool" line (version) is left out.
+        """Every value of each report; the "tool" line (version) is left out.
 
         The levels are solved in plain Python, so these bytes hold on every
         CPU and Python version.
         """
         out = tmp_path / "report.json"
-        assert main(["oscillator", "--out", str(out), "--lambda", "0.1", "--truncation", "1600"]) == 0
-        lines = out.read_bytes().splitlines(keepends=True)
-        body = b"".join(line for line in lines if not line.startswith(b'  "tool"'))
-        assert hashlib.sha256(body).hexdigest() == OSCILLATOR_DIGEST
+        for (coupling, truncation), digest in OSCILLATOR_DIGESTS.items():
+            args = ["oscillator", "--out", str(out), "--lambda", coupling, "--truncation", truncation]
+            assert main(args) == 0
+            lines = out.read_bytes().splitlines(keepends=True)
+            body = b"".join(line for line in lines if not line.startswith(b'  "tool"'))
+            assert hashlib.sha256(body).hexdigest() == digest, (coupling, truncation)
 
     def test_negative_coupling_rejected(self, tmp_path, capsys):
         code = main(["oscillator", "--out", str(tmp_path / "x.json"), "--lambda", "-0.1"])

@@ -18,7 +18,13 @@ from modetangle.oscillator import (
     mode_overlap,
     require_adiabatic,
 )
-from modetangle.oscillator import _count_below, _parity_blocks, _position_power_diagonals
+from modetangle.oscillator import (
+    _band,
+    _count_below,
+    _cut_residual,
+    _parity_blocks,
+    _position_power_diagonals,
+)
 
 
 class TestPositionOperator:
@@ -76,27 +82,21 @@ class TestClosedFormBuild:
         dense_tail = np.max(np.sum(vectors[-4:, :levels] ** 2, axis=0))
         assert model.tail_weight(range(levels)) == pytest.approx(dense_tail, rel=1e-9, abs=1e-18)
 
-    @pytest.mark.parametrize("n", [8, 9, 64, 1600])
-    def test_zero_coupling_is_not_diagonalized(self, n, monkeypatch):
-        # the dense eigh of H = diag(k + 1/2), sign-fixed, read as parity blocks
-        from modetangle import oscillator
-
+    @pytest.mark.parametrize("n, levels", [(8, 8), (9, 9), (64, 64), (1600, 10)])
+    def test_zero_coupling_levels_are_exact(self, n, levels):
+        # the dense eigh of H = diag(k + 1/2), sign-fixed: the solver gives
+        # its levels and number states exactly
         values, vectors = np.linalg.eigh(np.diag(np.arange(n) + 0.5))
         vectors = vectors * np.where(np.diag(vectors) < 0.0, -1.0, 1.0)
-        k = np.arange(n)
-        columns = np.where(k % 2 == 0, k // 2, (n + 1) // 2 + k // 2)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigensolver called on a diagonal H")
-
-        monkeypatch.setattr(oscillator, "_lowest_pairs", refuse)
         for g in (0.0, -0.0):
-            model = build_model(g, n, levels=n)
-            assert np.array_equal(model.eigenvalues, values)
-            # blocks[p][c] is column c of the block
-            assert np.array_equal(np.transpose(model.blocks[0]), vectors[0::2, 0::2])
-            assert np.array_equal(np.transpose(model.blocks[1]), vectors[1::2, 1::2])
-            assert np.array_equal(model.columns, columns)
+            model = build_model(g, n, levels=levels)
+            assert np.array_equal(model.eigenvalues, values[:levels])
+            stacked = np.column_stack([model.eigenstate(k) for k in range(levels)])
+            assert np.array_equal(stacked, vectors[:, :levels])
+            # vectors[k] is (parity, column), the column over the leading rows of its parity
+            for k, (parity, column) in enumerate(model.vectors):
+                assert parity == k % 2
+                assert np.array_equal(column, vectors[parity::2, k][: len(column)])
 
     def test_tail_weight_is_the_largest_top_four_weight(self):
         model = build_model(5.0, 64, levels=10)
@@ -145,9 +145,21 @@ class TestLeadingBlock:
         picks = sorted({0, 1, 3, 9, size // 2, size - 2} & set(range(size - 1)))
         shifts = [-1.0, values[-1] + 1.0] + [0.5 * (values[i] + values[i + 1]) for i in picks]
         for shift in shifts:
-            count, error = _count_below(diagonals, shift)
+            count, error = _count_below(_band(diagonals), shift)
             assert error < np.min(np.abs(values - shift))
             assert count == np.sum(values < shift), shift
+
+    @pytest.mark.parametrize("g", [0.1, 100.0])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_cut_residual_is_the_dense_residual_beyond_the_cut(self, g, parity):
+        # a block vector padded with zeros leaves H[m:, :m] v in the rows
+        # beyond the cut; 31 rows leave one such row, 32 are the whole block
+        diagonals = _parity_blocks(g, 64)[parity]
+        band, h = _band(diagonals), symmetric_banded(dict(enumerate(diagonals)))
+        for m in (8, 31, 32):
+            v = np.linalg.eigh(h[:m, :m])[1][:, -1]
+            dense = np.linalg.norm(h[m:, :m] @ v)
+            assert _cut_residual(band, [tuple(v)])[0] == pytest.approx(dense, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
         "spoil", [lambda count, error: (count + 1, error), lambda count, error: (count, math.inf)],
@@ -161,7 +173,7 @@ class TestLeadingBlock:
             oscillator, "_count_below", lambda *args: spoil(*count_below(*args))
         )
         model = build_model(0.1, 800, levels=10)
-        assert [len(block[0]) for block in model.blocks] == [400, 400]
+        assert sorted({(p, len(column)) for p, column in model.vectors}) == [(0, 400), (1, 400)]
         tol = 4 * np.finfo(float).eps * norm1(0.1, 800)
         full = dense_levels(0.1, 800, 10)["eigenvalues"]
         np.testing.assert_allclose(model.eigenvalues, full, rtol=0, atol=tol)
@@ -173,9 +185,9 @@ class TestLeadingBlock:
         widths = []
         lowest_pairs = oscillator._lowest_pairs
 
-        def recording(blocks, *args):
-            widths.extend(len(diagonals[0]) for diagonals in blocks)
-            return lowest_pairs(blocks, *args)
+        def recording(bands, *args):
+            widths.extend(len(band.main) for band in bands)
+            return lowest_pairs(bands, *args)
 
         monkeypatch.setattr(oscillator, "_lowest_pairs", recording)
         build_model(0.1, 1600, levels=10)
@@ -191,7 +203,8 @@ class TestLeadingBlock:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [(len(block[0]), len(block)) for block in model.blocks] == [(m // 2, k // 2)] * 2
+        columns = sorted((p, len(column)) for p, column in model.vectors)
+        assert columns == [(0, m // 2)] * (k // 2) + [(1, m // 2)] * (k // 2)
         assert held - base <= (m * m + n * k) * 8 * 1.1
 
     def test_level_not_computed_is_refused(self):
@@ -208,9 +221,10 @@ class TestLeadingBlock:
 
     def test_cut_levels_have_no_tail_weight(self):
         model = build_model(0.1, 800, levels=10)
-        assert len(model.blocks[0][0]) < 400
+        assert all(len(column) < 400 for _, column in model.vectors)
         assert model.tail_weight(range(10)) == 0.0
-        assert not any(model.eigenstate(9)[2 * len(model.blocks[1][0]):])
+        assert model.vectors[9][0] == 1
+        assert not any(model.eigenstate(9)[2 * len(model.vectors[9][1]):])
 
     @pytest.mark.parametrize("n", [64, 800])
     def test_strong_coupling_report_is_the_full_path(self, n, tmp_path):
@@ -221,7 +235,8 @@ class TestLeadingBlock:
         out = tmp_path / "report.json"
         assert cli.main(["oscillator", "--lambda", "100", "--truncation", str(n), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert [len(block[0]) for block in build_model(100.0, n, levels=10).blocks] == [n // 2] * 2
+        model = build_model(100.0, n, levels=10)
+        assert sorted({(p, len(column)) for p, column in model.vectors}) == [(0, n // 2), (1, n // 2)]
         tol = 4 * np.finfo(float).eps * norm1(100.0, n)
         full = dense_levels(100.0, n, 10)
         np.testing.assert_allclose(report["eigenvalues"], full["eigenvalues"], rtol=0, atol=tol)
@@ -425,6 +440,38 @@ class TestAnharmonicSpectrum:
             build_model(0.1, 64, levels=64).energy(64)
         with pytest.raises(ValueError, match="too large for truncation 64"):
             build_model(1e300, 64, levels=10)
+
+    @pytest.mark.parametrize("value", [64.7, 10.9, "10", None])
+    def test_non_integer_truncation_and_levels_refused_by_name(self, value):
+        # before, 64.7 and 10.9 were cut to 64 and 10 and built without a word
+        with pytest.raises(ValueError, match=f"^truncation must be an integer, got {value!r}$"):
+            build_model(0.1, value, levels=10)
+        with pytest.raises(ValueError, match=f"^levels must be an integer, got {value!r}$"):
+            build_model(0.1, 64, levels=value)
+
+    def test_integer_types_are_admitted(self):
+        model = build_model(0.1, np.int64(64), levels=np.int32(10))
+        assert type(model.truncation) is int
+        assert model.energy(np.int64(1)) == model.energy(1)
+        assert mode_overlap(model, np.int64(2)) == mode_overlap(model, 2)
+        assert first_order_energy(np.int64(1), 0.1) == first_order_energy(1, 0.1)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda model: model.energy(1.7),
+            lambda model: model.eigenstate(1.7),
+            lambda model: model.x_squared_expectation(1.7),
+            lambda model: model.tail_weight([1.7]),
+            lambda model: mode_overlap(model, 2.5),
+            lambda model: first_order_energy(1.5, 0.1),
+        ],
+        ids=["energy", "eigenstate", "x_squared", "tail_weight", "mode_overlap", "first_order"],
+    )
+    def test_non_integer_level_refused(self, read):
+        # before, energy(1.7) read level 1 and mode_overlap(model, 2.5) read 0.0
+        with pytest.raises(ValueError, match=r"^level must be an integer, got (1\.7|2\.5|1\.5)$"):
+            read(build_model(0.1, 64, levels=10))
 
     @pytest.mark.parametrize("g", [1e-300, 1e-8, 1e12, 1e290])
     def test_extreme_couplings_stay_finite(self, g):
