@@ -1,6 +1,6 @@
 """Mode vs. particle entanglement toolkit.
 
-Labeled pure states with Schmidt-spectrum reductions, polarization and
+Stacks of pure states with Schmidt-spectrum reductions, polarization and
 momentum-mode Bell statistics, a quartic-anharmonic oscillator model,
 and a seeded Monte-Carlo harness for a heralded conversion of mode
 entanglement into particle entanglement.  The package exports the names
@@ -12,7 +12,7 @@ imported from its defining module.
 
 import importlib
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {

@@ -36,7 +36,7 @@ def scan_grid(name: str, lo: float, hi: float, steps: int):
 
     lo = require_finite(f"{name}_min", lo)
     hi = require_finite(f"{name}_max", hi)
-    steps = int(steps)
+    steps = require_integer("steps", steps)
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     if hi <= lo:

@@ -16,9 +16,9 @@ arithmetic wraps at the word size under numpy 1.x and 2.x alike.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
+
+from ._common import require_integer
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -107,7 +107,7 @@ class SpawnedPCG64:
     """
 
     def __init__(self, rng_seed: int) -> None:
-        rng_seed = operator.index(rng_seed)
+        rng_seed = require_integer("rng_seed", rng_seed)
         if rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
         words = _words(rng_seed)

@@ -14,57 +14,26 @@ so the joint click probabilities are (1 +- cos d)/4 and the two-station
 correlation is E = cos(phi_a - phi_b).  Writing the half-difference as t
 (phi step 2t per station) reproduces the Bell curve S(t) = 3cos(2t) - cos(6t).
 Port index 0 is the + exit, index 1 the - exit on each station.
+
+_bragg_amplitudes and _momentum_correlations take arrays of phases, the
+step axis of a scan; one pair of phases is the length-1 case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import chsh_stations, chsh_sums, require_finite, scan_grid
+from ._common import chsh_stations, chsh_sums, scan_grid
 from .results import ScanResult
-from .states import (
-    BasisLabel,
-    PureState,
-    reduced_spectra,
-    von_neumann_entropies,
-)
+from .states import reduced_spectra, von_neumann_entropies
 
-__all__ = [
-    "BraggPhases",
-    "interferometer_input",
-    "bragg_output",
-    "joint_probabilities",
-    "momentum_correlation",
-    "momentum_chsh_scan",
-]
+__all__ = ["momentum_chsh_scan"]
 
 _PAIR_DIMS = (2, 2)
-
-
-@dataclass(frozen=True)
-class BraggPhases:
-    """Adjustable mirror phases (radians) on the two interferometer sides."""
-
-    phi_a: float
-    phi_b: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi_a", require_finite("phi_a", self.phi_a))
-        object.__setattr__(self, "phi_b", require_finite("phi_b", self.phi_b))
-
-    @property
-    def difference(self) -> float:
-        return self.phi_a - self.phi_b
-
-
-def interferometer_input() -> PureState:
-    """(|p,-p> + |p',-p'>)/sqrt(2) over factors atom_1, atom_2."""
-    basis = BasisLabel(("atom_1", "atom_2"), _PAIR_DIMS)
-    amps = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    return PureState(basis, amps)
+# (|p,-p> + |p',-p'>)/sqrt(2) over factors atom_1, atom_2
+_INPUT_PAIR = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 
 
 def _bragg_amplitudes(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
@@ -99,32 +68,6 @@ def _momentum_correlations(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
     return joint[:, 0] + joint[:, 3] - joint[:, 1] - joint[:, 2]
 
 
-def _phases(phases: BraggPhases) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([phases.phi_a]), np.array([phases.phi_b])
-
-
-def bragg_output(phases: BraggPhases) -> PureState:
-    """Exit-port state over factors station_A, station_B (ports +,- each)."""
-    amps = _bragg_amplitudes(*_phases(phases))[0]
-    return PureState(BasisLabel(("station_A", "station_B"), _PAIR_DIMS), amps)
-
-
-def joint_probabilities(phases: BraggPhases) -> dict[str, float]:
-    """Click probabilities for the four port pairs; they sum to one."""
-    joint = np.abs(_bragg_amplitudes(*_phases(phases))[0]) ** 2
-    return {
-        "A+B+": float(joint[0]),
-        "A+B-": float(joint[1]),
-        "A-B+": float(joint[2]),
-        "A-B-": float(joint[3]),
-    }
-
-
-def momentum_correlation(phases: BraggPhases) -> float:
-    """E = P(A+B+) + P(A-B-) - P(A+B-) - P(A-B+); equals cos(phi_a - phi_b)."""
-    return float(_momentum_correlations(*_phases(phases))[0])
-
-
 def momentum_chsh_scan(t_min: float, t_max: float, steps: int) -> ScanResult:
     """Bell scan over the station half-angle t (phase difference 2t).
 
@@ -136,9 +79,7 @@ def momentum_chsh_scan(t_min: float, t_max: float, steps: int) -> ScanResult:
     # Stations (0, t, 2t, 3t) live in half-angle units; the phase knob is twice that.
     a, b, a2, b2 = (2.0 * station for station in chsh_stations(t))
     s_values = chsh_sums(_momentum_correlations, a, b, a2, b2)
-    entropy_in = von_neumann_entropies(
-        reduced_spectra(interferometer_input().amplitudes[np.newaxis], _PAIR_DIMS, 0)
-    )[0]
+    entropy_in = von_neumann_entropies(reduced_spectra(_INPUT_PAIR[np.newaxis], _PAIR_DIMS, 0))[0]
     outputs = _bragg_amplitudes(b, a)  # phi_a = 2t, phi_b = 0
     entropy_out = von_neumann_entropies(reduced_spectra(outputs, _PAIR_DIMS, 0))
     return ScanResult.from_columns(

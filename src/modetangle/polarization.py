@@ -26,6 +26,11 @@ The mode-rotation scan applies the two-mode rotation
 to the two-photon state |1,1>, producing
 cos(2phi)|1,1> + (sin(2phi)/sqrt(2))(|0,2> - |2,0>), whose mode-bipartition
 entropy swings between 0 and log2(3) limits with plateaus at 1 and 1.5 bits.
+
+Each computation is one kernel over an array of settings, the step axis
+of a scan: _analyzer_frames, _analyzed_pairs, _correlations and
+_mode_rotation_amplitudes.  One setting is the length-1 case, as in
+chsh_sum.
 """
 
 from __future__ import annotations
@@ -38,44 +43,19 @@ import numpy as np
 
 from ._common import chsh_stations, chsh_sums, require_finite, scan_grid
 from .results import ScanResult
-from .states import (
-    BasisLabel,
-    PureState,
-    reduced_spectra,
-    renyi_entropies,
-    von_neumann_entropies,
-)
+from .states import reduced_spectra, renyi_entropies, von_neumann_entropies
 
 __all__ = [
-    "AnalyzerSettings",
     "ChshSettings",
-    "epr_state",
-    "analyzer_basis",
-    "transformed_epr_state",
-    "detection_probabilities",
-    "correlation",
     "chsh_sum",
     "chsh_sum_general",
     "chsh_scan",
-    "mode_rotation_state",
     "mode_rotation_entropy_scan",
 ]
 
 _PAIR_DIMS = (2, 2)
 # (|HH> + |VV>)/sqrt(2) as a matrix: row index photon_A, column index photon_B.
 _EPR_PAIR = np.eye(2) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class AnalyzerSettings:
-    """Analyzer angles (radians) for the two sides of a pair experiment."""
-
-    theta_a: float
-    theta_b: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_a", require_finite("theta_a", self.theta_a))
-        object.__setattr__(self, "theta_b", require_finite("theta_b", self.theta_b))
 
 
 @dataclass(frozen=True)
@@ -89,22 +69,6 @@ class ChshSettings:
 
     def station_angles(self) -> tuple[float, float, float, float]:
         return chsh_stations(self.separation)
-
-
-def epr_state() -> PureState:
-    """(|HH> + |VV>)/sqrt(2) over factors photon_A, photon_B."""
-    return PureState(BasisLabel(("photon_A", "photon_B"), _PAIR_DIMS), _EPR_PAIR.reshape(-1))
-
-
-def analyzer_basis(theta: float) -> tuple[PureState, PureState]:
-    """Transmitted and rejected single-photon states of an analyzer at theta."""
-    rows = _analyzer_frames(_angles("theta", theta))[..., 0].conj()
-    basis = BasisLabel(("photon",), (2,))
-    return PureState(basis, rows[0]), PureState(basis, rows[1])
-
-
-def _angles(name: str, value: float) -> np.ndarray:
-    return np.array([require_finite(name, value)])
 
 
 def _analyzer_frames(theta: np.ndarray) -> np.ndarray:
@@ -133,56 +97,12 @@ def _correlations(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
     return joint[0, 0] + joint[1, 1] - joint[0, 1] - joint[1, 0]
 
 
-def _settings_frames(settings: AnalyzerSettings) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        _analyzer_frames(np.array([settings.theta_a])),
-        _analyzer_frames(np.array([settings.theta_b])),
-    )
-
-
-def transformed_epr_state(settings: AnalyzerSettings) -> PureState:
-    """The entangled pair re-expressed in both analyzer frames.
-
-    Built by rotating each factor of epr_state() into its analyzer frame;
-    the amplitudes collapse to the closed pattern
-    (cos t, sin t, -sin t, cos t)/sqrt(2) with t = theta_a - theta_b.
-    """
-    amps = _analyzed_pairs(*_settings_frames(settings))[..., 0]
-    return PureState(epr_state().basis, amps.reshape(-1))
-
-
-def detection_probabilities(settings: AnalyzerSettings) -> dict[str, float]:
-    """Single and joint port probabilities at the given analyzer angles.
-
-    Keys: 'a+', 'a-', 'b+', 'b-' for singles and '++', '+-', '-+', '--'
-    for joints.  Singles are marginals of the joints and the joints sum
-    to one.
-    """
-    joint = _analyzed_pairs(*_settings_frames(settings))[..., 0] ** 2
-    probs = {
-        "++": float(joint[0, 0]),
-        "+-": float(joint[0, 1]),
-        "-+": float(joint[1, 0]),
-        "--": float(joint[1, 1]),
-    }
-    probs["a+"] = probs["++"] + probs["+-"]
-    probs["a-"] = probs["-+"] + probs["--"]
-    probs["b+"] = probs["++"] + probs["-+"]
-    probs["b-"] = probs["+-"] + probs["--"]
-    return probs
-
-
-def correlation(settings: AnalyzerSettings) -> float:
-    """E = P(++) + P(--) - P(+-) - P(-+); equals cos(2(theta_a - theta_b))."""
-    return float(_correlations(*_settings_frames(settings))[0])
-
-
 def chsh_sum_general(
     theta_a: float, theta_b: float, theta_a2: float, theta_b2: float
 ) -> float:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for four free angles."""
     angles = {"theta_a": theta_a, "theta_b": theta_b, "theta_a2": theta_a2, "theta_b2": theta_b2}
-    frames = [_analyzer_frames(_angles(name, value)) for name, value in angles.items()]
+    frames = [_analyzer_frames(np.array([require_finite(k, v)])) for k, v in angles.items()]
     return float(chsh_sums(_correlations, *frames)[0])
 
 
@@ -235,12 +155,6 @@ def _mode_rotation_amplitudes(phi: np.ndarray) -> np.ndarray:
     w, v = _rotation_eigensystem()
     weights = np.exp(-1j * np.outer(phi, w)) * v[_START_INDEX].conj()
     return np.einsum("sk,jk->sj", weights, v, optimize=False)
-
-
-def mode_rotation_state(phi: float) -> PureState:
-    """Two-mode rotation of |1,1> by phi over factors mode_a, mode_b."""
-    basis = BasisLabel(("mode_a", "mode_b"), _MODE_DIMS)
-    return PureState(basis, _mode_rotation_amplitudes(_angles("phi", phi))[0])
 
 
 def mode_rotation_entropy_scan(phi_min: float, phi_max: float, steps: int) -> ScanResult:

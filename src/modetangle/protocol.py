@@ -1,8 +1,9 @@
 """Heralded conversion of mode entanglement into particle entanglement.
 
 The input is the two-mode state (|2,0> + |1,1> + |0,2>)/sqrt(3).  A
-coincidence selection keeps the one-quantum-per-mode term, leaving the
-particle-factored product written |a>|b> below.  An ancilla photon then
+coincidence selection keeps the one-quantum-per-mode term, whose
+amplitude is real and positive, leaving the particle-factored product
+written |a>|b> below.  An ancilla photon then
 drives a conditional switch of the confining potential: in the branch
 where its detection registered, the potential turns anharmonic and the
 occupied modes deform to |a'>, |b'>.  The unresolved ancilla leaves the
@@ -14,7 +15,9 @@ Each particle needs only the plane spanned by its original mode and the
 deformed one, so the pair state lives in a 2x2 frame: per particle,
 basis index 0 is the original mode and index 1 the orthogonal direction
 the deformed mode leans into, with overlap s = <a|a'> taken from the
-oscillator model.  With t = sqrt(1 - s^2) the unnormalized amplitudes are
+oscillator model.  A pair state is the tuple of its four amplitudes
+over (photon_1, photon_2) in row-major order; |a>|b> is (1, 0, 0, 0).
+With t = sqrt(1 - s^2) the unnormalized amplitudes are
 
     [h + a*s1*s2,  a*s1*t2,  a*t1*s2,  a*t1*t2]       (h, a = branch amps)
 
@@ -55,14 +58,11 @@ from .oscillator import (
     require_adiabatic,
     require_converged,
 )
-from .states import BasisLabel, PureState, fidelity, reduced_spectra, von_neumann_entropies
+from .states import reduced_spectra, von_neumann_entropies
 
 __all__ = [
-    "ProjectionError",
     "PhysicsPreconditionError",
     "ConversionConfig",
-    "initial_mode_state",
-    "select_middle_term",
     "ancilla_branch_amplitudes",
     "final_state_from_overlaps",
     "particle_entanglement_entropy",
@@ -74,16 +74,14 @@ __all__ = [
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 AMPLITUDE_TOL = 1e-12
-PROJECTION_TOL = 1e-15
 # trials per sampling and rendering step; it divides 2**32, so no sampling
 # block straddles the trial id at which a spawn key gains a second word
 CHUNK = 4096
 
-PARTICLE_BASIS = BasisLabel(("photon_1", "photon_2"), (2, 2))
-
-
-class ProjectionError(ValueError):
-    """Selected component has zero weight in the input state."""
+_PAIR_FACTORS = ("photon_1", "photon_2")
+_PAIR_DIMS = (2, 2)
+# |a>|b>: both particles in their original mode
+_UNCONVERTED = (1 + 0j, 0j, 0j, 0j)
 
 
 @dataclass(frozen=True)
@@ -179,37 +177,9 @@ class ConversionOutcome:
     photon_detected: bool
     registered: bool
     aborted: bool
-    delivered_state: PureState | None
+    delivered_state: tuple[complex, complex, complex, complex] | None
     particle_entropy: float | None
     fidelity_to_target: float | None
-
-
-def initial_mode_state() -> PureState:
-    """(|2,0> + |1,1> + |0,2>)/sqrt(3) over factors mode_a, mode_b."""
-    basis = BasisLabel(("mode_a", "mode_b"), (3, 3))
-    amps = np.zeros(9)
-    amps[2 * 3 + 0] = 1.0  # |2,0>
-    amps[1 * 3 + 1] = 1.0  # |1,1>
-    amps[0 * 3 + 2] = 1.0  # |0,2>
-    return PureState(basis, amps / math.sqrt(3.0))
-
-
-def select_middle_term(state: PureState) -> PureState:
-    """Keep the one-quantum-per-mode component and relabel per particle.
-
-    Returns the product state in the 2x2 particle frame (both particles
-    in their original mode), carrying the phase of the selected
-    amplitude.  Raises ProjectionError when that component is absent.
-    """
-    dims = state.basis.factor_dims
-    if len(dims) != 2 or min(dims) < 2:
-        raise ValueError("selection needs a two-mode state reaching occupation 1 on each mode")
-    amp = complex(state.normalized().amplitudes.reshape(dims)[1, 1])
-    if abs(amp) < PROJECTION_TOL:
-        raise ProjectionError("input has no one-quantum-per-mode component")
-    phase = amp / abs(amp)
-    amps = np.array([phase, 0.0, 0.0, 0.0], dtype=complex)
-    return PureState(PARTICLE_BASIS, amps)
 
 
 def ancilla_branch_amplitudes(detect_amp: complex) -> tuple[complex, complex]:
@@ -229,7 +199,7 @@ def final_state_from_overlaps(
     anharmonic_amp: complex,
     overlap_1: float,
     overlap_2: float,
-) -> PureState:
+) -> tuple[complex, complex, complex, complex]:
     """Normalized pair state for given branch amplitudes and mode overlaps.
 
     overlap_i = <original|deformed> for particle i, in [0, 1].  The
@@ -249,7 +219,7 @@ def final_state_from_overlaps(
     norm = np.linalg.norm(amps)
     if norm < 1e-9:
         raise ValueError("branches cancel; the final state is degenerate")
-    return PureState(PARTICLE_BASIS, amps / norm)
+    return tuple((amps / norm).tolist())
 
 
 def _overlap_pair(name: str, s: float) -> tuple[float, float]:
@@ -259,9 +229,9 @@ def _overlap_pair(name: str, s: float) -> tuple[float, float]:
     return s, math.sqrt(max(0.0, 1.0 - s * s))
 
 
-def particle_entanglement_entropy(state: PureState) -> float:
-    """Entropy (bits) of one particle of a pair state."""
-    spectra = reduced_spectra(state.amplitudes[np.newaxis], state.basis.factor_dims, 0)
+def particle_entanglement_entropy(state: Sequence[complex]) -> float:
+    """Entropy (bits) of one particle of a pair state, given as its four amplitudes."""
+    spectra = reduced_spectra(np.array([state]), _PAIR_DIMS, 0)
     return float(von_neumann_entropies(spectra)[0])
 
 
@@ -280,9 +250,11 @@ def _outcome_templates(config: ConversionConfig) -> tuple[ConversionOutcome, ...
     gate_on = config.abort_gate_on
     loss = (None, None, None)
     if not gate_on:
-        # loss slipped through: the potential never switched
-        state = select_middle_term(initial_mode_state())
-        loss = (state, particle_entanglement_entropy(state), fidelity(state, target))
+        # loss slipped through: the potential never switched.  The fidelity
+        # is |<u|t>|^2 of the unit vectors; _UNCONVERTED is one already.
+        unit_target = np.array(target) / np.linalg.norm(target)
+        fidelity = float(np.abs(np.vdot(_UNCONVERTED, unit_target)) ** 2)
+        loss = (_UNCONVERTED, particle_entanglement_entropy(_UNCONVERTED), fidelity)
     entropy = particle_entanglement_entropy(target)
     return (
         ConversionOutcome(0, False, False, gate_on, None, None, None),
@@ -357,7 +329,7 @@ def run_campaign(
     TAIL_WEIGHT_LIMIT in the top basis states refuses to run, and so does
     a configured adiabatic budget that fails its check.
     """
-    n_trials = int(n_trials)
+    n_trials = require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     stream = SpawnedPCG64(rng_seed)
@@ -389,13 +361,13 @@ def run_campaign(
     )
 
 
-def _state_payload(state: PureState | None) -> dict | None:
+def _state_payload(state: tuple[complex, ...] | None) -> dict | None:
     if state is None:
         return None
     return {
-        "factors": list(state.basis.factor_names),
-        "dims": list(state.basis.factor_dims),
-        "amplitudes": [[z.real, z.imag] for z in state.amplitudes],
+        "factors": list(_PAIR_FACTORS),
+        "dims": list(_PAIR_DIMS),
+        "amplitudes": [[z.real, z.imag] for z in state],
     }
 
 

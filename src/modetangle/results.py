@@ -35,9 +35,6 @@ class ScanResult:
         """Build from one 1-D numpy array per column."""
         return cls(tuple(columns), tuple(v.tolist() for v in values))
 
-    def column(self, name: str) -> list[float]:
-        return list(self.values[self.columns.index(name)])
-
 
 def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
     """Write text, or an iterable of its chunks, to path via a temp file and rename.

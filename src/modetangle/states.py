@@ -6,10 +6,12 @@ factor is the squared Schmidt coefficients of the state: the squared
 singular values of its amplitude matrix, kept factor by the rest.  All
 entropies are base-2 (bits).
 
-The scans work on stacks of states, one per row: reduced_spectra and the
-*_entropies functions take (steps, ...) arrays, and a single state is the
-length-1 stack.  partial_trace and ReducedDensityMatrix build and check an
-explicit reduced density matrix for callers that want one.
+The scans and the protocol work on stacks of states, one per row:
+reduced_spectra and the *_entropies functions take (steps, ...) arrays,
+and a single state is the length-1 stack.  BasisLabel and PureState name
+the factors of one dense state, and partial_trace and
+ReducedDensityMatrix build and check its explicit reduced density
+matrix, for callers that want one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "LabelingError",
-    "BasisMismatchError",
     "BasisLabel",
     "PureState",
     "ReducedDensityMatrix",
@@ -31,7 +32,6 @@ __all__ = [
     "von_neumann_entropies",
     "renyi_entropy",
     "renyi_entropies",
-    "fidelity",
 ]
 
 # Tensor factors beyond this are out of scope for the intended experiments.
@@ -45,10 +45,6 @@ ZERO_NORM_TOL = 1e-15
 
 class LabelingError(ValueError):
     """Duplicate, unknown, or malformed tensor-factor label."""
-
-
-class BasisMismatchError(ValueError):
-    """Two states do not share the same labeled basis."""
 
 
 @dataclass(frozen=True)
@@ -239,14 +235,3 @@ def von_neumann_entropy(rho: ReducedDensityMatrix) -> float:
 def renyi_entropy(rho: ReducedDensityMatrix, alpha: float) -> float:
     """Order-alpha Renyi entropy of the spectrum, in bits (see renyi_entropies)."""
     return float(renyi_entropies(rho.eigenvalues(), alpha))
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 for unit-normalized inputs over the same labeled basis."""
-    if a.basis != b.basis:
-        raise BasisMismatchError(
-            f"states live on different bases: {a.basis} vs {b.basis}"
-        )
-    va = a.normalized().amplitudes
-    vb = b.normalized().amplitudes
-    return float(np.abs(np.vdot(va, vb)) ** 2)

@@ -10,27 +10,15 @@ import math
 import time
 
 import numpy as np
+from kernel_views import analyzed_pairs, bragg_outputs, labeled
 
-from modetangle.interferometer import (
-    BraggPhases,
-    bragg_output,
-    interferometer_input,
-    joint_probabilities,
-    momentum_correlation,
-)
+from modetangle.interferometer import _INPUT_PAIR, _momentum_correlations
 from modetangle.oscillator import (
     build_model,
     first_order_energy,
     mode_overlap,
 )
-from modetangle.polarization import (
-    AnalyzerSettings,
-    ChshSettings,
-    chsh_sum,
-    detection_probabilities,
-    mode_rotation_state,
-    transformed_epr_state,
-)
+from modetangle.polarization import ChshSettings, _mode_rotation_amplitudes, chsh_sum
 from modetangle.protocol import (
     ConversionConfig,
     final_state_from_overlaps,
@@ -91,20 +79,18 @@ def test_chsh_curve_and_maximum():
 def test_detection_probability_law():
     violations = []
     rng = np.random.default_rng(2024)
-    for _ in range(100):
-        theta_a, theta_b = rng.uniform(-math.pi, math.pi, size=2)
-        probs = detection_probabilities(AnalyzerSettings(theta_a, theta_b))
-        t = theta_a - theta_b
-        same = 0.5 * math.cos(t) ** 2
-        cross = 0.5 * math.sin(t) ** 2
-        for key, want in (("++", same), ("--", same), ("+-", cross), ("-+", cross)):
-            if abs(probs[key] - want) > 1e-12:
-                violations.append(f"P({key}) off by {abs(probs[key] - want):.3e}")
-                break
-        closure = probs["++"] + probs["+-"] + probs["-+"] + probs["--"]
-        if abs(closure - 1.0) > 1e-12:
-            violations.append(f"joint probabilities sum to {closure!r}")
-            break
+    theta_a, theta_b = rng.uniform(-math.pi, math.pi, size=(100, 2)).T
+    # joints over ++, +-, -+, --
+    joint = analyzed_pairs(theta_a, theta_b) ** 2
+    same = 0.5 * np.cos(theta_a - theta_b) ** 2
+    cross = 0.5 * np.sin(theta_a - theta_b) ** 2
+    for index, key, want in ((0, "++", same), (3, "--", same), (1, "+-", cross), (2, "-+", cross)):
+        error = float(np.max(np.abs(joint[:, index] - want)))
+        if error > 1e-12:
+            violations.append(f"P({key}) off by {error:.3e}")
+    closure = float(np.max(np.abs(np.sum(joint, axis=-1) - 1.0)))
+    if closure > 1e-12:
+        violations.append(f"joint probabilities miss 1 by {closure:.3e}")
     report("detection_probability_law", violations)
 
 
@@ -113,14 +99,14 @@ def test_pair_entropy_invariance():
     rng = np.random.default_rng(77)
     angles = [(0.0, 0.0), (math.pi / 8, 0.0), (math.pi / 4, math.pi / 3)]
     angles += [tuple(rng.uniform(-math.pi, math.pi, size=2)) for _ in range(47)]
-    for theta_a, theta_b in angles:
-        state = transformed_epr_state(AnalyzerSettings(theta_a, theta_b))
-        rho = partial_trace(state, "photon_A")
+    theta_a, theta_b = np.array(angles).T
+    for angle_pair, amplitudes in zip(angles, analyzed_pairs(theta_a, theta_b)):
+        rho = partial_trace(labeled(("photon_A", "photon_B"), amplitudes), "photon_A")
         vn = von_neumann_entropy(rho)
         r2 = renyi_entropy(rho, 2.0)
         if abs(vn - 1.0) > 1e-10 or abs(r2 - 1.0) > 1e-10:
             violations.append(
-                f"entropy ({vn!r}, {r2!r}) at angles ({theta_a:.4f}, {theta_b:.4f})"
+                f"entropy ({vn!r}, {r2!r}) at angles ({angle_pair[0]:.4f}, {angle_pair[1]:.4f})"
             )
             break
     report("pair_entropy_invariance", violations)
@@ -129,8 +115,9 @@ def test_pair_entropy_invariance():
 def test_mode_rotation_entropy_landmarks():
     violations = []
     landmarks = ((0.0, 0.0), (math.pi / 4, 1.0), (math.pi / 8, 1.5))
-    for phi, want in landmarks:
-        rho = partial_trace(mode_rotation_state(phi), "mode_a")
+    states = _mode_rotation_amplitudes(np.array([phi for phi, _ in landmarks]))
+    for (phi, want), amplitudes in zip(landmarks, states):
+        rho = partial_trace(labeled(("mode_a", "mode_b"), amplitudes, (3, 3)), "mode_a")
         got = von_neumann_entropy(rho)
         if abs(got - want) > 1e-10:
             violations.append(f"entropy {got!r} at phi={phi:.4f}, want {want}")
@@ -140,27 +127,26 @@ def test_mode_rotation_entropy_landmarks():
 def test_interferometer_output_laws():
     violations = []
     rng = np.random.default_rng(404)
-    entropy_in = von_neumann_entropy(partial_trace(interferometer_input(), "atom_1"))
+    rho_in = partial_trace(labeled(("atom_1", "atom_2"), _INPUT_PAIR), "atom_1")
+    entropy_in = von_neumann_entropy(rho_in)
     if abs(entropy_in - 1.0) > 1e-10:
         violations.append(f"input entropy {entropy_in!r}")
-    for _ in range(100):
-        phi_a, phi_b = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2)
-        phases = BraggPhases(phi_a, phi_b)
-        output = bragg_output(phases)
-        if abs(output.norm - 1.0) > 1e-12:
-            violations.append(f"output norm {output.norm!r} at {phases}")
-            break
-        correlation = momentum_correlation(phases)
-        if abs(correlation - math.cos(phi_a - phi_b)) > 1e-12:
-            violations.append(f"E off by {abs(correlation - math.cos(phi_a - phi_b)):.3e}")
-            break
-        probs = joint_probabilities(phases)
-        if abs(sum(probs.values()) - 1.0) > 1e-12:
-            violations.append("joint probabilities do not close")
-            break
-        entropy_out = von_neumann_entropy(partial_trace(output, "station_A"))
+    phi_a, phi_b = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=(100, 2)).T
+    outputs = bragg_outputs(phi_a, phi_b)
+    norm_error = float(np.max(np.abs(np.linalg.norm(outputs, axis=-1) - 1.0)))
+    if norm_error > 1e-12:
+        violations.append(f"output norm off by {norm_error:.3e}")
+    e_error = float(np.max(np.abs(_momentum_correlations(phi_a, phi_b) - np.cos(phi_a - phi_b))))
+    if e_error > 1e-12:
+        violations.append(f"E off by {e_error:.3e}")
+    closure = float(np.max(np.abs(np.sum(np.abs(outputs) ** 2, axis=-1) - 1.0)))
+    if closure > 1e-12:
+        violations.append("joint probabilities do not close")
+    for a, b, amplitudes in zip(phi_a, phi_b, outputs):
+        rho = partial_trace(labeled(("station_A", "station_B"), amplitudes), "station_A")
+        entropy_out = von_neumann_entropy(rho)
         if abs(entropy_out - 1.0) > 1e-10:
-            violations.append(f"output entropy {entropy_out!r} at {phases}")
+            violations.append(f"output entropy {entropy_out!r} at phases ({a:.4f}, {b:.4f})")
             break
     report("interferometer_output_laws", violations)
 

@@ -1,4 +1,4 @@
-"""CLI artifacts do not depend on the OpenBLAS kernel or thread count.
+"""CLI artifacts do not depend on the OpenBLAS kernel, the thread count or numpy's SIMD targets.
 
 numpy's OpenBLAS picks its compute kernels for the CPU it runs on, so an
 artifact built from a BLAS call can print different last digits on
@@ -16,6 +16,13 @@ checks the scan kernels at two threads.
 
 SkylakeX is not forced, since a CPU without AVX-512 cannot run it; the
 unset case runs whatever the CPU picks, SkylakeX included.
+
+numpy's ufuncs (the scans' cos, sin, exp and log2 among them) dispatch
+to SIMD loops built for the CPU at hand.  One more child runs with
+NPY_DISABLE_CPU_FEATURES naming every dispatch target this CPU has, so
+it runs numpy's baseline loops (X86_V2 on x86-64), and must print the
+same hashes.  Only targets the CPU has are named, since numpy refuses to
+disable one it lacks.
 """
 
 import contextlib
@@ -58,6 +65,12 @@ CHILD = """
 import contextlib, hashlib, io, pathlib, sys, tempfile
 import numpy  # loaded before main, which then leaves the thread count alone
 from modetangle.cli import main
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+
+print("SIMD:", *[f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)], file=sys.stderr)
 
 with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as out:
     config = pathlib.Path(tmp) / "run.cfg"
@@ -71,6 +84,15 @@ with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as out:
     for path in sorted(pathlib.Path(out).iterdir()):
         print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
 """
+
+
+def present_simd_targets() -> list[str]:
+    """numpy's dispatch targets that this CPU has, in numpy's order."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
 
 
 def _dynamic_openblas() -> bool:
@@ -93,8 +115,8 @@ pytestmark = [
 ]
 
 
-def start_child(core_type, threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OPENBLAS_VERBOSE="2")
+def start_child(core_type, threads, **extra_env):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OPENBLAS_VERBOSE="2", **extra_env)
     env.pop("OPENBLAS_CORETYPE", None)
     if core_type is not None:
         env["OPENBLAS_CORETYPE"] = core_type
@@ -110,13 +132,15 @@ def start_child(core_type, threads):
 
 
 def finish_child(proc):
-    """(kernel name OpenBLAS reports, {artifact: sha256}) of one child run."""
+    """(kernel name OpenBLAS reports, enabled SIMD targets, {artifact: sha256}) of one child run."""
     stdout, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 0, stderr
+    assert "warn" not in stderr.lower(), stderr
     lines = (stdout + stderr).splitlines()
     cores = [line.split(":", 1)[1].strip() for line in lines if line.startswith("Core:")]
+    simd = next(line.split()[1:] for line in stderr.splitlines() if line.startswith("SIMD:"))
     hashes = dict(line.split() for line in stdout.splitlines() if not line.startswith("Core"))
-    return (cores[0] if cores else None), hashes
+    return (cores[0] if cores else None), simd, hashes
 
 
 def test_scan_bytes_match_on_every_kernel_and_thread_count():
@@ -130,9 +154,26 @@ def test_scan_bytes_match_on_every_kernel_and_thread_count():
                 stack.callback(procs[threads].kill)  # a no-op once the child has exited
             for threads, proc in procs.items():
                 runs[(core_type, threads)] = finish_child(proc)
-    reference = runs[(None, 1)][1]
+    reference = runs[(None, 1)][2]
     assert sorted(reference) == ARTIFACTS
-    for key, (_, hashes) in runs.items():
+    for key, (_, _, hashes) in runs.items():
         assert hashes == reference, f"OPENBLAS_CORETYPE, OPENBLAS_NUM_THREADS = {key}"
     # The forcing took effect: the children ran at least three distinct kernels.
-    assert len({core for core, _ in runs.values()}) >= 3, runs
+    assert len({core for core, _, _ in runs.values()}) >= 3, runs
+
+
+def test_artifacts_match_at_the_numpy_simd_baseline():
+    present = present_simd_targets()
+    if not present:
+        pytest.skip("this CPU has no numpy SIMD target above the baseline")
+    with contextlib.ExitStack() as stack:
+        procs = [
+            stack.enter_context(start_child(None, 1)),
+            stack.enter_context(start_child(None, 1, NPY_DISABLE_CPU_FEATURES=" ".join(present))),
+        ]
+        for proc in procs:
+            stack.callback(proc.kill)
+        (_, full_simd, reference), (_, baseline_simd, hashes) = map(finish_child, procs)
+    assert (full_simd, baseline_simd) == (present, [])
+    assert sorted(reference) == ARTIFACTS
+    assert hashes == reference

@@ -4,33 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from kernel_views import analyzed_pairs, analyzer_frames, column, fidelity, labeled
 
+from modetangle.interferometer import momentum_chsh_scan
 from modetangle.polarization import (
-    AnalyzerSettings,
+    _EPR_PAIR,
     ChshSettings,
-    analyzer_basis,
+    _analyzer_frames,
+    _correlations,
+    _mode_rotation_amplitudes,
     chsh_scan,
     chsh_sum,
     chsh_sum_general,
-    correlation,
-    detection_probabilities,
-    epr_state,
     mode_rotation_entropy_scan,
-    mode_rotation_state,
-    transformed_epr_state,
 )
-from modetangle.states import (
-    BasisLabel,
-    PureState,
-    fidelity,
-    partial_trace,
-    renyi_entropy,
-    von_neumann_entropy,
-)
+from modetangle.states import partial_trace, renyi_entropy, von_neumann_entropy
 
 TWO_ROOT_TWO = 2.8284271247461903
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 LONG_SCAN = 10_000
+PAIR_FACTORS = ("photon_A", "photon_B")
 
 
 def bell_curve(t):
@@ -44,137 +37,118 @@ def rotation_entropies(phi):
     return -np.sum(p * np.log2(safe), axis=-1), -np.log2(np.sum(p**2, axis=-1))
 
 
-def closed_form_pair(theta_a, theta_b):
-    # amplitudes over ++, +-, -+, -- for the analyzed pair
+def closed_form_pairs(theta_a, theta_b):
+    # (steps, 4) amplitudes over ++, +-, -+, -- for the analyzed pair
     t = theta_a - theta_b
-    return np.array(
-        [math.cos(t), math.sin(t), -math.sin(t), math.cos(t)]
-    ) / math.sqrt(2.0)
+    return np.stack([np.cos(t), np.sin(t), -np.sin(t), np.cos(t)], axis=-1) / math.sqrt(2.0)
+
+
+def correlations(theta_a, theta_b):
+    return _correlations(_analyzer_frames(theta_a), _analyzer_frames(theta_b))
 
 
 class TestEprState:
     def test_amplitudes(self):
-        state = epr_state()
         np.testing.assert_allclose(
-            state.amplitudes, [ROOT_HALF, 0.0, 0.0, ROOT_HALF], atol=1e-15
+            _EPR_PAIR.reshape(-1), [ROOT_HALF, 0.0, 0.0, ROOT_HALF], atol=1e-15
         )
-        assert state.basis.factor_names == ("photon_A", "photon_B")
 
     def test_one_bit_of_entanglement(self):
-        entropy = von_neumann_entropy(partial_trace(epr_state(), "photon_A"))
+        pair = labeled(PAIR_FACTORS, _EPR_PAIR.reshape(-1))
+        entropy = von_neumann_entropy(partial_trace(pair, "photon_A"))
         assert entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_with_hh(self):
-        hh = PureState(
-            BasisLabel(("photon_A", "photon_B"), (2, 2)), np.array([1.0, 0, 0, 0])
-        )
-        assert fidelity(epr_state(), hh) == pytest.approx(0.5, abs=1e-12)
+        hh = [1.0, 0.0, 0.0, 0.0]
+        assert fidelity(_EPR_PAIR.reshape(-1), hh) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestAnalyzerBasis:
     def test_zero_angle_is_hv(self):
-        plus, minus = analyzer_basis(0.0)
-        np.testing.assert_allclose(plus.amplitudes, [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(minus.amplitudes, [0.0, 1.0], atol=1e-15)
+        plus, minus = analyzer_frames(0.0)[0]
+        np.testing.assert_allclose(plus, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(minus, [0.0, 1.0], atol=1e-15)
 
     def test_quarter_turn_swaps_ports(self):
-        plus, minus = analyzer_basis(math.pi / 2.0)
-        np.testing.assert_allclose(plus.amplitudes, [0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(minus.amplitudes, [-1.0, 0.0], atol=1e-12)
+        plus, minus = analyzer_frames(math.pi / 2.0)[0]
+        np.testing.assert_allclose(plus, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(minus, [-1.0, 0.0], atol=1e-12)
 
     def test_orthonormal_for_random_angles(self):
         rng = np.random.default_rng(101)
-        for theta in rng.uniform(-10.0, 10.0, size=25):
-            plus, minus = analyzer_basis(theta)
-            assert plus.norm == pytest.approx(1.0, abs=1e-12)
-            assert minus.norm == pytest.approx(1.0, abs=1e-12)
-            overlap = np.vdot(plus.amplitudes, minus.amplitudes)
-            assert abs(overlap) < 1e-12
+        frames = analyzer_frames(rng.uniform(-10.0, 10.0, size=25))
+        np.testing.assert_allclose(np.linalg.norm(frames, axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.abs(np.sum(frames[:, 0] * frames[:, 1], axis=-1)) < 1e-12)
 
 
 class TestTransformedPair:
     def test_matches_closed_form_on_random_angles(self):
         rng = np.random.default_rng(103)
-        for _ in range(100):
-            theta_a, theta_b = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2)
-            state = transformed_epr_state(AnalyzerSettings(theta_a, theta_b))
-            np.testing.assert_allclose(
-                state.amplitudes, closed_form_pair(theta_a, theta_b), atol=1e-12
-            )
+        theta_a, theta_b = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=(100, 2)).T
+        np.testing.assert_allclose(
+            analyzed_pairs(theta_a, theta_b), closed_form_pairs(theta_a, theta_b), atol=1e-12
+        )
 
     def test_equal_angles_recover_the_pair(self):
-        state = transformed_epr_state(AnalyzerSettings(0.8, 0.8))
         np.testing.assert_allclose(
-            state.amplitudes, [ROOT_HALF, 0.0, 0.0, ROOT_HALF], atol=1e-12
+            analyzed_pairs(0.8, 0.8)[0], [ROOT_HALF, 0.0, 0.0, ROOT_HALF], atol=1e-12
         )
 
     def test_crossed_analyzers(self):
-        state = transformed_epr_state(AnalyzerSettings(math.pi / 2.0, 0.0))
         np.testing.assert_allclose(
-            state.amplitudes, [0.0, ROOT_HALF, -ROOT_HALF, 0.0], atol=1e-12
+            analyzed_pairs(math.pi / 2.0, 0.0)[0], [0.0, ROOT_HALF, -ROOT_HALF, 0.0], atol=1e-12
         )
 
     def test_entropy_stays_one_bit(self):
         rng = np.random.default_rng(107)
-        for _ in range(40):
-            settings = AnalyzerSettings(*rng.uniform(0.0, math.pi, size=2))
-            state = transformed_epr_state(settings)
-            rho = partial_trace(state, "photon_B")
+        theta_a, theta_b = rng.uniform(0.0, math.pi, size=(40, 2)).T
+        for amplitudes in analyzed_pairs(theta_a, theta_b):
+            rho = partial_trace(labeled(PAIR_FACTORS, amplitudes), "photon_B")
             assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-10)
             assert renyi_entropy(rho, 2.0) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDetectionProbabilities:
+    """Joint probabilities over ++, +-, -+, --: the squared analyzed pair."""
+
     def test_singles_are_half(self):
         rng = np.random.default_rng(109)
-        for _ in range(20):
-            p = detection_probabilities(AnalyzerSettings(*rng.uniform(0, 7, size=2)))
-            for key in ("a+", "a-", "b+", "b-"):
-                assert p[key] == pytest.approx(0.5, abs=1e-12)
+        joint = analyzed_pairs(*rng.uniform(0, 7, size=(20, 2)).T) ** 2
+        # a+, a-, b+ and b-, each a marginal of the joints
+        singles = [joint[:, 0] + joint[:, 1], joint[:, 2] + joint[:, 3],
+                   joint[:, 0] + joint[:, 2], joint[:, 1] + joint[:, 3]]
+        np.testing.assert_allclose(singles, 0.5, rtol=0, atol=1e-12)
 
     def test_joints_follow_the_angle_difference(self):
         rng = np.random.default_rng(113)
-        for _ in range(100):
-            theta_a, theta_b = rng.uniform(-6.0, 6.0, size=2)
-            p = detection_probabilities(AnalyzerSettings(theta_a, theta_b))
-            c2 = math.cos(theta_a - theta_b) ** 2 / 2.0
-            s2 = math.sin(theta_a - theta_b) ** 2 / 2.0
-            assert p["++"] == pytest.approx(c2, abs=1e-12)
-            assert p["--"] == pytest.approx(c2, abs=1e-12)
-            assert p["+-"] == pytest.approx(s2, abs=1e-12)
-            assert p["-+"] == pytest.approx(s2, abs=1e-12)
+        theta_a, theta_b = rng.uniform(-6.0, 6.0, size=(100, 2)).T
+        joint = analyzed_pairs(theta_a, theta_b) ** 2
+        c2 = np.cos(theta_a - theta_b) ** 2 / 2.0
+        s2 = np.sin(theta_a - theta_b) ** 2 / 2.0
+        np.testing.assert_allclose(joint, np.stack([c2, s2, s2, c2], axis=-1), rtol=0, atol=1e-12)
 
     def test_closure(self):
         rng = np.random.default_rng(127)
-        for _ in range(50):
-            p = detection_probabilities(AnalyzerSettings(*rng.uniform(0, 7, size=2)))
-            joint_sum = p["++"] + p["+-"] + p["-+"] + p["--"]
-            assert joint_sum == pytest.approx(1.0, abs=1e-12)
-            assert p["a+"] == pytest.approx(p["++"] + p["+-"], abs=1e-15)
-            assert p["b-"] == pytest.approx(p["+-"] + p["--"], abs=1e-15)
+        joint = analyzed_pairs(*rng.uniform(0, 7, size=(50, 2)).T) ** 2
+        np.testing.assert_allclose(np.sum(joint, axis=-1), 1.0, rtol=0, atol=1e-12)
 
     def test_aligned_analyzers_never_anticorrelate(self):
-        p = detection_probabilities(AnalyzerSettings(1.3, 1.3))
-        assert p["+-"] == pytest.approx(0.0, abs=1e-12)
-        assert p["-+"] == pytest.approx(0.0, abs=1e-12)
+        joint = analyzed_pairs(1.3, 1.3)[0] ** 2
+        assert joint[1] == pytest.approx(0.0, abs=1e-12)
+        assert joint[2] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCorrelation:
     def test_equals_cosine_of_twice_the_difference(self):
         rng = np.random.default_rng(131)
-        for _ in range(100):
-            theta_a, theta_b = rng.uniform(-6.0, 6.0, size=2)
-            value = correlation(AnalyzerSettings(theta_a, theta_b))
-            assert value == pytest.approx(math.cos(2.0 * (theta_a - theta_b)), abs=1e-12)
+        theta_a, theta_b = rng.uniform(-6.0, 6.0, size=(100, 2)).T
+        np.testing.assert_allclose(
+            correlations(theta_a, theta_b), np.cos(2.0 * (theta_a - theta_b)), rtol=0, atol=1e-12
+        )
 
     def test_perfect_and_vanishing_points(self):
-        assert correlation(AnalyzerSettings(0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
-        assert correlation(AnalyzerSettings(math.pi / 4.0, 0.0)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-        assert correlation(AnalyzerSettings(math.pi / 2.0, 0.0)) == pytest.approx(
-            -1.0, abs=1e-12
-        )
+        values = correlations(np.array([0.0, math.pi / 4.0, math.pi / 2.0]), np.zeros(3))
+        np.testing.assert_allclose(values, [1.0, 0.0, -1.0], rtol=0, atol=1e-12)
 
 
 class TestChshSum:
@@ -205,24 +179,24 @@ class TestChshScan:
     def test_five_point_scan(self):
         result = chsh_scan(0.0, math.pi / 2.0, 5)
         assert result.columns == ("theta", "S", "entropy")
-        s_values = result.column("S")
+        s_values = column(result, "S")
         expected = [2.0, TWO_ROOT_TWO, 0.0, -TWO_ROOT_TWO, -2.0]
         np.testing.assert_allclose(s_values, expected, atol=1e-12)
-        for entropy in result.column("entropy"):
+        for entropy in column(result, "entropy"):
             assert entropy == pytest.approx(1.0, abs=1e-10)
 
     def test_bound_and_violation_region(self):
         result = chsh_scan(0.0, math.pi, 721)
-        s_values = np.array(result.column("S"))
+        s_values = np.array(column(result, "S"))
         assert np.max(np.abs(s_values)) <= TWO_ROOT_TWO + 1e-12
         assert np.sum(np.abs(s_values) > 2.0) > 0
 
     def test_long_scan_meets_the_closed_form(self):
         result = chsh_scan(0.0, math.pi, LONG_SCAN)
-        t = np.array(result.column("theta"))
+        t = np.array(column(result, "theta"))
         np.testing.assert_array_equal(t, np.linspace(0.0, math.pi, LONG_SCAN))
-        np.testing.assert_allclose(result.column("S"), bell_curve(t), rtol=0, atol=1e-9)
-        np.testing.assert_allclose(result.column("entropy"), 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(column(result, "S"), bell_curve(t), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(column(result, "entropy"), 1.0, rtol=0, atol=1e-9)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
@@ -230,18 +204,26 @@ class TestChshScan:
         with pytest.raises(ValueError):
             chsh_scan(1.0, 1.0, 5)
 
+    @pytest.mark.parametrize("scan", [chsh_scan, mode_rotation_entropy_scan, momentum_chsh_scan])
+    @pytest.mark.parametrize("steps", [10.7, "10", None], ids=["float", "str", "none"])
+    def test_non_integer_steps_refused_by_name(self, scan, steps):
+        with pytest.raises(ValueError, match="^steps must be an integer"):
+            scan(0.0, 1.0, steps)
+
+    def test_numpy_integer_steps_admitted(self):
+        assert len(column(chsh_scan(0.0, 1.0, np.int64(5)), "theta")) == 5
+
 
 class TestModeRotation:
     def test_closed_form_amplitudes(self):
         # cos(2phi)|1,1> + sin(2phi)/sqrt(2) (|0,2> - |2,0>)
         rng = np.random.default_rng(137)
-        for phi in rng.uniform(-2.0, 2.0, size=40):
-            state = mode_rotation_state(phi)
-            expected = np.zeros(9)
-            expected[4] = math.cos(2.0 * phi)
-            expected[2] = math.sin(2.0 * phi) / math.sqrt(2.0)
-            expected[6] = -math.sin(2.0 * phi) / math.sqrt(2.0)
-            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+        phi = rng.uniform(-2.0, 2.0, size=40)
+        expected = np.zeros((40, 9))
+        expected[:, 4] = np.cos(2.0 * phi)
+        expected[:, 2] = np.sin(2.0 * phi) / math.sqrt(2.0)
+        expected[:, 6] = -np.sin(2.0 * phi) / math.sqrt(2.0)
+        np.testing.assert_allclose(_mode_rotation_amplitudes(phi), expected, atol=1e-12)
 
     def test_entropy_landmarks(self):
         landmarks = ((0.0, 0.0), (math.pi / 4.0, 1.0), (math.pi / 8.0, 1.5))
@@ -256,19 +238,24 @@ class TestModeRotation:
         )
 
 
+def mode_rotation_state(phi):
+    """The rotated |1,1> at one angle, over factors mode_a, mode_b."""
+    return labeled(("mode_a", "mode_b"), _mode_rotation_amplitudes(np.array([phi]))[0], (3, 3))
+
+
 class TestModeRotationScan:
     def test_columns_and_landmarks(self):
         result = mode_rotation_entropy_scan(0.0, math.pi / 4.0, 9)
         assert result.columns == ("phi", "entropy_vn", "entropy_renyi2")
-        vn = result.column("entropy_vn")
+        vn = column(result, "entropy_vn")
         assert vn[0] == pytest.approx(0.0, abs=1e-10)
         assert vn[4] == pytest.approx(1.5, abs=1e-10)  # phi = pi/8
         assert vn[8] == pytest.approx(1.0, abs=1e-10)  # phi = pi/4
 
     def test_renyi_shares_zeros_and_maxima(self):
         result = mode_rotation_entropy_scan(0.0, math.pi, 65)
-        vn = np.array(result.column("entropy_vn"))
-        r2 = np.array(result.column("entropy_renyi2"))
+        vn = np.array(column(result, "entropy_vn"))
+        r2 = np.array(column(result, "entropy_renyi2"))
         np.testing.assert_array_equal(vn < 1e-10, r2 < 1e-10)
         # The grid is symmetric under phi -> pi/2 - phi and phi -> phi + pi/2,
         # so each column's four maxima tie in exact arithmetic: compare the
@@ -280,7 +267,7 @@ class TestModeRotationScan:
 
     def test_long_scan_meets_the_closed_form(self):
         result = mode_rotation_entropy_scan(0.0, math.pi, LONG_SCAN)
-        phi = np.array(result.column("phi"))
+        phi = np.array(column(result, "phi"))
         vn, r2 = rotation_entropies(phi)
-        np.testing.assert_allclose(result.column("entropy_vn"), vn, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(result.column("entropy_renyi2"), r2, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(column(result, "entropy_vn"), vn, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(column(result, "entropy_renyi2"), r2, rtol=0, atol=1e-9)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from kernel_views import fidelity, labeled
 
 from modetangle._pcg64 import SpawnedPCG64
 from modetangle.oscillator import AdiabaticBudget, build_model, mode_overlap
@@ -12,17 +13,14 @@ from modetangle.protocol import (
     CHUNK,
     ConversionConfig,
     PhysicsPreconditionError,
-    ProjectionError,
     ancilla_branch_amplitudes,
     final_state_from_overlaps,
-    initial_mode_state,
     outcome_json_line,
     particle_entanglement_entropy,
     render_outcome_log,
     run_campaign,
-    select_middle_term,
 )
-from modetangle.states import BasisLabel, PureState, partial_trace, von_neumann_entropy
+from modetangle.states import partial_trace, von_neumann_entropy
 
 LOG2_3 = 1.584962500721156
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -54,6 +52,24 @@ def brute_force_entropy(h_amp, a_amp, s1, s2, dim=16):
     return float(-(positive * np.log2(positive)).sum())
 
 
+def initial_mode_state():
+    """(|2,0> + |1,1> + |0,2>)/sqrt(3) over factors mode_a, mode_b."""
+    amps = np.zeros(9)
+    amps[2 * 3 + 0] = amps[1 * 3 + 1] = amps[0 * 3 + 2] = 1.0 / math.sqrt(3.0)
+    return labeled(("mode_a", "mode_b"), amps, (3, 3))
+
+
+def middle_term(state):
+    """The one-quantum-per-mode amplitude of the normalized two-mode state."""
+    return complex(state.normalized().amplitudes.reshape(state.basis.factor_dims)[1, 1])
+
+
+def unconverted_delivery():
+    """The pair a gate-off campaign delivers when the photon lands but does not register."""
+    config = ConversionConfig(landing_prob=1.0, eta=0.0, abort_gate_on=False)
+    return one_trial(config, rng_seed=0)
+
+
 class TestInitialModeState:
     def test_amplitudes(self):
         state = initial_mode_state()
@@ -69,24 +85,23 @@ class TestInitialModeState:
 
 
 class TestSelectMiddleTerm:
+    """The selection keeps the |1,1> term: the product |a>|b> with that term's phase."""
+
     def test_yields_the_particle_product(self):
-        product = select_middle_term(initial_mode_state())
-        assert product.basis.factor_names == ("photon_1", "photon_2")
-        np.testing.assert_allclose(product.amplitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-        assert particle_entanglement_entropy(product) == pytest.approx(0.0, abs=1e-12)
+        amp = middle_term(initial_mode_state())
+        product = [amp / abs(amp), 0.0, 0.0, 0.0]
+        delivered = unconverted_delivery().delivered_state
+        np.testing.assert_allclose(delivered, product, atol=1e-12)
+        assert particle_entanglement_entropy(delivered) == pytest.approx(0.0, abs=1e-12)
 
     def test_carries_the_component_phase(self):
-        basis = BasisLabel(("mode_a", "mode_b"), (2, 2))
-        state = PureState(basis, np.array([0.0, 0.0, 0.0, 1j]))
-        product = select_middle_term(state)
-        assert product.amplitudes[0] == pytest.approx(1j, abs=1e-12)
+        amp = middle_term(labeled(("mode_a", "mode_b"), [0.0, 0.0, 0.0, 1j]))
+        assert amp / abs(amp) == pytest.approx(1j, abs=1e-12)
 
     def test_empty_projection_rejected(self):
-        basis = BasisLabel(("mode_a", "mode_b"), (3, 3))
         amps = np.zeros(9)
-        amps[6] = 1.0  # |2,0> only
-        with pytest.raises(ProjectionError):
-            select_middle_term(PureState(basis, amps))
+        amps[6] = 1.0  # |2,0> only: nothing to select
+        assert abs(middle_term(labeled(("mode_a", "mode_b"), amps, (3, 3)))) < 1e-15
 
 
 class TestBranchAmplitudes:
@@ -124,14 +139,12 @@ class TestBranchAmplitudes:
 class TestFinalStateAssembly:
     def test_orthogonal_balanced_limit_is_a_bell_pair(self):
         state = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, 0.0, 0.0)
-        np.testing.assert_allclose(
-            state.amplitudes, [ROOT_HALF, 0.0, 0.0, ROOT_HALF], atol=1e-12
-        )
+        np.testing.assert_allclose(state, [ROOT_HALF, 0.0, 0.0, ROOT_HALF], atol=1e-12)
         assert particle_entanglement_entropy(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_overlaps_give_a_product(self):
         state = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, 1.0, 1.0)
-        np.testing.assert_allclose(state.amplitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(state, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
         assert particle_entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_overlap_point(self):
@@ -159,7 +172,7 @@ class TestFinalStateAssembly:
             want = math.sqrt(h_amp**2 + a_amp**2 + 2 * h_amp * a_amp * s1 * s2)
             assert np.linalg.norm(raw) == pytest.approx(want, abs=1e-12)
             state = final_state_from_overlaps(h_amp, a_amp, s1, s2)
-            assert state.norm == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_cancelling_branches_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -241,7 +254,7 @@ class TestAssembleFromModel:
         s1 = mode_overlap(model, 3)
         s2 = mode_overlap(model, 0)
         direct = final_state_from_overlaps(0.8, 0.6, s1, s2)
-        np.testing.assert_allclose(state.amplitudes, direct.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(state, direct, atol=1e-12)
 
     def test_zero_coupling_gives_zero_entropy(self):
         model = build_model(0.0, 64, levels=3)
@@ -308,6 +321,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rng_seed"):
             run_campaign(ConversionConfig(), 10, rng_seed=-1)
 
+    @pytest.mark.parametrize(
+        "n_trials, rng_seed, name",
+        [(10.7, 5, "n_trials"), ("10", 5, "n_trials"), (10, 5.9, "rng_seed"), (10, "5", "rng_seed")],
+        ids=["float-trials", "str-trials", "float-seed", "str-seed"],
+    )
+    def test_non_integer_size_or_seed_refused_by_name(self, n_trials, rng_seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run_campaign(ConversionConfig(), n_trials, rng_seed)
+
+    def test_numpy_integer_size_and_seed_admitted(self):
+        result = run_campaign(ConversionConfig(), np.int64(3), np.uint32(5))
+        assert type(result.n_trials) is int
+        assert rendered(result) == rendered(run_campaign(ConversionConfig(), 3, 5))
+
 
 def one_trial(config, rng_seed):
     """The outcome of a length-1 campaign."""
@@ -321,6 +348,13 @@ class TestRunTrial:
         assert outcome.photon_detected and outcome.registered
         assert not outcome.aborted
         assert outcome.fidelity_to_target == pytest.approx(1.0, abs=1e-12)
+
+    def test_unconverted_fidelity_is_the_overlap_with_the_target(self):
+        outcome = unconverted_delivery()
+        target = one_trial(ConversionConfig(landing_prob=1.0), rng_seed=0).delivered_state
+        assert outcome.fidelity_to_target == fidelity(outcome.delivered_state, target)
+        assert outcome.fidelity_to_target == pytest.approx(abs(target[0]) ** 2, abs=1e-12)
+        assert outcome.fidelity_to_target < 1.0
 
     def test_dead_detector_always_aborts(self):
         config = ConversionConfig(eta=0.0)

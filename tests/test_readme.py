@@ -3,6 +3,9 @@
 import importlib
 import os
 import re
+from pathlib import Path
+
+import pytest
 
 import modetangle
 from modetangle.runconfig import _KEYS
@@ -29,6 +32,18 @@ def test_library_section_imports_the_public_names():
     for name in modetangle.__all__:
         value = getattr(modetangle, name)
         assert value is vars(importlib.import_module(value.__module__))[name], name
+
+
+@pytest.mark.parametrize(
+    "stem", sorted(path.stem for path in Path(modetangle.__file__).parent.glob("*.py"))
+)
+def test_every_module_all_lists_only_names_it_holds(stem):
+    name = modetangle.__name__ if stem == "__init__" else f"{modetangle.__name__}.{stem}"
+    module = importlib.import_module(name)
+    # a stale __all__ entry makes the star import raise AttributeError
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(getattr(module, "__all__", ())) <= set(namespace)
 
 
 def test_library_section_example_runs():
