@@ -17,9 +17,9 @@ not written.
 Each library module is registered as a lazy module, which runs on its
 first attribute access (`importlib.util.LazyLoader`), so each command
 executes only the modules it calls.  `--version`, `--help` and
-`oscillator` start without numpy: the oscillator solves its parity
-blocks in plain Python, through oscillator, _common and results, none
-of which imports numpy.
+`oscillator` start without numpy or inspect: the oscillator solves its
+parity blocks in plain Python, through oscillator, _common and results,
+which import no numpy and hold their records as NamedTuples.
 
 main runs BLAS on one thread, for the scans and `protocol`, the commands
 that load numpy: when numpy is not yet loaded, it sets
@@ -175,8 +175,9 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     try:
         results.write_json(summary, out_summary)
     except OSError:
-        # the log alone is half a result: leave neither file behind
-        os.unlink(out_log)
+        # the log alone is half a result: leave neither file behind.  The
+        # log went through any symlink at out_log, so remove what it wrote
+        os.unlink(os.path.realpath(out_log))
         raise
     for key in ("delivered_rate", "abort_rate", "mean_entropy", "min_fidelity"):
         value = summary[key]

@@ -96,31 +96,25 @@ on levels up to 81).  First-order
 perturbation theory is no oracle at large g (Bender & Wu, Phys. Rev. 184,
 1231, 1969), so the truncation is checked against itself.
 
-The adiabatic budget checks the separation of scales
-
-    hbar/delta_e  <<  hbar/h_tilde  <<  t_meas
-
-as two ratios r1 = delta_e/h_tilde and r2 = t_meas*h_tilde/hbar, both of
-which must reach the configured threshold.
+The module imports no numpy, and the model is a NamedTuple like _Band,
+so the oscillator command loads neither numpy nor inspect: a child's
+cost is the interpreter's start and build_model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from ._common import PhysicsPreconditionError, require_finite, require_integer
 
 __all__ = [
     "OscillatorModel",
-    "AdiabaticBudget",
     "build_model",
     "truncation_problem",
     "require_converged",
     "first_order_energy",
     "mode_overlap",
-    "require_adiabatic",
 ]
 
 MIN_TRUNCATION = 8
@@ -133,9 +127,8 @@ _EPS = 2.0**-52
 _MAX_ITERATIONS = 50
 
 
-@dataclass(frozen=True, eq=False)
-class OscillatorModel:
-    """The lowest levels of the truncated model; immutable after construction.
+class OscillatorModel(NamedTuple):
+    """The lowest levels of the truncated model.
 
     eigenvalues holds the computed levels, ascending.  vectors[n] is
     (p, column): level n has parity p, and column holds its
@@ -148,7 +141,7 @@ class OscillatorModel:
     anharmonicity: float
     truncation: int
     eigenvalues: tuple[float, ...]
-    vectors: tuple[tuple[int, tuple[float, ...]], ...] = field(repr=False)
+    vectors: tuple[tuple[int, tuple[float, ...]], ...]
 
     def energy(self, n: int) -> float:
         return self.eigenvalues[self._check_level(n)]
@@ -627,34 +620,3 @@ def mode_overlap(model: OscillatorModel, n: int) -> float:
     parity, column = model.vectors[n]
     return column[n // 2] if n % 2 == parity else 0.0
 
-
-@dataclass(frozen=True)
-class AdiabaticBudget:
-    """Raw scales for the separation-of-timescales check (hbar = 1 units)."""
-
-    delta_e: float
-    h_tilde: float
-    t_meas: float
-    ratio_threshold: float = 10.0
-
-    def __post_init__(self) -> None:
-        for name in ("delta_e", "h_tilde", "t_meas", "ratio_threshold"):
-            value = require_finite(name, getattr(self, name))
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
-
-
-def require_adiabatic(budget: AdiabaticBudget) -> None:
-    """Refuses a budget unless both scale ratios reach its threshold.
-
-    r1 = delta_e / h_tilde (level spacing dominates the perturbation),
-    r2 = t_meas * h_tilde (measurement slow against the induced dynamics).
-    """
-    r1 = budget.delta_e / budget.h_tilde
-    r2 = budget.t_meas * budget.h_tilde
-    if not (r1 >= budget.ratio_threshold and r2 >= budget.ratio_threshold):
-        raise PhysicsPreconditionError(
-            "adiabatic budget fails its separation-of-scales check "
-            f"(margins r1={r1:.6g}, r2={r2:.6g}, threshold {budget.ratio_threshold:.6g})"
-        )

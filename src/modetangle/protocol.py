@@ -31,6 +31,13 @@ cycle without a registration, so only faithfully converted pairs are
 delivered.  With the gate off, lost-photon cycles deliver the
 unconverted product and drag the mean fidelity below one.
 
+An optional adiabatic budget checks the separation of scales
+
+    hbar/delta_e  <<  hbar/h_tilde  <<  t_meas
+
+as two ratios r1 = delta_e/h_tilde and r2 = t_meas*h_tilde/hbar, both of
+which must reach the configured threshold, before any trial runs.
+
 A campaign therefore delivers one of only two pair states, and a trial
 is fixed by its kind: the photon did not land (0), landed but did not
 register (1), or registered (2).  Campaigns are held as one kind byte per
@@ -50,18 +57,13 @@ import numpy as np
 
 from ._common import PhysicsPreconditionError, require_finite, require_integer
 from ._pcg64 import SpawnedPCG64
-from .oscillator import (
-    MIN_TRUNCATION,
-    AdiabaticBudget,
-    build_model,
-    mode_overlap,
-    require_adiabatic,
-    require_converged,
-)
+from .oscillator import MIN_TRUNCATION, build_model, mode_overlap, require_converged
 from .states import reduced_spectra, von_neumann_entropies
 
 __all__ = [
     "PhysicsPreconditionError",
+    "AdiabaticBudget",
+    "require_adiabatic",
     "ConversionConfig",
     "ancilla_branch_amplitudes",
     "final_state_from_overlaps",
@@ -82,6 +84,38 @@ _PAIR_FACTORS = ("photon_1", "photon_2")
 _PAIR_DIMS = (2, 2)
 # |a>|b>: both particles in their original mode
 _UNCONVERTED = (1 + 0j, 0j, 0j, 0j)
+
+
+@dataclass(frozen=True)
+class AdiabaticBudget:
+    """Raw scales for the separation-of-timescales check (hbar = 1 units)."""
+
+    delta_e: float
+    h_tilde: float
+    t_meas: float
+    ratio_threshold: float = 10.0
+
+    def __post_init__(self) -> None:
+        for name in ("delta_e", "h_tilde", "t_meas", "ratio_threshold"):
+            value = require_finite(name, getattr(self, name))
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
+
+
+def require_adiabatic(budget: AdiabaticBudget) -> None:
+    """Refuses a budget unless both scale ratios reach its threshold.
+
+    r1 = delta_e / h_tilde (level spacing dominates the perturbation),
+    r2 = t_meas * h_tilde (measurement slow against the induced dynamics).
+    """
+    r1 = budget.delta_e / budget.h_tilde
+    r2 = budget.t_meas * budget.h_tilde
+    if not (r1 >= budget.ratio_threshold and r2 >= budget.ratio_threshold):
+        raise PhysicsPreconditionError(
+            "adiabatic budget fails its separation-of-scales check "
+            f"(margins r1={r1:.6g}, r2={r2:.6g}, threshold {budget.ratio_threshold:.6g})"
+        )
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,17 @@
 CSV files carry '#'-prefixed metadata lines, then one header row, then
 data rows at 12 significant digits.  All writes go to a temp file in the
 target directory followed by an atomic rename; a long text can be handed
-over as an iterable of chunks.
+over as an iterable of chunks.  A symlink is written through, and a
+target that exists but is no regular file is refused.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 # the one number format: CSV cells, float metadata and printed protocol rates
@@ -23,8 +24,7 @@ def format_number(value: float) -> str:
     return _NUMBER % float(value)
 
 
-@dataclass(frozen=True, eq=False)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Named columns of floats, the scan parameter first."""
 
     columns: tuple[str, ...]
@@ -41,18 +41,24 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
 
     Chunks are written as they come, so a long text need never be held
     whole.  The file gets mode 0o666 less the umask, as open() would give
-    it, not the 0o600 of the temp file.  An OSError names path, not the
-    temp file.
+    it, not the 0o600 of the temp file.  A symlink at path stays, and the
+    file it resolves to is replaced.  A path that exists but is no
+    regular file, such as a FIFO or /dev/stdout, is refused and left
+    alone.  An OSError names path, not the temp file.
     """
     chunks = [text] if isinstance(text, str) else text
-    directory = os.path.dirname(os.fspath(path)) or "."
+    target = os.path.realpath(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        # asked of path, not target: stat follows /dev/stdout into /proc,
+        # where realpath can name a pipe that is no file
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(errno.EEXIST, "exists and is not a regular file")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~_current_umask())
             handle.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

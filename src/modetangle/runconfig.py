@@ -30,8 +30,7 @@ import os
 import re
 from typing import Callable, Mapping, NamedTuple
 
-from .oscillator import AdiabaticBudget
-from .protocol import ConversionConfig
+from .protocol import AdiabaticBudget, ConversionConfig
 
 __all__ = ["ConfigError", "parse_run_config", "to_conversion_config", "with_overrides"]
 

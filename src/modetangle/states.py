@@ -91,8 +91,7 @@ class BasisLabel:
 class PureState:
     """A pure state as a complex amplitude vector over a labeled basis.
 
-    Construction does not normalize; use normalized() to get a unit
-    vector.  Instances are treated as immutable.
+    Construction does not normalize.  Instances are treated as immutable.
     """
 
     basis: BasisLabel
@@ -107,17 +106,6 @@ class PureState:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "PureState":
-        """Unit-norm copy; rejects the zero vector."""
-        n = self.norm
-        if n < ZERO_NORM_TOL:
-            raise ValueError("cannot normalize a zero-norm state")
-        return PureState(self.basis, self.amplitudes / n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -441,6 +441,17 @@ class TestProtocolCommand:
         assert ".tmp-" not in err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
+    def test_unwritable_summary_removes_the_log_behind_a_symlink(self, tmp_path, capsys):
+        config = write_config(tmp_path, "trials = 5\n")
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "run.jsonl"
+        link.symlink_to(tmp_path / "real" / "log.jsonl")
+        (tmp_path / "run.json").mkdir()  # the summary path is refused
+        assert main(["protocol", config, "--out", str(tmp_path / "run")]) == 1
+        assert "not a regular file" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "real") == []
+        assert os.readlink(link) == str(tmp_path / "real" / "log.jsonl")
+
     def test_failing_adiabatic_budget(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -599,6 +610,41 @@ def test_output_files_follow_the_umask(tmp_path, mask, mode):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
+# one scan and the oscillator: each writes through results.atomic_write_text
+WRITERS = {"chsh": ["chsh", "--steps", "3"], "oscillator": ["oscillator"]}
+
+
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
+def test_output_symlink_is_written_through(tmp_path, argv):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "out"
+    target.write_text("stale\n")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert main([*argv, "--out", str(link)]) == 0
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "plain").read_bytes()
+    # the temp file went to the target's directory and was renamed there
+    assert sorted(os.listdir(tmp_path)) == ["link", "plain", "real"]
+    assert os.listdir(tmp_path / "real") == ["out"]
+
+
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
+def test_output_fifo_is_refused_and_left_alone(tmp_path, capsys, argv):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    link = tmp_path / "link"
+    link.symlink_to(fifo)
+    for path in (fifo, link):
+        assert main([*argv, "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"not a regular file: '{path}'" in err
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.readlink(link) == str(fifo)
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link"]
+
+
 class TestEntryPoint:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -648,6 +694,8 @@ code = main(sys.argv[1:])
 print(json.dumps({
     "code": code,
     "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "inspect": "inspect" in sys.modules,
     "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     "registered": sorted(name for name in sys.modules if name.startswith("modetangle")),
     "executed": sorted(name for name, module in sys.modules.items()
@@ -675,6 +723,7 @@ class TestLoading:
         loaded = loaded_by(*argv)
         assert loaded["code"] == 0
         assert not loaded["numpy"]
+        assert not loaded["dataclasses"] and not loaded["inspect"]
         assert loaded["executed"] == ["modetangle", "modetangle.cli"]
 
     @pytest.mark.parametrize("anharmonicity", ["0", "0.1", "100"])
@@ -684,6 +733,8 @@ class TestLoading:
         )
         assert loaded["code"] == 0
         assert not loaded["numpy"]
+        # dataclasses imports inspect, which would cost more than build_model here
+        assert not loaded["dataclasses"] and not loaded["inspect"]
 
     def test_protocol_loads_numpy(self, tmp_path):
         loaded = loaded_by(

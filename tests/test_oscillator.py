@@ -1,4 +1,4 @@
-"""Quartic-anharmonic oscillator model, overlaps, and adiabatic budget."""
+"""Quartic-anharmonic oscillator model and overlaps."""
 
 import functools
 import json
@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 from dense_model import dense_levels, norm1, position_operator, symmetric_banded
 
-from modetangle._common import PhysicsPreconditionError
-from modetangle.oscillator import (
-    AdiabaticBudget,
-    build_model,
-    first_order_energy,
-    mode_overlap,
-    require_adiabatic,
-)
+from modetangle.oscillator import build_model, first_order_energy, mode_overlap
 from modetangle.oscillator import (
     _band,
     _count_below,
@@ -505,28 +498,3 @@ class TestModeOverlap:
         with pytest.raises(ValueError):
             mode_overlap(build_model(0.1, 16, levels=16), 16)
 
-
-class TestAdiabaticCheck:
-    def test_wide_margins_pass(self):
-        require_adiabatic(AdiabaticBudget(1.0, 0.01, 1000.0))
-        with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=10,"):
-            require_adiabatic(AdiabaticBudget(1.0, 0.01, 1000.0, ratio_threshold=10.5))
-
-    def test_small_gap_fails(self):
-        with pytest.raises(PhysicsPreconditionError, match=r"r1=2, r2=10,"):
-            require_adiabatic(AdiabaticBudget(0.02, 0.01, 1000.0))
-
-    def test_short_measurement_fails(self):
-        with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=0\.5,"):
-            require_adiabatic(AdiabaticBudget(1.0, 0.01, 50.0))
-
-    def test_threshold_is_configurable(self):
-        require_adiabatic(AdiabaticBudget(1.0, 0.01, 50.0, ratio_threshold=0.25))
-
-    def test_non_positive_scales_rejected(self):
-        with pytest.raises(ValueError):
-            AdiabaticBudget(0.0, 0.01, 10.0)
-        with pytest.raises(ValueError):
-            AdiabaticBudget(1.0, -0.01, 10.0)
-        with pytest.raises(ValueError):
-            AdiabaticBudget(1.0, 0.01, math.inf)

@@ -1,4 +1,4 @@
-"""Conversion protocol: selection, assembly, trials, and campaigns."""
+"""Conversion protocol: selection, assembly, adiabatic budget, trials, and campaigns."""
 
 import math
 import tracemalloc
@@ -8,9 +8,10 @@ import pytest
 from kernel_views import fidelity, labeled
 
 from modetangle._pcg64 import SpawnedPCG64
-from modetangle.oscillator import AdiabaticBudget, build_model, mode_overlap
+from modetangle.oscillator import build_model, mode_overlap
 from modetangle.protocol import (
     CHUNK,
+    AdiabaticBudget,
     ConversionConfig,
     PhysicsPreconditionError,
     ancilla_branch_amplitudes,
@@ -18,6 +19,7 @@ from modetangle.protocol import (
     outcome_json_line,
     particle_entanglement_entropy,
     render_outcome_log,
+    require_adiabatic,
     run_campaign,
 )
 from modetangle.states import partial_trace, von_neumann_entropy
@@ -61,7 +63,8 @@ def initial_mode_state():
 
 def middle_term(state):
     """The one-quantum-per-mode amplitude of the normalized two-mode state."""
-    return complex(state.normalized().amplitudes.reshape(state.basis.factor_dims)[1, 1])
+    amps = state.amplitudes / np.linalg.norm(state.amplitudes)
+    return complex(amps.reshape(state.basis.factor_dims)[1, 1])
 
 
 def unconverted_delivery():
@@ -77,7 +80,7 @@ class TestInitialModeState:
         assert amps[2, 0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
         assert amps[1, 1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
         assert amps[0, 2] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
-        assert state.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_mode_entropy_is_log2_3(self):
         entropy = von_neumann_entropy(partial_trace(initial_mode_state(), "mode_a"))
@@ -334,6 +337,32 @@ class TestConfigValidation:
         result = run_campaign(ConversionConfig(), np.int64(3), np.uint32(5))
         assert type(result.n_trials) is int
         assert rendered(result) == rendered(run_campaign(ConversionConfig(), 3, 5))
+
+
+class TestAdiabaticCheck:
+    def test_wide_margins_pass(self):
+        require_adiabatic(AdiabaticBudget(1.0, 0.01, 1000.0))
+        with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=10,"):
+            require_adiabatic(AdiabaticBudget(1.0, 0.01, 1000.0, ratio_threshold=10.5))
+
+    def test_small_gap_fails(self):
+        with pytest.raises(PhysicsPreconditionError, match=r"r1=2, r2=10,"):
+            require_adiabatic(AdiabaticBudget(0.02, 0.01, 1000.0))
+
+    def test_short_measurement_fails(self):
+        with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=0\.5,"):
+            require_adiabatic(AdiabaticBudget(1.0, 0.01, 50.0))
+
+    def test_threshold_is_configurable(self):
+        require_adiabatic(AdiabaticBudget(1.0, 0.01, 50.0, ratio_threshold=0.25))
+
+    def test_non_positive_scales_rejected(self):
+        with pytest.raises(ValueError):
+            AdiabaticBudget(0.0, 0.01, 10.0)
+        with pytest.raises(ValueError):
+            AdiabaticBudget(1.0, -0.01, 10.0)
+        with pytest.raises(ValueError):
+            AdiabaticBudget(1.0, 0.01, math.inf)
 
 
 def one_trial(config, rng_seed):
