@@ -169,6 +169,8 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     if os.path.realpath(out_log) == os.path.realpath(out_summary):
         raise runconfig.ConfigError(None, f"out_log and out_summary name the same file: {out_log}")
     config = runconfig.to_conversion_config(rc)
+    for path in (out_log, out_summary):  # refused before the log replaces an older one
+        results.check_writable(path)
     result = protocol.run_campaign(config, rc["trials"], rc["seed"])
     results.atomic_write_text(out_log, protocol.render_outcome_log(result.outcomes))
     summary = protocol.campaign_summary(result, config, rc["seed"])

@@ -26,6 +26,8 @@ The mode-rotation scan applies the two-mode rotation
 to the two-photon state |1,1>, producing
 cos(2phi)|1,1> + (sin(2phi)/sqrt(2))(|0,2> - |2,0>), whose mode-bipartition
 entropy swings between 0 and log2(3) limits with plateaus at 1 and 1.5 bits.
+The scan builds this state in closed form, in real arithmetic; its
+reduced spectrum is (cos^2 2phi, sin^2 2phi / 2, sin^2 2phi / 2).
 
 Each computation is one kernel over an array of settings, the step axis
 of a scan: _analyzer_frames, _analyzed_pairs, _correlations and
@@ -35,7 +37,6 @@ chsh_sum.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -125,36 +126,18 @@ def chsh_scan(theta_min: float, theta_max: float, steps: int) -> ScanResult:
     return ScanResult.from_columns(("theta", "S", "entropy"), (t, s_values, entropy))
 
 
-# Ladder operators on a 3-level mode; photon number is conserved by the
-# rotation, so occupations 0..2 hold the full two-photon sector exactly.
-_MODE_LEVELS = 3
-_MODE_DIMS = (_MODE_LEVELS, _MODE_LEVELS)
-_START_INDEX = 1 * _MODE_LEVELS + 1  # |1,1>
-
-
-@functools.cache
-def _rotation_eigensystem() -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and eigenvectors V of the Hermitian i*G, G the rotation generator.
-
-    exp(phi G) = V diag(exp(-i phi w)) V^H.  The arrays are read-only
-    because the cache hands the same ones to every caller.
-    """
-    lower = np.diag(np.sqrt(np.arange(1, _MODE_LEVELS)), k=1)
-    eye = np.eye(_MODE_LEVELS)
-    a = np.kron(lower, eye)
-    b = np.kron(eye, lower)
-    generator = a @ b.conj().T - a.conj().T @ b
-    w, v = np.linalg.eigh(1j * generator)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+# Photon number is conserved by the rotation, so occupations 0..2 of each
+# mode hold the full two-photon sector exactly.
+_MODE_DIMS = (3, 3)
 
 
 def _mode_rotation_amplitudes(phi: np.ndarray) -> np.ndarray:
-    """(steps, 9) amplitudes of exp(phi G)|1,1> over mode_a, mode_b."""
-    w, v = _rotation_eigensystem()
-    weights = np.exp(-1j * np.outer(phi, w)) * v[_START_INDEX].conj()
-    return np.einsum("sk,jk->sj", weights, v, optimize=False)
+    """(steps, 9) real amplitudes of the rotated |1,1> over mode_a, mode_b, in closed form."""
+    amps = np.zeros((len(phi), 9))
+    amps[:, 4] = np.cos(2.0 * phi)  # |1,1>
+    amps[:, 2] = np.sin(2.0 * phi) / math.sqrt(2.0)  # |0,2>
+    amps[:, 6] = -amps[:, 2]  # |2,0>
+    return amps
 
 
 def mode_rotation_entropy_scan(phi_min: float, phi_max: float, steps: int) -> ScanResult:

@@ -47,25 +47,37 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
     alone.  An OSError names path, not the temp file.
     """
     chunks = [text] if isinstance(text, str) else text
-    target = os.path.realpath(path)
-    tmp = None
+    fd, tmp = _temp_file(path)
     try:
-        # asked of path, not target: stat follows /dev/stdout into /proc,
-        # where realpath can name a pipe that is no file
-        if os.path.exists(path) and not os.path.isfile(path):
-            raise OSError(errno.EEXIST, "exists and is not a regular file")
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~_current_umask())
             handle.writelines(chunks)
-        os.replace(tmp, target)
+        os.replace(tmp, os.path.realpath(path))
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
             # name the file asked for, not the temp file
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
+
+
+def check_writable(path: str | os.PathLike) -> None:
+    """Raise the OSError that atomic_write_text(path, ...) would raise before writing; write nothing."""
+    fd, tmp = _temp_file(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
+def _temp_file(path: str | os.PathLike) -> tuple[int, str]:
+    """mkstemp's (fd, name) for a temp file beside the file path resolves to; an OSError names path."""
+    try:
+        # path, not its realpath, which for /dev/stdout can name a pipe in /proc
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(errno.EEXIST, "exists and is not a regular file")
+        return tempfile.mkstemp(dir=os.path.dirname(os.path.realpath(path)), prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _current_umask() -> int:

@@ -1,10 +1,11 @@
 """Labeled tensor-product pure states and bipartite entanglement measures.
 
-Amplitudes are dense complex vectors in row-major order over the factor
-dimensions (first factor varies slowest).  The reduced spectrum of a
-factor is the squared Schmidt coefficients of the state: the squared
-singular values of its amplitude matrix, kept factor by the rest.  All
-entropies are base-2 (bits).
+Amplitudes are dense vectors in row-major order over the factor
+dimensions (first factor varies slowest): complex in a PureState, real
+or complex in a stack, which keeps a real one real.  The reduced
+spectrum of a factor is the squared Schmidt coefficients of the state:
+the squared singular values of its amplitude matrix, kept factor by the
+rest.  All entropies are base-2 (bits).
 
 The scans and the protocol work on stacks of states, one per row:
 reduced_spectra and the *_entropies functions take (steps, ...) arrays,
@@ -176,7 +177,8 @@ def _kept_matrices(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np
 
     ValueError if the stack does not match dims or a row has zero norm.
     """
-    amps = np.asarray(amplitudes, dtype=complex)
+    amps = np.asarray(amplitudes)
+    amps = amps.astype(np.result_type(amps, float), copy=False)  # a real stack stays real
     dims = tuple(int(d) for d in dims)
     if amps.ndim != 2 or amps.shape[1] != int(np.prod(dims)):
         raise ValueError(f"amplitude stack has shape {amps.shape}, basis dims are {dims}")

@@ -1,8 +1,9 @@
-"""Dense numpy oracles for the oscillator tests.
+"""Dense numpy oracles for the oscillator and mode-rotation tests.
 
 The package solves its parity blocks in plain Python; these build the
 same matrices densely and diagonalize them with np.linalg.eigh, as an
-independent reference.
+independent reference.  The package writes the rotated |1,1> in closed
+form; rotated_pair_state builds it from the rotation's generator.
 """
 
 import numpy as np
@@ -64,3 +65,18 @@ def dense_levels(g: float, n: int, k: int) -> dict:
         "x_squared": np.array(x_squared),
         "tail_weight": max(tails),
     }
+
+
+def rotated_pair_state(phi: np.ndarray) -> np.ndarray:
+    """(steps, 9) amplitudes of exp(phi G)|1,1> over two 3-level modes, G = a b+ - a+ b.
+
+    exp(phi G) = V diag(exp(-i phi w)) V^H from the eigenpairs (w, V) of
+    the Hermitian iG, so the result is complex.
+    """
+    lower = np.diag(np.sqrt(np.arange(1.0, 3.0)), k=1)
+    a = np.kron(lower, np.eye(3))
+    b = np.kron(np.eye(3), lower)
+    w, v = np.linalg.eigh(1j * (a @ b.T - a.T @ b))
+    start = np.zeros(9)
+    start[1 * 3 + 1] = 1.0
+    return (np.exp(-1j * np.outer(phi, w)) * (v.conj().T @ start)) @ v.T

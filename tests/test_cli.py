@@ -137,7 +137,7 @@ class TestScanCommands:
         [
             ("chsh", "6caf3987e8c4901bc329f5fe1ba0e2eadad15b774333b643b7cfaa3d5b55c38c"),
             ("entropy-rotation",
-             "28c68e84a04a4800649a43e02c94455347ed033396e3a6382fe8723f8fbc7e45"),
+             "a6680c547fa0fb94bcdcf87161f89549ecd24aeab33e747664f80c250440401a"),
             ("interferometer",
              "acebe6ee1fc7618ea2836443be3d75af28cc60fe097c6b8efbb659bf27158217"),
         ],
@@ -451,6 +451,18 @@ class TestProtocolCommand:
         assert "not a regular file" in capsys.readouterr().err
         assert os.listdir(tmp_path / "real") == []
         assert os.readlink(link) == str(tmp_path / "real" / "log.jsonl")
+
+    def test_unwritable_summary_keeps_an_earlier_log(self, tmp_path, capsys):
+        config = write_config(tmp_path, "trials = 5\n")
+        earlier = b'{"trial": 0}\n'
+        (tmp_path / "run.jsonl").write_bytes(earlier)
+        (tmp_path / "run.json").mkdir()  # the summary path is refused
+        assert main(["protocol", config, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert f"'{tmp_path / 'run.json'}'" in err
+        assert "not a regular file" in err
+        assert (tmp_path / "run.jsonl").read_bytes() == earlier
+        assert not list(tmp_path.glob(".tmp-*"))
 
     def test_failing_adiabatic_budget(self, tmp_path, capsys):
         config = write_config(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_model import rotated_pair_state
 from kernel_views import analyzed_pairs, analyzer_frames, column, fidelity, labeled
 
 from modetangle.interferometer import momentum_chsh_scan
@@ -216,14 +217,12 @@ class TestChshScan:
 
 class TestModeRotation:
     def test_closed_form_amplitudes(self):
-        # cos(2phi)|1,1> + sin(2phi)/sqrt(2) (|0,2> - |2,0>)
+        # the closed form against exp(phi G)|1,1> built from the ladder operators
         rng = np.random.default_rng(137)
         phi = rng.uniform(-2.0, 2.0, size=40)
-        expected = np.zeros((40, 9))
-        expected[:, 4] = np.cos(2.0 * phi)
-        expected[:, 2] = np.sin(2.0 * phi) / math.sqrt(2.0)
-        expected[:, 6] = -np.sin(2.0 * phi) / math.sqrt(2.0)
-        np.testing.assert_allclose(_mode_rotation_amplitudes(phi), expected, atol=1e-12)
+        amplitudes = _mode_rotation_amplitudes(phi)
+        assert amplitudes.dtype == np.float64
+        np.testing.assert_allclose(amplitudes, rotated_pair_state(phi), rtol=0, atol=1e-12)
 
     def test_entropy_landmarks(self):
         landmarks = ((0.0, 0.0), (math.pi / 4.0, 1.0), (math.pi / 8.0, 1.5))

@@ -11,6 +11,7 @@ from modetangle.states import (
     LabelingError,
     PureState,
     ReducedDensityMatrix,
+    _kept_matrices,
     partial_trace,
     reduced_spectra,
     renyi_entropies,
@@ -145,6 +146,20 @@ class TestReducedSpectra:
                 psi = state.amplitudes.reshape(dims)
                 rho = psi @ psi.conj().T if keep == 0 else psi.T @ psi.conj()
                 np.testing.assert_allclose(spectra[i], np.linalg.eigvalsh(rho), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_a_real_stack_stays_real(self, dims):
+        rng = np.random.default_rng(29)
+        stack = rng.standard_normal((200, int(np.prod(dims))))
+        for keep in (0, 1):
+            assert _kept_matrices(stack, dims, keep).dtype == np.float64
+            # each SVD's weights are within ~1e-15 of exact, so the two agree to ~2e-15
+            np.testing.assert_allclose(
+                reduced_spectra(stack, dims, keep),
+                reduced_spectra(stack.astype(complex), dims, keep),
+                rtol=0,
+                atol=10 * np.finfo(float).eps,
+            )
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_small_schmidt_weights_keep_their_relative_accuracy(self, d):
