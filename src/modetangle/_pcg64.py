@@ -8,7 +8,9 @@ mixing and PCG64's seeding and stepping are fixed integer recurrences
 Space-Efficient Statistically Good Algorithms for Random Number
 Generation", HMC-CS-2014-0905), so this module runs them for a whole
 block of children as uint32/uint64 array arithmetic and returns the same
-raw 64-bit outputs, bit for bit.
+raw 64-bit outputs, bit for bit.  A child's id must lie below 2**32, where
+SeedSequence makes one spawn word of it, so a campaign is capped at
+2**32 trials.
 
 Every constant is an explicit np.uint32 or np.uint64 so that the array
 arithmetic wraps at the word size under numpy 1.x and 2.x alike.
@@ -85,15 +87,6 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
 
 
-def _spawn_words(children: range) -> list[np.ndarray]:
-    """The spawn-key words of each child id, one array per word position."""
-    if children.start < 2**32 < children.stop:
-        raise ValueError("children must not straddle 2**32")
-    ids = np.arange(children.start, children.stop, dtype=_U64)
-    low = (ids & _LIMB_MASK).astype(_U32)
-    return [low] if children.start < 2**32 else [low, (ids >> _LIMB).astype(_U32)]
-
-
 # generate_state's hash constants for its 8 output words
 _STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 8)
 
@@ -103,7 +96,7 @@ class SpawnedPCG64:
 
     The pool mixing of the seed's own words is the same for every child,
     so it is done once here; each call mixes in only the children's spawn
-    words.
+    word.
     """
 
     def __init__(self, rng_seed: int) -> None:
@@ -113,8 +106,8 @@ class SpawnedPCG64:
         words = _words(rng_seed)
         words += [0] * (_POOL_SIZE - len(words))
         extra = len(words) - _POOL_SIZE
-        # 4 fills, 12 cross mixes, 4 per extra word, and 4 per spawn word (at most 2)
-        consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra + 8)
+        # 4 fills, 12 cross mixes, 4 per extra word, and 4 for the spawn word
+        consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra + 4)
         pool = _hash(np.array(words[:_POOL_SIZE], dtype=_U32)[:, None], consts[: _POOL_SIZE + 1])
         k = _POOL_SIZE
         for src in range(_POOL_SIZE):
@@ -133,14 +126,12 @@ class SpawnedPCG64:
         """PCG64(seq).random_raw(2) as two uint64 columns, one row per seq.
 
         seq is each child SeedSequence(rng_seed, spawn_key=(i,)) for i in
-        children.  Children in one call must all lie below 2**32 or all at
-        or above it, since SeedSequence makes one spawn word of an id below
-        2**32 and two of one above.
+        children, a range of ids below 2**32.
         """
-        pool = self._pool
-        for j, word in enumerate(_spawn_words(children)):
-            consts = self._spawn_consts[_POOL_SIZE * j : _POOL_SIZE * (j + 1) + 1]
-            pool = _mix(pool, _hash(word, consts))
+        if children.stop > 2**32:
+            raise ValueError(f"child ids must lie below 2**32, got up to {children.stop - 1}")
+        ids = np.arange(children.start, children.stop, dtype=_U32)
+        pool = _mix(self._pool, _hash(ids, self._spawn_consts))
         # generate_state(4, np.uint64): 8 hashed pool words, paired little-endian
         state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS).astype(_U64)
         seed_hi, seed_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << _LIMB)

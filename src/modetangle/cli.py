@@ -169,18 +169,14 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     if os.path.realpath(out_log) == os.path.realpath(out_summary):
         raise runconfig.ConfigError(None, f"out_log and out_summary name the same file: {out_log}")
     config = runconfig.to_conversion_config(rc)
-    for path in (out_log, out_summary):  # refused before the log replaces an older one
+    for path in (out_log, out_summary):  # refused before the campaign runs
         results.check_writable(path)
     result = protocol.run_campaign(config, rc["trials"], rc["seed"])
-    results.atomic_write_text(out_log, protocol.render_outcome_log(result.outcomes))
     summary = protocol.campaign_summary(result, config, rc["seed"])
-    try:
-        results.write_json(summary, out_summary)
-    except OSError:
-        # the log alone is half a result: leave neither file behind.  The
-        # log went through any symlink at out_log, so remove what it wrote
-        os.unlink(os.path.realpath(out_log))
-        raise
+    log = protocol.render_outcome_log(result.outcomes)
+    # the summary waits in its temp file until the log has replaced an older
+    # one, so a failed write of either leaves an earlier pair as it was
+    results.write_json(summary, out_summary, before_rename=lambda: results.atomic_write_text(out_log, log))
     for key in ("delivered_rate", "abort_rate", "mean_entropy", "min_fidelity"):
         value = summary[key]
         print(f"{key}={'none' if value is None else results.format_number(value)}")

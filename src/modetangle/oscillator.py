@@ -30,11 +30,12 @@ Numer. Math. 9, 1967; Parlett, ch. 3 and 4):
    (Sylvester's law of inertia).  Bisection on that count finds how many
    of the wanted levels each parity holds, then an interval that holds
    each level alone.
-2. Vector.  Rayleigh quotient iteration inside that interval, each step a
-   banded LU with partial pivoting of A_M - s I, until the residual is
-   at the block's rounding scale eps ||A_M||_1.  It starts from the
-   level's number state, or from the level as the previous, narrower
-   block gave it, which one step then finishes.
+2. Vector.  Rayleigh quotient iteration inside that interval, each step
+   one banded elimination with partial pivoting of A_M - s I, carrying
+   the iterate along, until the residual is at the block's rounding
+   scale eps ||A_M||_1.  It starts from the level's number state, or from
+   the level as the previous, narrower block gave it, which one step then
+   finishes.
 3. Level.  The vector's Rayleigh quotient.
 
 Only +, -, *, /, math.sqrt and math.fsum touch the floats, and every sum
@@ -156,15 +157,12 @@ class OscillatorModel(NamedTuple):
     def x_squared_expectation(self, n: int) -> float:
         """<n(g)|X^2|n(g)>; equals n + 1/2 at zero anharmonicity."""
         parity, u = self.vectors[self._check_level(n)]
-        x2, _ = _position_power_diagonals(parity + 2 * len(u))
-        # inside a block the X^2 diagonals 0 and +-2 become 0 and +-1, and
-        # the zeros beyond the block's rows add nothing.  Form X^2 u row by
-        # row before the dot product: the diagonal and the off-diagonal
-        # terms cancel within each row, where summing them as two separate
-        # totals loses ~7e-15 relative at g = 100
-        d0, d1 = x2[0][parity::2], x2[2][parity::2]
+        d0, d1 = _x_squared_diagonals(parity, len(u))
+        # form X^2 u row by row before the dot product: the diagonal and the
+        # off-diagonal terms cancel within each row, where summing them as
+        # two separate totals loses ~7e-15 relative at g = 100
         x2u = [d * ui for d, ui in zip(d0, u)]
-        for i, d in enumerate(d1[: len(u) - 1]):
+        for i, d in enumerate(d1):
             x2u[i] += d * u[i + 1]
             x2u[i + 1] += d * u[i]
         return math.fsum([ui * ri for ui, ri in zip(u, x2u)])
@@ -185,26 +183,25 @@ class OscillatorModel(NamedTuple):
         return n
 
 
-def _position_power_diagonals(dim: int) -> tuple[dict, dict]:
-    """Closed-form diagonals {offset: values} of X^2 and X^4 in the number basis."""
-    k = [float(i) for i in range(dim)]
-    root2 = [math.sqrt((ki + 1.0) * (ki + 2.0)) for ki in k[:-2]]
-    root4 = [math.sqrt((ki + 1.0) * (ki + 2.0) * (ki + 3.0) * (ki + 4.0)) for ki in k[:-4]]
-    x2 = {0: [ki + 0.5 for ki in k], 2: [0.5 * r for r in root2]}
-    x4 = {
-        0: [0.75 * (2.0 * ki * ki + 2.0 * ki + 1.0) for ki in k],
-        2: [0.5 * (2.0 * ki + 3.0) * r for ki, r in zip(k, root2)],
-        4: [0.25 * r for r in root4],
-    }
-    return x2, x4
+def _x_squared_diagonals(parity: int, rows: int) -> tuple[list[float], list[float]]:
+    """Main and first diagonals of X^2 over the leading rows of one parity block.
+
+    They are X^2's diagonals 0 and +-2 at the states parity, parity + 2, ...
+    """
+    k = [float(parity + 2 * i) for i in range(rows)]
+    return [x + 0.5 for x in k], [0.5 * math.sqrt((x + 1.0) * (x + 2.0)) for x in k[:-1]]
 
 
 def _parity_blocks(anharmonicity: float, truncation: int) -> list[list[list[float]]]:
     """Main, first and second diagonals of the even and of the odd block of H_N."""
-    _, x4 = _position_power_diagonals(truncation)
+    k = [float(i) for i in range(truncation)]
     q = 0.25 * anharmonicity
-    h = [[q * d + (k + 0.5) for k, d in enumerate(x4[0])]]
-    h += ([q * d for d in x4[offset]] for offset in (2, 4))
+    # diag(k + 1/2) + q X^4, from the closed-form diagonals 0, 2 and 4 of X^4
+    h = [
+        [q * (0.75 * (2.0 * x * x + 2.0 * x + 1.0)) + (x + 0.5) for x in k],
+        [q * (0.5 * (2.0 * x + 3.0) * math.sqrt((x + 1.0) * (x + 2.0))) for x in k[:-2]],
+        [q * (0.25 * math.sqrt((x + 1.0) * (x + 2.0) * (x + 3.0) * (x + 4.0))) for x in k[:-4]],
+    ]
     # even states sit at rows 0::2, odd at 1::2, and the offsets 2 and 4
     # become 1 and 2 inside a block
     return [[d[p::2] for d in h] for p in (0, 1)]
@@ -280,13 +277,7 @@ def _count_below(band: _Band, shift: float) -> tuple[int, float]:
     count = 0
     d1 = d2 = 1.0  # D[i - 1] and D[i - 2]; any nonzero value before row 0
     l1 = 0.0  # L[i - 1, i - 2]
-    # w_j = |D_j| (1 + |L[j + 1, j]| + |L[j + 2, j]|) is complete once row
-    # j + 2 is factored, and row j of |L||D||L^T| sums to w_j
-    # + |L[j, j - 1]| w_{j - 1} + |L[j, j - 2]| w_{j - 2}.  w1 is w_{i - 1}
-    # so far and w2-w4 are w_{i - 2} to w_{i - 4}; e, s and t are |D| and
-    # |L| on the first and second subdiagonals, of rows i - 1 and i - 2
-    w1 = w2 = w3 = w4 = e1 = e2 = s1 = s2 = t1 = t2 = 0.0
-    top = 0.0
+    e, s, t = [], [], []  # |D[i]|, |L[i, i - 1]| and |L[i, i - 2]|
     for ai, bi, ci in zip(main, first, second):
         li2 = ci / d2
         b = bi - ci * l1
@@ -296,17 +287,18 @@ def _count_below(band: _Band, shift: float) -> tuple[int, float]:
             count += 1
         elif di == 0.0:
             return 0, math.inf
-        s, t = abs(li1), abs(li2)
-        w1 += e1 * s
-        w2 += e2 * t
-        row = w2 + s2 * w3 + t2 * w4  # row i - 2
-        if row > top:
-            top = row
-        e = abs(di)
-        w1, w2, w3, w4, e1, e2, s1, s2, t1, t2 = e, w1, w2, w3, e, e1, s, s1, t, t1
+        e.append(abs(di))
+        s.append(abs(li1))
+        t.append(abs(li2))
         d2, d1, l1 = d1, di, li1
-    top = max(top, w2 + s2 * w3 + t2 * w4, w1 + s1 * w2 + t1 * w3)
-    return count, 4.0 * _EPS * top
+    # w_j = |D_j| + |D_j||L[j + 1, j]| + |D_j||L[j + 2, j]|, without the
+    # terms of rows past the last, and row i of |L||D||L^T| sums to
+    # w_i + |L[i, i - 1]| w_{i - 1} + |L[i, i - 2]| w_{i - 2}
+    w = [ej + ej * sj for ej, sj in zip(e, s[1:])] + e[-1:]
+    w = [wj + ej * tj for wj, ej, tj in zip(w, e, t[2:])] + w[-2:]
+    above = [0.0, 0.0, *w]  # above[i + 2] = w_i, zero before row 0
+    rows = [wi + si * w1 + ti * w2 for wi, si, ti, w1, w2 in zip(w, s, t, above[1:], above)]
+    return count, 4.0 * _EPS * max(0.0, *rows)
 
 
 def _negative_pivots(band: _Band, shift: float) -> int:
@@ -332,64 +324,45 @@ def _negative_pivots(band: _Band, shift: float) -> int:
     return count
 
 
-def _banded_lu(band: _Band, shift: float) -> tuple[list, list]:
-    """LU with partial pivoting of A - shift I for the band A.
+def _shifted_solve(band: _Band, shift: float, rhs: list[float]) -> list[float]:
+    """x with (A - shift I) x = rhs for the band A, by elimination with partial pivoting.
 
     Column j has nonzeros in rows j to j + 2 only, so each step picks its
     pivot among three rows, and a row of U reaches 4 columns right of the
-    diagonal (Golub & Van Loan, Matrix Computations, sec. 4.3).  Returns,
-    per step, which row became the pivot (0-2 below j) with the two
-    multipliers, and the row of U as its five entries from the diagonal
-    on.  A pivot smaller than the band's rounding is raised to it, sign
-    kept: in inverse iteration a singular A - shift I only means that the
-    shift is exact, and the solution stays within the float range.
+    diagonal (Golub & Van Loan, Matrix Computations, sec. 4.3).  Each row
+    carries its entry of the right-hand side through the elimination, and
+    only the rows of U are kept, for the back substitution.  A pivot
+    smaller than the band's rounding is raised to it, sign kept: in
+    inverse iteration a singular A - shift I only means that the shift is
+    exact, and the solution stays within the float range.
     """
     main, first, second, _, rounding = band
     d = [a - shift for a in main]
     d += (0.0, 0.0)
-    # the rows now in positions j and j + 1, from column j on
-    x0, x1, x2, x3, x4 = d[0], first[1], second[2], 0.0, 0.0
-    y0, y1, y2, y3, y4 = first[1], d[1], first[2], second[3], 0.0
-    steps, upper = [], []
+    # the rows now in positions j and j + 1, from column j on, and their rhs entries
+    x0, x1, x2, x3, x4, f0 = d[0], first[1], second[2], 0.0, 0.0, rhs[0]
+    y0, y1, y2, y3, y4, f1 = first[1], d[1], first[2], second[3], 0.0, rhs[1]
+    upper = []
     # row j + 2 is still A's own at step j: A[j + 2, j:j + 5]
-    for z0, z1, z2, z3, z4 in zip(second[2:], first[2:], d[2:], first[3:], second[4:]):
+    rows = zip(second[2:], first[2:], d[2:], first[3:], second[4:], [*rhs[2:], 0.0, 0.0])
+    for z0, z1, z2, z3, z4, f2 in rows:
         ax, ay, az = abs(x0), abs(y0), abs(z0)
         if ay > ax and ay >= az:
-            x0, x1, x2, x3, x4, y0, y1, y2, y3, y4 = y0, y1, y2, y3, y4, x0, x1, x2, x3, x4
-            pivot = 1
+            x0, x1, x2, x3, x4, f0, y0, y1, y2, y3, y4, f1 = y0, y1, y2, y3, y4, f1, x0, x1, x2, x3, x4, f0
         elif az > ax:
-            x0, x1, x2, x3, x4, z0, z1, z2, z3, z4 = z0, z1, z2, z3, z4, x0, x1, x2, x3, x4
-            pivot = 2
-        else:
-            pivot = 0
+            x0, x1, x2, x3, x4, f0, z0, z1, z2, z3, z4, f2 = z0, z1, z2, z3, z4, f2, x0, x1, x2, x3, x4, f0
         if abs(x0) < rounding:
             x0 = -rounding if x0 < 0.0 else rounding
         m1, m2 = y0 / x0, z0 / x0
-        steps.append((pivot, m1, m2))
-        upper.append((x0, x1, x2, x3, x4))
-        x0, x1, x2, x3, x4, y0, y1, y2, y3, y4 = (
-            y1 - m1 * x1, y2 - m1 * x2, y3 - m1 * x3, y4 - m1 * x4, 0.0,
-            z1 - m2 * x1, z2 - m2 * x2, z3 - m2 * x3, z4 - m2 * x4, 0.0,
+        upper.append((x0, x1, x2, x3, x4, f0))
+        x0, x1, x2, x3, x4, f0, y0, y1, y2, y3, y4, f1 = (
+            y1 - m1 * x1, y2 - m1 * x2, y3 - m1 * x3, y4 - m1 * x4, 0.0, f1 - m1 * f0,
+            z1 - m2 * x1, z2 - m2 * x2, z3 - m2 * x3, z4 - m2 * x4, 0.0, f2 - m2 * f0,
         )
-    return steps, upper
-
-
-def _banded_solve(factors: tuple[list, list], rhs: list[float]) -> list[float]:
-    """x with (A - shift I) x = rhs, from the factors _banded_lu returns."""
-    steps, upper = factors
-    f0, f1 = rhs[0], rhs[1]
-    y = []
-    for (pivot, m1, m2), f2 in zip(steps, [*rhs[2:], 0.0, 0.0]):
-        if pivot == 1:
-            f0, f1 = f1, f0
-        elif pivot == 2:
-            f0, f2 = f2, f0
-        y.append(f0)
-        f0, f1 = f1 - m1 * f0, f2 - m2 * f0
-    x = [0.0] * (len(y) + 4)
-    for j in range(len(y) - 1, -1, -1):
-        u0, u1, u2, u3, u4 = upper[j]
-        x[j] = (y[j] - u1 * x[j + 1] - u2 * x[j + 2] - u3 * x[j + 3] - u4 * x[j + 4]) / u0
+    x = [0.0] * (len(upper) + 4)
+    for j in range(len(upper) - 1, -1, -1):
+        u0, u1, u2, u3, u4, f = upper[j]
+        x[j] = (f - u1 * x[j + 1] - u2 * x[j + 2] - u3 * x[j + 3] - u4 * x[j + 4]) / u0
     del x[-4:]
     return x
 
@@ -442,7 +415,7 @@ def _eigenvector(band: _Band, level: int, lo: float, hi: float, guess: tuple) ->
     if not lo <= shift < hi:
         shift = 0.5 * (lo + hi)
     for _ in range(_MAX_ITERATIONS):
-        x = _banded_solve(_banded_lu(band, shift), v)
+        x = _shifted_solve(band, shift, v)
         # ||x|| = root 2^e, scaled by a power of two so that no square
         # overflows or underflows; the scaling is exact and moves no bit
         e = math.frexp(max(map(abs, x)))[1]

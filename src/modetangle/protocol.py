@@ -76,9 +76,10 @@ __all__ = [
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 AMPLITUDE_TOL = 1e-12
-# trials per sampling and rendering step; it divides 2**32, so no sampling
-# block straddles the trial id at which a spawn key gains a second word
+# trials per sampling and rendering step
 CHUNK = 4096
+# a trial id must fit the one spawn word _pcg64 draws with; a log this long is ~1 TB
+MAX_TRIALS = 2**32
 
 _PAIR_FACTORS = ("photon_1", "photon_2")
 _PAIR_DIMS = (2, 2)
@@ -358,14 +359,17 @@ def run_campaign(
     rng_seed) reproduce the log exactly and the first trials do not
     depend on n_trials.  The draws of CHUNK trials at a time come from
     one vectorized pass of _pcg64.SpawnedPCG64, which reproduces numpy's
-    objects bit for bit.  Memory is one byte per trial.  A truncation
-    whose two levels put more than the oscillator's
-    TAIL_WEIGHT_LIMIT in the top basis states refuses to run, and so does
-    a configured adiabatic budget that fails its check.
+    objects bit for bit.  Memory is one byte per trial, and a campaign
+    holds at most MAX_TRIALS = 2**32 trials.  A truncation whose two
+    levels put more than the oscillator's TAIL_WEIGHT_LIMIT in the top
+    basis states refuses to run, and so does a configured adiabatic
+    budget that fails its check.
     """
     n_trials = require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if n_trials > MAX_TRIALS:
+        raise ValueError(f"n_trials must be at most 2**32 = {MAX_TRIALS}, got {n_trials}")
     stream = SpawnedPCG64(rng_seed)
     templates = _outcome_templates(config)
     if config.adiabatic_budget is not None:

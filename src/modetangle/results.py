@@ -13,7 +13,7 @@ import errno
 import json
 import os
 import tempfile
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 # the one number format: CSV cells, float metadata and printed protocol rates
@@ -36,7 +36,9 @@ class ScanResult(NamedTuple):
         return cls(tuple(columns), tuple(v.tolist() for v in values))
 
 
-def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+def atomic_write_text(
+    path: str | os.PathLike, text: str | Iterable[str], before_rename: Callable[[], None] | None = None
+) -> None:
     """Write text, or an iterable of its chunks, to path via a temp file and rename.
 
     Chunks are written as they come, so a long text need never be held
@@ -44,7 +46,9 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
     it, not the 0o600 of the temp file.  A symlink at path stays, and the
     file it resolves to is replaced.  A path that exists but is no
     regular file, such as a FIFO or /dev/stdout, is refused and left
-    alone.  An OSError names path, not the temp file.
+    alone.  before_rename, if given, runs once the temp file is written
+    and before it replaces path; what it raises leaves path as it was.
+    An OSError of the write or the rename names path, not the temp file.
     """
     chunks = [text] if isinstance(text, str) else text
     fd, tmp = _temp_file(path)
@@ -52,12 +56,14 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~_current_umask())
             handle.writelines(chunks)
+        if before_rename is not None:
+            before_rename()
         os.replace(tmp, os.path.realpath(path))
     except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError):
-            # name the file asked for, not the temp file
+        # an error that names another file is before_rename's, and passes as it is
+        if isinstance(exc, OSError) and exc.filename in (None, tmp):
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
@@ -96,8 +102,10 @@ def render_scan_csv(result: ScanResult, metadata: Mapping[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_json(obj: object, path: str | os.PathLike) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def write_json(
+    obj: object, path: str | os.PathLike, before_rename: Callable[[], None] | None = None
+) -> None:
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", before_rename)
 
 
 def _metadata_str(value: object) -> str:

@@ -182,8 +182,12 @@ def _kept_matrices(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np
     dims = tuple(int(d) for d in dims)
     if amps.ndim != 2 or amps.shape[1] != int(np.prod(dims)):
         raise ValueError(f"amplitude stack has shape {amps.shape}, basis dims are {dims}")
-    # Elementwise sums, not BLAS dots, so the norms round the same on every CPU.
-    norms = np.sqrt(np.sum(amps.real * amps.real + amps.imag * amps.imag, axis=1))
+    # Elementwise sums, not BLAS dots, so the norms round the same on every
+    # CPU; a real stack has no imaginary part to square
+    squares = amps.real * amps.real
+    if np.iscomplexobj(amps):
+        squares += amps.imag * amps.imag
+    norms = np.sqrt(np.sum(squares, axis=1))
     if np.min(norms) < ZERO_NORM_TOL:
         raise ValueError("cannot normalize a zero-norm state")
     psi = (amps / norms[:, np.newaxis]).reshape((len(amps),) + dims)

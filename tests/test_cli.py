@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -164,12 +166,14 @@ class TestScanCommands:
 
 
 # sha256 of the oscillator report at (lambda, N), without its "tool" line;
-# lambda = 0 runs the solver on diagonal blocks, and lambda = 100 at
-# N = 800 solves the full blocks
+# lambda = 0 runs the solver on diagonal blocks, lambda = 100 at N = 800
+# solves the full blocks, and lambda = 5 at N = 1600 is certified after
+# four block widths, 64 to 512
 OSCILLATOR_DIGESTS = {
     ("0.1", "1600"): "a8593ee83a4eca841f5f95aec707c8cd43f3b19a545340d5ba2d0954b9c229e5",
     ("0", "1600"): "01d8fdd82a38ef8454ce66789d1e56a6e0877d8dcbc696c010b8501522f068f7",
     ("100", "800"): "e1ad9ea01567f35dea41a1f105b10f5f948a6281aaa54ab776abccc8cc884cf6",
+    ("5", "1600"): "3a879a2ddde459c276aa6a5f3aed009bb42166d0f2c94af8997a6a966d5b920b",
 }
 
 
@@ -381,6 +385,15 @@ class TestProtocolCommand:
         config = write_config(tmp_path, "eta = 1.5\n")
         assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2
 
+    def test_more_trials_than_the_sampler_holds_refused(self, tmp_path, capsys):
+        # refused before the kind bytes, ~1 TB here, are allocated
+        config = write_config(tmp_path, "trials = 5\n")
+        code = main(["protocol", config, "--out", str(tmp_path / "x"), "--trials", "1000000000000"])
+        assert code == 2
+        message = "n_trials must be at most 2**32 = 4294967296, got 1000000000000"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_duplicate_key(self, tmp_path, capsys):
         config = write_config(tmp_path, "trials = 5\ntrials = 6\n")
         assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2
@@ -462,6 +475,36 @@ class TestProtocolCommand:
         assert f"'{tmp_path / 'run.json'}'" in err
         assert "not a regular file" in err
         assert (tmp_path / "run.jsonl").read_bytes() == earlier
+        assert not list(tmp_path.glob(".tmp-*"))
+
+    @pytest.mark.parametrize(
+        "full, named", [('"n_trials"', "run.json"), ('"trial_id"', "run.jsonl")], ids=["summary", "log"]
+    )
+    def test_full_disk_keeps_an_earlier_pair(self, tmp_path, monkeypatch, capsys, full, named):
+        # the disk fills up during the write of the file whose text holds
+        # the key full: the summary's, or the log's
+        class FullDisk(io.TextIOWrapper):
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    if full in chunk:
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    self.write(chunk)
+
+        def fdopen(fd, mode, encoding, newline):
+            return FullDisk(open(fd, "wb"), encoding=encoding, newline=newline)
+
+        config = write_config(tmp_path, "trials = 5\n")
+        earlier = {"run.jsonl": b'{"trial": 0}\n', "run.json": b'{"n_trials": 1}\n'}
+        for name, data in earlier.items():
+            (tmp_path / name).write_bytes(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fdopen", fdopen)
+            code = main(["protocol", config, "--out", str(tmp_path / "run")])
+        assert code == 1
+        message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{tmp_path / named}'"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        for name, data in earlier.items():
+            assert (tmp_path / name).read_bytes() == data
         assert not list(tmp_path.glob(".tmp-*"))
 
     def test_failing_adiabatic_budget(self, tmp_path, capsys):

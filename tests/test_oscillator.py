@@ -16,7 +16,8 @@ from modetangle.oscillator import (
     _count_below,
     _cut_residual,
     _parity_blocks,
-    _position_power_diagonals,
+    _shifted_solve,
+    _x_squared_diagonals,
 )
 
 
@@ -41,11 +42,15 @@ class TestClosedFormBuild:
     def test_diagonals_match_cropped_dense_products(self, n):
         x = position_operator(2 * n)
         x2 = x @ x
-        closed_x2, closed_x4 = _position_power_diagonals(n)
-        np.testing.assert_allclose(symmetric_banded(closed_x2), x2[:n, :n], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(
-            symmetric_banded(closed_x4), (x2 @ x2)[:n, :n], rtol=1e-12, atol=0
-        )
+        # H_N at g = 4, where g/4 leaves X^4 unscaled
+        h = np.diag(np.arange(n) + 0.5) + (x2 @ x2)[:n, :n]
+        for parity, diagonals in enumerate(_parity_blocks(4.0, n)):
+            rows = slice(parity, n, 2)
+            closed_x2 = dict(enumerate(_x_squared_diagonals(parity, len(diagonals[0]))))
+            np.testing.assert_allclose(symmetric_banded(closed_x2), x2[rows, rows], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                symmetric_banded(dict(enumerate(diagonals))), h[rows, rows], rtol=1e-12, atol=0
+            )
 
     @pytest.mark.parametrize("g", [0.0, 0.04, 0.5, 5.0])
     @pytest.mark.parametrize("n", [9, 64, 128])
@@ -113,6 +118,59 @@ class TestClosedFormBuild:
         assert model.truncation == n
         assert held - base <= 1.1 * 8 * n * n / 2
         assert peak - base < 20 * 2**20
+
+
+def pivot_rows(a):
+    """Per step of a dense LU of the band a: the row partial pivoting picks, 0-2 below, and the pivot."""
+    a = np.array(a, dtype=float)
+    rows, pivots = [], []
+    for j in range(len(a)):
+        p = int(np.argmax(np.abs(a[j : j + 3, j])))
+        a[[j, j + p]] = a[[j + p, j]]
+        rows.append(p)
+        pivots.append(a[j, j])
+        if a[j, j] != 0.0:
+            a[j + 1 :] -= np.outer(a[j + 1 :, j] / a[j, j], a[j])
+    return rows, pivots
+
+
+class TestShiftedSolve:
+    @pytest.mark.parametrize(
+        "g, shift, picked",
+        [(0.1, "below", {0}), (100.0, "below", {0, 1}), (100.0, "between", {0, 1, 2})],
+    )
+    def test_matches_the_dense_solve(self, g, shift, picked):
+        # the lowest two levels of the even block of H_64; below them no
+        # pivot is swapped at g = 0.1, and between them every choice is made
+        diagonals = _parity_blocks(g, 64)[0]
+        a = symmetric_banded(dict(enumerate(diagonals)))
+        values = np.linalg.eigvalsh(a)
+        s = values[0] - 10.0 if shift == "below" else 0.5 * (values[0] + values[1])
+        shifted = a - s * np.eye(len(a))
+        assert set(pivot_rows(shifted)[0]) == picked
+        rhs = np.cos(np.arange(len(a)))
+        x = _shifted_solve(_band(diagonals), s, rhs.tolist())
+        reference = np.linalg.solve(shifted, rhs)
+        np.testing.assert_allclose(x, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference)))
+
+    @pytest.mark.parametrize(
+        "diagonals, shift, vector",
+        [
+            # the even block of H_16 at g = 0, diag(1/2, 5/2, 9/2, ...): 9/2 is its third level
+            (_parity_blocks(0.0, 16)[0], 4.5, np.eye(8)[2]),
+            # tridiag(-1, 2, -1) has the level 2 at (1, 0, -1, 0, 1), and
+            # elimination at that shift swaps rows and stays exact
+            ([[2.0] * 5, [-1.0] * 4, [0.0] * 3], 2.0, np.array([1.0, 0.0, -1.0, 0.0, 1.0])),
+        ],
+        ids=["diagonal", "pivoting"],
+    )
+    def test_an_exact_level_raises_the_zero_pivot(self, diagonals, shift, vector):
+        a = symmetric_banded(dict(enumerate(diagonals)))
+        assert 0.0 in pivot_rows(a - shift * np.eye(len(a)))[1]
+        x = np.array(_shifted_solve(_band(diagonals), shift, [1.0] * len(a)))
+        assert np.all(np.isfinite(x))
+        cosine = abs(x @ vector) / (np.linalg.norm(x) * np.linalg.norm(vector))
+        assert cosine == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 class TestLeadingBlock:

@@ -11,6 +11,7 @@ from modetangle._pcg64 import SpawnedPCG64
 from modetangle.oscillator import build_model, mode_overlap
 from modetangle.protocol import (
     CHUNK,
+    MAX_TRIALS,
     AdiabaticBudget,
     ConversionConfig,
     PhysicsPreconditionError,
@@ -333,6 +334,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             run_campaign(ConversionConfig(), n_trials, rng_seed)
 
+    def test_more_trials_than_spawn_ids_refused(self, monkeypatch):
+        # refused before any draw: the sampler would need ids from 2**32 on
+        from modetangle import protocol
+
+        monkeypatch.setattr(protocol, "SpawnedPCG64", None)
+        message = r"^n_trials must be at most 2\*\*32 = 4294967296, got 4294967297$"
+        with pytest.raises(ValueError, match=message):
+            run_campaign(ConversionConfig(), MAX_TRIALS + 1, rng_seed=1)
+
     def test_numpy_integer_size_and_seed_admitted(self):
         result = run_campaign(ConversionConfig(), np.int64(3), np.uint32(5))
         assert type(result.n_trials) is int
@@ -433,13 +443,13 @@ class TestSpawnedPCG64:
         assert np.array_equal(np.concatenate([np.stack(pair, axis=1) for pair in drawn]), expected)
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    def test_two_word_spawn_keys_from_2_to_the_32(self, seed):
-        block = range(2**32, 2**32 + 8)
+    def test_last_children_below_2_to_the_32(self, seed):
+        block = range(2**32 - 8, 2**32)
         expected = [numpy_raw2(np.random.SeedSequence(seed, spawn_key=(i,))) for i in block]
         assert np.array_equal(np.stack(SpawnedPCG64(seed).raw2(block), axis=1), expected)
 
-    def test_block_straddling_2_to_the_32_refused(self):
-        with pytest.raises(ValueError, match="straddle"):
+    def test_children_from_2_to_the_32_refused(self):
+        with pytest.raises(ValueError, match=r"below 2\*\*32, got up to 4294967296$"):
             SpawnedPCG64(1).raw2(range(2**32 - 1, 2**32 + 1))
 
 

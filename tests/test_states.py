@@ -1,6 +1,7 @@
 """Labeled states, partial trace, and entropy measures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ class TestReducedSpectra:
                 rtol=0,
                 atol=10 * np.finfo(float).eps,
             )
+
+    def test_a_real_stack_builds_no_imaginary_copy(self):
+        # the normalized stack is one copy; a zero imaginary part and its
+        # square would be two more
+        stack = np.random.default_rng(31).standard_normal((200_000, 9))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            reduced_spectra(stack, (3, 3), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 3 * stack.nbytes
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_small_schmidt_weights_keep_their_relative_accuracy(self, d):
