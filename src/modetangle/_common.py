@@ -26,21 +26,22 @@ def require_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def scan_grid(name: str, lo: float, hi: float, steps: int):
-    """Uniform grid for a scan, a numpy array; needs hi > lo, at least two steps and distinct points.
+def scan_grid(lo: float, hi: float, steps: int):
+    """The settings of a scan: steps uniform points from range_min lo to range_max hi.
 
-    numpy is imported here, not with the module, since the oscillator
-    uses this module and runs without numpy.
+    Needs hi > lo, at least two steps and distinct points.  numpy is
+    imported here, not with the module, since the oscillator uses this
+    module and runs without numpy.
     """
     import numpy as np
 
-    lo = require_finite(f"{name}_min", lo)
-    hi = require_finite(f"{name}_max", hi)
+    lo = require_finite("range_min", lo)
+    hi = require_finite("range_max", hi)
     steps = require_integer("steps", steps)
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     if hi <= lo:
-        raise ValueError(f"{name}_max must exceed {name}_min")
+        raise ValueError("range_max must exceed range_min")
     grid = np.linspace(lo, hi, steps)
     # a range only a few ulps wide rounds neighbouring points together
     if np.any(grid[1:] <= grid[:-1]):

@@ -6,13 +6,14 @@
                                 --gate on|off --lambda G --truncation N]
 
 SCAN is chsh, entropy-rotation or interferometer.  The three share one
-command, cmd_scan, which runs the scan function the parser names for
-each and writes CSV with '#' metadata lines, a header row, and values at
-12 significant digits.  The oscillator writes a JSON report; the protocol
-writes a JSON-lines outcome log plus a JSON summary.  Outputs are
-byte-stable for identical flags and seed.  Exit codes: 0 success, 2
-usage or configuration error, 3 failed physics precondition, 1 output
-not written.
+command, cmd_scan, which builds the settings once with _common.scan_grid,
+runs the scan function the parser names for each on them, and writes
+CSV with '#' metadata lines, a header row, and values at 12 significant
+digits.  The oscillator writes a JSON report; the protocol writes a
+JSON-lines outcome log plus a JSON summary.  Outputs are byte-stable for
+identical flags and seed.  Exit codes: 0 success, 2 usage or
+configuration error, 3 failed physics precondition, 1 output not written
+(a failed write, or a scan too large for memory).
 
 Each library module is registered as a lazy module, which runs on its
 first attribute access (`importlib.util.LazyLoader`), so each command
@@ -37,6 +38,7 @@ import argparse
 import importlib.util
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -76,8 +78,21 @@ REPORTED_LEVELS = 10
 OVERLAP_LEVELS = 4
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3 as a negative number, not as an option.
+
+    argparse's own matcher takes -1 and -.5 but no exponent form, so
+    `--range-min -1e-3` would fail with "expected one argument".  The
+    subparsers are built from the parser's own class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="modetangle",
         description="Bell statistics, entropy scans, and mode-to-particle conversion.",
     )
@@ -124,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     module, function = args.scan
-    result = getattr(module, function)(args.range_min, args.range_max, args.steps)
+    grid = _common.scan_grid(args.range_min, args.range_max, args.steps)
+    result = getattr(module, function)(grid)
     metadata = {
         "tool": f"modetangle {__version__}",
         "command": args.command,
@@ -203,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory, output not written: {exc}", file=sys.stderr)
         return 1
 
 

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ._common import chsh_stations, chsh_sums, scan_grid
+from ._common import chsh_stations, chsh_sums
 from .results import ScanResult
 from .states import reduced_spectra, von_neumann_entropies
 
@@ -68,14 +68,13 @@ def _momentum_correlations(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
     return joint[:, 0] + joint[:, 3] - joint[:, 1] - joint[:, 2]
 
 
-def momentum_chsh_scan(t_min: float, t_max: float, steps: int) -> ScanResult:
-    """Bell scan over the station half-angle t (phase difference 2t).
+def momentum_chsh_scan(t: np.ndarray) -> ScanResult:
+    """Bell scan over the station half-angles t, a 1-D float array (phase difference 2t).
 
     Columns: vartheta, S, entropy_in, entropy_out.  S comes from four
     correlation evaluations at stations (0, t, 2t, 3t) in half-angle
     units; both entropy columns stay at 1 bit.
     """
-    t = scan_grid("vartheta", t_min, t_max, steps)
     # Stations (0, t, 2t, 3t) live in half-angle units; the phase knob is twice that.
     a, b, a2, b2 = (2.0 * station for station in chsh_stations(t))
     s_values = chsh_sums(_momentum_correlations, a, b, a2, b2)

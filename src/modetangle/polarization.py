@@ -26,13 +26,13 @@ The mode-rotation scan applies the two-mode rotation
 to the two-photon state |1,1>, producing
 cos(2phi)|1,1> + (sin(2phi)/sqrt(2))(|0,2> - |2,0>), whose mode-bipartition
 entropy swings between 0 and log2(3) limits with plateaus at 1 and 1.5 bits.
-The scan builds this state in closed form, in real arithmetic; its
-reduced spectrum is (cos^2 2phi, sin^2 2phi / 2, sin^2 2phi / 2).
+Its reduced spectrum is (1 - 2s, s, s) with s = sin^2(2phi) / 2, and the
+scan computes both entropies from it in closed form.
 
-Each computation is one kernel over an array of settings, the step axis
-of a scan: _analyzer_frames, _analyzed_pairs, _correlations and
-_mode_rotation_amplitudes.  One setting is the length-1 case, as in
-chsh_sum.
+Each scan is a kernel of its settings, a 1-D float array that the CLI
+builds with _common.scan_grid, and each computation is one kernel over
+that step axis: _analyzer_frames, _analyzed_pairs and _correlations.
+One setting is the length-1 case, as in chsh_sum.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import chsh_stations, chsh_sums, require_finite, scan_grid
+from ._common import chsh_stations, chsh_sums, require_finite
 from .results import ScanResult
-from .states import reduced_spectra, renyi_entropies, von_neumann_entropies
+from .states import reduced_spectra, von_neumann_entropies
 
 __all__ = [
     "ChshSettings",
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _PAIR_DIMS = (2, 2)
+_LN2 = math.log(2.0)
 # (|HH> + |VV>)/sqrt(2) as a matrix: row index photon_A, column index photon_B.
 _EPR_PAIR = np.eye(2) / math.sqrt(2.0)
 
@@ -112,44 +113,38 @@ def chsh_sum(settings: ChshSettings) -> float:
     return chsh_sum_general(*settings.station_angles())
 
 
-def chsh_scan(theta_min: float, theta_max: float, steps: int) -> ScanResult:
-    """Scan the CHSH sum and pair entropy over the separation angle.
+def chsh_scan(theta: np.ndarray) -> ScanResult:
+    """Scan the CHSH sum and pair entropy over theta, a 1-D float array of separation angles.
 
     Columns: theta, S, entropy.  The entropy column is the one-photon
     entropy of the analyzed pair, recomputed at every angle.
     """
-    t = scan_grid("theta", theta_min, theta_max, steps)
-    stations = [_analyzer_frames(x) for x in chsh_stations(t)]
+    stations = [_analyzer_frames(x) for x in chsh_stations(theta)]
     s_values = chsh_sums(_correlations, *stations)
-    pairs = _analyzed_pairs(stations[1], stations[0]).reshape(4, len(t)).T
+    pairs = _analyzed_pairs(stations[1], stations[0]).reshape(4, len(theta)).T
     entropy = von_neumann_entropies(reduced_spectra(pairs, _PAIR_DIMS, 0))
-    return ScanResult.from_columns(("theta", "S", "entropy"), (t, s_values, entropy))
+    return ScanResult.from_columns(("theta", "S", "entropy"), (theta, s_values, entropy))
 
 
-# Photon number is conserved by the rotation, so occupations 0..2 of each
-# mode hold the full two-photon sector exactly.
-_MODE_DIMS = (3, 3)
+def _entropy_term(weight: np.ndarray, log, argument: np.ndarray) -> np.ndarray:
+    """-weight * log(argument) in nats, with log(argument) = ln(weight); 0 where the weight is 0."""
+    return weight * -log(argument, out=np.zeros_like(weight), where=weight > 0.0)
 
 
-def _mode_rotation_amplitudes(phi: np.ndarray) -> np.ndarray:
-    """(steps, 9) real amplitudes of the rotated |1,1> over mode_a, mode_b, in closed form."""
-    amps = np.zeros((len(phi), 9))
-    amps[:, 4] = np.cos(2.0 * phi)  # |1,1>
-    amps[:, 2] = np.sin(2.0 * phi) / math.sqrt(2.0)  # |0,2>
-    amps[:, 6] = -amps[:, 2]  # |2,0>
-    return amps
-
-
-def mode_rotation_entropy_scan(phi_min: float, phi_max: float, steps: int) -> ScanResult:
-    """Mode-bipartition entropy of the rotated |1,1> state over phi.
+def mode_rotation_entropy_scan(phi: np.ndarray) -> ScanResult:
+    """Mode-bipartition entropy of the rotated |1,1> state over phi, a 1-D float array.
 
     Columns: phi, entropy_vn, entropy_renyi2.  Both entropies share zeros
     and maxima; the von Neumann column hits 1.0 at phi = pi/4 and peaks
-    at 1.5 bits at phi = pi/8.
+    at 1.5 bits at phi = pi/8.  Both come from the spectrum (1 - 2s, s, s),
+    s = sin^2(2phi) / 2, with the large weight's logarithm as log1p(-2s),
+    so that each is right to rounding relative to its own size, also near
+    its zeros.
     """
-    phi = scan_grid("phi", phi_min, phi_max, steps)
-    spectra = reduced_spectra(_mode_rotation_amplitudes(phi), _MODE_DIMS, 0)
+    two_s = np.sin(2.0 * phi) ** 2
+    nats = _entropy_term(1.0 - two_s, np.log1p, -two_s) + _entropy_term(two_s, np.log, two_s / 2.0)
+    # sum p^2 = (1 - 2s)^2 + 2s^2 = 1 - 2s(2 - 3s)
+    renyi2_nats = -np.log1p(-two_s * (2.0 - 1.5 * two_s))
     return ScanResult.from_columns(
-        ("phi", "entropy_vn", "entropy_renyi2"),
-        (phi, von_neumann_entropies(spectra), renyi_entropies(spectra, 2.0)),
+        ("phi", "entropy_vn", "entropy_renyi2"), (phi, nats / _LN2, renyi2_nats / _LN2)
     )

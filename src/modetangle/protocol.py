@@ -375,20 +375,25 @@ def run_campaign(
     if config.adiabatic_budget is not None:
         require_adiabatic(config.adiabatic_budget)
     kinds = np.empty(n_trials, dtype=np.uint8)
+    counts = np.zeros(len(templates), dtype=np.int64)  # trials of each kind
     for start in range(0, n_trials, CHUNK):
         stop = min(start + CHUNK, n_trials)
         kinds[start:stop] = _draw(config, stream.raw2(range(start, stop)))
+        counts += np.bincount(kinds[start:stop], minlength=len(templates))
     # the gate ships registered trials only; without it every landing ships
-    ships = np.array([t.delivered_state is not None for t in templates])
-    shipped = kinds[ships[kinds]]
-    n_delivered = len(shipped)
+    shipped = [
+        (count, t) for count, t in zip(counts.tolist(), templates)
+        if count and t.delivered_state is not None
+    ]
+    n_delivered = sum(count for count, _ in shipped)
     mean_entropy = min_fidelity = None
-    if n_delivered:
-        # per kind; the None of a kind that ships nothing reads as NaN, never indexed
-        entropies = np.array([t.particle_entropy for t in templates], dtype=float)
-        fidelities = np.array([t.fidelity_to_target for t in templates], dtype=float)
-        mean_entropy = float(np.mean(entropies[shipped]))
-        min_fidelity = float(fidelities[shipped].min())
+    if shipped:
+        # exact, then rounded once, so one delivered entropy is its own mean: each
+        # float is an integer over a power of two, and int division rounds correctly
+        ratios = [(count, *t.particle_entropy.as_integer_ratio()) for count, t in shipped]
+        scale = max(d for _, _, d in ratios)
+        mean_entropy = sum(c * n * (scale // d) for c, n, d in ratios) / (scale * n_delivered)
+        min_fidelity = min(t.fidelity_to_target for _, t in shipped)
     return CampaignResult(
         n_trials=n_trials,
         delivered_rate=n_delivered / n_trials,

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from dense_model import rotated_pair_state
 from kernel_views import analyzed_pairs, bragg_outputs, labeled
 
 from modetangle.interferometer import _INPUT_PAIR, _momentum_correlations
@@ -18,7 +19,7 @@ from modetangle.oscillator import (
     first_order_energy,
     mode_overlap,
 )
-from modetangle.polarization import ChshSettings, _mode_rotation_amplitudes, chsh_sum
+from modetangle.polarization import ChshSettings, chsh_sum
 from modetangle.protocol import (
     ConversionConfig,
     final_state_from_overlaps,
@@ -115,7 +116,7 @@ def test_pair_entropy_invariance():
 def test_mode_rotation_entropy_landmarks():
     violations = []
     landmarks = ((0.0, 0.0), (math.pi / 4, 1.0), (math.pi / 8, 1.5))
-    states = _mode_rotation_amplitudes(np.array([phi for phi, _ in landmarks]))
+    states = rotated_pair_state(np.array([phi for phi, _ in landmarks]))
     for (phi, want), amplitudes in zip(landmarks, states):
         rho = partial_trace(labeled(("mode_a", "mode_b"), amplitudes, (3, 3)), "mode_a")
         got = von_neumann_entropy(rho)

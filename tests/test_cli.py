@@ -112,14 +112,36 @@ class TestScanCommands:
     def test_single_step_rejected(self, tmp_path, capsys):
         code = main(["chsh", "--out", str(tmp_path / "x.csv"), "--steps", "1"])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: steps must be at least 2, got 1\n"
 
-    def test_reversed_range_rejected(self, tmp_path):
+    def test_reversed_range_rejected(self, tmp_path, capsys):
         code = main(
             ["chsh", "--out", str(tmp_path / "x.csv"),
              "--range-min", "1.0", "--range-max", "0.5"]
         )
         assert code == 2
+        # named as the flags and the CSV metadata name them
+        assert capsys.readouterr().err == "error: range_max must exceed range_min\n"
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-1.e-3"])
+    def test_negative_exponent_form_is_a_number(self, tmp_path, value):
+        out = tmp_path / "x.csv"
+        code = main(["chsh", "--out", str(out), "--range-min", value, "--range-max", "1", "--steps", "5"])
+        assert code == 0
+        metadata, _, rows = read_scan(out)
+        assert metadata["range_min"] == "-0.001"
+        assert rows[0][0] == -0.001
+
+    def test_scan_too_large_for_memory_refused(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        out = tmp_path / "x.csv"
+        assert main(["chsh", "--out", str(out), "--steps", "100000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory, output not written: Unable to allocate 745. GiB for an array\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
     def test_range_narrower_than_steps_rejected(self, tmp_path, capsys, command):
@@ -139,7 +161,7 @@ class TestScanCommands:
         [
             ("chsh", "6caf3987e8c4901bc329f5fe1ba0e2eadad15b774333b643b7cfaa3d5b55c38c"),
             ("entropy-rotation",
-             "a6680c547fa0fb94bcdcf87161f89549ecd24aeab33e747664f80c250440401a"),
+             "29adeecb35ed62c08e146f85f353a62d7e795a47eca6747025626969f2ca4252"),
             ("interferometer",
              "acebe6ee1fc7618ea2836443be3d75af28cc60fe097c6b8efbb659bf27158217"),
         ],
@@ -290,6 +312,15 @@ class TestProtocolCommand:
             summary["delivered_rate"], abs=1e-12
         )
 
+    def test_mean_entropy_is_the_delivered_entropy(self, tmp_path):
+        """With the gate on, every delivered pair has one entropy, and so has their mean."""
+        config = write_config(tmp_path, BASE_CONFIG)
+        assert main(["protocol", config, "--out", str(tmp_path / "run")]) == 0
+        lines = (tmp_path / "run.jsonl").read_text().splitlines()
+        delivered = {json.loads(line)["particle_entropy"] for line in lines} - {None}
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert [summary["mean_entropy"]] == list(delivered)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)
         for prefix in ("first", "second"):
@@ -336,6 +367,8 @@ class TestProtocolCommand:
         [
             ("--trials", "1e3", "trials: expected an integer"),
             ("--lambda", "nan", "lambda: expected a finite number"),
+            # a negative number in exponent form reaches the library's refusal
+            ("--lambda", "-1e-3", "lambda: anharmonicity_on must be non-negative, got -0.001"),
         ],
     )
     def test_flags_parse_as_their_config_keys(self, tmp_path, capsys, flag, value, message):

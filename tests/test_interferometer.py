@@ -101,26 +101,26 @@ class TestMomentumCorrelation:
 
 class TestMomentumChshScan:
     def test_columns_and_landmarks(self):
-        result = momentum_chsh_scan(0.0, math.pi / 8.0, 3)
+        result = momentum_chsh_scan(np.linspace(0.0, math.pi / 8.0, 3))
         assert result.columns == ("vartheta", "S", "entropy_in", "entropy_out")
         s_values = column(result, "S")
         assert s_values[0] == pytest.approx(2.0, abs=1e-12)
         assert s_values[2] == pytest.approx(TWO_ROOT_TWO, abs=1e-12)
 
     def test_matches_polarization_curve(self):
-        result = momentum_chsh_scan(0.0, math.pi, 181)
+        result = momentum_chsh_scan(np.linspace(0.0, math.pi, 181))
         for t, s_value in zip(column(result, "vartheta"), column(result, "S")):
             want = 3.0 * math.cos(2.0 * t) - math.cos(6.0 * t)
             assert s_value == pytest.approx(want, abs=1e-12)
 
     def test_entropy_columns_stay_at_one_bit(self):
-        result = momentum_chsh_scan(0.1, 1.4, 14)
+        result = momentum_chsh_scan(np.linspace(0.1, 1.4, 14))
         for value in column(result, "entropy_in") + column(result, "entropy_out"):
             assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_long_scan_meets_the_closed_form(self):
         steps = 10_000
-        result = momentum_chsh_scan(0.0, math.pi, steps)
+        result = momentum_chsh_scan(np.linspace(0.0, math.pi, steps))
         t = np.array(column(result, "vartheta"))
         np.testing.assert_array_equal(t, np.linspace(0.0, math.pi, steps))
         want = 3.0 * np.cos(2.0 * t) - np.cos(6.0 * t)

@@ -1,25 +1,33 @@
 """Polarization pair statistics, CHSH curve, and mode-rotation entropy."""
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from dense_model import rotated_pair_state
 from kernel_views import analyzed_pairs, analyzer_frames, column, fidelity, labeled
 
+from modetangle._common import scan_grid
 from modetangle.interferometer import momentum_chsh_scan
 from modetangle.polarization import (
     _EPR_PAIR,
     ChshSettings,
     _analyzer_frames,
     _correlations,
-    _mode_rotation_amplitudes,
     chsh_scan,
     chsh_sum,
     chsh_sum_general,
     mode_rotation_entropy_scan,
 )
-from modetangle.states import partial_trace, renyi_entropy, von_neumann_entropy
+from modetangle.states import (
+    partial_trace,
+    reduced_spectra,
+    renyi_entropies,
+    renyi_entropy,
+    von_neumann_entropies,
+    von_neumann_entropy,
+)
 
 TWO_ROOT_TWO = 2.8284271247461903
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -36,6 +44,30 @@ def rotation_entropies(phi):
     p = np.stack([np.cos(2.0 * phi) ** 2] + [np.sin(2.0 * phi) ** 2 / 2.0] * 2, axis=-1)
     safe = np.where(p > 0.0, p, 1.0)
     return -np.sum(p * np.log2(safe), axis=-1), -np.log2(np.sum(p**2, axis=-1))
+
+
+LN2_50 = Decimal(2).ln(Context(prec=50))
+
+
+def decimal_rotation_entropies(phi):
+    """(S, S2) in bits at the float phi, to 50 digits.
+
+    From the spectrum (cos^2 2phi, s, s) with s = sin^2 2phi / 2; sin 2phi
+    is its Taylor series, and a weight that is exactly 0 adds nothing.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = 2 * Decimal(phi)
+        term = sine = x
+        k = 1
+        while abs(term) > Decimal("1e-60"):
+            term = -term * x * x / ((2 * k) * (2 * k + 1))
+            sine += term
+            k += 1
+        s = sine * sine / 2
+        large = 1 - 2 * s
+        nats = -sum(count * w * w.ln() for count, w in ((1, large), (2, s)) if w)
+        return nats / LN2_50, -(large * large + 2 * s * s).ln() / LN2_50
 
 
 def closed_form_pairs(theta_a, theta_b):
@@ -178,7 +210,7 @@ class TestChshSum:
 
 class TestChshScan:
     def test_five_point_scan(self):
-        result = chsh_scan(0.0, math.pi / 2.0, 5)
+        result = chsh_scan(np.linspace(0.0, math.pi / 2.0, 5))
         assert result.columns == ("theta", "S", "entropy")
         s_values = column(result, "S")
         expected = [2.0, TWO_ROOT_TWO, 0.0, -TWO_ROOT_TWO, -2.0]
@@ -187,42 +219,54 @@ class TestChshScan:
             assert entropy == pytest.approx(1.0, abs=1e-10)
 
     def test_bound_and_violation_region(self):
-        result = chsh_scan(0.0, math.pi, 721)
+        result = chsh_scan(np.linspace(0.0, math.pi, 721))
         s_values = np.array(column(result, "S"))
         assert np.max(np.abs(s_values)) <= TWO_ROOT_TWO + 1e-12
         assert np.sum(np.abs(s_values) > 2.0) > 0
 
     def test_long_scan_meets_the_closed_form(self):
-        result = chsh_scan(0.0, math.pi, LONG_SCAN)
+        result = chsh_scan(np.linspace(0.0, math.pi, LONG_SCAN))
         t = np.array(column(result, "theta"))
         np.testing.assert_array_equal(t, np.linspace(0.0, math.pi, LONG_SCAN))
         np.testing.assert_allclose(column(result, "S"), bell_curve(t), rtol=0, atol=1e-9)
         np.testing.assert_allclose(column(result, "entropy"), 1.0, rtol=0, atol=1e-9)
 
     def test_bad_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            chsh_scan(0.0, math.pi, 1)
-        with pytest.raises(ValueError):
-            chsh_scan(1.0, 1.0, 5)
+        """The grid a scan takes refuses, naming the CLI flags."""
+        with pytest.raises(ValueError, match="^steps must be at least 2, got 1$"):
+            scan_grid(0.0, math.pi, 1)
+        with pytest.raises(ValueError, match="^range_max must exceed range_min$"):
+            scan_grid(1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="^range_max must exceed range_min$"):
+            scan_grid(1.0, 0.5, 5)
+        with pytest.raises(ValueError, match="^range_min must be finite, got nan$"):
+            scan_grid(math.nan, 1.0, 5)
+        with pytest.raises(ValueError, match="^range_max must be finite, got inf$"):
+            scan_grid(0.0, math.inf, 5)
 
     @pytest.mark.parametrize("scan", [chsh_scan, mode_rotation_entropy_scan, momentum_chsh_scan])
     @pytest.mark.parametrize("steps", [10.7, "10", None], ids=["float", "str", "none"])
     def test_non_integer_steps_refused_by_name(self, scan, steps):
+        """A scan's settings come from scan_grid, which refuses them before the scan runs."""
         with pytest.raises(ValueError, match="^steps must be an integer"):
-            scan(0.0, 1.0, steps)
+            scan(scan_grid(0.0, 1.0, steps))
 
     def test_numpy_integer_steps_admitted(self):
-        assert len(column(chsh_scan(0.0, 1.0, np.int64(5)), "theta")) == 5
+        grid = scan_grid(0.0, 1.0, np.int64(5))
+        np.testing.assert_array_equal(column(chsh_scan(grid), "theta"), np.linspace(0.0, 1.0, 5))
 
 
 class TestModeRotation:
     def test_closed_form_amplitudes(self):
-        # the closed form against exp(phi G)|1,1> built from the ladder operators
+        # cos 2phi |1,1> + sin 2phi / sqrt 2 (|0,2> - |2,0>), the state whose
+        # spectrum the scan uses, against exp(phi G)|1,1> built from the ladder operators
         rng = np.random.default_rng(137)
         phi = rng.uniform(-2.0, 2.0, size=40)
-        amplitudes = _mode_rotation_amplitudes(phi)
-        assert amplitudes.dtype == np.float64
-        np.testing.assert_allclose(amplitudes, rotated_pair_state(phi), rtol=0, atol=1e-12)
+        closed_form = np.zeros((len(phi), 9))
+        closed_form[:, 4] = np.cos(2.0 * phi)
+        closed_form[:, 2] = np.sin(2.0 * phi) * ROOT_HALF
+        closed_form[:, 6] = -closed_form[:, 2]
+        np.testing.assert_allclose(rotated_pair_state(phi), closed_form, rtol=0, atol=1e-12)
 
     def test_entropy_landmarks(self):
         landmarks = ((0.0, 0.0), (math.pi / 4.0, 1.0), (math.pi / 8.0, 1.5))
@@ -239,12 +283,12 @@ class TestModeRotation:
 
 def mode_rotation_state(phi):
     """The rotated |1,1> at one angle, over factors mode_a, mode_b."""
-    return labeled(("mode_a", "mode_b"), _mode_rotation_amplitudes(np.array([phi]))[0], (3, 3))
+    return labeled(("mode_a", "mode_b"), rotated_pair_state(np.array([phi]))[0], (3, 3))
 
 
 class TestModeRotationScan:
     def test_columns_and_landmarks(self):
-        result = mode_rotation_entropy_scan(0.0, math.pi / 4.0, 9)
+        result = mode_rotation_entropy_scan(np.linspace(0.0, math.pi / 4.0, 9))
         assert result.columns == ("phi", "entropy_vn", "entropy_renyi2")
         vn = column(result, "entropy_vn")
         assert vn[0] == pytest.approx(0.0, abs=1e-10)
@@ -252,7 +296,7 @@ class TestModeRotationScan:
         assert vn[8] == pytest.approx(1.0, abs=1e-10)  # phi = pi/4
 
     def test_renyi_shares_zeros_and_maxima(self):
-        result = mode_rotation_entropy_scan(0.0, math.pi, 65)
+        result = mode_rotation_entropy_scan(np.linspace(0.0, math.pi, 65))
         vn = np.array(column(result, "entropy_vn"))
         r2 = np.array(column(result, "entropy_renyi2"))
         np.testing.assert_array_equal(vn < 1e-10, r2 < 1e-10)
@@ -264,8 +308,38 @@ class TestModeRotationScan:
         assert len(peaks[0]) == 4
         assert np.all(r2 <= vn + 1e-12)
 
+    def test_matches_the_spectrum_of_the_rotated_state(self):
+        # the closed-form entropies against the Schmidt spectrum of exp(phi G)|1,1>
+        phi = np.random.default_rng(138).uniform(-2.0, 2.0, size=40)
+        spectra = reduced_spectra(rotated_pair_state(phi), (3, 3), 0)
+        result = mode_rotation_entropy_scan(phi)
+        np.testing.assert_allclose(
+            column(result, "entropy_vn"), von_neumann_entropies(spectra), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            column(result, "entropy_renyi2"), renyi_entropies(spectra, 2.0), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("steps", [181, 2000, LONG_SCAN])
+    def test_right_to_rounding_against_a_50_digit_oracle(self, steps):
+        """Each entropy within 1e-14 of its 50-digit value at the same float phi, relative.
+
+        An exact 0 must read 0.  Near the zeros, a large weight whose term
+        carries absolute rounding misses by up to 1.4 %.
+        """
+        phi = np.linspace(0.0, math.pi, steps)
+        result = mode_rotation_entropy_scan(phi)
+        rows = zip(phi.tolist(), column(result, "entropy_vn"), column(result, "entropy_renyi2"))
+        wrong = [
+            (x, got, float(want))
+            for x, *values in rows
+            for got, want in zip(values, decimal_rotation_entropies(x))
+            if abs(Decimal(got) - want) > Decimal("1e-14") * abs(want)
+        ]
+        assert not wrong, f"{len(wrong)} cells, first {wrong[:3]}"
+
     def test_long_scan_meets_the_closed_form(self):
-        result = mode_rotation_entropy_scan(0.0, math.pi, LONG_SCAN)
+        result = mode_rotation_entropy_scan(np.linspace(0.0, math.pi, LONG_SCAN))
         phi = np.array(column(result, "phi"))
         vn, r2 = rotation_entropies(phi)
         np.testing.assert_allclose(column(result, "entropy_vn"), vn, rtol=0, atol=1e-9)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -481,6 +482,17 @@ class TestRunCampaign:
             if o.fidelity_to_target is not None
         ]
         assert np.mean(fidelities) < 1.0
+
+    @pytest.mark.parametrize("gate_on", [True, False], ids=("on", "off"))
+    def test_summary_is_exact_over_the_delivered_outcomes(self, gate_on):
+        """The mean of every delivered entropy, rounded once; the rates and the least fidelity."""
+        result = run_campaign(ConversionConfig(eta=0.9, abort_gate_on=gate_on), 2000, rng_seed=11)
+        delivered = [o for o in result.outcomes if o.delivered_state is not None]
+        exact_mean = sum(Fraction(o.particle_entropy) for o in delivered) / len(delivered)
+        assert result.mean_entropy == float(exact_mean)
+        assert result.min_fidelity == min(o.fidelity_to_target for o in delivered)
+        assert result.delivered_rate == len(delivered) / 2000
+        assert result.abort_rate == (1.0 - len(delivered) / 2000 if gate_on else 0.0)
 
     def test_zero_coupling_delivers_zero_entropy(self):
         config = ConversionConfig(anharmonicity_on=0.0, eta=0.8)
