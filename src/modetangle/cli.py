@@ -5,15 +5,13 @@
     modetangle protocol CONFIG [--out PREFIX] [--eta E --trials N --seed S
                                 --gate on|off --lambda G --truncation N]
 
-SCAN is chsh, entropy-rotation or interferometer.  The three share one
-command, cmd_scan, which builds the settings once with _common.scan_grid,
-runs the scan function the parser names for each on them, and writes
-CSV with '#' metadata lines, a header row, and values at 12 significant
-digits.  The oscillator writes a JSON report; the protocol writes a
-JSON-lines outcome log plus a JSON summary.  Outputs are byte-stable for
-identical flags and seed.  Exit codes: 0 success, 2 usage or
-configuration error, 3 failed physics precondition, 1 output not written
-(a failed write, or a scan too large for memory).
+SCAN is chsh, entropy-rotation or interferometer, which share cmd_scan:
+it builds the settings once with _common.scan_grid, runs the scan
+function the parser names on them, and writes CSV.  The oscillator
+writes a JSON report; the protocol a JSON-lines log and a JSON summary.
+Outputs are byte-stable for identical flags and seed.  Exit codes: 0
+success, 2 usage or configuration error, 3 failed physics precondition,
+1 output not written (a failed write, or a scan too large for memory).
 
 Each library module is registered as a lazy module, which runs on its
 first attribute access (`importlib.util.LazyLoader`), so each command
@@ -22,14 +20,11 @@ executes only the modules it calls.  `--version`, `--help` and
 parity blocks in plain Python, through oscillator, _common and results,
 which import no numpy and hold their records as NamedTuples.
 
-main runs BLAS on one thread, for the scans and `protocol`, the commands
-that load numpy: when numpy is not yet loaded, it sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
-any module loads it, whatever the caller set.  The kernels here are
-small (2x2 and 3x3 Schmidt spectra), and a thread pool costs them more
-than it gives: starting it adds ~0.1 s of CPU time to the numpy import
-(2-vCPU host).  When numpy is already loaded, as in library use, main
-leaves os.environ alone and the caller's setting holds.
+main runs BLAS on one thread: when numpy is not yet loaded, it sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, whatever
+the caller set.  No command needs BLAS beyond a 4-vector norm, and a
+thread pool adds ~0.1 s of CPU time to the numpy import (2-vCPU host).
+When numpy is already loaded, as in library use, the caller's setting holds.
 """
 
 from __future__ import annotations
@@ -79,16 +74,17 @@ OVERLAP_LEVELS = 4
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """An ArgumentParser that reads -1e-3 as a negative number, not as an option.
+    """An ArgumentParser that reads -1e-3, -inf, -infinity and -nan (any case) as numbers.
 
-    argparse's own matcher takes -1 and -.5 but no exponent form, so
-    `--range-min -1e-3` would fail with "expected one argument".  The
-    subparsers are built from the parser's own class.
+    argparse's own matcher takes -1 and -.5 only, so `--range-min -1e-3`
+    or `-inf` failed with "expected one argument".  The subparsers are
+    built from the parser's own class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        number = r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$"
+        self._negative_number_matcher = re.compile(number, re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

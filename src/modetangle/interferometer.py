@@ -27,11 +27,10 @@ import numpy as np
 
 from ._common import chsh_stations, chsh_sums
 from .results import ScanResult
-from .states import reduced_spectra, von_neumann_entropies
+from .states import pair_small_weights, small_weight_entropies
 
 __all__ = ["momentum_chsh_scan"]
 
-_PAIR_DIMS = (2, 2)
 # (|p,-p> + |p',-p'>)/sqrt(2) over factors atom_1, atom_2
 _INPUT_PAIR = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 
@@ -78,10 +77,10 @@ def momentum_chsh_scan(t: np.ndarray) -> ScanResult:
     # Stations (0, t, 2t, 3t) live in half-angle units; the phase knob is twice that.
     a, b, a2, b2 = (2.0 * station for station in chsh_stations(t))
     s_values = chsh_sums(_momentum_correlations, a, b, a2, b2)
-    entropy_in = von_neumann_entropies(reduced_spectra(_INPUT_PAIR[np.newaxis], _PAIR_DIMS, 0))[0]
+    entropy_in = small_weight_entropies(pair_small_weights(_INPUT_PAIR[np.newaxis])[:, np.newaxis])
     outputs = _bragg_amplitudes(b, a)  # phi_a = 2t, phi_b = 0
-    entropy_out = von_neumann_entropies(reduced_spectra(outputs, _PAIR_DIMS, 0))
+    entropy_out = small_weight_entropies(pair_small_weights(outputs)[:, np.newaxis])
     return ScanResult.from_columns(
         ("vartheta", "S", "entropy_in", "entropy_out"),
-        (t, s_values, np.full_like(t, entropy_in), entropy_out),
+        (t, s_values, np.full_like(t, entropy_in[0]), entropy_out),
     )

@@ -69,9 +69,10 @@ the levels n + 1/2 and the number states exactly.
 The model keeps each level's parity and its column over the leading
 rows of its block: O(M k) floats for k levels.  No N x N array is
 formed: eigenstate scatters the column into the number basis, zero
-beyond the block, mode_overlap reads an entry of the column,
-tail_weight reads the top of the padded column, and <X^2> is an O(M)
-sum over the column with the X^2 diagonals restricted to its parity.
+beyond the block, mode_overlap reads an entry of the column and
+mode_deformation the norm of the others, tail_weight reads the top of
+the padded column, and <X^2> is an O(M) sum over the column with the
+X^2 diagonals restricted to its parity.
 A level that was not computed is refused.
 
 The diagonal element gives the first-order shift, hence
@@ -116,6 +117,7 @@ __all__ = [
     "require_converged",
     "first_order_energy",
     "mode_overlap",
+    "mode_deformation",
 ]
 
 MIN_TRUNCATION = 8
@@ -593,3 +595,10 @@ def mode_overlap(model: OscillatorModel, n: int) -> float:
     parity, column = model.vectors[n]
     return column[n // 2] if n % 2 == parity else 0.0
 
+
+def mode_deformation(model: OscillatorModel, n: int) -> float:
+    """sqrt(1 - overlap^2), the fsum norm of level n's other entries: right to rounding near overlap 1."""
+    n = model._check_level(n)
+    parity, column = model.vectors[n]
+    harmonic = n // 2 if n % 2 == parity else None
+    return math.sqrt(math.fsum([c * c for i, c in enumerate(column) if i != harmonic]))

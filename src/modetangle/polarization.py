@@ -26,8 +26,9 @@ The mode-rotation scan applies the two-mode rotation
 to the two-photon state |1,1>, producing
 cos(2phi)|1,1> + (sin(2phi)/sqrt(2))(|0,2> - |2,0>), whose mode-bipartition
 entropy swings between 0 and log2(3) limits with plateaus at 1 and 1.5 bits.
-Its reduced spectrum is (1 - 2s, s, s) with s = sin^2(2phi) / 2, and the
-scan computes both entropies from it in closed form.
+Its reduced spectrum is (1 - 2s, s, s) with s = sin^2(2phi) / 2, whose
+small weights (s, s) give the von Neumann entropy, as the analyzed pairs'
+small weights give the CHSH scan's, and the Renyi-2 entropy is closed form.
 
 Each scan is a kernel of its settings, a 1-D float array that the CLI
 builds with _common.scan_grid, and each computation is one kernel over
@@ -44,7 +45,7 @@ import numpy as np
 
 from ._common import chsh_stations, chsh_sums, require_finite
 from .results import ScanResult
-from .states import reduced_spectra, von_neumann_entropies
+from .states import pair_small_weights, small_weight_entropies
 
 __all__ = [
     "ChshSettings",
@@ -54,8 +55,6 @@ __all__ = [
     "mode_rotation_entropy_scan",
 ]
 
-_PAIR_DIMS = (2, 2)
-_LN2 = math.log(2.0)
 # (|HH> + |VV>)/sqrt(2) as a matrix: row index photon_A, column index photon_B.
 _EPR_PAIR = np.eye(2) / math.sqrt(2.0)
 
@@ -122,13 +121,8 @@ def chsh_scan(theta: np.ndarray) -> ScanResult:
     stations = [_analyzer_frames(x) for x in chsh_stations(theta)]
     s_values = chsh_sums(_correlations, *stations)
     pairs = _analyzed_pairs(stations[1], stations[0]).reshape(4, len(theta)).T
-    entropy = von_neumann_entropies(reduced_spectra(pairs, _PAIR_DIMS, 0))
+    entropy = small_weight_entropies(pair_small_weights(pairs)[:, np.newaxis])
     return ScanResult.from_columns(("theta", "S", "entropy"), (theta, s_values, entropy))
-
-
-def _entropy_term(weight: np.ndarray, log, argument: np.ndarray) -> np.ndarray:
-    """-weight * log(argument) in nats, with log(argument) = ln(weight); 0 where the weight is 0."""
-    return weight * -log(argument, out=np.zeros_like(weight), where=weight > 0.0)
 
 
 def mode_rotation_entropy_scan(phi: np.ndarray) -> ScanResult:
@@ -136,15 +130,11 @@ def mode_rotation_entropy_scan(phi: np.ndarray) -> ScanResult:
 
     Columns: phi, entropy_vn, entropy_renyi2.  Both entropies share zeros
     and maxima; the von Neumann column hits 1.0 at phi = pi/4 and peaks
-    at 1.5 bits at phi = pi/8.  Both come from the spectrum (1 - 2s, s, s),
-    s = sin^2(2phi) / 2, with the large weight's logarithm as log1p(-2s),
-    so that each is right to rounding relative to its own size, also near
-    its zeros.
+    at 1.5 bits at phi = pi/8.  Each is right to rounding relative to its
+    own size, also near its zeros.
     """
     two_s = np.sin(2.0 * phi) ** 2
-    nats = _entropy_term(1.0 - two_s, np.log1p, -two_s) + _entropy_term(two_s, np.log, two_s / 2.0)
+    entropy_vn = small_weight_entropies(np.column_stack([two_s / 2.0, two_s / 2.0]))
     # sum p^2 = (1 - 2s)^2 + 2s^2 = 1 - 2s(2 - 3s)
-    renyi2_nats = -np.log1p(-two_s * (2.0 - 1.5 * two_s))
-    return ScanResult.from_columns(
-        ("phi", "entropy_vn", "entropy_renyi2"), (phi, nats / _LN2, renyi2_nats / _LN2)
-    )
+    renyi2 = -np.log1p(-two_s * (2.0 - 1.5 * two_s)) / math.log(2.0)
+    return ScanResult.from_columns(("phi", "entropy_vn", "entropy_renyi2"), (phi, entropy_vn, renyi2))

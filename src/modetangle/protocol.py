@@ -15,14 +15,18 @@ Each particle needs only the plane spanned by its original mode and the
 deformed one, so the pair state lives in a 2x2 frame: per particle,
 basis index 0 is the original mode and index 1 the orthogonal direction
 the deformed mode leans into, with overlap s = <a|a'> taken from the
-oscillator model.  A pair state is the tuple of its four amplitudes
-over (photon_1, photon_2) in row-major order; |a>|b> is (1, 0, 0, 0).
-With t = sqrt(1 - s^2) the unnormalized amplitudes are
+oscillator model, and t = sqrt(1 - s^2) is taken from the eigenvector's
+other entries (oscillator.mode_deformation), right to rounding as s nears
+1.  A pair state is the tuple of its four amplitudes over (photon_1,
+photon_2) in row-major order; |a>|b> is (1, 0, 0, 0).  The unnormalized
+amplitudes are
 
     [h + a*s1*s2,  a*s1*t2,  a*t1*s2,  a*t1*t2]       (h, a = branch amps)
 
 and norm^2 = |h|^2 + |a|^2 + 2 Re(conj(h) a) s1 s2.  How much particle
-entanglement survives is set by the branch balance and the overlaps.
+entanglement survives is set by the branch balance and the overlaps.  The
+entropy comes from the small Schmidt weight, |h a t1 t2|^2 / norm^4 over
+the large one, right to rounding even at lambda = 1e-8 (~1e-31 bits).
 
 Monte-Carlo trials model the screened ancilla: the photon lands on the
 retained half-screen with a configured probability, registers with
@@ -32,17 +36,11 @@ delivered.  With the gate off, lost-photon cycles deliver the
 unconverted product and drag the mean fidelity below one.
 
 An optional adiabatic budget checks the separation of scales
+hbar/delta_e << hbar/h_tilde << t_meas before any trial runs.
 
-    hbar/delta_e  <<  hbar/h_tilde  <<  t_meas
-
-as two ratios r1 = delta_e/h_tilde and r2 = t_meas*h_tilde/hbar, both of
-which must reach the configured threshold, before any trial runs.
-
-A campaign therefore delivers one of only two pair states, and a trial
-is fixed by its kind: the photon did not land (0), landed but did not
-register (1), or registered (2).  Campaigns are held as one kind byte per
-trial and the outcome of each kind, sampled and rendered CHUNK trials at
-a time.
+A campaign therefore delivers one of only two pair states, and is held
+as one kind byte per trial (see CampaignOutcomes) and the outcome of each
+kind, sampled and rendered CHUNK trials at a time.
 """
 
 from __future__ import annotations
@@ -57,8 +55,8 @@ import numpy as np
 
 from ._common import PhysicsPreconditionError, require_finite, require_integer
 from ._pcg64 import SpawnedPCG64
-from .oscillator import MIN_TRUNCATION, build_model, mode_overlap, require_converged
-from .states import reduced_spectra, von_neumann_entropies
+from .oscillator import MIN_TRUNCATION, build_model, mode_deformation, mode_overlap, require_converged
+from .states import pair_small_weights, small_weight_entropies
 
 __all__ = [
     "PhysicsPreconditionError",
@@ -159,18 +157,12 @@ class ConversionConfig:
             raise ValueError(f"detect_amp must be finite, got {detect}")
         if abs(detect) > 1.0 + AMPLITUDE_TOL:
             raise ValueError(f"|detect_amp| must not exceed 1, got {abs(detect)}")
-        eta = require_finite("eta", self.eta)
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", _unit_interval("eta", self.eta))
         g = require_finite("anharmonicity_on", self.anharmonicity_on)
         if g < 0.0:
             raise ValueError(f"anharmonicity_on must be non-negative, got {g}")
         object.__setattr__(self, "anharmonicity_on", g)
-        landing = require_finite("landing_prob", self.landing_prob)
-        if not 0.0 <= landing <= 1.0:
-            raise ValueError(f"landing_prob must lie in [0, 1], got {landing}")
-        object.__setattr__(self, "landing_prob", landing)
+        object.__setattr__(self, "landing_prob", _unit_interval("landing_prob", self.landing_prob))
         for name in ("clock_period", "travel_plus_register_time", "and_gate_time"):
             value = require_finite(name, getattr(self, name))
             if value <= 0.0:
@@ -203,9 +195,7 @@ class ConversionConfig:
 class ConversionOutcome:
     """Record of one trial; delivered fields are None when nothing ships.
 
-    Only a campaign builds these: one template per kind of trial, and per
-    trial a copy of its kind's template, so every record is consistent by
-    construction.
+    Only a campaign builds these, each a copy of its kind's template.
     """
 
     trial_id: int
@@ -232,12 +222,13 @@ def ancilla_branch_amplitudes(detect_amp: complex) -> tuple[complex, complex]:
 def final_state_from_overlaps(
     harmonic_amp: complex,
     anharmonic_amp: complex,
-    overlap_1: float,
-    overlap_2: float,
+    particle_1: tuple[float, float],
+    particle_2: tuple[float, float],
 ) -> tuple[complex, complex, complex, complex]:
-    """Normalized pair state for given branch amplitudes and mode overlaps.
+    """Normalized pair state for given branch amplitudes and each particle's (s, t).
 
-    overlap_i = <original|deformed> for particle i, in [0, 1].  The
+    s = <original|deformed> and t, the norm of the deformed mode's part off
+    the original, lie in [0, 1] with s^2 + t^2 = 1 within 1e-9.  The
     degenerate case where the two branches cancel is rejected.
     """
     h = complex(harmonic_amp)
@@ -246,28 +237,33 @@ def final_state_from_overlaps(
         raise ValueError(f"branch amplitudes must be finite, got {h} and {a}")
     if abs(abs(h) ** 2 + abs(a) ** 2 - 1.0) > 1e-9:
         raise ValueError("branch amplitudes must satisfy |h|^2 + |a|^2 = 1")
-    s1, t1 = _overlap_pair("overlap_1", overlap_1)
-    s2, t2 = _overlap_pair("overlap_2", overlap_2)
-    amps = np.array(
-        [h + a * s1 * s2, a * s1 * t2, a * t1 * s2, a * t1 * t2], dtype=complex
-    )
+    s1, t1 = _mode_split("particle_1", particle_1)
+    s2, t2 = _mode_split("particle_2", particle_2)
+    amps = np.array([h + a * s1 * s2, a * s1 * t2, a * t1 * s2, a * t1 * t2], dtype=complex)
     norm = np.linalg.norm(amps)
     if norm < 1e-9:
         raise ValueError("branches cancel; the final state is degenerate")
     return tuple((amps / norm).tolist())
 
 
-def _overlap_pair(name: str, s: float) -> tuple[float, float]:
-    s = require_finite(name, s)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {s}")
-    return s, math.sqrt(max(0.0, 1.0 - s * s))
+def _mode_split(name: str, split: tuple[float, float]) -> tuple[float, float]:
+    s, t = (_unit_interval(f"{name} {part}", value) for part, value in zip("st", split))
+    if abs(s * s + t * t - 1.0) > 1e-9:
+        raise ValueError(f"{name} must satisfy s^2 + t^2 = 1, got s={s}, t={t}")
+    return s, t
+
+
+def _unit_interval(name: str, value: float) -> float:
+    value = require_finite(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
 
 
 def particle_entanglement_entropy(state: Sequence[complex]) -> float:
     """Entropy (bits) of one particle of a pair state, given as its four amplitudes."""
-    spectra = reduced_spectra(np.array([state]), _PAIR_DIMS, 0)
-    return float(von_neumann_entropies(spectra)[0])
+    weights = pair_small_weights(np.array([state], dtype=complex))
+    return float(small_weight_entropies(weights[:, np.newaxis])[0])
 
 
 def _outcome_templates(config: ConversionConfig) -> tuple[ConversionOutcome, ...]:
@@ -275,27 +271,19 @@ def _outcome_templates(config: ConversionConfig) -> tuple[ConversionOutcome, ...
     levels = [config.level_a, config.level_b]
     model = build_model(config.anharmonicity_on, config.truncation, levels=max(levels) + 1)
     require_converged(model, levels)
-    harmonic_amp, anharmonic_amp = ancilla_branch_amplitudes(config.detect_amp)
-    target = final_state_from_overlaps(
-        harmonic_amp,
-        anharmonic_amp,
-        mode_overlap(model, config.level_a),
-        mode_overlap(model, config.level_b),
-    )
+    splits = [(mode_overlap(model, n), mode_deformation(model, n)) for n in levels]
+    target = final_state_from_overlaps(*ancilla_branch_amplitudes(config.detect_amp), *splits)
     gate_on = config.abort_gate_on
     loss = (None, None, None)
     if not gate_on:
-        # loss slipped through: the potential never switched.  The fidelity
-        # is |<u|t>|^2 of the unit vectors; _UNCONVERTED is one already.
-        unit_target = np.array(target) / np.linalg.norm(target)
-        fidelity = float(np.abs(np.vdot(_UNCONVERTED, unit_target)) ** 2)
-        loss = (_UNCONVERTED, particle_entanglement_entropy(_UNCONVERTED), fidelity)
-    entropy = particle_entanglement_entropy(target)
+        # loss slipped through: the potential never switched.  Both states
+        # are unit vectors, and |<u|t>|^2 with u = (1, 0, 0, 0) is |t[0]|^2.
+        loss = (_UNCONVERTED, particle_entanglement_entropy(_UNCONVERTED), abs(target[0]) ** 2)
     return (
         ConversionOutcome(0, False, False, gate_on, None, None, None),
         ConversionOutcome(0, True, False, gate_on, *loss),
         # the target's fidelity to itself is 1
-        ConversionOutcome(0, True, True, False, target, entropy, 1.0),
+        ConversionOutcome(0, True, True, False, target, particle_entanglement_entropy(target), 1.0),
     )
 
 

@@ -2,21 +2,23 @@
 
 Amplitudes are dense vectors in row-major order over the factor
 dimensions (first factor varies slowest): complex in a PureState, real
-or complex in a stack, which keeps a real one real.  The reduced
-spectrum of a factor is the squared Schmidt coefficients of the state:
-the squared singular values of its amplitude matrix, kept factor by the
-rest.  All entropies are base-2 (bits).
+or complex in a stack.  The reduced spectrum of a factor is the squared
+Schmidt coefficients of the state.  All entropies are base-2 (bits).
 
-The scans and the protocol work on stacks of states, one per row:
-reduced_spectra and the *_entropies functions take (steps, ...) arrays,
-and a single state is the length-1 stack.  BasisLabel and PureState name
-the factors of one dense state, and partial_trace and
-ReducedDensityMatrix build and check its explicit reduced density
-matrix, for callers that want one.
+The scans and the protocol take every von Neumann entropy from two
+closed-form kernels, and run no SVD: pair_small_weights gives the small
+Schmidt weight of each two-qubit pair from its determinant (Ekert &
+Knight, Am. J. Phys. 63, 415 (1995)), and small_weight_entropies turns
+small weights into bits, with the large weight's term through log1p.
+Each takes a stack, one state per row; a single state is the length-1
+stack.  BasisLabel, PureState, partial_trace and ReducedDensityMatrix
+build and check the explicit reduced density matrix of one labeled
+state, with the *_entropy functions on its spectrum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +30,8 @@ __all__ = [
     "PureState",
     "ReducedDensityMatrix",
     "partial_trace",
-    "reduced_spectra",
+    "pair_small_weights",
+    "small_weight_entropies",
     "von_neumann_entropy",
     "von_neumann_entropies",
     "renyi_entropy",
@@ -42,6 +45,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-12
 ZERO_NORM_TOL = 1e-15
+_LN2 = math.log(2.0)
 
 
 class LabelingError(ValueError):
@@ -157,21 +161,6 @@ def partial_trace(state: PureState, keep: str) -> ReducedDensityMatrix:
     return ReducedDensityMatrix(psi @ psi.conj().T)
 
 
-def reduced_spectra(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
-    """Spectra of the factor-`keep` reductions of a stack of states.
-
-    `amplitudes` has shape (steps, prod(dims)), one state per row in the
-    row-major order of `dims`; `keep` is the index of the kept factor.
-    Each row is normalized, and its spectrum is its squared Schmidt
-    coefficients, padded with zeros when the rest of the state has fewer
-    dimensions than the kept factor.  The result has shape
-    (steps, dims[keep]), ascending and non-negative.
-    """
-    psi = _kept_matrices(amplitudes, dims, keep)
-    squares = np.linalg.svd(psi, compute_uv=False)[:, ::-1] ** 2
-    return np.pad(squares, ((0, 0), (max(psi.shape[1] - psi.shape[2], 0), 0)))
-
-
 def _kept_matrices(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
     """Normalized rows as (steps, dims[keep], rest) matrices.
 
@@ -194,11 +183,43 @@ def _kept_matrices(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np
     return np.moveaxis(psi, keep + 1, 1).reshape(len(amps), dims[keep], -1)
 
 
+def pair_small_weights(amplitudes: np.ndarray) -> np.ndarray:
+    """Smaller squared Schmidt coefficient of each row (a, b, c, d) of a (steps, 4) pair stack.
+
+    With r0 = |a|^2 + |b|^2, r1 = |c|^2 + |d|^2, n = r0 + r1 and o = a conj(c) + b conj(d),
+    the large weight is (1 + hypot(r0 - r1, 2|o|) / n) / 2 and the small one |ad - bc|^2 / n^2
+    over it: right to rounding relative to its size unless ad and bc cancel, which near
+    (1, 0, 0, 0) they do not.  Complex products are spelled out in real operations, which
+    round alike on every CPU; a real stack's imaginary parts are 0.0, not a zero array.
+    """
+    amps = np.asarray(amplitudes)
+    (ar, br, cr, dr), (ai, bi, ci, di) = amps.real.T, amps.imag.T if np.iscomplexobj(amps) else [0.0] * 4
+    r0 = ar * ar + ai * ai + (br * br + bi * bi)
+    r1 = cr * cr + ci * ci + (dr * dr + di * di)
+    o = np.hypot(ar * cr + ai * ci + (br * dr + bi * di), ai * cr - ar * ci + (bi * dr - br * di))
+    det = np.hypot(ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr))
+    return (det / (r0 + r1)) ** 2 / ((1.0 + np.hypot(r0 - r1, 2.0 * o) / (r0 + r1)) / 2.0)
+
+
+def small_weight_entropies(weights: np.ndarray) -> np.ndarray:
+    """Entropies in bits of (steps, k) spectra, each row all weights but the large one, 1 - W.
+
+    S = [(1 - W)(-log1p(-W)) + sum(w (-ln w))] / ln 2, the small terms summed
+    first: right to rounding relative to its size, also near 0.  A weight of
+    exactly 0 adds 0.
+    """
+    w = np.asarray(weights, dtype=float)
+    total = np.sum(w, axis=-1)
+    large = 1.0 - total
+    small = np.sum(w * -np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
+    return (small + large * -np.log1p(-total, out=np.zeros_like(total), where=large > 0.0)) / _LN2
+
+
 def von_neumann_entropies(spectra: np.ndarray) -> np.ndarray:
     """-sum(p log2 p) over the last axis of clamped spectra, in bits."""
     p = np.asarray(spectra, dtype=float)
-    terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return _non_negative(-np.sum(terms, axis=-1))
+    s = -np.sum(np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0), axis=-1)
+    return np.where(s > 0.0, s, 0.0)
 
 
 def renyi_entropies(spectra: np.ndarray, alpha: float) -> np.ndarray:
@@ -213,11 +234,7 @@ def renyi_entropies(spectra: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 1.0:
         raise ValueError("Renyi order 1 is the von Neumann limit; use von_neumann_entropy")
     p = np.asarray(spectra, dtype=float)
-    terms = np.where(p > 0.0, p, 0.0) ** alpha
-    return _non_negative(np.log2(np.sum(terms, axis=-1)) / (1.0 - alpha))
-
-
-def _non_negative(s: np.ndarray) -> np.ndarray:
+    s = np.log2(np.sum(np.where(p > 0.0, p, 0.0) ** alpha, axis=-1)) / (1.0 - alpha)
     return np.where(s > 0.0, s, 0.0)
 
 

@@ -5,13 +5,20 @@ step axis, and one setting is the length-1 case.  These helpers take
 floats or arrays of settings and return one row per setting.  labeled
 and fidelity give a dense state the factor names and the overlap that
 the density-matrix oracle and the protocol's laws are stated in.
+reduced_spectra is the SVD oracle for the closed-form Schmidt kernels,
+decimal_pair_weights their 50-digit oracle, and pair_from_overlaps
+builds a protocol pair from its overlaps alone.
 """
+
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from modetangle.interferometer import _bragg_amplitudes
 from modetangle.polarization import _analyzed_pairs, _analyzer_frames
-from modetangle.states import BasisLabel, PureState
+from modetangle.protocol import final_state_from_overlaps
+from modetangle.states import BasisLabel, PureState, _kept_matrices
 
 
 def column(result, name):
@@ -42,6 +49,49 @@ def labeled(names, amplitudes, dims=(2, 2)):
 
 
 def fidelity(a, b):
-    """|<a|b>|^2 of the normalized amplitude vectors, the protocol's arithmetic."""
+    """|<a|b>|^2 of the normalized amplitude vectors."""
     va, vb = (np.asarray(v, dtype=complex) for v in (a, b))
     return float(np.abs(np.vdot(va / np.linalg.norm(va), vb / np.linalg.norm(vb))) ** 2)
+
+
+def reduced_spectra(amplitudes, dims, keep):
+    """Spectra of the factor-`keep` reductions of a stack of states, from an SVD.
+
+    `amplitudes` has shape (steps, prod(dims)), one state per row in the
+    row-major order of `dims`; `keep` is the index of the kept factor.
+    Each row is normalized, and its spectrum is its squared Schmidt
+    coefficients, padded with zeros when the rest of the state has fewer
+    dimensions than the kept factor.  The result has shape
+    (steps, dims[keep]), ascending and non-negative.
+    """
+    psi = _kept_matrices(amplitudes, dims, keep)
+    squares = np.linalg.svd(psi, compute_uv=False)[:, ::-1] ** 2
+    return np.pad(squares, ((0, 0), (max(psi.shape[1] - psi.shape[2], 0), 0)))
+
+
+def decimal_pair_weights(amplitudes):
+    """(small, large) squared Schmidt coefficients of a 2x2 pair from its four amplitudes.
+
+    photon_1's reduced density matrix is [[r0, o], [conj(o), r1]] / n, with
+    eigenvalues (n -+ sqrt((r0 - r1)^2 + 4|o|^2)) / 2n.  The float amplitudes
+    are taken exactly, and the weights are evaluated to 100 digits, so a
+    small weight of 1e-64 still keeps 36 of them.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 100
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = [
+            (Decimal(z.real), Decimal(z.imag)) for z in map(complex, amplitudes)
+        ]
+        r0 = ar * ar + ai * ai + br * br + bi * bi
+        r1 = cr * cr + ci * ci + dr * dr + di * di
+        o_re = ar * cr + ai * ci + br * dr + bi * di
+        o_im = ai * cr - ar * ci + bi * dr - br * di
+        n = r0 + r1
+        root = ((r0 - r1) ** 2 + 4 * (o_re * o_re + o_im * o_im)).sqrt()
+        return (n - root) / (2 * n), (n + root) / (2 * n)
+
+
+def pair_from_overlaps(harmonic_amp, anharmonic_amp, s1, s2):
+    """final_state_from_overlaps with each particle's t taken as sqrt(1 - s^2)."""
+    splits = [(s, math.sqrt(max(0.0, 1.0 - s * s))) for s in (s1, s2)]
+    return final_state_from_overlaps(harmonic_amp, anharmonic_amp, *splits)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 from dense_model import rotated_pair_state
-from kernel_views import analyzed_pairs, bragg_outputs, labeled
+from kernel_views import analyzed_pairs, bragg_outputs, labeled, pair_from_overlaps
 
 from modetangle.interferometer import _INPUT_PAIR, _momentum_correlations
 from modetangle.oscillator import (
@@ -22,7 +22,6 @@ from modetangle.oscillator import (
 from modetangle.polarization import ChshSettings, chsh_sum
 from modetangle.protocol import (
     ConversionConfig,
-    final_state_from_overlaps,
     particle_entanglement_entropy,
     run_campaign,
 )
@@ -188,14 +187,14 @@ def test_conversion_entropy_oracle():
     violations = []
 
     harmonic = build_model(0.0, 64, levels=3)
-    unconverted = final_state_from_overlaps(
+    unconverted = pair_from_overlaps(
         ROOT_HALF, ROOT_HALF, mode_overlap(harmonic, 1), mode_overlap(harmonic, 2)
     )
     entropy = particle_entanglement_entropy(unconverted)
     if abs(entropy) > 1e-12:
         violations.append(f"zero-coupling entropy {entropy!r}")
 
-    bell = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, 0.0, 0.0)
+    bell = pair_from_overlaps(ROOT_HALF, ROOT_HALF, 0.0, 0.0)
     entropy = particle_entanglement_entropy(bell)
     if abs(entropy - 1.0) > 1e-12:
         violations.append(f"orthogonal balanced entropy {entropy!r}")
@@ -208,7 +207,7 @@ def test_conversion_entropy_oracle():
         for s1 in overlaps:
             for s2 in overlaps:
                 got = particle_entanglement_entropy(
-                    final_state_from_overlaps(h_amp, a_amp, s1, s2)
+                    pair_from_overlaps(h_amp, a_amp, s1, s2)
                 )
                 worst = max(worst, abs(got - brute_force_entropy(h_amp, a_amp, s1, s2)))
     if worst > 1e-8:

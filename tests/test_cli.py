@@ -132,6 +132,17 @@ class TestScanCommands:
         assert metadata["range_min"] == "-0.001"
         assert rows[0][0] == -0.001
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("-inf", "-inf"), ("-INF", "-inf"), ("-Infinity", "-inf"), ("-nan", "nan"), ("-NaN", "nan")],
+    )
+    def test_negative_inf_and_nan_reach_the_finite_check(self, tmp_path, capsys, value, shown):
+        # argparse read these as options: "argument --range-min: expected one argument"
+        out = tmp_path / "x.csv"
+        assert main(["chsh", "--out", str(out), "--range-min", value]) == 2
+        assert capsys.readouterr().err == f"error: range_min must be finite, got {shown}\n"
+        assert not out.exists()
+
     def test_scan_too_large_for_memory_refused(self, tmp_path, monkeypatch, capsys):
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB for an array")
@@ -173,6 +184,40 @@ class TestScanCommands:
         lines = out.read_bytes().splitlines(keepends=True)
         body = b"".join(line for line in lines if not line.startswith(b"#"))
         assert hashlib.sha256(body).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("chsh", "fd36821b279583d12d19c019ed5b3ad2410f0c114409ca160c300ed9105bb0d3"),
+            ("interferometer",
+             "236eee9936d97184c86f957a0e52e6ce639dec8e9c9ae61de85e80cbdaa51ea0"),
+        ],
+    )
+    def test_long_scan_bytes_are_pinned(self, tmp_path, command, digest):
+        """10^4 steps over [0, pi], the bytes the SVD-based entropy columns printed in 0.24.0."""
+        out = tmp_path / "scan.csv"
+        assert main([command, "--out", str(out), "--steps", "10000"]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"#"))
+        assert hashlib.sha256(body).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh"], ["interferometer"], ["entropy-rotation"],
+            ["protocol", "CONFIG", "--gate", "on"], ["protocol", "CONFIG", "--gate", "off"],
+        ],
+        ids=["chsh", "interferometer", "entropy-rotation", "protocol-on", "protocol-off"],
+    )
+    def test_no_command_runs_a_matrix_decomposition(self, tmp_path, monkeypatch, argv):
+        # every Schmidt spectrum on a command path is closed-form
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command ran a matrix decomposition")
+
+        for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        argv = [write_config(tmp_path, BASE_CONFIG) if a == "CONFIG" else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
     def test_csv_numbers_at_the_edges_match_format_12g(self):
         edges = [-0.0, 5e-324, 1e-320, 0.1, 123456789012.5, 1e16, math.inf, math.nan]
@@ -335,8 +380,8 @@ class TestProtocolCommand:
     @pytest.mark.parametrize(
         "gate, digest",
         [
-            ("on", "eaade50ac08118766ff0cded10fe170b80a95105e15a087e1c23acaaa1e3eb97"),
-            ("off", "21b6417b9d13eed1d8f2d5c770ba45260e3594f899e71b4dce40dc2bba794720"),
+            ("on", "ce2092cce5eaca89089172cfa29e5e7ffe57eaca9acf9c0708b56d8a71db0388"),
+            ("off", "aa0f7628d33a4ba404b3e984c41155f2d6f7e8fb05616da4fcde2bb78269a9e2"),
         ],
         ids=("on", "off"),
     )
@@ -369,6 +414,9 @@ class TestProtocolCommand:
             ("--lambda", "nan", "lambda: expected a finite number"),
             # a negative number in exponent form reaches the library's refusal
             ("--lambda", "-1e-3", "lambda: anharmonicity_on must be non-negative, got -0.001"),
+            # and so do -nan and -inf, which argparse read as options
+            ("--lambda", "-nan", "lambda: expected a finite number"),
+            ("--lambda", "-inf", "lambda: expected a finite number"),
         ],
     )
     def test_flags_parse_as_their_config_keys(self, tmp_path, capsys, flag, value, message):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from dense_model import dense_levels, norm1, position_operator, symmetric_banded
 
-from modetangle.oscillator import build_model, first_order_energy, mode_overlap
+from modetangle.oscillator import build_model, first_order_energy, mode_deformation, mode_overlap
 from modetangle.oscillator import (
     _band,
     _count_below,
@@ -515,9 +515,13 @@ class TestAnharmonicSpectrum:
             lambda model: model.x_squared_expectation(1.7),
             lambda model: model.tail_weight([1.7]),
             lambda model: mode_overlap(model, 2.5),
+            lambda model: mode_deformation(model, 2.5),
             lambda model: first_order_energy(1.5, 0.1),
         ],
-        ids=["energy", "eigenstate", "x_squared", "tail_weight", "mode_overlap", "first_order"],
+        ids=[
+            "energy", "eigenstate", "x_squared", "tail_weight", "mode_overlap",
+            "mode_deformation", "first_order",
+        ],
     )
     def test_non_integer_level_refused(self, read):
         # before, energy(1.7) read level 1 and mode_overlap(model, 2.5) read 0.0
@@ -555,4 +559,29 @@ class TestModeOverlap:
     def test_out_of_range_level_rejected(self):
         with pytest.raises(ValueError):
             mode_overlap(build_model(0.1, 16, levels=16), 16)
+
+
+class TestModeDeformation:
+    @pytest.mark.parametrize("g", [0.0, 1e-8, 1e-6, 1e-4, 0.1, 5.0])
+    def test_is_the_decimal_norm_of_the_column_off_its_harmonic_entry(self, g):
+        # sqrt(1 - s^2) loses every digit once s rounds to 1; the norm of the
+        # other entries, squares summed exactly, is within 2 half-ulps
+        model = build_model(g, 64, levels=4)
+        for n in range(4):
+            _, column = model.vectors[n]
+            with localcontext() as ctx:
+                ctx.prec = 50
+                exact = sum(Decimal(c) ** 2 for i, c in enumerate(column) if i != n // 2).sqrt()
+                assert abs(Decimal(mode_deformation(model, n)) - exact) <= exact * Decimal(2.0**-52)
+
+    def test_completes_the_overlap(self):
+        model = build_model(0.3, 64, levels=6)
+        for n in range(6):
+            s, t = mode_overlap(model, n), mode_deformation(model, n)
+            assert s * s + t * t == pytest.approx(1.0, abs=1e-14)
+            assert 0.0 < t < 1.0
+
+    def test_zero_coupling_has_no_deformation(self):
+        model = build_model(0.0, 16, levels=8)
+        assert [mode_deformation(model, n) for n in range(8)] == [0.0] * 8
 

@@ -6,7 +6,7 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 import pytest
 from dense_model import rotated_pair_state
-from kernel_views import analyzed_pairs, analyzer_frames, column, fidelity, labeled
+from kernel_views import analyzed_pairs, analyzer_frames, column, fidelity, labeled, reduced_spectra
 
 from modetangle._common import scan_grid
 from modetangle.interferometer import momentum_chsh_scan
@@ -22,7 +22,6 @@ from modetangle.polarization import (
 )
 from modetangle.states import (
     partial_trace,
-    reduced_spectra,
     renyi_entropies,
     renyi_entropy,
     von_neumann_entropies,

@@ -1,15 +1,19 @@
 """Conversion protocol: selection, assembly, adiabatic budget, trials, and campaigns."""
 
+import json
 import math
+import re
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from kernel_views import fidelity, labeled
+from dense_model import position_operator
+from kernel_views import decimal_pair_weights, fidelity, labeled, pair_from_overlaps
 
 from modetangle._pcg64 import SpawnedPCG64
-from modetangle.oscillator import build_model, mode_overlap
+from modetangle.oscillator import build_model, mode_deformation, mode_overlap
 from modetangle.protocol import (
     CHUNK,
     MAX_TRIALS,
@@ -143,18 +147,18 @@ class TestBranchAmplitudes:
 
 class TestFinalStateAssembly:
     def test_orthogonal_balanced_limit_is_a_bell_pair(self):
-        state = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, 0.0, 0.0)
+        state = pair_from_overlaps(ROOT_HALF, ROOT_HALF, 0.0, 0.0)
         np.testing.assert_allclose(state, [ROOT_HALF, 0.0, 0.0, ROOT_HALF], atol=1e-12)
         assert particle_entanglement_entropy(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_overlaps_give_a_product(self):
-        state = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, 1.0, 1.0)
+        state = pair_from_overlaps(ROOT_HALF, ROOT_HALF, 1.0, 1.0)
         np.testing.assert_allclose(state, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
         assert particle_entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_overlap_point(self):
         # Schmidt pair (0.9, 0.1) for balanced branches at s1 = s2 = 1/2
-        state = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, 0.5, 0.5)
+        state = pair_from_overlaps(ROOT_HALF, ROOT_HALF, 0.5, 0.5)
         entropy = particle_entanglement_entropy(state)
         hand = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
         assert entropy == pytest.approx(hand, abs=1e-12)
@@ -176,16 +180,16 @@ class TestFinalStateAssembly:
             )
             want = math.sqrt(h_amp**2 + a_amp**2 + 2 * h_amp * a_amp * s1 * s2)
             assert np.linalg.norm(raw) == pytest.approx(want, abs=1e-12)
-            state = final_state_from_overlaps(h_amp, a_amp, s1, s2)
+            state = pair_from_overlaps(h_amp, a_amp, s1, s2)
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_cancelling_branches_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            final_state_from_overlaps(ROOT_HALF, -ROOT_HALF, 1.0, 1.0)
+            pair_from_overlaps(ROOT_HALF, -ROOT_HALF, 1.0, 1.0)
 
     def test_unbalanced_branch_norm_rejected(self):
         with pytest.raises(ValueError):
-            final_state_from_overlaps(1.0, 1.0, 0.5, 0.5)
+            pair_from_overlaps(1.0, 1.0, 0.5, 0.5)
 
     @pytest.mark.parametrize(
         "h_amp, a_amp",
@@ -199,7 +203,7 @@ class TestFinalStateAssembly:
     )
     def test_non_finite_branch_amplitudes_rejected(self, h_amp, a_amp):
         with pytest.raises(ValueError, match="branch amplitudes must be finite"):
-            final_state_from_overlaps(h_amp, a_amp, 0.5, 0.9)
+            pair_from_overlaps(h_amp, a_amp, 0.5, 0.9)
 
     def test_entropy_against_brute_force_grid(self):
         mixes = np.linspace(0.15, math.pi / 2 - 0.15, 5)
@@ -209,15 +213,15 @@ class TestFinalStateAssembly:
             for s1 in overlaps:
                 for s2 in overlaps:
                     entropy = particle_entanglement_entropy(
-                        final_state_from_overlaps(h_amp, a_amp, s1, s2)
+                        pair_from_overlaps(h_amp, a_amp, s1, s2)
                     )
                     oracle = brute_force_entropy(h_amp, a_amp, s1, s2)
                     assert entropy == pytest.approx(oracle, abs=1e-8)
                     assert entropy > 0.0  # strictly entangled off the edges
 
     def test_more_deformation_means_more_entanglement(self):
-        weaker = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, 0.8, 0.8)
-        stronger = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, 0.2, 0.2)
+        weaker = pair_from_overlaps(ROOT_HALF, ROOT_HALF, 0.8, 0.8)
+        stronger = pair_from_overlaps(ROOT_HALF, ROOT_HALF, 0.2, 0.2)
         assert particle_entanglement_entropy(stronger) > particle_entanglement_entropy(
             weaker
         )
@@ -226,7 +230,7 @@ class TestFinalStateAssembly:
         # same construction carried out with the model's actual level
         # vectors in the untruncated space
         model = build_model(0.8, 48, levels=3)
-        state = final_state_from_overlaps(
+        state = pair_from_overlaps(
             ROOT_HALF, ROOT_HALF, mode_overlap(model, 1), mode_overlap(model, 2)
         )
         entropy = particle_entanglement_entropy(state)
@@ -246,6 +250,91 @@ class TestFinalStateAssembly:
         assert entropy == pytest.approx(oracle, abs=1e-8)
 
 
+class TestModeSplits:
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            ((-0.1, 0.99), "particle_2 s must lie in [0, 1], got -0.1"),
+            ((0.6, -0.8), "particle_2 t must lie in [0, 1], got -0.8"),
+            ((0.6, 1.25), "particle_2 t must lie in [0, 1], got 1.25"),
+            ((0.6, math.nan), "particle_2 t must be finite, got nan"),
+            ((0.6, 0.6), "particle_2 must satisfy s^2 + t^2 = 1, got s=0.6, t=0.6"),
+        ],
+    )
+    def test_a_bad_split_is_refused_by_particle(self, split, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            final_state_from_overlaps(ROOT_HALF, ROOT_HALF, (0.6, 0.8), split)
+        with pytest.raises(ValueError, match=f"^{re.escape(message.replace('_2', '_1'))}$"):
+            final_state_from_overlaps(ROOT_HALF, ROOT_HALF, split, (0.6, 0.8))
+
+    def test_a_split_within_1e_9_of_the_circle_is_taken(self):
+        t = math.sqrt(1.0 - 0.36 + 5e-10)
+        state = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, (0.6, t), (0.6, 0.8))
+        assert state[3] == pytest.approx(ROOT_HALF * t * 0.8 / math.sqrt(1.0 + 0.36), rel=1e-9)
+
+    def test_the_target_takes_t_from_the_vector(self):
+        # at lambda = 1e-6, sqrt(1 - s^2) would miss t by 4e-5 relative
+        config = ConversionConfig(anharmonicity_on=1e-6, landing_prob=1.0, eta=1.0)
+        model = build_model(1e-6, 64, levels=3)
+        splits = [(mode_overlap(model, n), mode_deformation(model, n)) for n in (1, 2)]
+        want = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, *splits)
+        assert one_trial(config, rng_seed=0).delivered_state == want
+
+
+def logged_pair(anharmonicity):
+    """Amplitudes and particle entropy of the delivered pair, read back from its log line."""
+    config = ConversionConfig(anharmonicity_on=anharmonicity, landing_prob=1.0, eta=1.0)
+    record = json.loads(outcome_json_line(one_trial(config, rng_seed=0)))
+    amplitudes = [complex(*pair) for pair in record["delivered_state"]["amplitudes"]]
+    return amplitudes, record["particle_entropy"]
+
+
+def decimal_pair_entropy(amplitudes):
+    """One particle's entropy in bits of a 2x2 pair, to 50 digits from its float amplitudes."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        weights = decimal_pair_weights(amplitudes)
+        return -sum(w * w.ln() for w in weights if w > 0) / Decimal(2).ln()
+
+
+def first_order_deformation(n, g):
+    """t_n to first order: (g/4) sqrt(sum_k <k|X^4|n>^2 / (n - k)^2) over k = n +- 2, n +- 4."""
+    x4 = np.linalg.matrix_power(position_operator(n + 8), 4)
+    ks = [k for k in (n - 4, n - 2, n + 2, n + 4) if k >= 0]
+    return g / 4 * math.sqrt(sum(x4[k, n] ** 2 / (n - k) ** 2 for k in ks))
+
+
+class TestDeliveredEntropy:
+    """The particle entropy of the delivered pair, the number that carries the paper's claim."""
+
+    @pytest.mark.parametrize("anharmonicity", [1e-8, 1e-6, 1e-4, 1e-2, 0.1])
+    def test_right_to_4_ulps_against_a_50_digit_oracle(self, anharmonicity):
+        # an SVD spectrum gave 0 at 1e-8, 3.2e-16 for 8.0e-24 at 1e-6, and
+        # missed by 2.5e-2 relative at 1e-4
+        amplitudes, entropy = logged_pair(anharmonicity)
+        exact = decimal_pair_entropy(amplitudes)
+        assert exact > 0
+        assert abs(Decimal(entropy) - exact) <= 4 * Decimal(2.0**-52) * exact
+
+    @pytest.mark.parametrize("anharmonicity", [1e-8, 1e-6, 1e-4])
+    def test_follows_the_first_order_law(self, anharmonicity):
+        # small weight p = |h a t1 t2|^2 / nu^2, nu = |h|^2 + |a|^2 + 2 Re(conj(h) a) s1 s2,
+        # and S = p (log2(1/p) + 1/ln 2) + O(p^2); the law misses by ~12.5 lambda relative
+        _, entropy = logged_pair(anharmonicity)
+        t1, t2 = (first_order_deformation(n, anharmonicity) for n in (1, 2))
+        s1, s2 = math.sqrt(1.0 - t1 * t1), math.sqrt(1.0 - t2 * t2)
+        nu = 1.0 + 2.0 * ROOT_HALF * ROOT_HALF * s1 * s2
+        p = (ROOT_HALF * ROOT_HALF * t1 * t2 / nu) ** 2
+        law = p * (math.log2(1.0 / p) + 1.0 / math.log(2.0))
+        assert abs(entropy - law) <= 20 * anharmonicity * law
+
+    def test_summary_prints_the_delivered_entropy(self):
+        config = ConversionConfig(anharmonicity_on=1e-6, landing_prob=1.0, eta=1.0)
+        result = run_campaign(config, 3, rng_seed=0)
+        assert result.mean_entropy == logged_pair(1e-6)[1]
+        assert f"{result.mean_entropy:.12g}" == "7.98394123585e-24"
+
+
 class TestAssembleFromModel:
     def test_overlaps_read_off_the_model(self):
         # a certain delivery ships the campaign's target, built from the
@@ -258,12 +347,12 @@ class TestAssembleFromModel:
         model = build_model(0.3, 64, levels=4)
         s1 = mode_overlap(model, 3)
         s2 = mode_overlap(model, 0)
-        direct = final_state_from_overlaps(0.8, 0.6, s1, s2)
+        direct = pair_from_overlaps(0.8, 0.6, s1, s2)
         np.testing.assert_allclose(state, direct, atol=1e-12)
 
     def test_zero_coupling_gives_zero_entropy(self):
         model = build_model(0.0, 64, levels=3)
-        state = final_state_from_overlaps(
+        state = pair_from_overlaps(
             ROOT_HALF, ROOT_HALF, mode_overlap(model, 1), mode_overlap(model, 2)
         )
         assert particle_entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
@@ -392,8 +481,11 @@ class TestRunTrial:
     def test_unconverted_fidelity_is_the_overlap_with_the_target(self):
         outcome = unconverted_delivery()
         target = one_trial(ConversionConfig(landing_prob=1.0), rng_seed=0).delivered_state
-        assert outcome.fidelity_to_target == fidelity(outcome.delivered_state, target)
-        assert outcome.fidelity_to_target == pytest.approx(abs(target[0]) ** 2, abs=1e-12)
+        # the target is a unit vector, so |<u|t>|^2 with u = (1, 0, 0, 0) is |t[0]|^2
+        assert outcome.fidelity_to_target == abs(target[0]) ** 2
+        assert outcome.fidelity_to_target == pytest.approx(
+            fidelity(outcome.delivered_state, target), rel=1e-15
+        )
         assert outcome.fidelity_to_target < 1.0
 
     def test_dead_detector_always_aborts(self):

@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from kernel_views import fidelity
+from kernel_views import decimal_pair_weights, fidelity, reduced_spectra
 
 from modetangle.states import (
     BasisLabel,
@@ -13,10 +14,11 @@ from modetangle.states import (
     PureState,
     ReducedDensityMatrix,
     _kept_matrices,
+    pair_small_weights,
     partial_trace,
-    reduced_spectra,
     renyi_entropies,
     renyi_entropy,
+    small_weight_entropies,
     von_neumann_entropies,
     von_neumann_entropy,
 )
@@ -206,6 +208,71 @@ class TestReducedSpectra:
     def test_shape_must_match_dims(self):
         with pytest.raises(ValueError):
             reduced_spectra(np.ones((3, 4)), (3, 3), 0)
+
+
+class TestPairKernels:
+    """The closed-form 2x2 Schmidt kernels against the SVD oracle and exact spectra."""
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_match_the_svd_oracle_on_random_stacks(self, dtype):
+        rng = np.random.default_rng(67)
+        stack = rng.standard_normal((500, 4))
+        if dtype is complex:
+            stack = stack + 1j * rng.standard_normal((500, 4))
+        weights = pair_small_weights(stack)
+        spectra = reduced_spectra(stack, (2, 2), 0)
+        np.testing.assert_allclose(weights, spectra[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            small_weight_entropies(weights[:, np.newaxis]),
+            von_neumann_entropies(spectra),
+            rtol=0,
+            atol=1e-14,
+        )
+
+    def test_either_factor_and_any_norm_give_one_weight(self):
+        stack = np.random.default_rng(71).standard_normal((50, 4)) * 3.0
+        swapped = stack[:, [0, 2, 1, 3]]  # photon_2's reduction
+        np.testing.assert_allclose(pair_small_weights(swapped), pair_small_weights(stack), rtol=1e-14)
+        np.testing.assert_allclose(pair_small_weights(stack / 3.0), pair_small_weights(stack), rtol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-8, 1e-16])
+    def test_weights_near_a_product_state_are_right_to_rounding(self, scale):
+        # rows (x, y, z, w) with y, z ~ scale and w ~ scale^2, near (1, 0, 0, 0)
+        # as the protocol's pairs are: xw and yz are both second order, so the
+        # weight ~ scale^4 keeps its digits, within a bound that grows only as
+        # the two products cancel.  An SVD's weights carry an absolute error
+        # near 1e-32, all of the weight at scale 1e-8.
+        rng = np.random.default_rng(73)
+        draws = rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))
+        stack = draws * np.array([1.0, scale, scale, scale * scale])
+        eps = Decimal(np.finfo(float).eps)
+        for row, weight in zip(stack, pair_small_weights(stack)):
+            x, y, z, w = row
+            cancellation = Decimal((abs(x * w) + abs(y * z)) / abs(x * w - y * z))
+            exact = decimal_pair_weights(row)[0]
+            assert abs(Decimal(weight) - exact) <= 8 * eps * cancellation * exact
+
+    def test_landmark_pairs(self):
+        stack = np.array(
+            [[1.0, 0.0, 0.0, 0.0], [ROOT_HALF, 0.0, 0.0, ROOT_HALF], [0.5, 0.5, 0.5, 0.5]]
+        )
+        weights = pair_small_weights(stack)
+        assert weights[0] == 0.0 and weights[2] == 0.0
+        assert weights[1] == pytest.approx(0.5, rel=1e-15)
+        entropies = small_weight_entropies(weights[:, np.newaxis])
+        assert entropies[1] == pytest.approx(1.0, rel=1e-15)
+        assert entropies[0] == entropies[2] == 0.0
+        assert not np.signbit(entropies).any()
+
+    def test_entropies_of_given_small_weights(self):
+        entropies = small_weight_entropies(
+            np.array([[0.0, 0.0], [0.5, 0.5], [1.0 / 3.0, 1.0 / 3.0], [0.25, 0.0]])
+        )
+        # a weight of exactly 0, the large one included, adds 0
+        assert entropies[0] == 0.0 and not np.signbit(entropies[0])
+        assert entropies[1] == pytest.approx(1.0, rel=1e-15)
+        assert entropies[2] == pytest.approx(LOG2_3, rel=1e-15)
+        assert entropies[3] == pytest.approx(-(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75)), rel=1e-15)
 
 
 class TestReducedDensityMatrix:
