@@ -12,11 +12,10 @@ imported from its defining module.
 
 import importlib
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    "ChshSettings": "polarization",
     "chsh_sum": "polarization",
     "build_model": "oscillator",
     "mode_overlap": "oscillator",

@@ -87,6 +87,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(number, re.IGNORECASE)
 
 
+def _output_path(value: str) -> str:
+    """An --out value; an empty one, as an unset shell variable gives, is refused."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="modetangle",
@@ -107,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text, module, function in scans:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", required=True, help="CSV output path")
+        p.add_argument("--out", type=_output_path, required=True, help="CSV output path")
         p.add_argument("--range-min", type=float, default=0.0)
         p.add_argument("--range-max", type=float, default=math.pi)
         p.add_argument("--steps", type=int, default=181)
@@ -115,18 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_scan, scan=(module, function))
 
     p = sub.add_parser("oscillator", help="the lowest levels of the quartic-anharmonic model")
-    p.add_argument("--out", required=True, help="JSON output path")
+    p.add_argument("--out", type=_output_path, required=True, help="JSON output path")
     p.add_argument("--lambda", dest="anharmonicity", type=float, default=0.0)
     p.add_argument("--truncation", type=int, default=64)
     p.set_defaults(func=cmd_oscillator)
 
     p = sub.add_parser("protocol", help="run a seeded conversion campaign")
     p.add_argument("config", help="key=value configuration file")
-    p.add_argument("--out", help="output prefix (writes PREFIX.jsonl and PREFIX.json)")
+    p.add_argument("--out", type=_output_path, help="output prefix (writes PREFIX.jsonl and PREFIX.json)")
     p.add_argument("--eta", help="override detector efficiency")
     p.add_argument("--trials", help="override trial count")
     p.add_argument("--seed", help="override master seed")
-    p.add_argument("--gate", choices=("on", "off"), help="override the abort gate")
+    p.add_argument("--gate", metavar="{on,off}", help="override the abort gate")
     p.add_argument("--lambda", help="override anharmonicity")
     p.add_argument("--truncation", help="override basis truncation")
     p.set_defaults(func=cmd_protocol)

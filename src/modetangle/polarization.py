@@ -39,7 +39,6 @@ One setting is the length-1 case, as in chsh_sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .results import ScanResult
 from .states import pair_small_weights, small_weight_entropies
 
 __all__ = [
-    "ChshSettings",
     "chsh_sum",
     "chsh_sum_general",
     "chsh_scan",
@@ -57,19 +55,6 @@ __all__ = [
 
 # (|HH> + |VV>)/sqrt(2) as a matrix: row index photon_A, column index photon_B.
 _EPR_PAIR = np.eye(2) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ChshSettings:
-    """Base separation angle for the arithmetic four-station arrangement."""
-
-    separation: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "separation", require_finite("separation", self.separation))
-
-    def station_angles(self) -> tuple[float, float, float, float]:
-        return chsh_stations(self.separation)
 
 
 def _analyzer_frames(theta: np.ndarray) -> np.ndarray:
@@ -107,9 +92,9 @@ def chsh_sum_general(
     return float(chsh_sums(_correlations, *frames)[0])
 
 
-def chsh_sum(settings: ChshSettings) -> float:
-    """CHSH sum of the arithmetic arrangement; closed form 3cos(2t) - cos(6t)."""
-    return chsh_sum_general(*settings.station_angles())
+def chsh_sum(separation: float) -> float:
+    """CHSH sum of the stations (0, t, 2t, 3t) at separation t; closed form 3cos(2t) - cos(6t)."""
+    return chsh_sum_general(*chsh_stations(require_finite("separation", separation)))
 
 
 def chsh_scan(theta: np.ndarray) -> ScanResult:

@@ -35,8 +35,8 @@ cycle without a registration, so only faithfully converted pairs are
 delivered.  With the gate off, lost-photon cycles deliver the
 unconverted product and drag the mean fidelity below one.
 
-An optional adiabatic budget checks the separation of scales
-hbar/delta_e << hbar/h_tilde << t_meas before any trial runs.
+Optional adiabatic scales, four fields of ConversionConfig, check the
+separation hbar/delta_e << hbar/h_tilde << t_meas before any trial runs.
 
 A campaign therefore delivers one of only two pair states, and is held
 as one kind byte per trial (see CampaignOutcomes) and the outcome of each
@@ -60,7 +60,6 @@ from .states import pair_small_weights, small_weight_entropies
 
 __all__ = [
     "PhysicsPreconditionError",
-    "AdiabaticBudget",
     "require_adiabatic",
     "ConversionConfig",
     "ancilla_branch_amplitudes",
@@ -86,38 +85,6 @@ _UNCONVERTED = (1 + 0j, 0j, 0j, 0j)
 
 
 @dataclass(frozen=True)
-class AdiabaticBudget:
-    """Raw scales for the separation-of-timescales check (hbar = 1 units)."""
-
-    delta_e: float
-    h_tilde: float
-    t_meas: float
-    ratio_threshold: float = 10.0
-
-    def __post_init__(self) -> None:
-        for name in ("delta_e", "h_tilde", "t_meas", "ratio_threshold"):
-            value = require_finite(name, getattr(self, name))
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
-
-
-def require_adiabatic(budget: AdiabaticBudget) -> None:
-    """Refuses a budget unless both scale ratios reach its threshold.
-
-    r1 = delta_e / h_tilde (level spacing dominates the perturbation),
-    r2 = t_meas * h_tilde (measurement slow against the induced dynamics).
-    """
-    r1 = budget.delta_e / budget.h_tilde
-    r2 = budget.t_meas * budget.h_tilde
-    if not (r1 >= budget.ratio_threshold and r2 >= budget.ratio_threshold):
-        raise PhysicsPreconditionError(
-            "adiabatic budget fails its separation-of-scales check "
-            f"(margins r1={r1:.6g}, r2={r2:.6g}, threshold {budget.ratio_threshold:.6g})"
-        )
-
-
-@dataclass(frozen=True)
 class ConversionConfig:
     """Full configuration of a conversion run.
 
@@ -127,9 +94,11 @@ class ConversionConfig:
     registers with probability eta.
     clock_period must exceed travel_plus_register_time + and_gate_time so
     the abort decision for one cycle lands before the next one starts.
-    An optional adiabatic budget gates whole campaigns.  The truncation
-    must reach MIN_TRUNCATION and exceed both levels.  abort_gate_on must
-    be a bool or a numpy bool, stored as a bool.
+    The truncation must reach MIN_TRUNCATION and exceed both levels.
+    abort_gate_on must be a bool or a numpy bool, stored as a bool.
+    The adiabatic_* fields are all-or-none: a threshold or any one scale
+    needs all three scales, which then arm the campaign's adiabatic check
+    (require_adiabatic), with the threshold 10.0 unless given.
     """
 
     anharmonicity_on: float = 0.1
@@ -143,9 +112,22 @@ class ConversionConfig:
     and_gate_time: float = 1.0
     landing_prob: float = 0.5
     abort_gate_on: bool = True
-    adiabatic_budget: AdiabaticBudget | None = None
+    adiabatic_delta_e: float | None = None
+    adiabatic_h_tilde: float | None = None
+    adiabatic_t_meas: float | None = None
+    adiabatic_threshold: float | None = None
 
     def __post_init__(self) -> None:
+        scales = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas")
+        given = [name for name in (*scales, "adiabatic_threshold") if getattr(self, name) is not None]
+        missing = [name for name in scales if getattr(self, name) is None]
+        if given and missing:
+            raise ValueError(
+                f"{', '.join(given)} given without {', '.join(missing)}; "
+                "the adiabatic_* scales are all-or-none"
+            )
+        if given and self.adiabatic_threshold is None:
+            object.__setattr__(self, "adiabatic_threshold", 10.0)
         levels = [self._integer("level_a"), self._integer("level_b")]
         if levels[0] == levels[1]:
             raise ValueError(f"levels must be distinct, got {levels}")
@@ -163,7 +145,7 @@ class ConversionConfig:
             raise ValueError(f"anharmonicity_on must be non-negative, got {g}")
         object.__setattr__(self, "anharmonicity_on", g)
         object.__setattr__(self, "landing_prob", _unit_interval("landing_prob", self.landing_prob))
-        for name in ("clock_period", "travel_plus_register_time", "and_gate_time"):
+        for name in ("clock_period", "travel_plus_register_time", "and_gate_time", *given):
             value = require_finite(name, getattr(self, name))
             if value <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -189,6 +171,23 @@ class ConversionConfig:
         value = require_integer(name, getattr(self, name))
         object.__setattr__(self, name, value)
         return value
+
+
+def require_adiabatic(config: ConversionConfig) -> None:
+    """Refuses a config with adiabatic scales unless both ratios reach its threshold.
+
+    r1 = delta_e / h_tilde (level spacing dominates the perturbation),
+    r2 = t_meas * h_tilde (measurement slow against the induced dynamics),
+    in hbar = 1 units.
+    """
+    r1 = config.adiabatic_delta_e / config.adiabatic_h_tilde
+    r2 = config.adiabatic_t_meas * config.adiabatic_h_tilde
+    threshold = config.adiabatic_threshold
+    if not (r1 >= threshold and r2 >= threshold):
+        raise PhysicsPreconditionError(
+            "adiabatic budget fails its separation-of-scales check "
+            f"(margins r1={r1:.6g}, r2={r2:.6g}, threshold {threshold:.6g})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,8 +349,8 @@ def run_campaign(
     objects bit for bit.  Memory is one byte per trial, and a campaign
     holds at most MAX_TRIALS = 2**32 trials.  A truncation whose two
     levels put more than the oscillator's TAIL_WEIGHT_LIMIT in the top
-    basis states refuses to run, and so does a configured adiabatic
-    budget that fails its check.
+    basis states refuses to run, and so do adiabatic scales that fail
+    their check.
     """
     n_trials = require_integer("n_trials", n_trials)
     if n_trials < 1:
@@ -360,8 +359,8 @@ def run_campaign(
         raise ValueError(f"n_trials must be at most 2**32 = {MAX_TRIALS}, got {n_trials}")
     stream = SpawnedPCG64(rng_seed)
     templates = _outcome_templates(config)
-    if config.adiabatic_budget is not None:
-        require_adiabatic(config.adiabatic_budget)
+    if config.adiabatic_delta_e is not None:
+        require_adiabatic(config)
     kinds = np.empty(n_trials, dtype=np.uint8)
     counts = np.zeros(len(templates), dtype=np.int64)  # trials of each kind
     for start in range(0, n_trials, CHUNK):

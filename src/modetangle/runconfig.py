@@ -9,18 +9,17 @@ errors that name the key.
 A run configuration is a plain mapping from config key to parsed value.
 parse_run_config gives the file's keys over the file defaults (the
 trial count, the seed, eta and the output paths); every other key is
-absent until given.  to_conversion_config passes only the keys present:
-the adiabatic_* keys to an AdiabaticBudget and the other library keys
-to ConversionConfig, so each protocol default lives in the object that
-uses it.  _KEYS maps each key to its converter and that
-library parameter; with_overrides applies command-line values with the
-same converters.
+absent until given.  to_conversion_config passes only the library keys
+present to ConversionConfig, so each protocol default, and each rule
+between keys such as the all-or-none adiabatic_* scales, lives in the
+object that uses it.  _KEYS maps each key to its converter and the
+ConversionConfig parameter it feeds; with_overrides applies command-line
+values with the same converters.
 
-The adiabatic_* keys are all-or-none: a threshold or any one scale needs
-all three scales, which then arm the campaign's physics gate.  The range
-of each value is checked by the library object that uses it, whose
-errors to_conversion_config re-raises as a ConfigError naming the key,
-and by build_model and run_campaign when the campaign starts.
+The range of each value is checked by ConversionConfig, whose errors
+to_conversion_config re-raises as a ConfigError naming the key, and by
+build_model and run_campaign when the campaign starts.  A file that
+starts with a UTF-8 byte order mark is read as one without it.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ import os
 import re
 from typing import Callable, Mapping, NamedTuple
 
-from .protocol import AdiabaticBudget, ConversionConfig
+from .protocol import ConversionConfig
 
 __all__ = ["ConfigError", "parse_run_config", "to_conversion_config", "with_overrides"]
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-_ADIABATIC_SCALES = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas")
 
 
 class ConfigError(ValueError):
@@ -82,29 +79,28 @@ def _parse_gate(key: str, raw: str) -> bool:
 
 class _Key(NamedTuple):
     parse: Callable[[str, str], object]
-    # the library object and parameter the value feeds; None for file-only keys
-    owner: type | None = None
+    # the ConversionConfig parameter the value feeds; None for file-only keys
     param: str | None = None
 
 
 _KEYS = {
     "trials": _Key(_parse_int),
     "seed": _Key(_parse_int),
-    "eta": _Key(_parse_float, ConversionConfig, "eta"),
-    "gate": _Key(_parse_gate, ConversionConfig, "abort_gate_on"),
-    "lambda": _Key(_parse_float, ConversionConfig, "anharmonicity_on"),
-    "truncation": _Key(_parse_int, ConversionConfig, "truncation"),
-    "level_a": _Key(_parse_int, ConversionConfig, "level_a"),
-    "level_b": _Key(_parse_int, ConversionConfig, "level_b"),
-    "landing_prob": _Key(_parse_float, ConversionConfig, "landing_prob"),
-    "detect_amp": _Key(_parse_float, ConversionConfig, "detect_amp"),
-    "clock_period": _Key(_parse_float, ConversionConfig, "clock_period"),
-    "travel_plus_register_time": _Key(_parse_float, ConversionConfig, "travel_plus_register_time"),
-    "and_gate_time": _Key(_parse_float, ConversionConfig, "and_gate_time"),
-    "adiabatic_delta_e": _Key(_parse_float, AdiabaticBudget, "delta_e"),
-    "adiabatic_h_tilde": _Key(_parse_float, AdiabaticBudget, "h_tilde"),
-    "adiabatic_t_meas": _Key(_parse_float, AdiabaticBudget, "t_meas"),
-    "adiabatic_threshold": _Key(_parse_float, AdiabaticBudget, "ratio_threshold"),
+    "eta": _Key(_parse_float, "eta"),
+    "gate": _Key(_parse_gate, "abort_gate_on"),
+    "lambda": _Key(_parse_float, "anharmonicity_on"),
+    "truncation": _Key(_parse_int, "truncation"),
+    "level_a": _Key(_parse_int, "level_a"),
+    "level_b": _Key(_parse_int, "level_b"),
+    "landing_prob": _Key(_parse_float, "landing_prob"),
+    "detect_amp": _Key(_parse_float, "detect_amp"),
+    "clock_period": _Key(_parse_float, "clock_period"),
+    "travel_plus_register_time": _Key(_parse_float, "travel_plus_register_time"),
+    "and_gate_time": _Key(_parse_float, "and_gate_time"),
+    "adiabatic_delta_e": _Key(_parse_float, "adiabatic_delta_e"),
+    "adiabatic_h_tilde": _Key(_parse_float, "adiabatic_h_tilde"),
+    "adiabatic_t_meas": _Key(_parse_float, "adiabatic_t_meas"),
+    "adiabatic_threshold": _Key(_parse_float, "adiabatic_threshold"),
     "out_log": _Key(_parse_str),
     "out_summary": _Key(_parse_str),
 }
@@ -112,7 +108,7 @@ _KEYS = {
 # library parameter -> the config key that feeds it.  A library range
 # error starts with the name of the parameter it refuses, or with |name|,
 # or with "levels" when it refuses the two levels, named by the keys given
-_PARAM_KEYS = {k.param: key for key, k in _KEYS.items() if k.owner is not None}
+_PARAM_KEYS = {k.param: key for key, k in _KEYS.items() if k.param is not None}
 _REFUSED_NAME = re.compile(r"\|?(\w*)")
 
 _FILE_DEFAULTS = {
@@ -135,8 +131,8 @@ def parse_run_config(path: str | os.PathLike) -> dict[str, object]:
     name = os.fspath(path)
     try:
         # an undecodable byte comes through as a lone surrogate, found below
-        # with its line number
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        # with its line number; utf-8-sig drops a leading byte order mark
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
             lines = handle.readlines()
     except FileNotFoundError:
         raise ConfigError(None, f"no such configuration file: {name}") from None
@@ -173,33 +169,18 @@ def with_overrides(rc: Mapping[str, object], raw: Mapping[str, str | None]) -> d
 def to_conversion_config(rc: Mapping[str, object]) -> ConversionConfig:
     """Build the campaign configuration from the keys present in rc.
 
-    An unknown key, and adiabatic values set without all three scales,
-    are refused.  A value the library refuses is re-raised as a
-    ConfigError naming the config key that feeds it, or the level keys
-    given when the two levels are refused.
+    An unknown key is refused.  A value the library refuses is re-raised
+    as a ConfigError naming the config key that feeds it, or the level
+    keys given when the two levels are refused.
     """
-    args: dict[type, dict[str, object]] = {AdiabaticBudget: {}, ConversionConfig: {}}
+    args = {}
     for key, value in rc.items():
         if key not in _KEYS:
             raise ConfigError(key, "unknown configuration key")
-        k = _KEYS[key]
-        if k.owner is not None:
-            args[k.owner][k.param] = value
-    budget = args[AdiabaticBudget]
-    missing = [key for key in _ADIABATIC_SCALES if key not in rc]
-    if budget and missing:
-        # name the given keys in table order, whatever order rc holds them in
-        given = [key for key in _KEYS if key in rc and _KEYS[key].owner is AdiabaticBudget]
-        raise ConfigError(
-            None,
-            f"{', '.join(given)} given without "
-            f"{', '.join(missing)}; the adiabatic_* scales are all-or-none",
-        )
-    config_args = args[ConversionConfig]
+        if _KEYS[key].param is not None:
+            args[_KEYS[key].param] = value
     try:
-        if budget:
-            config_args["adiabatic_budget"] = AdiabaticBudget(**budget)
-        return ConversionConfig(**config_args)
+        return ConversionConfig(**args)
     except ValueError as exc:
         name = _REFUSED_NAME.match(str(exc)).group(1)
         if name == "levels":

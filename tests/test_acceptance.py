@@ -19,7 +19,7 @@ from modetangle.oscillator import (
     first_order_energy,
     mode_overlap,
 )
-from modetangle.polarization import ChshSettings, chsh_sum
+from modetangle.polarization import chsh_sum
 from modetangle.protocol import (
     ConversionConfig,
     particle_entanglement_entropy,
@@ -61,7 +61,7 @@ def test_chsh_curve_and_maximum():
     start = time.perf_counter()
     # 1000-point grid chosen to land on the extrema k*pi/1000 exactly
     grid = np.arange(1000) * (math.pi / 1000.0)
-    s_values = np.array([chsh_sum(ChshSettings(t)) for t in grid])
+    s_values = np.array([chsh_sum(t) for t in grid])
     closed_form = 3.0 * np.cos(2.0 * grid) - np.cos(6.0 * grid)
     elapsed = time.perf_counter() - start
 

@@ -417,6 +417,8 @@ class TestProtocolCommand:
             # and so do -nan and -inf, which argparse read as options
             ("--lambda", "-nan", "lambda: expected a finite number"),
             ("--lambda", "-inf", "lambda: expected a finite number"),
+            # the config key's parser is the flag's only check
+            ("--gate", "maybe", "error: gate: expected 'on' or 'off', got 'maybe'"),
         ],
     )
     def test_flags_parse_as_their_config_keys(self, tmp_path, capsys, flag, value, message):
@@ -513,6 +515,23 @@ class TestProtocolCommand:
         assert main(["protocol", str(config), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {config}: line 2: not UTF-8 text\n"
         assert not list(tmp_path.glob("x*"))
+
+    def test_byte_order_mark_is_read_as_no_mark(self, tmp_path, capsys):
+        text = "trials = 200\nseed = 11\n# conversion campaign\neta = 0.9\n"
+        plain = write_config(tmp_path, text)
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["protocol", plain, "--out", str(tmp_path / "plain")]) == 0
+        plain_out = capsys.readouterr()
+        assert main(["protocol", str(marked), "--out", str(tmp_path / "marked")]) == 0
+        assert capsys.readouterr() == plain_out
+        for suffix in (".jsonl", ".json"):
+            marked_bytes = (tmp_path / f"marked{suffix}").read_bytes()
+            assert marked_bytes == (tmp_path / f"plain{suffix}").read_bytes(), suffix
+        # an undecodable byte after the mark is still found on its line
+        marked.write_bytes(b"\xef\xbb\xbftrials = 5\nseed = \xff\n")
+        assert main(["protocol", str(marked), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {marked}: line 2: not UTF-8 text\n"
 
     @pytest.mark.parametrize(
         "out_log, out_summary, missing",
@@ -671,9 +690,17 @@ class TestProtocolCommand:
 
     def test_adiabatic_threshold_defaults_to_the_budget_default(self):
         scales = {"adiabatic_delta_e": 1.0, "adiabatic_h_tilde": 0.01, "adiabatic_t_meas": 1000.0}
-        budget = to_conversion_config(scales).adiabatic_budget
-        assert budget.ratio_threshold == 10.0
-        assert to_conversion_config({}).adiabatic_budget is None
+        assert to_conversion_config(scales).adiabatic_threshold == 10.0
+        assert to_conversion_config({}).adiabatic_threshold is None
+
+    def test_partial_adiabatic_refusal_names_the_first_key_given(self):
+        with pytest.raises(ConfigError) as info:
+            to_conversion_config({"adiabatic_t_meas": 1000.0, "adiabatic_h_tilde": 0.01})
+        assert info.value.key == "adiabatic_h_tilde"
+        assert str(info.value) == (
+            "adiabatic_h_tilde: adiabatic_h_tilde, adiabatic_t_meas given without "
+            "adiabatic_delta_e; the adiabatic_* scales are all-or-none"
+        )
 
 
 ADIABATIC_SCALES = {
@@ -746,6 +773,20 @@ def test_output_files_follow_the_umask(tmp_path, mask, mode):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
+@pytest.mark.parametrize(
+    "command", ["chsh", "entropy-rotation", "interferometer", "oscillator", "protocol"]
+)
+def test_empty_out_refused(tmp_path, monkeypatch, capsys, command):
+    """An empty --out, as an unset shell variable gives, exits 2 and writes nothing."""
+    config = write_config(tmp_path, "trials = 5\n")
+    monkeypatch.chdir(tmp_path)
+    argv = [command, config] if command == "protocol" else [command]
+    assert main([*argv, "--out", ""]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--out" in errors[0], errors
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 # one scan and the oscillator: each writes through results.atomic_write_text
 WRITERS = {"chsh": ["chsh", "--steps", "3"], "oscillator": ["oscillator"]}
 
@@ -787,11 +828,28 @@ class TestEntryPoint:
         assert "modetangle" in capsys.readouterr().out
 
     def test_pyproject_version_matches_package(self):
+        """pyproject.toml takes its version from modetangle.__version__, its one source."""
         pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
         with open(pyproject, encoding="utf-8") as handle:
-            match = re.search(r'^version\s*=\s*"([^"]+)"', handle.read(), re.MULTILINE)
-        assert match is not None
-        assert match.group(1) == modetangle.__version__
+            text = handle.read()
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10: the same three facts by pattern
+            project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+            static = re.search(r"^version\s*=", project, re.MULTILINE) is not None
+            dynamic = re.search(r"^dynamic\s*=\s*\[(.*)\]", project, re.MULTILINE)[1]
+            dynamic = re.findall(r'"(\w+)"', dynamic)
+            source = re.search(
+                r'^\[tool\.setuptools\.dynamic\]\nversion\s*=\s*\{\s*attr\s*=\s*"([^"]+)"\s*\}',
+                text, re.MULTILINE,
+            )[1]
+        else:
+            data = tomllib.loads(text)
+            static = "version" in data["project"]
+            dynamic = data["project"]["dynamic"]
+            source = data["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        assert (static, dynamic, source) == (False, ["version"], "modetangle.__version__")
+        assert re.fullmatch(r"\d+\.\d+\.\d+", modetangle.__version__)
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 2

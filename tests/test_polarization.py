@@ -8,11 +8,10 @@ import pytest
 from dense_model import rotated_pair_state
 from kernel_views import analyzed_pairs, analyzer_frames, column, fidelity, labeled, reduced_spectra
 
-from modetangle._common import scan_grid
+from modetangle._common import chsh_stations, scan_grid
 from modetangle.interferometer import momentum_chsh_scan
 from modetangle.polarization import (
     _EPR_PAIR,
-    ChshSettings,
     _analyzer_frames,
     _correlations,
     chsh_scan,
@@ -185,26 +184,31 @@ class TestCorrelation:
 
 class TestChshSum:
     def test_known_points(self):
-        assert chsh_sum(ChshSettings(0.0)) == pytest.approx(2.0, abs=1e-12)
-        assert chsh_sum(ChshSettings(math.pi / 8.0)) == pytest.approx(
-            TWO_ROOT_TWO, abs=1e-12
-        )
-        assert chsh_sum(ChshSettings(math.pi / 4.0)) == pytest.approx(0.0, abs=1e-12)
+        assert chsh_sum(0.0) == pytest.approx(2.0, abs=1e-12)
+        assert chsh_sum(math.pi / 8.0) == pytest.approx(TWO_ROOT_TWO, abs=1e-12)
+        assert chsh_sum(math.pi / 4.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_everywhere(self):
         for t in np.linspace(0.0, math.pi, 211):
             want = 3.0 * math.cos(2.0 * t) - math.cos(6.0 * t)
-            assert chsh_sum(ChshSettings(t)) == pytest.approx(want, abs=1e-12)
+            assert chsh_sum(t) == pytest.approx(want, abs=1e-12)
 
     def test_general_arrangement_reduces_to_arithmetic_one(self):
         for t in (0.1, 0.5, 1.2):
             spread = chsh_sum_general(0.0, t, 2.0 * t, 3.0 * t)
-            assert spread == pytest.approx(chsh_sum(ChshSettings(t)), abs=1e-12)
+            assert spread == pytest.approx(chsh_sum(t), abs=1e-12)
 
     def test_station_angles(self):
-        assert ChshSettings(0.2).station_angles() == pytest.approx(
-            (0.0, 0.2, 0.4, 0.6)
-        )
+        assert chsh_stations(0.2) == pytest.approx((0.0, 0.2, 0.4, 0.6))
+
+    def test_sum_is_the_general_sum_at_the_arithmetic_stations_bit_for_bit(self):
+        for t in np.linspace(-math.pi, math.pi, 257).tolist() + [1e-300, -0.0, 1e300]:
+            assert chsh_sum(t) == chsh_sum_general(0.0, t, 2.0 * t, 3.0 * t), t
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_separation_refused(self, value):
+        with pytest.raises(ValueError, match=r"^separation must be finite"):
+            chsh_sum(value)
 
 
 class TestChshScan:

@@ -1,4 +1,4 @@
-"""Conversion protocol: selection, assembly, adiabatic budget, trials, and campaigns."""
+"""Conversion protocol: selection, assembly, adiabatic check, trials, and campaigns."""
 
 import json
 import math
@@ -17,7 +17,6 @@ from modetangle.oscillator import build_model, mode_deformation, mode_overlap
 from modetangle.protocol import (
     CHUNK,
     MAX_TRIALS,
-    AdiabaticBudget,
     ConversionConfig,
     PhysicsPreconditionError,
     ancilla_branch_amplitudes,
@@ -439,30 +438,69 @@ class TestConfigValidation:
         assert rendered(result) == rendered(run_campaign(ConversionConfig(), 3, 5))
 
 
+def adiabatic(delta_e, h_tilde, t_meas, threshold=None):
+    """A default config with the given adiabatic scales and threshold."""
+    return ConversionConfig(
+        adiabatic_delta_e=delta_e, adiabatic_h_tilde=h_tilde,
+        adiabatic_t_meas=t_meas, adiabatic_threshold=threshold,
+    )
+
+
+ADIABATIC_FIELDS = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas", "adiabatic_threshold")
+
+
 class TestAdiabaticCheck:
     def test_wide_margins_pass(self):
-        require_adiabatic(AdiabaticBudget(1.0, 0.01, 1000.0))
+        require_adiabatic(adiabatic(1.0, 0.01, 1000.0))
         with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=10,"):
-            require_adiabatic(AdiabaticBudget(1.0, 0.01, 1000.0, ratio_threshold=10.5))
+            require_adiabatic(adiabatic(1.0, 0.01, 1000.0, threshold=10.5))
 
     def test_small_gap_fails(self):
         with pytest.raises(PhysicsPreconditionError, match=r"r1=2, r2=10,"):
-            require_adiabatic(AdiabaticBudget(0.02, 0.01, 1000.0))
+            require_adiabatic(adiabatic(0.02, 0.01, 1000.0))
 
     def test_short_measurement_fails(self):
         with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=0\.5,"):
-            require_adiabatic(AdiabaticBudget(1.0, 0.01, 50.0))
+            require_adiabatic(adiabatic(1.0, 0.01, 50.0))
 
     def test_threshold_is_configurable(self):
-        require_adiabatic(AdiabaticBudget(1.0, 0.01, 50.0, ratio_threshold=0.25))
+        require_adiabatic(adiabatic(1.0, 0.01, 50.0, threshold=0.25))
 
     def test_non_positive_scales_rejected(self):
         with pytest.raises(ValueError):
-            AdiabaticBudget(0.0, 0.01, 10.0)
+            adiabatic(0.0, 0.01, 10.0)
         with pytest.raises(ValueError):
-            AdiabaticBudget(1.0, -0.01, 10.0)
+            adiabatic(1.0, -0.01, 10.0)
         with pytest.raises(ValueError):
-            AdiabaticBudget(1.0, 0.01, math.inf)
+            adiabatic(1.0, 0.01, math.inf)
+
+    def test_threshold_defaults_to_ten_once_the_scales_are_set(self):
+        assert adiabatic(1.0, 0.01, 1000.0).adiabatic_threshold == 10.0
+        assert ConversionConfig().adiabatic_threshold is None
+
+    @pytest.mark.parametrize("field", ADIABATIC_FIELDS)
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_each_refusal_names_its_field(self, field, value):
+        values = dict(zip(ADIABATIC_FIELDS, (100.0, 1.0, 100.0, 10.0)), **{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must be (positive|finite), got "):
+            ConversionConfig(**values)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"adiabatic_delta_e": 1.0},
+             "adiabatic_delta_e given without adiabatic_h_tilde, adiabatic_t_meas; "),
+            ({"adiabatic_t_meas": 1000.0, "adiabatic_h_tilde": 0.01},
+             "adiabatic_h_tilde, adiabatic_t_meas given without adiabatic_delta_e; "),
+            ({"adiabatic_threshold": 5.0},
+             "adiabatic_threshold given without adiabatic_delta_e, adiabatic_h_tilde, adiabatic_t_meas; "),
+        ],
+        ids=["one-scale", "two-scales", "threshold-alone"],
+    )
+    def test_partial_fields_refused_naming_the_missing_scales(self, values, message):
+        with pytest.raises(ValueError) as info:
+            ConversionConfig(**values)
+        assert str(info.value) == message + "the adiabatic_* scales are all-or-none"
 
 
 def one_trial(config, rng_seed):
@@ -621,14 +659,12 @@ class TestRunCampaign:
         assert "".join(long_log.splitlines(keepends=True)[:10]) == short_log
 
     def test_failing_budget_refuses_to_run(self):
-        budget = AdiabaticBudget(0.02, 0.01, 1000.0)
-        config = ConversionConfig(adiabatic_budget=budget)
+        config = adiabatic(0.02, 0.01, 1000.0)
         with pytest.raises(PhysicsPreconditionError):
             run_campaign(config, 10, rng_seed=1)
 
     def test_passing_budget_runs(self):
-        budget = AdiabaticBudget(1.0, 0.01, 1000.0)
-        config = ConversionConfig(adiabatic_budget=budget)
+        config = adiabatic(1.0, 0.01, 1000.0)
         result = run_campaign(config, 10, rng_seed=1)
         assert result.n_trials == 10
 
