@@ -178,8 +178,10 @@ def require_adiabatic(config: ConversionConfig) -> None:
 
     r1 = delta_e / h_tilde (level spacing dominates the perturbation),
     r2 = t_meas * h_tilde (measurement slow against the induced dynamics),
-    in hbar = 1 units.
+    in hbar = 1 units.  A config without the scales passes.
     """
+    if config.adiabatic_delta_e is None:
+        return
     r1 = config.adiabatic_delta_e / config.adiabatic_h_tilde
     r2 = config.adiabatic_t_meas * config.adiabatic_h_tilde
     threshold = config.adiabatic_threshold
@@ -359,8 +361,7 @@ def run_campaign(
         raise ValueError(f"n_trials must be at most 2**32 = {MAX_TRIALS}, got {n_trials}")
     stream = SpawnedPCG64(rng_seed)
     templates = _outcome_templates(config)
-    if config.adiabatic_delta_e is not None:
-        require_adiabatic(config)
+    require_adiabatic(config)
     kinds = np.empty(n_trials, dtype=np.uint8)
     counts = np.zeros(len(templates), dtype=np.int64)  # trials of each kind
     for start in range(0, n_trials, CHUNK):

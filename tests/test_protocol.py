@@ -463,6 +463,9 @@ class TestAdiabaticCheck:
         with pytest.raises(PhysicsPreconditionError, match=r"r1=100, r2=0\.5,"):
             require_adiabatic(adiabatic(1.0, 0.01, 50.0))
 
+    def test_config_without_scales_passes(self):
+        require_adiabatic(ConversionConfig())
+
     def test_threshold_is_configurable(self):
         require_adiabatic(adiabatic(1.0, 0.01, 50.0, threshold=0.25))
 
@@ -473,10 +476,6 @@ class TestAdiabaticCheck:
             adiabatic(1.0, -0.01, 10.0)
         with pytest.raises(ValueError):
             adiabatic(1.0, 0.01, math.inf)
-
-    def test_threshold_defaults_to_ten_once_the_scales_are_set(self):
-        assert adiabatic(1.0, 0.01, 1000.0).adiabatic_threshold == 10.0
-        assert ConversionConfig().adiabatic_threshold is None
 
     @pytest.mark.parametrize("field", ADIABATIC_FIELDS)
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
