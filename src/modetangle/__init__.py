@@ -12,7 +12,7 @@ imported from its defining module.
 
 import importlib
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {

@@ -10,7 +10,7 @@ Generation", HMC-CS-2014-0905), so this module runs them for a whole
 block of children as uint32/uint64 array arithmetic and returns the same
 raw 64-bit outputs, bit for bit.  A child's id must lie below 2**32, where
 SeedSequence makes one spawn word of it, so a campaign is capped at
-2**32 trials.
+2**32 trials.  ConversionConfig checks the seed, a non-negative int.
 
 Every constant is an explicit np.uint32 or np.uint64 so that the array
 arithmetic wraps at the word size under numpy 1.x and 2.x alike.
@@ -19,8 +19,6 @@ arithmetic wraps at the word size under numpy 1.x and 2.x alike.
 from __future__ import annotations
 
 import numpy as np
-
-from ._common import require_integer
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -92,18 +90,15 @@ _STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
 class SpawnedPCG64:
-    """First raw outputs of PCG64 seeded by the children of SeedSequence(rng_seed).
+    """First raw outputs of PCG64 seeded by the children of SeedSequence(seed).
 
     The pool mixing of the seed's own words is the same for every child,
     so it is done once here; each call mixes in only the children's spawn
     word.
     """
 
-    def __init__(self, rng_seed: int) -> None:
-        rng_seed = require_integer("rng_seed", rng_seed)
-        if rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
-        words = _words(rng_seed)
+    def __init__(self, seed: int) -> None:
+        words = _words(seed)
         words += [0] * (_POOL_SIZE - len(words))
         extra = len(words) - _POOL_SIZE
         # 4 fills, 12 cross mixes, 4 per extra word, and 4 for the spawn word
@@ -125,7 +120,7 @@ class SpawnedPCG64:
     def raw2(self, children: range) -> tuple[np.ndarray, np.ndarray]:
         """PCG64(seq).random_raw(2) as two uint64 columns, one row per seq.
 
-        seq is each child SeedSequence(rng_seed, spawn_key=(i,)) for i in
+        seq is each child SeedSequence(seed, spawn_key=(i,)) for i in
         children, a range of ids below 2**32.
         """
         if children.stop > 2**32:

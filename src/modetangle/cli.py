@@ -88,9 +88,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _output_path(value: str) -> str:
-    """An --out value; an empty one, as an unset shell variable gives, is refused."""
-    if not value:
-        raise argparse.ArgumentTypeError("expected a path, got ''")
+    """An --out value; one whose last component is empty, as in '' or outdir/, is refused."""
+    if not os.path.basename(value):
+        raise argparse.ArgumentTypeError(f"expected a file path, got {value!r}")
     return value
 
 
@@ -190,8 +190,8 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     config = runconfig.to_conversion_config(rc)
     for path in (out_log, out_summary):  # refused before the campaign runs
         results.check_writable(path)
-    result = protocol.run_campaign(config, rc["trials"], rc["seed"])
-    summary = protocol.campaign_summary(result, config, rc["seed"])
+    result = protocol.run_campaign(config)
+    summary = protocol.campaign_summary(result, config)
     log = protocol.render_outcome_log(result.outcomes)
     # the summary waits in its temp file until the log has replaced an older
     # one, so a failed write of either leaves an earlier pair as it was

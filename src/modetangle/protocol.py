@@ -35,8 +35,9 @@ cycle without a registration, so only faithfully converted pairs are
 delivered.  With the gate off, lost-photon cycles deliver the
 unconverted product and drag the mean fidelity below one.
 
-Optional adiabatic scales, four fields of ConversionConfig, check the
-separation hbar/delta_e << hbar/h_tilde << t_meas before any trial runs.
+ConversionConfig fixes a whole campaign, its trial count and seed too.
+Optional adiabatic scales, four of its fields, check the separation
+hbar/delta_e << hbar/h_tilde << t_meas before any trial runs.
 
 A campaign therefore delivers one of only two pair states, and is held
 as one kind byte per trial (see CampaignOutcomes) and the outcome of each
@@ -86,7 +87,7 @@ _UNCONVERTED = (1 + 0j, 0j, 0j, 0j)
 
 @dataclass(frozen=True)
 class ConversionConfig:
-    """Full configuration of a conversion run.
+    """Full configuration of a conversion run, down to its trials and seed.
 
     photon_1 and photon_2 take the distinct oscillator levels level_a and
     level_b.  detect_amp, |detect_amp| <= 1, is the amplitude of the
@@ -99,6 +100,8 @@ class ConversionConfig:
     The adiabatic_* fields are all-or-none: a threshold or any one scale
     needs all three scales, which then arm the campaign's adiabatic check
     (require_adiabatic), with the threshold 10.0 unless given.
+    trials, 1 to MAX_TRIALS, counts the campaign's trials, spawned from
+    the master seed, a non-negative integer of any size.
     """
 
     anharmonicity_on: float = 0.1
@@ -116,6 +119,8 @@ class ConversionConfig:
     adiabatic_h_tilde: float | None = None
     adiabatic_t_meas: float | None = None
     adiabatic_threshold: float | None = None
+    trials: int = 1000
+    seed: int = 0
 
     def __post_init__(self) -> None:
         scales = ("adiabatic_delta_e", "adiabatic_h_tilde", "adiabatic_t_meas")
@@ -165,6 +170,13 @@ class ConversionConfig:
         if not isinstance(self.abort_gate_on, (bool, np.bool_)):
             raise ValueError(f"abort_gate_on must be a bool, got {self.abort_gate_on!r}")
         object.__setattr__(self, "abort_gate_on", bool(self.abort_gate_on))
+        trials = self._integer("trials")
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        if trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most 2**32 = {MAX_TRIALS}, got {trials}")
+        if self._integer("seed") < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def _integer(self, name: str) -> int:
         """The field as an int; a value that is no integer, such as 64.7, is refused."""
@@ -338,34 +350,27 @@ class CampaignResult:
     outcomes: CampaignOutcomes
 
 
-def run_campaign(
-    config: ConversionConfig, n_trials: int, rng_seed: int
-) -> CampaignResult:
-    """Run seeded trials and aggregate delivery statistics.
+def run_campaign(config: ConversionConfig) -> CampaignResult:
+    """Run the config's seeded trials and aggregate delivery statistics.
 
     Trial i takes the first two doubles of PCG64 seeded by the i-th
-    spawned child of SeedSequence(rng_seed), so identical (config,
-    rng_seed) reproduce the log exactly and the first trials do not
-    depend on n_trials.  The draws of CHUNK trials at a time come from
-    one vectorized pass of _pcg64.SpawnedPCG64, which reproduces numpy's
-    objects bit for bit.  Memory is one byte per trial, and a campaign
-    holds at most MAX_TRIALS = 2**32 trials.  A truncation whose two
-    levels put more than the oscillator's TAIL_WEIGHT_LIMIT in the top
-    basis states refuses to run, and so do adiabatic scales that fail
-    their check.
+    spawned child of SeedSequence(config.seed), so an identical config
+    reproduces the log exactly and the first trials do not depend on
+    config.trials.  The draws of CHUNK trials at a time come from one
+    vectorized pass of _pcg64.SpawnedPCG64, which reproduces numpy's
+    objects bit for bit.  Memory is one byte per trial.  A truncation
+    whose two levels put more than the oscillator's TAIL_WEIGHT_LIMIT in
+    the top basis states refuses to run, and so do adiabatic scales that
+    fail their check.
     """
-    n_trials = require_integer("n_trials", n_trials)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if n_trials > MAX_TRIALS:
-        raise ValueError(f"n_trials must be at most 2**32 = {MAX_TRIALS}, got {n_trials}")
-    stream = SpawnedPCG64(rng_seed)
+    trials = config.trials
+    stream = SpawnedPCG64(config.seed)
     templates = _outcome_templates(config)
     require_adiabatic(config)
-    kinds = np.empty(n_trials, dtype=np.uint8)
+    kinds = np.empty(trials, dtype=np.uint8)
     counts = np.zeros(len(templates), dtype=np.int64)  # trials of each kind
-    for start in range(0, n_trials, CHUNK):
-        stop = min(start + CHUNK, n_trials)
+    for start in range(0, trials, CHUNK):
+        stop = min(start + CHUNK, trials)
         kinds[start:stop] = _draw(config, stream.raw2(range(start, stop)))
         counts += np.bincount(kinds[start:stop], minlength=len(templates))
     # the gate ships registered trials only; without it every landing ships
@@ -383,9 +388,9 @@ def run_campaign(
         mean_entropy = sum(c * n * (scale // d) for c, n, d in ratios) / (scale * n_delivered)
         min_fidelity = min(t.fidelity_to_target for _, t in shipped)
     return CampaignResult(
-        n_trials=n_trials,
-        delivered_rate=n_delivered / n_trials,
-        abort_rate=(n_trials - n_delivered) / n_trials if config.abort_gate_on else 0.0,
+        n_trials=trials,
+        delivered_rate=n_delivered / trials,
+        abort_rate=(trials - n_delivered) / trials if config.abort_gate_on else 0.0,
         mean_entropy=mean_entropy,
         min_fidelity=min_fidelity,
         outcomes=CampaignOutcomes(templates, kinds),
@@ -430,11 +435,11 @@ def render_outcome_log(outcomes: CampaignOutcomes) -> Iterator[str]:
         yield "".join([f"{prefixes[kind]}{i}}}\n" for i, kind in enumerate(kinds, start)])
 
 
-def campaign_summary(result: CampaignResult, config: ConversionConfig, seed: int) -> dict:
+def campaign_summary(result: CampaignResult, config: ConversionConfig) -> dict:
     """JSON-ready summary of a campaign and the knobs that produced it."""
     return {
         "n_trials": result.n_trials,
-        "seed": int(seed),
+        "seed": config.seed,
         "delivered_rate": result.delivered_rate,
         "abort_rate": result.abort_rate,
         "mean_entropy": result.mean_entropy,

@@ -4,7 +4,7 @@ CSV files carry '#'-prefixed metadata lines, then one header row, then
 data rows at 12 significant digits.  All writes go to a temp file in the
 target directory followed by an atomic rename; a long text can be handed
 over as an iterable of chunks.  A symlink is written through, and a
-target that exists but is no regular file is refused.
+target that exists but is no regular file, or ends in a separator, is refused.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ def check_writable(path: str | os.PathLike) -> None:
 def _temp_file(path: str | os.PathLike) -> tuple[int, str]:
     """mkstemp's (fd, name) for a temp file beside the file path resolves to; an OSError names path."""
     try:
+        if not os.path.basename(path):
+            raise OSError(errno.EISDIR, "ends in a separator and names no file")
         # path, not its realpath, which for /dev/stdout can name a pipe in /proc
         if os.path.exists(path) and not os.path.isfile(path):
             raise OSError(errno.EEXIST, "exists and is not a regular file")

@@ -7,24 +7,24 @@ is part of the value.  Unknown, duplicate and unparsable keys are hard
 errors that name the key.
 
 A run configuration is a plain mapping from config key to parsed value.
-parse_run_config gives the file's keys over the file defaults (the
-trial count, the seed, eta and the output paths); every other key is
-absent until given.  to_conversion_config passes only the library keys
-present to ConversionConfig, so each protocol default, and each rule
-between keys such as the all-or-none adiabatic_* scales, lives in the
-object that uses it.  _KEYS maps each key to its converter and the
-ConversionConfig parameter it feeds; with_overrides applies command-line
-values with the same converters.
+parse_run_config gives the file's keys over the file defaults (eta and
+the output paths); every other key is absent until given.
+to_conversion_config passes every key present but the two output paths
+to ConversionConfig, so each protocol default, trials and seed included,
+and each rule between keys such as the all-or-none adiabatic_* scales,
+lives in the object that uses it.  _KEYS maps each key to its converter
+and the ConversionConfig parameter it feeds; with_overrides applies
+command-line values with the same converters.
 
-The range of each value is checked by ConversionConfig, whose errors
+The converters only parse: the range of each value, finiteness
+included, is checked by ConversionConfig, whose errors
 to_conversion_config re-raises as a ConfigError naming the key, and by
-build_model and run_campaign when the campaign starts.  A file that
-starts with a UTF-8 byte order mark is read as one without it.
+build_model when the campaign starts.  A file that starts with a UTF-8
+byte order mark is read as one without it.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from typing import Callable, Mapping, NamedTuple
@@ -57,12 +57,9 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(key, f"expected a finite number, got {raw!r}")
-    return value
 
 
 def _parse_str(key: str, raw: str) -> str:
@@ -84,8 +81,8 @@ class _Key(NamedTuple):
 
 
 _KEYS = {
-    "trials": _Key(_parse_int),
-    "seed": _Key(_parse_int),
+    "trials": _Key(_parse_int, "trials"),
+    "seed": _Key(_parse_int, "seed"),
     "eta": _Key(_parse_float, "eta"),
     "gate": _Key(_parse_gate, "abort_gate_on"),
     "lambda": _Key(_parse_float, "anharmonicity_on"),
@@ -112,8 +109,6 @@ _PARAM_KEYS = {k.param: key for key, k in _KEYS.items() if k.param is not None}
 _REFUSED_NAME = re.compile(r"\|?(\w*)")
 
 _FILE_DEFAULTS = {
-    "trials": 1000,
-    "seed": 0,
     # the file's detector misses one landed photon in ten, where
     # ConversionConfig's default (eta = 1) is the ideal detector
     "eta": 0.9,

@@ -219,8 +219,8 @@ def test_seeded_campaign_statistics():
     violations = []
     start = time.perf_counter()
 
-    config = ConversionConfig(eta=0.9)
-    result = run_campaign(config, 100_000, rng_seed=42)
+    config = ConversionConfig(eta=0.9, trials=100_000, seed=42)
+    result = run_campaign(config)
     expected = 0.9 * config.landing_prob
     sigma = math.sqrt(expected * (1.0 - expected) / 100_000)
     if abs(result.delivered_rate - expected) > 3.0 * sigma:
@@ -230,8 +230,8 @@ def test_seeded_campaign_statistics():
     if abs(result.min_fidelity - 1.0) > 1e-12:
         violations.append(f"gate-on min fidelity {result.min_fidelity!r}")
 
-    open_gate = ConversionConfig(eta=0.9, abort_gate_on=False)
-    odd = run_campaign(open_gate, 20_000, rng_seed=7)
+    open_gate = ConversionConfig(eta=0.9, abort_gate_on=False, trials=20_000, seed=7)
+    odd = run_campaign(open_gate)
     fidelities = [
         o.fidelity_to_target for o in odd.outcomes if o.fidelity_to_target is not None
     ]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import modetangle
+from modetangle import results
 from modetangle.cli import main
 from modetangle.oscillator import TAIL_WEIGHT_LIMIT
 from modetangle.protocol import ConversionConfig
@@ -411,12 +412,13 @@ class TestProtocolCommand:
         "flag, value, message",
         [
             ("--trials", "1e3", "trials: expected an integer"),
-            ("--lambda", "nan", "lambda: expected a finite number"),
+            # the key's parser only parses: the library refuses a value that is not finite
+            ("--lambda", "nan", "error: lambda: anharmonicity_on must be finite, got nan"),
             # a negative number in exponent form reaches the library's refusal
             ("--lambda", "-1e-3", "lambda: anharmonicity_on must be non-negative, got -0.001"),
             # and so do -nan and -inf, which argparse read as options
-            ("--lambda", "-nan", "lambda: expected a finite number"),
-            ("--lambda", "-inf", "lambda: expected a finite number"),
+            ("--lambda", "-nan", "error: lambda: anharmonicity_on must be finite, got nan"),
+            ("--lambda", "-inf", "error: lambda: anharmonicity_on must be finite, got -inf"),
             # the config key's parser is the flag's only check
             ("--gate", "maybe", "error: gate: expected 'on' or 'off', got 'maybe'"),
         ],
@@ -473,7 +475,7 @@ class TestProtocolCommand:
         config = write_config(tmp_path, "trials = 5\n")
         code = main(["protocol", config, "--out", str(tmp_path / "x"), "--trials", "1000000000000"])
         assert code == 2
-        message = "n_trials must be at most 2**32 = 4294967296, got 1000000000000"
+        message = "trials: trials must be at most 2**32 = 4294967296, got 1000000000000"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(tmp_path) == ["run.cfg"]
 
@@ -703,10 +705,11 @@ ADIABATIC_SCALES = {
     "adiabatic_t_meas": "100",
 }
 
-# (config values over `trials = 5`, names of which stderr must contain one)
+# (config values over `trials = 5`, names of which the error line must start with one)
 REFUSED_CONFIGS = {
-    "trials": ({"trials": "0"}, ("trials", "n_trials")),
-    "seed": ({"seed": "-1"}, ("seed", "rng_seed")),
+    "trials": ({"trials": "0"}, ("trials",)),
+    "trials-above-2**32": ({"trials": "4294967297"}, ("trials",)),
+    "seed": ({"seed": "-1"}, ("seed",)),
     "eta": ({"eta": "1.5"}, ("eta",)),
     "lambda": ({"lambda": "-0.1"}, ("lambda",)),
     "truncation": ({"truncation": "4"}, ("truncation",)),
@@ -739,7 +742,7 @@ REFUSED_CONFIGS = {
     "adiabatic_threshold-alone-in-range": (
         {"adiabatic_threshold": "5"}, ("adiabatic_threshold",)
     ),
-    "alpha": ({"alpha": "0.6"}, ("unknown configuration key",)),
+    "alpha": ({"alpha": "0.6"}, ("alpha: unknown configuration key",)),
 }
 
 
@@ -750,7 +753,7 @@ def test_refused_config_exits_2_and_writes_nothing(tmp_path, capsys, values, nam
     assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 2
     assert not list(tmp_path.glob("*.json*"))
     err = capsys.readouterr().err
-    assert any(name in err for name in names), err
+    assert any(err.startswith(f"error: {name}") for name in names), err
 
 
 @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
@@ -767,18 +770,69 @@ def test_output_files_follow_the_umask(tmp_path, mask, mode):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
+EARLIER_PAIR = {"run.jsonl": b'{"trial": 0}\n', "run.json": b'{"n_trials": 1}\n'}
+
+
 @pytest.mark.parametrize(
     "command", ["chsh", "entropy-rotation", "interferometer", "oscillator", "protocol"]
 )
 def test_empty_out_refused(tmp_path, monkeypatch, capsys, command):
-    """An empty --out, as an unset shell variable gives, exits 2 and writes nothing."""
-    config = write_config(tmp_path, "trials = 5\n")
+    """An --out whose last component is empty names no file: exit 2, and nothing is written.
+
+    That is '', as an unset shell variable gives, d/ with d an empty directory,
+    and nod/ with no nod; protocol does not fall back on the config's paths.
+    """
+    config = write_config(tmp_path, "trials = 5\nout_log = run.jsonl\nout_summary = run.json\n")
+    for name, data in EARLIER_PAIR.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "d").mkdir()
     monkeypatch.chdir(tmp_path)
     argv = [command, config] if command == "protocol" else [command]
-    assert main([*argv, "--out", ""]) == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--out" in errors[0], errors
-    assert os.listdir(tmp_path) == ["run.cfg"]
+    for out in ("", "d/", "nod/"):
+        assert main([*argv, "--out", out]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"modetangle {command}: error: argument --out: expected a file path, got {out!r}"]
+    assert sorted(os.listdir(tmp_path)) == ["d", "run.cfg", "run.json", "run.jsonl"]
+    assert os.listdir(tmp_path / "d") == []
+    for name, data in EARLIER_PAIR.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("key", ["out_log", "out_summary"])
+def test_config_output_ending_in_a_separator_refused(tmp_path, monkeypatch, capsys, key, exists):
+    """out_log = runs/ names no file: exit 1 naming it, before any trial runs, and nothing written."""
+    from modetangle import protocol
+
+    def no_campaign(config):
+        raise AssertionError("the campaign ran")
+
+    paths = {"out_log": "run.jsonl", "out_summary": "run.json", key: "runs/"}
+    config = write_config(tmp_path, "trials = 5\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()))
+    for name, data in EARLIER_PAIR.items():
+        (tmp_path / name).write_bytes(data)
+    if exists:
+        (tmp_path / "runs").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(protocol, "run_campaign", no_campaign)
+    assert main(["protocol", config]) == 1
+    message = f"[Errno {errno.EISDIR}] ends in a separator and names no file: 'runs/'"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    expected = ["run.cfg", "run.json", "run.jsonl"] + (["runs"] if exists else [])
+    assert sorted(os.listdir(tmp_path)) == expected
+    if exists:
+        assert os.listdir(tmp_path / "runs") == []
+    for name, data in EARLIER_PAIR.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
+def test_write_to_a_path_ending_in_a_separator_refused(tmp_path):
+    target = f"{tmp_path / 'nod'}{os.sep}"
+    for write in (results.check_writable, lambda path: results.atomic_write_text(path, "text\n")):
+        with pytest.raises(OSError) as info:
+            write(target)
+        assert (info.value.errno, info.value.filename) == (errno.EISDIR, target)
+    assert os.listdir(tmp_path) == []
 
 
 # one scan and the oscillator: each writes through results.atomic_write_text

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from modetangle.protocol import (
     ConversionConfig,
     PhysicsPreconditionError,
     ancilla_branch_amplitudes,
+    campaign_summary,
     final_state_from_overlaps,
     outcome_json_line,
     particle_entanglement_entropy,
@@ -75,7 +77,7 @@ def middle_term(state):
 def unconverted_delivery():
     """The pair a gate-off campaign delivers when the photon lands but does not register."""
     config = ConversionConfig(landing_prob=1.0, eta=0.0, abort_gate_on=False)
-    return one_trial(config, rng_seed=0)
+    return one_trial(config, seed=0)
 
 
 class TestInitialModeState:
@@ -277,13 +279,13 @@ class TestModeSplits:
         model = build_model(1e-6, 64, levels=3)
         splits = [(mode_overlap(model, n), mode_deformation(model, n)) for n in (1, 2)]
         want = final_state_from_overlaps(ROOT_HALF, ROOT_HALF, *splits)
-        assert one_trial(config, rng_seed=0).delivered_state == want
+        assert one_trial(config, seed=0).delivered_state == want
 
 
 def logged_pair(anharmonicity):
     """Amplitudes and particle entropy of the delivered pair, read back from its log line."""
     config = ConversionConfig(anharmonicity_on=anharmonicity, landing_prob=1.0, eta=1.0)
-    record = json.loads(outcome_json_line(one_trial(config, rng_seed=0)))
+    record = json.loads(outcome_json_line(one_trial(config, seed=0)))
     amplitudes = [complex(*pair) for pair in record["delivered_state"]["amplitudes"]]
     return amplitudes, record["particle_entropy"]
 
@@ -329,7 +331,7 @@ class TestDeliveredEntropy:
 
     def test_summary_prints_the_delivered_entropy(self):
         config = ConversionConfig(anharmonicity_on=1e-6, landing_prob=1.0, eta=1.0)
-        result = run_campaign(config, 3, rng_seed=0)
+        result = run_campaign(replace(config, trials=3, seed=0))
         assert result.mean_entropy == logged_pair(1e-6)[1]
         assert f"{result.mean_entropy:.12g}" == "7.98394123585e-24"
 
@@ -342,7 +344,7 @@ class TestAssembleFromModel:
             anharmonicity_on=0.3, level_a=3, level_b=0, detect_amp=0.6,
             eta=1.0, landing_prob=1.0,
         )
-        state = one_trial(config, rng_seed=0).delivered_state
+        state = one_trial(config, seed=0).delivered_state
         model = build_model(0.3, 64, levels=4)
         s1 = mode_overlap(model, 3)
         s2 = mode_overlap(model, 0)
@@ -409,33 +411,39 @@ class TestConfigValidation:
         assert config.abort_gate_on is False
 
     def test_campaign_size_and_seed(self):
-        with pytest.raises(ValueError, match="n_trials"):
-            run_campaign(ConversionConfig(), 0, rng_seed=1)
-        with pytest.raises(ValueError, match="rng_seed"):
-            run_campaign(ConversionConfig(), 10, rng_seed=-1)
+        with pytest.raises(ValueError, match=r"^trials must be at least 1, got 0$"):
+            ConversionConfig(trials=0, seed=1)
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            ConversionConfig(trials=10, seed=-1)
 
     @pytest.mark.parametrize(
-        "n_trials, rng_seed, name",
-        [(10.7, 5, "n_trials"), ("10", 5, "n_trials"), (10, 5.9, "rng_seed"), (10, "5", "rng_seed")],
+        "trials, seed, name",
+        [(10.7, 5, "trials"), ("10", 5, "trials"), (10, 5.9, "seed"), (10, "5", "seed")],
         ids=["float-trials", "str-trials", "float-seed", "str-seed"],
     )
-    def test_non_integer_size_or_seed_refused_by_name(self, n_trials, rng_seed, name):
+    def test_non_integer_size_or_seed_refused_by_name(self, trials, seed, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            run_campaign(ConversionConfig(), n_trials, rng_seed)
+            ConversionConfig(trials=trials, seed=seed)
 
-    def test_more_trials_than_spawn_ids_refused(self, monkeypatch):
-        # refused before any draw: the sampler would need ids from 2**32 on
-        from modetangle import protocol
-
-        monkeypatch.setattr(protocol, "SpawnedPCG64", None)
-        message = r"^n_trials must be at most 2\*\*32 = 4294967296, got 4294967297$"
+    def test_more_trials_than_spawn_ids_refused(self):
+        # refused with the config, before any campaign can draw: the sampler
+        # would need ids from 2**32 on
+        message = r"^trials must be at most 2\*\*32 = 4294967296, got 4294967297$"
         with pytest.raises(ValueError, match=message):
-            run_campaign(ConversionConfig(), MAX_TRIALS + 1, rng_seed=1)
+            ConversionConfig(trials=MAX_TRIALS + 1, seed=1)
+        assert ConversionConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+
+    def test_seed_of_any_size_admitted(self):
+        config = ConversionConfig(trials=3, seed=2**128 + 5)
+        summary = campaign_summary(run_campaign(config), config)
+        assert (summary["n_trials"], summary["seed"]) == (3, 2**128 + 5)
 
     def test_numpy_integer_size_and_seed_admitted(self):
-        result = run_campaign(ConversionConfig(), np.int64(3), np.uint32(5))
+        config = ConversionConfig(trials=np.int64(3), seed=np.uint32(5))
+        assert type(config.trials) is int and type(config.seed) is int
+        result = run_campaign(config)
         assert type(result.n_trials) is int
-        assert rendered(result) == rendered(run_campaign(ConversionConfig(), 3, 5))
+        assert rendered(result) == rendered(run_campaign(ConversionConfig(trials=3, seed=5)))
 
 
 def adiabatic(delta_e, h_tilde, t_meas, threshold=None):
@@ -502,22 +510,22 @@ class TestAdiabaticCheck:
         assert str(info.value) == message + "the adiabatic_* scales are all-or-none"
 
 
-def one_trial(config, rng_seed):
+def one_trial(config, seed):
     """The outcome of a length-1 campaign."""
-    return run_campaign(config, 1, rng_seed).outcomes[0]
+    return run_campaign(replace(config, trials=1, seed=seed)).outcomes[0]
 
 
 class TestRunTrial:
     def test_certain_delivery(self):
         config = ConversionConfig(landing_prob=1.0, eta=1.0)
-        outcome = one_trial(config, rng_seed=3)
+        outcome = one_trial(config, seed=3)
         assert outcome.photon_detected and outcome.registered
         assert not outcome.aborted
         assert outcome.fidelity_to_target == pytest.approx(1.0, abs=1e-12)
 
     def test_unconverted_fidelity_is_the_overlap_with_the_target(self):
         outcome = unconverted_delivery()
-        target = one_trial(ConversionConfig(landing_prob=1.0), rng_seed=0).delivered_state
+        target = one_trial(ConversionConfig(landing_prob=1.0), seed=0).delivered_state
         # the target is a unit vector, so |<u|t>|^2 with u = (1, 0, 0, 0) is |t[0]|^2
         assert outcome.fidelity_to_target == abs(target[0]) ** 2
         assert outcome.fidelity_to_target == pytest.approx(
@@ -528,14 +536,14 @@ class TestRunTrial:
     def test_dead_detector_always_aborts(self):
         config = ConversionConfig(eta=0.0)
         for seed in range(5):
-            outcome = one_trial(config, rng_seed=seed)
+            outcome = one_trial(config, seed=seed)
             assert outcome.aborted
             assert outcome.delivered_state is None
 
     def test_same_seed_same_outcome(self):
         config = ConversionConfig(eta=0.5)
-        first = one_trial(config, rng_seed=99)
-        second = one_trial(config, rng_seed=99)
+        first = one_trial(config, seed=99)
+        second = one_trial(config, seed=99)
         assert outcome_json_line(first) == outcome_json_line(second)
 
     def test_draws_are_those_of_default_rng(self):
@@ -545,7 +553,7 @@ class TestRunTrial:
         for seed in range(40):
             child = np.random.SeedSequence(seed).spawn(1)[0]
             landing_draw, eta_draw = np.random.default_rng(child).random(2)
-            outcome = one_trial(config, rng_seed=seed)
+            outcome = one_trial(config, seed=seed)
             assert outcome.photon_detected == (landing_draw < 0.5)
             assert outcome.registered == (landing_draw < 0.5 and eta_draw < 0.5)
             kinds.add((outcome.photon_detected, outcome.registered))
@@ -591,7 +599,7 @@ def rendered(result):
 class TestRunCampaign:
     def test_gate_on_statistics(self):
         config = ConversionConfig(eta=0.9)
-        result = run_campaign(config, 20_000, rng_seed=17)
+        result = run_campaign(replace(config, trials=20_000, seed=17))
         expected = 0.9 * 0.5
         sigma = math.sqrt(expected * (1.0 - expected) / 20_000)
         assert abs(result.delivered_rate - expected) < 3.0 * sigma
@@ -600,7 +608,7 @@ class TestRunCampaign:
 
     def test_gate_off_lets_errors_through(self):
         config = ConversionConfig(eta=0.9, abort_gate_on=False)
-        result = run_campaign(config, 20_000, rng_seed=19)
+        result = run_campaign(replace(config, trials=20_000, seed=19))
         landing_sigma = math.sqrt(0.25 / 20_000)
         assert abs(result.delivered_rate - 0.5) < 3.0 * landing_sigma
         assert result.abort_rate == 0.0
@@ -615,7 +623,7 @@ class TestRunCampaign:
     @pytest.mark.parametrize("gate_on", [True, False], ids=("on", "off"))
     def test_summary_is_exact_over_the_delivered_outcomes(self, gate_on):
         """The mean of every delivered entropy, rounded once; the rates and the least fidelity."""
-        result = run_campaign(ConversionConfig(eta=0.9, abort_gate_on=gate_on), 2000, rng_seed=11)
+        result = run_campaign(ConversionConfig(eta=0.9, abort_gate_on=gate_on, trials=2000, seed=11))
         delivered = [o for o in result.outcomes if o.delivered_state is not None]
         exact_mean = sum(Fraction(o.particle_entropy) for o in delivered) / len(delivered)
         assert result.mean_entropy == float(exact_mean)
@@ -625,27 +633,27 @@ class TestRunCampaign:
 
     def test_zero_coupling_delivers_zero_entropy(self):
         config = ConversionConfig(anharmonicity_on=0.0, eta=0.8)
-        result = run_campaign(config, 2_000, rng_seed=23)
+        result = run_campaign(replace(config, trials=2_000, seed=23))
         for outcome in result.outcomes:
             if outcome.particle_entropy is not None:
                 assert outcome.particle_entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_seeds_reproduce_the_log(self):
         config = ConversionConfig(eta=0.7)
-        first = run_campaign(config, 500, rng_seed=29)
-        second = run_campaign(config, 500, rng_seed=29)
+        first = run_campaign(replace(config, trials=500, seed=29))
+        second = run_campaign(replace(config, trials=500, seed=29))
         assert rendered(first) == rendered(second)
 
     def test_different_seeds_differ(self):
         config = ConversionConfig(eta=0.7)
-        first = run_campaign(config, 500, rng_seed=29)
-        third = run_campaign(config, 500, rng_seed=31)
+        first = run_campaign(replace(config, trials=500, seed=29))
+        third = run_campaign(replace(config, trials=500, seed=31))
         assert rendered(first) != rendered(third)
 
     @pytest.mark.parametrize("gate_on", [True, False])
     def test_log_is_the_joined_outcome_lines(self, gate_on):
         config = ConversionConfig(eta=0.7, abort_gate_on=gate_on)
-        result = run_campaign(config, CHUNK + 5, rng_seed=37)
+        result = run_campaign(replace(config, trials=CHUNK + 5, seed=37))
         lines = [outcome_json_line(o) for o in result.outcomes]
         assert len(lines) == CHUNK + 5
         assert rendered(result) == "\n".join(lines) + "\n"
@@ -653,33 +661,35 @@ class TestRunCampaign:
     @pytest.mark.parametrize("gate_on", [True, False])
     def test_log_is_prefix_stable(self, gate_on):
         config = ConversionConfig(eta=0.7, abort_gate_on=gate_on)
-        long_log = rendered(run_campaign(config, CHUNK + 5, rng_seed=37))
-        short_log = rendered(run_campaign(config, 10, rng_seed=37))
+        long_log = rendered(run_campaign(replace(config, trials=CHUNK + 5, seed=37)))
+        short_log = rendered(run_campaign(replace(config, trials=10, seed=37)))
         assert "".join(long_log.splitlines(keepends=True)[:10]) == short_log
 
     def test_failing_budget_refuses_to_run(self):
         config = adiabatic(0.02, 0.01, 1000.0)
         with pytest.raises(PhysicsPreconditionError):
-            run_campaign(config, 10, rng_seed=1)
+            run_campaign(replace(config, trials=10, seed=1))
 
     def test_passing_budget_runs(self):
         config = adiabatic(1.0, 0.01, 1000.0)
-        result = run_campaign(config, 10, rng_seed=1)
+        result = run_campaign(replace(config, trials=10, seed=1))
         assert result.n_trials == 10
 
     def test_trial_count_validated(self):
-        with pytest.raises(ValueError):
-            run_campaign(ConversionConfig(), 0, rng_seed=1)
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="^trials must be at least 1"):
+                ConversionConfig(trials=trials, seed=1)
+        assert run_campaign(ConversionConfig(trials=1, seed=1)).n_trials == 1
 
     def test_outcomes_hold_about_one_byte_per_trial(self):
         # one kind byte per trial; a second byte-wide column would hold two
         n = 200_000
         config = ConversionConfig(eta=0.9)
-        run_campaign(config, 10, rng_seed=41)
+        run_campaign(replace(config, trials=10, seed=41))
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            result = run_campaign(config, n, rng_seed=41)
+            result = run_campaign(replace(config, trials=n, seed=41))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -690,7 +700,7 @@ class TestRunCampaign:
 class TestOutcomeSerialization:
     def test_line_schema(self):
         config = ConversionConfig(landing_prob=1.0, eta=1.0)
-        outcome = one_trial(config, rng_seed=3)
+        outcome = one_trial(config, seed=3)
         line = outcome_json_line(outcome)
         import json
 
@@ -703,7 +713,7 @@ class TestOutcomeSerialization:
 
     def test_aborted_line_has_no_state(self):
         config = ConversionConfig(eta=0.0)
-        outcome = one_trial(config, rng_seed=3)
+        outcome = one_trial(config, seed=3)
         import json
 
         payload = json.loads(outcome_json_line(outcome))
