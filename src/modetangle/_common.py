@@ -11,10 +11,13 @@ class PhysicsPreconditionError(RuntimeError):
     """A configured physical validity check failed; refusing to run."""
 
 
-def require_finite(name: str, value: float) -> float:
+def require_finite(name: str, value: float, reach: float = 1.0) -> float:
+    """value as a float, refused unless it and reach * value, the largest angle of it, are finite."""
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(reach * value):
+        raise ValueError(f"{name} times {reach:g} must be finite, got {value}")
     return value
 
 
@@ -26,22 +29,26 @@ def require_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def scan_grid(lo: float, hi: float, steps: int):
+def scan_grid(lo: float, hi: float, steps: int, reach: float = 1.0):
     """The settings of a scan: steps uniform points from range_min lo to range_max hi.
 
-    Needs hi > lo, at least two steps and distinct points.  numpy is
-    imported here, not with the module, since the oscillator uses this
-    module and runs without numpy.
+    Needs hi > lo, a width hi - lo that does not overflow, at least two
+    steps, distinct points, and finite reach * lo and reach * hi, the
+    scan's largest angles.  numpy is imported here, not with the module,
+    since the oscillator uses this module and runs without numpy.
     """
     import numpy as np
 
-    lo = require_finite("range_min", lo)
-    hi = require_finite("range_max", hi)
+    lo = require_finite("range_min", lo, reach)
+    hi = require_finite("range_max", hi, reach)
     steps = require_integer("steps", steps)
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     if hi <= lo:
         raise ValueError("range_max must exceed range_min")
+    # np.linspace's last product (steps - 1) * step can overflow where hi - lo does not
+    if not math.isfinite((steps - 1) * ((hi - lo) / (steps - 1))):
+        raise ValueError(f"range_max - range_min overflows, from range_min={lo} to range_max={hi}")
     grid = np.linspace(lo, hi, steps)
     # a range only a few ulps wide rounds neighbouring points together
     if np.any(grid[1:] <= grid[:-1]):

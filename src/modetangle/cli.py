@@ -6,7 +6,8 @@
                                 --gate on|off --lambda G --truncation N]
 
 SCAN is chsh, entropy-rotation or interferometer, which share cmd_scan:
-it builds the settings once with _common.scan_grid, runs the scan
+it builds the settings once with _common.scan_grid, which refuses a
+range at which the scan's largest angle overflows, runs the scan
 function the parser names on them, and writes CSV.  The oscillator
 writes a JSON report; the protocol a JSON-lines log and a JSON summary.
 Outputs are byte-stable for identical flags and seed.  Exit codes: 0
@@ -88,8 +89,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _output_path(value: str) -> str:
-    """An --out value; one whose last component is empty, as in '' or outdir/, is refused."""
-    if not os.path.basename(value):
+    """An --out value; one whose last component is '', '.' or '..', as in outdir/, is refused."""
+    if os.path.basename(value) in ("", os.curdir, os.pardir):
         raise argparse.ArgumentTypeError(f"expected a file path, got {value!r}")
     return value
 
@@ -102,24 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"modetangle {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each scan names its module and function; cmd_scan looks the function up
-    # only when it runs, so that --help loads no numpy
+    # each scan names its module and function, which cmd_scan looks up only when
+    # it runs so that --help loads no numpy, and its reach, the largest multiple
+    # of a setting it takes as an angle: 3t (chsh), 2phi, 2 * 3t (interferometer)
     scans = (
         ("chsh", "CHSH sum and pair entropy over the separation angle",
-         polarization, "chsh_scan"),
+         polarization, "chsh_scan", 3.0),
         ("entropy-rotation", "mode-bipartition entropy over the rotation angle",
-         polarization, "mode_rotation_entropy_scan"),
+         polarization, "mode_rotation_entropy_scan", 2.0),
         ("interferometer", "momentum Bell scan over the station half-angle",
-         interferometer, "momentum_chsh_scan"),
+         interferometer, "momentum_chsh_scan", 6.0),
     )
-    for name, help_text, module, function in scans:
+    for name, help_text, module, function, reach in scans:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=_output_path, required=True, help="CSV output path")
         p.add_argument("--range-min", type=float, default=0.0)
         p.add_argument("--range-max", type=float, default=math.pi)
         p.add_argument("--steps", type=int, default=181)
         p.add_argument("--seed", type=int, default=0, help="recorded in metadata")
-        p.set_defaults(func=cmd_scan, scan=(module, function))
+        p.set_defaults(func=cmd_scan, scan=(module, function, reach))
 
     p = sub.add_parser("oscillator", help="the lowest levels of the quartic-anharmonic model")
     p.add_argument("--out", type=_output_path, required=True, help="JSON output path")
@@ -141,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    module, function = args.scan
-    grid = _common.scan_grid(args.range_min, args.range_max, args.steps)
+    module, function, reach = args.scan
+    grid = _common.scan_grid(args.range_min, args.range_max, args.steps, reach)
     result = getattr(module, function)(grid)
     metadata = {
         "tool": f"modetangle {__version__}",

@@ -33,7 +33,7 @@ small weights give the CHSH scan's, and the Renyi-2 entropy is closed form.
 Each scan is a kernel of its settings, a 1-D float array that the CLI
 builds with _common.scan_grid, and each computation is one kernel over
 that step axis: _analyzer_frames, _analyzed_pairs and _correlations.
-One setting is the length-1 case, as in chsh_sum.
+One setting is the length-1 case: chsh_sum takes chsh_scan's S path.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .states import pair_small_weights, small_weight_entropies
 
 __all__ = [
     "chsh_sum",
-    "chsh_sum_general",
     "chsh_scan",
     "mode_rotation_entropy_scan",
 ]
@@ -83,18 +82,19 @@ def _correlations(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
     return joint[0, 0] + joint[1, 1] - joint[0, 1] - joint[1, 0]
 
 
-def chsh_sum_general(
-    theta_a: float, theta_b: float, theta_a2: float, theta_b2: float
-) -> float:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for four free angles."""
-    angles = {"theta_a": theta_a, "theta_b": theta_b, "theta_a2": theta_a2, "theta_b2": theta_b2}
-    frames = [_analyzer_frames(np.array([require_finite(k, v)])) for k, v in angles.items()]
-    return float(chsh_sums(_correlations, *frames)[0])
+def _station_sums(theta: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The analyzer frames of the stations (0, t, 2t, 3t) at each t of theta, and S there."""
+    stations = [_analyzer_frames(x) for x in chsh_stations(theta)]
+    return stations, chsh_sums(_correlations, *stations)
 
 
 def chsh_sum(separation: float) -> float:
-    """CHSH sum of the stations (0, t, 2t, 3t) at separation t; closed form 3cos(2t) - cos(6t)."""
-    return chsh_sum_general(*chsh_stations(require_finite("separation", separation)))
+    """CHSH sum of the stations (0, t, 2t, 3t) at separation t; closed form 3cos(2t) - cos(6t).
+
+    chsh_scan's S at the one setting t; a t whose station 3t overflows is refused.
+    """
+    t = require_finite("separation", separation, reach=3.0)
+    return float(_station_sums(np.array([t]))[1][0])
 
 
 def chsh_scan(theta: np.ndarray) -> ScanResult:
@@ -103,8 +103,7 @@ def chsh_scan(theta: np.ndarray) -> ScanResult:
     Columns: theta, S, entropy.  The entropy column is the one-photon
     entropy of the analyzed pair, recomputed at every angle.
     """
-    stations = [_analyzer_frames(x) for x in chsh_stations(theta)]
-    s_values = chsh_sums(_correlations, *stations)
+    stations, s_values = _station_sums(theta)
     pairs = _analyzed_pairs(stations[1], stations[0]).reshape(4, len(theta)).T
     entropy = small_weight_entropies(pair_small_weights(pairs)[:, np.newaxis])
     return ScanResult.from_columns(("theta", "S", "entropy"), (theta, s_values, entropy))

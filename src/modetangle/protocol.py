@@ -51,6 +51,7 @@ import json
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,11 +205,11 @@ def require_adiabatic(config: ConversionConfig) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ConversionOutcome:
+class ConversionOutcome(NamedTuple):
     """Record of one trial; delivered fields are None when nothing ships.
 
-    Only a campaign builds these, each a copy of its kind's template.
+    Only a campaign builds these, each its kind's template with the
+    trial's id (see CampaignOutcomes).
     """
 
     trial_id: int
@@ -319,8 +320,8 @@ class CampaignOutcomes(Sequence[ConversionOutcome]):
 
     kinds[i] is trial i's kind: 0 when nothing landed, 1 when the photon
     landed but did not register, 2 when it registered.  templates[k] is
-    the outcome of a kind-k trial with trial id 0, so each
-    ConversionOutcome is built only when asked for.
+    the outcome of a kind-k trial with trial id 0, and outcomes[i] is
+    built only when asked for, as trial i's template with trial_id i.
     """
 
     templates: tuple[ConversionOutcome, ...]
@@ -331,11 +332,7 @@ class CampaignOutcomes(Sequence[ConversionOutcome]):
 
     def __getitem__(self, index: int) -> ConversionOutcome:
         trial_id = range(len(self))[index]
-        t = self.templates[self.kinds[trial_id]]
-        return ConversionOutcome(
-            trial_id, t.photon_detected, t.registered, t.aborted,
-            t.delivered_state, t.particle_entropy, t.fidelity_to_target,
-        )
+        return self.templates[self.kinds[trial_id]]._replace(trial_id=trial_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,16 +405,9 @@ def _state_payload(state: tuple[complex, ...] | None) -> dict | None:
 
 
 def outcome_json_line(outcome: ConversionOutcome) -> str:
-    """One-line JSON record with a stable key order."""
-    payload = {
-        "trial_id": outcome.trial_id,
-        "photon_detected": outcome.photon_detected,
-        "registered": outcome.registered,
-        "aborted": outcome.aborted,
-        "particle_entropy": outcome.particle_entropy,
-        "fidelity_to_target": outcome.fidelity_to_target,
-        "delivered_state": _state_payload(outcome.delivered_state),
-    }
+    """One-line JSON record of the outcome's fields, with sorted keys."""
+    payload = outcome._asdict()
+    payload["delivered_state"] = _state_payload(outcome.delivered_state)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -168,6 +168,42 @@ class TestScanCommands:
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, range_min, range_max, steps, message",
+        [
+            ("chsh", "0", "1e308", "3", "range_max times 3 must be finite, got 1e+308"),
+            ("entropy-rotation", "0", "1e308", "3", "range_max times 2 must be finite, got 1e+308"),
+            ("interferometer", "0", "1e308", "3", "range_max times 6 must be finite, got 1e+308"),
+            ("interferometer", "-1.7e308", "1.7e308", "2", "range_min times 6 must be finite, got -1.7e+308"),
+            # the width fits, but linspace's last step rounds past the float range
+            ("entropy-rotation", "-8.988465674311579e307", "8.988465674311579e307", "7",
+             "range_max - range_min overflows, "
+             "from range_min=-8.988465674311579e+307 to range_max=8.988465674311579e+307"),
+        ],
+        ids=["chsh", "entropy-rotation", "interferometer", "interferometer-range-min", "width"],
+    )
+    def test_angles_beyond_the_float_range_refused(
+        self, tmp_path, capsys, command, range_min, range_max, steps, message
+    ):
+        """A scan whose largest angle, 3t, 2phi or 6t, would overflow prints no nan: it is refused."""
+        out = tmp_path / "x.csv"
+        argv = [command, "--out", str(out), "--range-min", range_min, "--range-max", range_max]
+        assert main([*argv, "--steps", steps]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, bound", [("chsh", "5.99e307"), ("entropy-rotation", "8.98e307"), ("interferometer", "2.99e307")]
+    )
+    def test_widest_ranges_print_numbers(self, tmp_path, command, bound):
+        out = tmp_path / "x.csv"
+        argv = [command, "--out", str(out), "--range-min", f"-{bound}", "--range-max", bound]
+        assert main([*argv, "--steps", "9"]) == 0
+        _, _, rows = read_scan(out)
+        assert len(rows) == 9 and all(math.isfinite(cell) for row in rows for cell in row)
+
     @pytest.mark.parametrize(
         "command, digest",
         [
@@ -777,10 +813,11 @@ EARLIER_PAIR = {"run.jsonl": b'{"trial": 0}\n', "run.json": b'{"n_trials": 1}\n'
     "command", ["chsh", "entropy-rotation", "interferometer", "oscillator", "protocol"]
 )
 def test_empty_out_refused(tmp_path, monkeypatch, capsys, command):
-    """An --out whose last component is empty names no file: exit 2, and nothing is written.
+    """An --out whose last component is empty, . or .. names no file: exit 2, and nothing is written.
 
     That is '', as an unset shell variable gives, d/ with d an empty directory,
-    and nod/ with no nod; protocol does not fall back on the config's paths.
+    nod/ with no nod, and ., .. and d/..; protocol does not fall back on the
+    config's paths, nor write ..jsonl.
     """
     config = write_config(tmp_path, "trials = 5\nout_log = run.jsonl\nout_summary = run.json\n")
     for name, data in EARLIER_PAIR.items():
@@ -788,7 +825,7 @@ def test_empty_out_refused(tmp_path, monkeypatch, capsys, command):
     (tmp_path / "d").mkdir()
     monkeypatch.chdir(tmp_path)
     argv = [command, config] if command == "protocol" else [command]
-    for out in ("", "d/", "nod/"):
+    for out in ("", "d/", "nod/", ".", "..", "d/.."):
         assert main([*argv, "--out", out]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert errors == [f"modetangle {command}: error: argument --out: expected a file path, got {out!r}"]

@@ -657,6 +657,11 @@ class TestRunCampaign:
         lines = [outcome_json_line(o) for o in result.outcomes]
         assert len(lines) == CHUNK + 5
         assert rendered(result) == "\n".join(lines) + "\n"
+        # each outcome is its kind's template in every field but trial_id
+        templates, kinds = result.outcomes.templates, result.outcomes.kinds
+        for i, outcome in enumerate(result.outcomes):
+            assert outcome.trial_id == i
+            assert outcome[1:] == templates[kinds[i]][1:]
 
     @pytest.mark.parametrize("gate_on", [True, False])
     def test_log_is_prefix_stable(self, gate_on):
