@@ -1,10 +1,9 @@
-"""Shared helpers: parameter validation, scan grids and the CHSH combination."""
+"""Shared helpers: parameter validation, scan grids and the CHSH curve."""
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable
 
 
 class PhysicsPreconditionError(RuntimeError):
@@ -56,14 +55,15 @@ def scan_grid(lo: float, hi: float, steps: int, reach: float = 1.0):
     return grid
 
 
-def chsh_stations(t):
-    """Station settings (a, b, a', b') = (0, t, 2t, 3t), as floats or arrays like t.
+def chsh_curve(t):
+    """CHSH sum 3cos(2t) - cos(6t) of the stations (0, t, 2t, 3t), as floats or arrays like t.
 
-    t is finite, so t - t is +0.0 in the type and shape of t.
+    With c = cos(2t), cos(6t) = 4c^3 - 3c, so S = 2c(3 - 2c^2).  2t is
+    exact, 3 - 2c^2 >= 1 cannot cancel, and the zeros of S are those of
+    c, so S is right to rounding relative to its size, also near its
+    zeros.  numpy is imported here, as in scan_grid.
     """
-    return (t - t, t, 2.0 * t, 3.0 * t)
+    import numpy as np
 
-
-def chsh_sums(correlate: Callable, a, b, a2, b2):
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for the correlation function E."""
-    return correlate(a, b) - correlate(a, b2) + correlate(a2, b) + correlate(a2, b2)
+    c = np.cos(2.0 * t)
+    return 2.0 * c * (3.0 - 2.0 * c * c)

@@ -105,14 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each scan names its module and function, which cmd_scan looks up only when
     # it runs so that --help loads no numpy, and its reach, the largest multiple
-    # of a setting it takes as an angle: 3t (chsh), 2phi, 2 * 3t (interferometer)
+    # of a setting it takes as an angle: 2t (chsh), 2phi, 2t (interferometer)
     scans = (
         ("chsh", "CHSH sum and pair entropy over the separation angle",
-         polarization, "chsh_scan", 3.0),
+         polarization, "chsh_scan", 2.0),
         ("entropy-rotation", "mode-bipartition entropy over the rotation angle",
          polarization, "mode_rotation_entropy_scan", 2.0),
         ("interferometer", "momentum Bell scan over the station half-angle",
-         interferometer, "momentum_chsh_scan", 6.0),
+         interferometer, "momentum_chsh_scan", 2.0),
     )
     for name, help_text, module, function, reach in scans:
         p = sub.add_parser(name, help=help_text)

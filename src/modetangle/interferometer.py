@@ -15,7 +15,8 @@ correlation is E = cos(phi_a - phi_b).  Writing the half-difference as t
 (phi step 2t per station) reproduces the Bell curve S(t) = 3cos(2t) - cos(6t).
 Port index 0 is the + exit, index 1 the - exit on each station.
 
-_bragg_amplitudes and _momentum_correlations take arrays of phases, the
+The scan prints S from its closed form, _common.chsh_curve, as the
+polarization scan does.  _bragg_amplitudes takes arrays of phases, the
 step axis of a scan; one pair of phases is the length-1 case.
 """
 
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from ._common import chsh_stations, chsh_sums
+from ._common import chsh_curve
 from .results import ScanResult
 from .states import pair_small_weights, small_weight_entropies
 
@@ -62,25 +63,17 @@ def _complex_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _momentum_correlations(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
-    joint = np.abs(_bragg_amplitudes(phi_a, phi_b)) ** 2
-    return joint[:, 0] + joint[:, 3] - joint[:, 1] - joint[:, 2]
-
-
 def momentum_chsh_scan(t: np.ndarray) -> ScanResult:
     """Bell scan over the station half-angles t, a 1-D float array (phase difference 2t).
 
-    Columns: vartheta, S, entropy_in, entropy_out.  S comes from four
-    correlation evaluations at stations (0, t, 2t, 3t) in half-angle
-    units; both entropy columns stay at 1 bit.
+    Columns: vartheta, S, entropy_in, entropy_out.  S is the CHSH sum of
+    the stations (0, t, 2t, 3t) in half-angle units, the phase knob twice
+    that; both entropy columns stay at 1 bit.
     """
-    # Stations (0, t, 2t, 3t) live in half-angle units; the phase knob is twice that.
-    a, b, a2, b2 = (2.0 * station for station in chsh_stations(t))
-    s_values = chsh_sums(_momentum_correlations, a, b, a2, b2)
     entropy_in = small_weight_entropies(pair_small_weights(_INPUT_PAIR[np.newaxis])[:, np.newaxis])
-    outputs = _bragg_amplitudes(b, a)  # phi_a = 2t, phi_b = 0
+    outputs = _bragg_amplitudes(2.0 * t, np.zeros_like(t))  # phi_a = 2t, phi_b = 0
     entropy_out = small_weight_entropies(pair_small_weights(outputs)[:, np.newaxis])
     return ScanResult.from_columns(
         ("vartheta", "S", "entropy_in", "entropy_out"),
-        (t, s_values, np.full_like(t, entropy_in[0]), entropy_out),
+        (t, chsh_curve(t), np.full_like(t, entropy_in[0]), entropy_out),
     )

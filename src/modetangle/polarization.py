@@ -17,7 +17,9 @@ For the polarization-entangled pair (|HH> + |VV>)/sqrt(2) analyzed at
 
 The four-station CHSH arrangement spaces the analyzer angles in an
 arithmetic sequence (a, b, a', b') = (0, t, 2t, 3t), which gives
-S(t) = 3cos(2t) - cos(6t) with |S| peaking at 2*sqrt(2) near t = pi/8.
+S(t) = E(a,b) - E(a,b') + E(a',b) + E(a',b') = 3cos(2t) - cos(6t), with
+|S| peaking at 2*sqrt(2) near t = pi/8.  The scans take S from its closed
+form, _common.chsh_curve, not from the four correlations.
 
 The mode-rotation scan applies the two-mode rotation
 
@@ -32,8 +34,8 @@ small weights give the CHSH scan's, and the Renyi-2 entropy is closed form.
 
 Each scan is a kernel of its settings, a 1-D float array that the CLI
 builds with _common.scan_grid, and each computation is one kernel over
-that step axis: _analyzer_frames, _analyzed_pairs and _correlations.
-One setting is the length-1 case: chsh_sum takes chsh_scan's S path.
+that step axis: _analyzer_frames and _analyzed_pairs.  One setting is
+the length-1 case: chsh_sum takes chsh_scan's S path.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import math
 
 import numpy as np
 
-from ._common import chsh_stations, chsh_sums, require_finite
+from ._common import chsh_curve, require_finite
 from .results import ScanResult
 from .states import pair_small_weights, small_weight_entropies
 
@@ -77,24 +79,13 @@ def _analyzed_pairs(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
     return np.einsum("ijs,jk,lks->ils", frames_a, _EPR_PAIR, frames_b, optimize=False)
 
 
-def _correlations(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
-    joint = _analyzed_pairs(frames_a, frames_b) ** 2
-    return joint[0, 0] + joint[1, 1] - joint[0, 1] - joint[1, 0]
-
-
-def _station_sums(theta: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The analyzer frames of the stations (0, t, 2t, 3t) at each t of theta, and S there."""
-    stations = [_analyzer_frames(x) for x in chsh_stations(theta)]
-    return stations, chsh_sums(_correlations, *stations)
-
-
 def chsh_sum(separation: float) -> float:
     """CHSH sum of the stations (0, t, 2t, 3t) at separation t; closed form 3cos(2t) - cos(6t).
 
-    chsh_scan's S at the one setting t; a t whose station 3t overflows is refused.
+    chsh_scan's S at the one setting t; a t whose angle 2t overflows is refused.
     """
-    t = require_finite("separation", separation, reach=3.0)
-    return float(_station_sums(np.array([t]))[1][0])
+    t = require_finite("separation", separation, reach=2.0)
+    return float(chsh_curve(np.array([t]))[0])
 
 
 def chsh_scan(theta: np.ndarray) -> ScanResult:
@@ -103,10 +94,10 @@ def chsh_scan(theta: np.ndarray) -> ScanResult:
     Columns: theta, S, entropy.  The entropy column is the one-photon
     entropy of the analyzed pair, recomputed at every angle.
     """
-    stations, s_values = _station_sums(theta)
-    pairs = _analyzed_pairs(stations[1], stations[0]).reshape(4, len(theta)).T
-    entropy = small_weight_entropies(pair_small_weights(pairs)[:, np.newaxis])
-    return ScanResult.from_columns(("theta", "S", "entropy"), (theta, s_values, entropy))
+    pairs = _analyzed_pairs(_analyzer_frames(theta), _analyzer_frames(np.zeros_like(theta)))
+    weights = pair_small_weights(pairs.reshape(4, len(theta)).T)
+    entropy = small_weight_entropies(weights[:, np.newaxis])
+    return ScanResult.from_columns(("theta", "S", "entropy"), (theta, chsh_curve(theta), entropy))
 
 
 def mode_rotation_entropy_scan(phi: np.ndarray) -> ScanResult:

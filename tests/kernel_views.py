@@ -8,6 +8,11 @@ the density-matrix oracle and the protocol's laws are stated in.
 reduced_spectra is the SVD oracle for the closed-form Schmidt kernels,
 decimal_pair_weights their 50-digit oracle, and pair_from_overlaps
 builds a protocol pair from its overlaps alone.
+
+The scans print the CHSH sum from its closed form.  correlations,
+momentum_correlations and four_correlation_sum build it the physical
+way, from the station correlations E, as the independent oracle of that
+form, and decimal_chsh_curve is its 50-digit value.
 """
 
 import math
@@ -41,6 +46,36 @@ def analyzed_pairs(theta_a, theta_b):
 def bragg_outputs(phi_a, phi_b):
     """(steps, 4) exit-port amplitudes over A+B+, A+B-, A-B+, A-B- at phases (phi_a, phi_b)."""
     return _bragg_amplitudes(np.atleast_1d(phi_a), np.atleast_1d(phi_b))
+
+
+def correlations(theta_a, theta_b):
+    """E = P(++) + P(--) - P(+-) - P(-+) of the pair analyzed at (theta_a, theta_b)."""
+    joint = analyzed_pairs(theta_a, theta_b) ** 2
+    return joint[:, 0] + joint[:, 3] - joint[:, 1] - joint[:, 2]
+
+
+def momentum_correlations(phi_a, phi_b):
+    """E = P(A+B+) + P(A-B-) - P(A+B-) - P(A-B+) of the Bragg exits at phases (phi_a, phi_b)."""
+    joint = np.abs(bragg_outputs(phi_a, phi_b)) ** 2
+    return joint[:, 0] + joint[:, 3] - joint[:, 1] - joint[:, 2]
+
+
+def chsh_stations(t):
+    """Station settings (a, b, a', b') = (0, t, 2t, 3t), as floats or arrays like t.
+
+    t is finite, so t - t is +0.0 in the type and shape of t.
+    """
+    return (t - t, t, 2.0 * t, 3.0 * t)
+
+
+def four_correlation_sum(correlate, t, unit=1.0):
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') at the stations (0, t, 2t, 3t) times unit.
+
+    The interferometer's stations are half-angles, so its unit is 2: the
+    phase knob is twice the station angle.
+    """
+    a, b, a2, b2 = (unit * station for station in chsh_stations(t))
+    return correlate(a, b) - correlate(a, b2) + correlate(a2, b) + correlate(a2, b2)
 
 
 def labeled(names, amplitudes, dims=(2, 2)):
@@ -89,6 +124,34 @@ def decimal_pair_weights(amplitudes):
         n = r0 + r1
         root = ((r0 - r1) ** 2 + 4 * (o_re * o_re + o_im * o_im)).sqrt()
         return (n - root) / (2 * n), (n + root) / (2 * n)
+
+
+PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def decimal_chsh_curve(t):
+    """3cos(2t) - cos(6t) at the float t, to 50 digits.
+
+    The float t is taken exactly.  Each angle is reduced by a multiple of
+    2 * PI_50 into [-pi, pi], and its cosine summed as a Taylor series.
+    For |t| <= 20 the reduction errs by under 1e-47, so a value of S near
+    a zero, ~1e-16 at a float t, still keeps 30 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def cos(x):
+            x -= 2 * PI_50 * (x / (2 * PI_50)).to_integral_value()
+            term = total = Decimal(1)
+            k = 1
+            while abs(term) > Decimal("1e-60"):
+                term = -term * x * x / ((2 * k - 1) * (2 * k))
+                total += term
+                k += 1
+            return total
+
+        t = Decimal(t)
+        return 3 * cos(2 * t) - cos(6 * t)
 
 
 def pair_from_overlaps(harmonic_amp, anharmonic_amp, s1, s2):

@@ -11,9 +11,15 @@ import time
 
 import numpy as np
 from dense_model import rotated_pair_state
-from kernel_views import analyzed_pairs, bragg_outputs, labeled, pair_from_overlaps
+from kernel_views import (
+    analyzed_pairs,
+    bragg_outputs,
+    labeled,
+    momentum_correlations,
+    pair_from_overlaps,
+)
 
-from modetangle.interferometer import _INPUT_PAIR, _momentum_correlations
+from modetangle.interferometer import _INPUT_PAIR
 from modetangle.oscillator import (
     build_model,
     first_order_energy,
@@ -136,7 +142,7 @@ def test_interferometer_output_laws():
     norm_error = float(np.max(np.abs(np.linalg.norm(outputs, axis=-1) - 1.0)))
     if norm_error > 1e-12:
         violations.append(f"output norm off by {norm_error:.3e}")
-    e_error = float(np.max(np.abs(_momentum_correlations(phi_a, phi_b) - np.cos(phi_a - phi_b))))
+    e_error = float(np.max(np.abs(momentum_correlations(phi_a, phi_b) - np.cos(phi_a - phi_b))))
     if e_error > 1e-12:
         violations.append(f"E off by {e_error:.3e}")
     closure = float(np.max(np.abs(np.sum(np.abs(outputs) ** 2, axis=-1) - 1.0)))

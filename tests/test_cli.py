@@ -172,10 +172,10 @@ class TestScanCommands:
     @pytest.mark.parametrize(
         "command, range_min, range_max, steps, message",
         [
-            ("chsh", "0", "1e308", "3", "range_max times 3 must be finite, got 1e+308"),
+            ("chsh", "0", "1e308", "3", "range_max times 2 must be finite, got 1e+308"),
             ("entropy-rotation", "0", "1e308", "3", "range_max times 2 must be finite, got 1e+308"),
-            ("interferometer", "0", "1e308", "3", "range_max times 6 must be finite, got 1e+308"),
-            ("interferometer", "-1.7e308", "1.7e308", "2", "range_min times 6 must be finite, got -1.7e+308"),
+            ("interferometer", "0", "1e308", "3", "range_max times 2 must be finite, got 1e+308"),
+            ("interferometer", "-1.7e308", "1.7e308", "2", "range_min times 2 must be finite, got -1.7e+308"),
             # the width fits, but linspace's last step rounds past the float range
             ("entropy-rotation", "-8.988465674311579e307", "8.988465674311579e307", "7",
              "range_max - range_min overflows, "
@@ -186,7 +186,7 @@ class TestScanCommands:
     def test_angles_beyond_the_float_range_refused(
         self, tmp_path, capsys, command, range_min, range_max, steps, message
     ):
-        """A scan whose largest angle, 3t, 2phi or 6t, would overflow prints no nan: it is refused."""
+        """A scan whose largest angle, 2t or 2phi, would overflow prints no nan: it is refused."""
         out = tmp_path / "x.csv"
         argv = [command, "--out", str(out), "--range-min", range_min, "--range-max", range_max]
         assert main([*argv, "--steps", steps]) == 2
@@ -195,7 +195,12 @@ class TestScanCommands:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "command, bound", [("chsh", "5.99e307"), ("entropy-rotation", "8.98e307"), ("interferometer", "2.99e307")]
+        "command, bound",
+        [
+            ("chsh", "5.99e307"), ("entropy-rotation", "8.98e307"), ("interferometer", "2.99e307"),
+            # refused while S summed four correlations at the stations 3t and 6t
+            ("chsh", "8.98e307"), ("interferometer", "8.98e307"),
+        ],
     )
     def test_widest_ranges_print_numbers(self, tmp_path, command, bound):
         out = tmp_path / "x.csv"
@@ -207,11 +212,11 @@ class TestScanCommands:
     @pytest.mark.parametrize(
         "command, digest",
         [
-            ("chsh", "6caf3987e8c4901bc329f5fe1ba0e2eadad15b774333b643b7cfaa3d5b55c38c"),
+            ("chsh", "a384c3292611a6cbf59c706de328c379b9f870ffed8b2a4435995ca37f7449ca"),
             ("entropy-rotation",
              "29adeecb35ed62c08e146f85f353a62d7e795a47eca6747025626969f2ca4252"),
             ("interferometer",
-             "acebe6ee1fc7618ea2836443be3d75af28cc60fe097c6b8efbb659bf27158217"),
+             "98e8582573d5ee024c40b353b6700625fc95bf2cfeb372c7bb96c3002c343456"),
         ],
     )
     def test_scan_bytes_are_pinned(self, tmp_path, command, digest):
@@ -225,13 +230,13 @@ class TestScanCommands:
     @pytest.mark.parametrize(
         "command, digest",
         [
-            ("chsh", "fd36821b279583d12d19c019ed5b3ad2410f0c114409ca160c300ed9105bb0d3"),
+            ("chsh", "31567961cb5a67bc128ebf682956f2d7240f6b678d58711df0f1b5def9d741a9"),
             ("interferometer",
-             "236eee9936d97184c86f957a0e52e6ce639dec8e9c9ae61de85e80cbdaa51ea0"),
+             "a42beb9e8cd31bf1f80b00e1a1b7abc89b3c29310c59d082620594c06e49dcda"),
         ],
     )
     def test_long_scan_bytes_are_pinned(self, tmp_path, command, digest):
-        """10^4 steps over [0, pi], the bytes the SVD-based entropy columns printed in 0.24.0."""
+        """10^4 steps over [0, pi]: the entropy columns as the SVD-based 0.24.0 printed them, S as 0.29.0."""
         out = tmp_path / "scan.csv"
         assert main([command, "--out", str(out), "--steps", "10000"]) == 0
         lines = out.read_bytes().splitlines(keepends=True)

@@ -4,13 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from kernel_views import bragg_outputs, column, fidelity, labeled
+from kernel_views import bragg_outputs, column, fidelity, labeled, momentum_correlations
 
-from modetangle.interferometer import (
-    _INPUT_PAIR,
-    _momentum_correlations,
-    momentum_chsh_scan,
-)
+from modetangle.interferometer import _INPUT_PAIR, momentum_chsh_scan
 from modetangle.states import partial_trace, von_neumann_entropy
 
 TWO_ROOT_TWO = 2.8284271247461903
@@ -90,12 +86,12 @@ class TestMomentumCorrelation:
         rng = np.random.default_rng(229)
         phi_a, phi_b = rng.uniform(-7.0, 7.0, size=(100, 2)).T
         np.testing.assert_allclose(
-            _momentum_correlations(phi_a, phi_b), np.cos(phi_a - phi_b), rtol=0, atol=1e-12
+            momentum_correlations(phi_a, phi_b), np.cos(phi_a - phi_b), rtol=0, atol=1e-12
         )
 
     def test_common_phase_drops_out(self):
-        base = _momentum_correlations(np.array([0.9]), np.array([0.2]))[0]
-        shifted = _momentum_correlations(np.array([0.9 + 1.3]), np.array([0.2 + 1.3]))[0]
+        base = momentum_correlations(0.9, 0.2)[0]
+        shifted = momentum_correlations(0.9 + 1.3, 0.2 + 1.3)[0]
         assert shifted == pytest.approx(base, abs=1e-12)
 
 

@@ -6,14 +6,24 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 import pytest
 from dense_model import rotated_pair_state
-from kernel_views import analyzed_pairs, analyzer_frames, column, fidelity, labeled, reduced_spectra
+from kernel_views import (
+    analyzed_pairs,
+    analyzer_frames,
+    chsh_stations,
+    column,
+    correlations,
+    decimal_chsh_curve,
+    fidelity,
+    four_correlation_sum,
+    labeled,
+    momentum_correlations,
+    reduced_spectra,
+)
 
-from modetangle._common import chsh_stations, scan_grid
+from modetangle._common import chsh_curve, scan_grid
 from modetangle.interferometer import momentum_chsh_scan
 from modetangle.polarization import (
     _EPR_PAIR,
-    _analyzer_frames,
-    _correlations,
     chsh_scan,
     chsh_sum,
     mode_rotation_entropy_scan,
@@ -71,10 +81,6 @@ def closed_form_pairs(theta_a, theta_b):
     # (steps, 4) amplitudes over ++, +-, -+, -- for the analyzed pair
     t = theta_a - theta_b
     return np.stack([np.cos(t), np.sin(t), -np.sin(t), np.cos(t)], axis=-1) / math.sqrt(2.0)
-
-
-def correlations(theta_a, theta_b):
-    return _correlations(_analyzer_frames(theta_a), _analyzer_frames(theta_b))
 
 
 class TestEprState:
@@ -180,6 +186,17 @@ class TestCorrelation:
         values = correlations(np.array([0.0, math.pi / 4.0, math.pi / 2.0]), np.zeros(3))
         np.testing.assert_allclose(values, [1.0, 0.0, -1.0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "correlate, unit", [(correlations, 1.0), (momentum_correlations, 2.0)],
+        ids=["polarization", "momentum"],
+    )
+    def test_four_correlations_give_the_closed_form(self, correlate, unit):
+        """The physical S, from the correlations at the four stations, is the curve the scans print."""
+        t = np.linspace(0.0, math.pi, LONG_SCAN)
+        np.testing.assert_allclose(
+            four_correlation_sum(correlate, t, unit), chsh_curve(t), rtol=0, atol=1e-12
+        )
+
 
 class TestChshSum:
     def test_known_points(self):
@@ -199,10 +216,14 @@ class TestChshSum:
         for t in np.linspace(-math.pi, math.pi, 257).tolist() + [1e-300, -0.0, 1e300]:
             assert chsh_sum(t) == column(chsh_scan(np.array([t])), "S")[0], t
 
+    def test_quarter_turn_is_right_to_rounding(self):
+        """At the float pi/4, S is 3.67394039744e-16 to rounding; summing four correlations gave 4.44e-16."""
+        assert chsh_sum(math.pi / 4.0) == 3.6739403974420594e-16
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -1e308])
     def test_non_finite_separation_refused(self, value):
-        """A separation whose station 3t overflows is refused by name, as a non-finite one is."""
-        with pytest.raises(ValueError, match=r"^separation (times 3 )?must be finite"):
+        """A separation whose angle 2t overflows is refused by name, as a non-finite one is."""
+        with pytest.raises(ValueError, match=r"^separation (times 2 )?must be finite"):
             chsh_sum(value)
 
 
@@ -228,6 +249,30 @@ class TestChshScan:
         np.testing.assert_array_equal(t, np.linspace(0.0, math.pi, LONG_SCAN))
         np.testing.assert_allclose(column(result, "S"), bell_curve(t), rtol=0, atol=1e-9)
         np.testing.assert_allclose(column(result, "entropy"), 1.0, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.pi), (-20.0, 20.0)], ids=["0-pi", "wide"])
+    @pytest.mark.parametrize("steps", [181, 2000, LONG_SCAN])
+    def test_s_right_to_rounding_against_a_50_digit_oracle(self, lo, hi, steps):
+        """Every S of both scans and of chsh_sum within 1e-15 of its 50-digit value, relative.
+
+        An exact 0 must read 0.  A sum of four correlations of size ~1
+        keeps only absolute rounding near the zeros of S, and misses the
+        default scan's S at pi/4 by 21 %.
+        """
+        t = np.linspace(lo, hi, steps)
+        exact = [decimal_chsh_curve(x) for x in t.tolist()]
+        computed = {
+            "chsh": column(chsh_scan(t), "S"),
+            "interferometer": column(momentum_chsh_scan(t), "S"),
+            "chsh_sum": [chsh_sum(x) for x in t.tolist()],
+        }
+        wrong = [
+            (name, x, got, float(want))
+            for name, values in computed.items()
+            for x, got, want in zip(t.tolist(), values, exact)
+            if abs(Decimal(got) - want) > Decimal("1e-15") * abs(want)
+        ]
+        assert not wrong, f"{len(wrong)} cells, first {wrong[:3]}"
 
     def test_bad_ranges_rejected(self):
         """The grid a scan takes refuses, naming the CLI flags."""
