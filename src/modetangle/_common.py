@@ -6,6 +6,11 @@ import math
 import operator
 
 
+# the largest multiple of a setting that a scan or chsh_sum takes as an
+# angle: 2t in chsh and interferometer, 2phi in entropy-rotation
+ANGLE_REACH = 2.0
+
+
 class PhysicsPreconditionError(RuntimeError):
     """A configured physical validity check failed; refusing to run."""
 
@@ -28,18 +33,19 @@ def require_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def scan_grid(lo: float, hi: float, steps: int, reach: float = 1.0):
+def scan_grid(lo: float, hi: float, steps: int):
     """The settings of a scan: steps uniform points from range_min lo to range_max hi.
 
     Needs hi > lo, a width hi - lo that does not overflow, at least two
-    steps, distinct points, and finite reach * lo and reach * hi, the
-    scan's largest angles.  numpy is imported here, not with the module,
-    since the oscillator uses this module and runs without numpy.
+    steps, distinct points, and finite ANGLE_REACH * lo and
+    ANGLE_REACH * hi, the scan's largest angles.  numpy is imported here,
+    not with the module, since the oscillator uses this module and runs
+    without numpy.
     """
     import numpy as np
 
-    lo = require_finite("range_min", lo, reach)
-    hi = require_finite("range_max", hi, reach)
+    lo = require_finite("range_min", lo, ANGLE_REACH)
+    hi = require_finite("range_max", hi, ANGLE_REACH)
     steps = require_integer("steps", steps)
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")

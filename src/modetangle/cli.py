@@ -104,24 +104,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each scan names its module and function, which cmd_scan looks up only when
-    # it runs so that --help loads no numpy, and its reach, the largest multiple
-    # of a setting it takes as an angle: 2t (chsh), 2phi, 2t (interferometer)
+    # it runs so that --help loads no numpy
     scans = (
         ("chsh", "CHSH sum and pair entropy over the separation angle",
-         polarization, "chsh_scan", 2.0),
+         polarization, "chsh_scan"),
         ("entropy-rotation", "mode-bipartition entropy over the rotation angle",
-         polarization, "mode_rotation_entropy_scan", 2.0),
+         polarization, "mode_rotation_entropy_scan"),
         ("interferometer", "momentum Bell scan over the station half-angle",
-         interferometer, "momentum_chsh_scan", 2.0),
+         interferometer, "momentum_chsh_scan"),
     )
-    for name, help_text, module, function, reach in scans:
+    for name, help_text, module, function in scans:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=_output_path, required=True, help="CSV output path")
         p.add_argument("--range-min", type=float, default=0.0)
         p.add_argument("--range-max", type=float, default=math.pi)
         p.add_argument("--steps", type=int, default=181)
         p.add_argument("--seed", type=int, default=0, help="recorded in metadata")
-        p.set_defaults(func=cmd_scan, scan=(module, function, reach))
+        p.set_defaults(func=cmd_scan, scan=(module, function))
 
     p = sub.add_parser("oscillator", help="the lowest levels of the quartic-anharmonic model")
     p.add_argument("--out", type=_output_path, required=True, help="JSON output path")
@@ -143,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    module, function, reach = args.scan
-    grid = _common.scan_grid(args.range_min, args.range_max, args.steps, reach)
+    module, function = args.scan
+    grid = _common.scan_grid(args.range_min, args.range_max, args.steps)
     result = getattr(module, function)(grid)
     metadata = {
         "tool": f"modetangle {__version__}",

@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from ._common import chsh_curve, require_finite
+from ._common import ANGLE_REACH, chsh_curve, require_finite
 from .results import ScanResult
 from .states import pair_small_weights, small_weight_entropies
 
@@ -84,7 +84,7 @@ def chsh_sum(separation: float) -> float:
 
     chsh_scan's S at the one setting t; a t whose angle 2t overflows is refused.
     """
-    t = require_finite("separation", separation, reach=2.0)
+    t = require_finite("separation", separation, ANGLE_REACH)
     return float(chsh_curve(np.array([t]))[0])
 
 

@@ -218,6 +218,7 @@ class TestScanCommands:
             ("interferometer",
              "98e8582573d5ee024c40b353b6700625fc95bf2cfeb372c7bb96c3002c343456"),
         ],
+        ids=["chsh", "entropy-rotation", "interferometer"],
     )
     def test_scan_bytes_are_pinned(self, tmp_path, command, digest):
         """Header and values of each default scan; the '#' metadata (version) is left out."""
@@ -231,17 +232,42 @@ class TestScanCommands:
         "command, digest",
         [
             ("chsh", "31567961cb5a67bc128ebf682956f2d7240f6b678d58711df0f1b5def9d741a9"),
+            ("entropy-rotation",
+             "991e1d7bdaad7da021b126186d335b282b04d1a1677d1640ff4a2ceeed2fe858"),
             ("interferometer",
              "a42beb9e8cd31bf1f80b00e1a1b7abc89b3c29310c59d082620594c06e49dcda"),
         ],
+        ids=["chsh", "entropy-rotation", "interferometer"],
     )
     def test_long_scan_bytes_are_pinned(self, tmp_path, command, digest):
-        """10^4 steps over [0, pi]: the entropy columns as the SVD-based 0.24.0 printed them, S as 0.29.0."""
+        """10^4 steps over [0, pi].
+
+        The pair entropies as the SVD-based 0.24.0 printed them, S as 0.29.0,
+        and the rotation entropies correctly rounded, as since 0.24.0.
+        """
         out = tmp_path / "scan.csv"
         assert main([command, "--out", str(out), "--steps", "10000"]) == 0
         lines = out.read_bytes().splitlines(keepends=True)
         body = b"".join(line for line in lines if not line.startswith(b"#"))
         assert hashlib.sha256(body).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, columns", [("chsh", [2]), ("interferometer", [2, 3])], ids=["chsh", "interferometer"]
+    )
+    def test_million_steps_print_every_pair_entropy_as_1(self, tmp_path, command, columns):
+        """At 10^6 steps the closed-form Schmidt kernel prints 1 in every entropy cell of every row."""
+        out = tmp_path / "scan.csv"
+        assert main([command, "--out", str(out), "--steps", "1000000"]) == 0
+        rows, cells = 0, set()
+        with out.open() as handle:
+            lines = (line for line in handle if not line.startswith("#"))
+            next(lines)  # the header
+            for line in lines:
+                row = line.rstrip("\n").split(",")
+                cells.update(row[column] for column in columns)
+                rows += 1
+        assert rows == 1_000_000
+        assert cells == {"1"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -410,14 +436,13 @@ class TestProtocolCommand:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)
-        for prefix in ("first", "second"):
-            assert main(["protocol", config, "--out", str(tmp_path / prefix)]) == 0
-        assert (tmp_path / "first.jsonl").read_bytes() == (
-            tmp_path / "second.jsonl"
-        ).read_bytes()
-        assert (tmp_path / "first.json").read_bytes() == (
-            tmp_path / "second.json"
-        ).read_bytes()
+        # then gate off and eta 0, where every landing ships the unconverted pair
+        for flags in ([], ["--gate", "off", "--eta", "0"]):
+            for prefix in ("first", "second"):
+                assert main(["protocol", config, "--out", str(tmp_path / prefix), *flags]) == 0
+            for suffix in (".jsonl", ".json"):
+                first = (tmp_path / f"first{suffix}").read_bytes()
+                assert first and first == (tmp_path / f"second{suffix}").read_bytes(), (flags, suffix)
 
     @pytest.mark.parametrize(
         "gate, digest",
@@ -661,6 +686,23 @@ class TestProtocolCommand:
         code = main(["protocol", config, "--out", str(tmp_path / "x")])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_passing_adiabatic_budget_runs(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            "trials = 5\n"
+            "adiabatic_delta_e = 1\n"
+            "adiabatic_h_tilde = 0.01\n"
+            "adiabatic_t_meas = 1000\n",
+        )
+        assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 0
+        assert len((tmp_path / "x.jsonl").read_text().splitlines()) == 5
+
+    def test_small_coupling_prints_the_delivered_entropy_to_its_last_digit(self, tmp_path, capsys):
+        config = write_config(tmp_path, "trials = 5\nseed = 1\n")
+        assert main(["protocol", config, "--out", str(tmp_path / "x"), "--lambda", "1e-6"]) == 0
+        assert "mean_entropy=7.98394123585e-24" in capsys.readouterr().out.splitlines()
 
     def test_unconverged_truncation_refused(self, tmp_path, capsys):
         config = write_config(tmp_path, "trials = 5\nlambda = 100\ntruncation = 64\n")
@@ -714,8 +756,13 @@ class TestProtocolCommand:
             ("eta = 2\n", "eta"),
             ("level_a = 70\n", "level_a"),
             ("truncation = 7\n", "truncation"),
+            ("trials = 0\n", "trials"),
+            ("seed = -1\n", "seed"),
         ],
-        ids=["negative-level", "equal-levels", "detect_amp", "eta", "level-cut", "truncation"],
+        ids=[
+            "negative-level", "equal-levels", "detect_amp", "eta", "level-cut", "truncation",
+            "trials", "seed",
+        ],
     )
     def test_library_refusal_names_the_key(self, tmp_path, capsys, text, key):
         config = write_config(tmp_path, "trials = 5\n" + text)
@@ -1000,10 +1047,16 @@ class TestLoading:
         assert not loaded["dataclasses"] and not loaded["inspect"]
         assert loaded["executed"] == ["modetangle", "modetangle.cli"]
 
-    @pytest.mark.parametrize("anharmonicity", ["0", "0.1", "100"])
-    def test_oscillator_runs_without_numpy(self, tmp_path, anharmonicity):
+    @pytest.mark.parametrize(
+        "anharmonicity, truncation",
+        [("0", "64"), ("0.1", "64"), ("100", "64"), ("0", "1600"), ("0.1", "1600")],
+        ids=["0", "0.1", "100", "0-1600", "0.1-1600"],
+    )
+    def test_oscillator_runs_without_numpy(self, tmp_path, anharmonicity, truncation):
+        # at N = 1600 the levels are certified from leading blocks, at N = 64 the full blocks solved
         loaded = loaded_by(
-            "oscillator", "--lambda", anharmonicity, "--out", str(tmp_path / "out")
+            "oscillator", "--lambda", anharmonicity, "--truncation", truncation,
+            "--out", str(tmp_path / "out"),
         )
         assert loaded["code"] == 0
         assert not loaded["numpy"]
