@@ -10,6 +10,9 @@ import operator
 # angle: 2t in chsh and interferometer, 2phi in entropy-rotation
 ANGLE_REACH = 2.0
 
+# scan CSV rows, and campaign trials, per sampling or rendering step
+CHUNK = 4096
+
 
 class PhysicsPreconditionError(RuntimeError):
     """A configured physical validity check failed; refusing to run."""

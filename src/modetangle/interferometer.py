@@ -15,9 +15,10 @@ correlation is E = cos(phi_a - phi_b).  Writing the half-difference as t
 (phi step 2t per station) reproduces the Bell curve S(t) = 3cos(2t) - cos(6t).
 Port index 0 is the + exit, index 1 the - exit on each station.
 
-The scan prints S from its closed form, _common.chsh_curve, as the
-polarization scan does.  _bragg_amplitudes takes arrays of phases, the
-step axis of a scan; one pair of phases is the length-1 case.
+The scan prints S from its closed form, _common.chsh_curve, and returns
+a dict of named float64 columns in CSV header order, as the polarization
+scans do.  _bragg_amplitudes takes arrays of phases, the step axis of a
+scan; one pair of phases is the length-1 case.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import numpy as np
 
 from ._common import chsh_curve
-from .results import ScanResult
 from .states import pair_small_weights, small_weight_entropies
 
 __all__ = ["momentum_chsh_scan"]
@@ -63,7 +63,7 @@ def _complex_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def momentum_chsh_scan(t: np.ndarray) -> ScanResult:
+def momentum_chsh_scan(t: np.ndarray) -> dict[str, np.ndarray]:
     """Bell scan over the station half-angles t, a 1-D float array (phase difference 2t).
 
     Columns: vartheta, S, entropy_in, entropy_out.  S is the CHSH sum of
@@ -73,7 +73,5 @@ def momentum_chsh_scan(t: np.ndarray) -> ScanResult:
     entropy_in = small_weight_entropies(pair_small_weights(_INPUT_PAIR[np.newaxis])[:, np.newaxis])
     outputs = _bragg_amplitudes(2.0 * t, np.zeros_like(t))  # phi_a = 2t, phi_b = 0
     entropy_out = small_weight_entropies(pair_small_weights(outputs)[:, np.newaxis])
-    return ScanResult.from_columns(
-        ("vartheta", "S", "entropy_in", "entropy_out"),
-        (t, chsh_curve(t), np.full_like(t, entropy_in[0]), entropy_out),
-    )
+    return {"vartheta": t, "S": chsh_curve(t),
+            "entropy_in": np.full_like(t, entropy_in[0]), "entropy_out": entropy_out}

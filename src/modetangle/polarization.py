@@ -33,9 +33,10 @@ small weights (s, s) give the von Neumann entropy, as the analyzed pairs'
 small weights give the CHSH scan's, and the Renyi-2 entropy is closed form.
 
 Each scan is a kernel of its settings, a 1-D float array that the CLI
-builds with _common.scan_grid, and each computation is one kernel over
-that step axis: _analyzer_frames and _analyzed_pairs.  One setting is
-the length-1 case: chsh_sum takes chsh_scan's S path.
+builds with _common.scan_grid, and returns a dict of float64 columns in
+CSV header order.  Each computation is one kernel over that step axis:
+_analyzer_frames and _analyzed_pairs.  One setting is the length-1 case:
+chsh_sum takes chsh_scan's S path.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import math
 import numpy as np
 
 from ._common import ANGLE_REACH, chsh_curve, require_finite
-from .results import ScanResult
 from .states import pair_small_weights, small_weight_entropies
 
 __all__ = [
@@ -88,7 +88,7 @@ def chsh_sum(separation: float) -> float:
     return float(chsh_curve(np.array([t]))[0])
 
 
-def chsh_scan(theta: np.ndarray) -> ScanResult:
+def chsh_scan(theta: np.ndarray) -> dict[str, np.ndarray]:
     """Scan the CHSH sum and pair entropy over theta, a 1-D float array of separation angles.
 
     Columns: theta, S, entropy.  The entropy column is the one-photon
@@ -97,10 +97,10 @@ def chsh_scan(theta: np.ndarray) -> ScanResult:
     pairs = _analyzed_pairs(_analyzer_frames(theta), _analyzer_frames(np.zeros_like(theta)))
     weights = pair_small_weights(pairs.reshape(4, len(theta)).T)
     entropy = small_weight_entropies(weights[:, np.newaxis])
-    return ScanResult.from_columns(("theta", "S", "entropy"), (theta, chsh_curve(theta), entropy))
+    return {"theta": theta, "S": chsh_curve(theta), "entropy": entropy}
 
 
-def mode_rotation_entropy_scan(phi: np.ndarray) -> ScanResult:
+def mode_rotation_entropy_scan(phi: np.ndarray) -> dict[str, np.ndarray]:
     """Mode-bipartition entropy of the rotated |1,1> state over phi, a 1-D float array.
 
     Columns: phi, entropy_vn, entropy_renyi2.  Both entropies share zeros
@@ -112,4 +112,4 @@ def mode_rotation_entropy_scan(phi: np.ndarray) -> ScanResult:
     entropy_vn = small_weight_entropies(np.column_stack([two_s / 2.0, two_s / 2.0]))
     # sum p^2 = (1 - 2s)^2 + 2s^2 = 1 - 2s(2 - 3s)
     renyi2 = -np.log1p(-two_s * (2.0 - 1.5 * two_s)) / math.log(2.0)
-    return ScanResult.from_columns(("phi", "entropy_vn", "entropy_renyi2"), (phi, entropy_vn, renyi2))
+    return {"phi": phi, "entropy_vn": entropy_vn, "entropy_renyi2": renyi2}

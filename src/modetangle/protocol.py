@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import PhysicsPreconditionError, require_finite, require_integer
+from ._common import CHUNK, PhysicsPreconditionError, require_finite, require_integer
 from ._pcg64 import SpawnedPCG64
 from .oscillator import MIN_TRUNCATION, build_model, mode_deformation, mode_overlap, require_converged
 from .states import pair_small_weights, small_weight_entropies
@@ -75,8 +75,6 @@ __all__ = [
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 AMPLITUDE_TOL = 1e-12
-# trials per sampling and rendering step
-CHUNK = 4096
 # a trial id must fit the one spawn word _pcg64 draws with; a log this long is ~1 TB
 MAX_TRIALS = 2**32
 

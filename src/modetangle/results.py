@@ -1,10 +1,11 @@
-"""Scan results and deterministic file output.
+"""Scan CSV rendering and deterministic file output.
 
 CSV files carry '#'-prefixed metadata lines, then one header row, then
-data rows at 12 significant digits.  All writes go to a temp file in the
-target directory followed by an atomic rename; a long text can be handed
-over as an iterable of chunks.  A symlink is written through, and a
-target that exists but is no regular file, or ends in a separator, is refused.
+data rows at 12 significant digits, one per step of a scan's columns.
+All writes go to a temp file in the target directory followed by an
+atomic rename; a long text can be handed over as an iterable of chunks.
+A symlink is written through, and a target that exists but is no
+regular file, or ends in a separator, is refused.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import errno
 import json
 import os
 import tempfile
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping
+
+from ._common import CHUNK
 
 
 # the one number format: CSV cells, float metadata and printed protocol rates
@@ -22,18 +25,6 @@ _NUMBER = "%.12g"
 
 def format_number(value: float) -> str:
     return _NUMBER % float(value)
-
-
-class ScanResult(NamedTuple):
-    """Named columns of floats, the scan parameter first."""
-
-    columns: tuple[str, ...]
-    values: tuple[list[float], ...]
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[str], values: Sequence) -> "ScanResult":
-        """Build from one 1-D numpy array per column."""
-        return cls(tuple(columns), tuple(v.tolist() for v in values))
 
 
 def atomic_write_text(
@@ -95,13 +86,17 @@ def _current_umask() -> int:
     return mask
 
 
-def render_scan_csv(result: ScanResult, metadata: Mapping[str, object]) -> str:
+def render_scan_csv(columns: Mapping[str, object], metadata: Mapping[str, object]) -> list[str]:
+    """The CSV of a scan's named 1-D float columns as a list of chunks: the head, then CHUNK rows each."""
     lines = [f"# {key}={_metadata_str(value)}" for key, value in sorted(metadata.items())]
-    lines.append(",".join(result.columns))
-    # one template per row: the columns hold floats already
-    row_template = ",".join([_NUMBER] * len(result.columns))
-    lines.extend(row_template % row for row in zip(*result.values))
-    return "\n".join(lines) + "\n"
+    lines.append(",".join(columns))
+    chunks = ["\n".join(lines) + "\n"]
+    values = list(columns.values())
+    row_template = ",".join([_NUMBER] * len(values)) + "\n"
+    for start in range(0, len(values[0]), CHUNK):
+        cells = [v[start:start + CHUNK].tolist() for v in values]
+        chunks.append("".join([row_template % row for row in zip(*cells)]))
+    return chunks
 
 
 def write_json(

@@ -3,8 +3,8 @@
 Lines hold one `key = value` pair.  Blank lines are ignored, and so is
 a '#' with the rest of its line when the '#' starts the line or follows
 whitespace; a '#' inside a value, as in `out_log = runs/#3/log.jsonl`,
-is part of the value.  Unknown, duplicate and unparsable keys are hard
-errors that name the key.
+is part of the value.  A line with no '=' or no key names its line;
+unknown, duplicate and unparsable keys are hard errors that name the key.
 
 A run configuration is a plain mapping from config key to parsed value.
 parse_run_config gives the file's keys over the file defaults (eta and
@@ -140,9 +140,9 @@ def parse_run_config(path: str | os.PathLike) -> dict[str, object]:
         line = _COMMENT.split(raw_line, 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, raw_value = (part.strip() for part in line.partition("="))
+        if not sep or not key:
             raise ConfigError(None, f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(key, "unknown configuration key")
         if not raw_value:

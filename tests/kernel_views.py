@@ -27,8 +27,8 @@ from modetangle.states import BasisLabel, PureState, _kept_matrices
 
 
 def column(result, name):
-    """The named column of a ScanResult."""
-    return result.values[result.columns.index(name)]
+    """The named column of a scan's dict of numpy columns, as a list of floats."""
+    return result[name].tolist()
 
 
 def analyzer_frames(theta):

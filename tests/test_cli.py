@@ -10,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -18,9 +19,11 @@ import pytest
 import modetangle
 from modetangle import results
 from modetangle.cli import main
+from modetangle.interferometer import momentum_chsh_scan
 from modetangle.oscillator import TAIL_WEIGHT_LIMIT
+from modetangle.polarization import chsh_scan, mode_rotation_entropy_scan
 from modetangle.protocol import ConversionConfig
-from modetangle.results import ScanResult, render_scan_csv
+from modetangle.results import render_scan_csv
 from modetangle.runconfig import ConfigError, parse_run_config, to_conversion_config
 
 TWO_ROOT_TWO = 2.8284271247461903
@@ -289,11 +292,27 @@ class TestScanCommands:
 
     def test_csv_numbers_at_the_edges_match_format_12g(self):
         edges = [-0.0, 5e-324, 1e-320, 0.1, 123456789012.5, 1e16, math.inf, math.nan]
-        result = ScanResult.from_columns(("x", "y"), (np.array(edges), np.array(edges[::-1])))
-        text = render_scan_csv(result, {"seed": 0})
+        columns = {"x": np.array(edges), "y": np.array(edges[::-1])}
+        text = "".join(render_scan_csv(columns, {"seed": 0}))
         expected = [f"{format(x, '.12g')},{format(y, '.12g')}" for x, y in zip(edges, edges[::-1])]
         assert text.splitlines() == ["# seed=0", "x,y", *expected]
         assert expected[0] == "-0,nan" and expected[1] == "4.94065645841e-324,inf"
+
+    @pytest.mark.parametrize(
+        "scan", [chsh_scan, mode_rotation_entropy_scan, momentum_chsh_scan],
+        ids=["chsh", "entropy-rotation", "interferometer"],
+    )
+    def test_render_holds_little_beyond_the_text(self, scan):
+        # guards against per-cell float lists for a whole scan, which cost
+        # ~250 traced bytes a row against a CSV row of 31-43 bytes
+        columns = scan(np.linspace(0.0, math.pi, 10**5))
+        tracemalloc.start()
+        try:
+            chunks = render_scan_csv(columns, {"seed": 0})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(map(len, chunks))
 
     def test_unwritable_output(self, tmp_path):
         code = main(["chsh", "--out", str(tmp_path / "missing" / "x.csv")])
@@ -522,10 +541,13 @@ class TestProtocolCommand:
         assert "trails" in err and "unknown configuration key" in err
 
     def test_malformed_line(self, tmp_path, capsys):
-        config = write_config(tmp_path, "trials 10\n")
-        code = main(["protocol", config, "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        # a line with no '=', and one with nothing before it, read the same
+        for line in ("trials 10", "= 5"):
+            config = write_config(tmp_path, line + "\n")
+            code = main(["protocol", config, "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: line 1: expected 'key = value', got {line!r}\n"
+            assert not list(tmp_path.glob("x*"))
 
     def test_bad_value(self, tmp_path, capsys):
         config = write_config(tmp_path, "eta = high\n")

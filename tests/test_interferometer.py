@@ -98,7 +98,7 @@ class TestMomentumCorrelation:
 class TestMomentumChshScan:
     def test_columns_and_landmarks(self):
         result = momentum_chsh_scan(np.linspace(0.0, math.pi / 8.0, 3))
-        assert result.columns == ("vartheta", "S", "entropy_in", "entropy_out")
+        assert tuple(result) == ("vartheta", "S", "entropy_in", "entropy_out")
         s_values = column(result, "S")
         assert s_values[0] == pytest.approx(2.0, abs=1e-12)
         assert s_values[2] == pytest.approx(TWO_ROOT_TWO, abs=1e-12)

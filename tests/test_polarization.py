@@ -230,7 +230,7 @@ class TestChshSum:
 class TestChshScan:
     def test_five_point_scan(self):
         result = chsh_scan(np.linspace(0.0, math.pi / 2.0, 5))
-        assert result.columns == ("theta", "S", "entropy")
+        assert tuple(result) == ("theta", "S", "entropy")
         s_values = column(result, "S")
         expected = [2.0, TWO_ROOT_TWO, 0.0, -TWO_ROOT_TWO, -2.0]
         np.testing.assert_allclose(s_values, expected, atol=1e-12)
@@ -332,7 +332,7 @@ def mode_rotation_state(phi):
 class TestModeRotationScan:
     def test_columns_and_landmarks(self):
         result = mode_rotation_entropy_scan(np.linspace(0.0, math.pi / 4.0, 9))
-        assert result.columns == ("phi", "entropy_vn", "entropy_renyi2")
+        assert tuple(result) == ("phi", "entropy_vn", "entropy_renyi2")
         vn = column(result, "entropy_vn")
         assert vn[0] == pytest.approx(0.0, abs=1e-10)
         assert vn[4] == pytest.approx(1.5, abs=1e-10)  # phi = pi/8
