@@ -12,7 +12,7 @@ imported from its defining module.
 
 import importlib
 
-__version__ = "0.31.0"
+__version__ = "0.32.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {

@@ -17,8 +17,10 @@ Port index 0 is the + exit, index 1 the - exit on each station.
 
 The scan prints S from its closed form, _common.chsh_curve, and returns
 a dict of named float64 columns in CSV header order, as the polarization
-scans do.  _bragg_amplitudes takes arrays of phases, the step axis of a
-scan; one pair of phases is the length-1 case.
+scans do.  It holds phi_b at 0, where the factors -i e^{+-i phi_b} are -i,
+so _bragg_exits builds the exits at (2t, 0) from e = e^{2it} and
+f = e^{-2it} alone: the corners -i(e + 1) and -i(f + 1) are
+(Im e, -(Re e + 1)) and (Im f, -(Re f + 1)), with no complex product.
 """
 
 from __future__ import annotations
@@ -36,31 +38,15 @@ __all__ = ["momentum_chsh_scan"]
 _INPUT_PAIR = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 
 
-def _bragg_amplitudes(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
-    """(steps, 4) exit-port amplitudes over (A+,B+), (A+,B-), (A-,B+), (A-,B-)."""
-    d = phi_a - phi_b
-    phase_b = np.exp(1j * phi_b)
-    scale = 1.0 / (2.0 * math.sqrt(2.0))
-    return scale * np.stack(
-        [
-            _complex_product(-1j * phase_b, np.exp(1j * d) + 1.0),
-            np.exp(1j * d) - 1.0,
-            np.exp(-1j * d) - 1.0,
-            _complex_product(-1j * np.conj(phase_b), np.exp(-1j * d) + 1.0),
-        ],
-        axis=-1,
-    )
-
-
-def _complex_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # The textbook formula, one rounding per real operation.  numpy's
-    # vectorized complex multiply may fuse it into FMA instructions, which
-    # moves the last bit of S depending on the CPU; spelled out as separate
-    # real operations it rounds the same way everywhere.
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=complex)
-    out.real = u.real * v.real - u.imag * v.imag
-    out.imag = u.real * v.imag + u.imag * v.real
-    return out
+def _bragg_exits(t: np.ndarray) -> np.ndarray:
+    """(steps, 4) exit-port amplitudes at phases (2t, 0) over (A+,B+), (A+,B-), (A-,B+), (A-,B-)."""
+    e, f = np.exp(2j * t), np.exp(-2j * t)
+    exits = np.empty((len(t), 4), dtype=complex)
+    exits[:, 0].real, exits[:, 0].imag = e.imag, -(e.real + 1.0)
+    exits[:, 1], exits[:, 2] = e - 1.0, f - 1.0
+    exits[:, 3].real, exits[:, 3].imag = f.imag, -(f.real + 1.0)
+    exits *= 1.0 / (2.0 * math.sqrt(2.0))
+    return exits
 
 
 def momentum_chsh_scan(t: np.ndarray) -> dict[str, np.ndarray]:
@@ -71,7 +57,6 @@ def momentum_chsh_scan(t: np.ndarray) -> dict[str, np.ndarray]:
     that; both entropy columns stay at 1 bit.
     """
     entropy_in = small_weight_entropies(pair_small_weights(_INPUT_PAIR[np.newaxis])[:, np.newaxis])
-    outputs = _bragg_amplitudes(2.0 * t, np.zeros_like(t))  # phi_a = 2t, phi_b = 0
-    entropy_out = small_weight_entropies(pair_small_weights(outputs)[:, np.newaxis])
+    entropy_out = small_weight_entropies(pair_small_weights(_bragg_exits(t))[:, np.newaxis])
     return {"vartheta": t, "S": chsh_curve(t),
             "entropy_in": np.full_like(t, entropy_in[0]), "entropy_out": entropy_out}

@@ -34,9 +34,11 @@ small weights give the CHSH scan's, and the Renyi-2 entropy is closed form.
 
 Each scan is a kernel of its settings, a 1-D float array that the CLI
 builds with _common.scan_grid, and returns a dict of float64 columns in
-CSV header order.  Each computation is one kernel over that step axis:
-_analyzer_frames and _analyzed_pairs.  One setting is the length-1 case:
-chsh_sum takes chsh_scan's S path.
+CSV header order.  The statistics depend only on theta_a - theta_b, so
+chsh_scan holds photon B's analyzer at 0, where its frame is the
+identity, and _analyzed_pair computes only the angle that varies: each
+amplitude is one entry of photon A's frame times the pair's 1/sqrt(2).
+One setting is the length-1 case: chsh_sum takes chsh_scan's S path.
 """
 
 from __future__ import annotations
@@ -58,25 +60,12 @@ __all__ = [
 _EPR_PAIR = np.eye(2) / math.sqrt(2.0)
 
 
-def _analyzer_frames(theta: np.ndarray) -> np.ndarray:
-    """(steps,) angles -> (2, 2, steps) real unitaries with rows <+| and <-|.
-
-    The step axis is last so that products over the 2x2 indices run as
-    elementwise loops over all steps at once.
-    """
+def _analyzed_pair(theta: np.ndarray) -> np.ndarray:
+    """(steps, 4) real amplitudes over ++, +-, -+, -- of the pair analyzed at (theta, 0)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def _analyzed_pairs(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
-    """(2, 2, steps) pair amplitudes with each photon in its analyzer frame.
-
-    Row index is the photon_A port, column index the photon_B port.  The
-    frames and the pair are real, so the amplitudes are too.  einsum
-    without optimize sums in one fixed order, where a BLAS product would
-    round differently on different CPU kernels.
-    """
-    return np.einsum("ijs,jk,lks->ils", frames_a, _EPR_PAIR, frames_b, optimize=False)
+    pairs = np.column_stack([c, s, -s, c])
+    pairs *= _EPR_PAIR[0, 0]
+    return pairs
 
 
 def chsh_sum(separation: float) -> float:
@@ -94,9 +83,7 @@ def chsh_scan(theta: np.ndarray) -> dict[str, np.ndarray]:
     Columns: theta, S, entropy.  The entropy column is the one-photon
     entropy of the analyzed pair, recomputed at every angle.
     """
-    pairs = _analyzed_pairs(_analyzer_frames(theta), _analyzer_frames(np.zeros_like(theta)))
-    weights = pair_small_weights(pairs.reshape(4, len(theta)).T)
-    entropy = small_weight_entropies(weights[:, np.newaxis])
+    entropy = small_weight_entropies(pair_small_weights(_analyzed_pair(theta))[:, np.newaxis])
     return {"theta": theta, "S": chsh_curve(theta), "entropy": entropy}
 
 

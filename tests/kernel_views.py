@@ -9,6 +9,17 @@ reduced_spectra is the SVD oracle for the closed-form Schmidt kernels,
 decimal_pair_weights their 50-digit oracle, and pair_from_overlaps
 builds a protocol pair from its overlaps alone.
 
+The scans hold photon B's analyzer, or station B's phase, at 0 and
+compute only the angle that varies.  analyzed_pairs and bragg_outputs
+are the two-angle oracle of those one-angle kernels: they take both
+settings, rotate each photon by its own analyzer frame through einsum,
+and form the Bragg exits' phase factors by complex products.  At B = 0
+they give the scans' amplitudes bit for bit.  einsum without optimize
+sums in one fixed order, where a BLAS product would round differently
+on different CPU kernels, and _complex_product spells out each complex
+product in real operations, which numpy's vectorized multiply may fuse
+into FMA instructions.
+
 The scans print the CHSH sum from its closed form.  correlations,
 momentum_correlations and four_correlation_sum build it the physical
 way, from the station correlations E, as the independent oracle of that
@@ -20,8 +31,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from modetangle.interferometer import _bragg_amplitudes
-from modetangle.polarization import _analyzed_pairs, _analyzer_frames
+from modetangle.polarization import _EPR_PAIR
 from modetangle.protocol import final_state_from_overlaps
 from modetangle.states import BasisLabel, PureState, _kept_matrices
 
@@ -29,6 +39,12 @@ from modetangle.states import BasisLabel, PureState, _kept_matrices
 def column(result, name):
     """The named column of a scan's dict of numpy columns, as a list of floats."""
     return result[name].tolist()
+
+
+def _analyzer_frames(theta):
+    """(2, 2, steps) real unitaries with rows <+| and <-|, the step axis last."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [-s, c]])
 
 
 def analyzer_frames(theta):
@@ -39,13 +55,33 @@ def analyzer_frames(theta):
 def analyzed_pairs(theta_a, theta_b):
     """(steps, 4) amplitudes over ++, +-, -+, -- of the pair analyzed at (theta_a, theta_b)."""
     frames = [_analyzer_frames(np.atleast_1d(theta)) for theta in (theta_a, theta_b)]
-    pairs = _analyzed_pairs(*frames)
+    pairs = np.einsum("ijs,jk,lks->ils", frames[0], _EPR_PAIR, frames[1], optimize=False)
     return pairs.reshape(4, pairs.shape[-1]).T
+
+
+def _complex_product(u, v):
+    """u * v with one rounding per real operation, the same on every CPU."""
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=complex)
+    out.real = u.real * v.real - u.imag * v.imag
+    out.imag = u.real * v.imag + u.imag * v.real
+    return out
 
 
 def bragg_outputs(phi_a, phi_b):
     """(steps, 4) exit-port amplitudes over A+B+, A+B-, A-B+, A-B- at phases (phi_a, phi_b)."""
-    return _bragg_amplitudes(np.atleast_1d(phi_a), np.atleast_1d(phi_b))
+    phi_a, phi_b = np.atleast_1d(phi_a), np.atleast_1d(phi_b)
+    d = phi_a - phi_b
+    phase_b = np.exp(1j * phi_b)
+    scale = 1.0 / (2.0 * math.sqrt(2.0))
+    return scale * np.stack(
+        [
+            _complex_product(-1j * phase_b, np.exp(1j * d) + 1.0),
+            np.exp(1j * d) - 1.0,
+            np.exp(-1j * d) - 1.0,
+            _complex_product(-1j * np.conj(phase_b), np.exp(-1j * d) + 1.0),
+        ],
+        axis=-1,
+    )
 
 
 def correlations(theta_a, theta_b):

@@ -1,12 +1,14 @@
 """Momentum-mode interferometer output statistics and Bell scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from kernel_views import bragg_outputs, column, fidelity, labeled, momentum_correlations
 
-from modetangle.interferometer import _INPUT_PAIR, momentum_chsh_scan
+from modetangle._common import scan_grid
+from modetangle.interferometer import _INPUT_PAIR, _bragg_exits, momentum_chsh_scan
 from modetangle.states import partial_trace, von_neumann_entropy
 
 TWO_ROOT_TWO = 2.8284271247461903
@@ -57,6 +59,13 @@ class TestBraggOutput:
         outputs = bragg_outputs(phi_a, phi_b)
         np.testing.assert_allclose(outputs, closed_form_outputs(phi_a, phi_b), atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(outputs, axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.pi), (-20.0, 20.0)], ids=["0-pi", "wide"])
+    @pytest.mark.parametrize("steps", [181, 10_000])
+    def test_scan_kernel_is_the_two_phase_oracle_at_zero(self, lo, hi, steps):
+        """momentum_chsh_scan's exits are the complex-product oracle's at (2t, 0), bit for bit."""
+        t = scan_grid(lo, hi, steps)
+        assert np.array_equal(_bragg_exits(t), bragg_outputs(2.0 * t, 0.0))
 
     def test_output_entropy_is_one_bit(self):
         rng = np.random.default_rng(223)
@@ -123,3 +132,18 @@ class TestMomentumChshScan:
         np.testing.assert_allclose(column(result, "S"), want, rtol=0, atol=1e-9)
         for name in ("entropy_in", "entropy_out"):
             np.testing.assert_allclose(column(result, name), 1.0, rtol=0, atol=1e-9)
+
+    def test_kernel_holds_few_columns(self):
+        """The traced peak of a 10^5-step scan stays under 18 float64 columns of the grid.
+
+        The exits at (2t, 0) need no phase_b stack or complex-product
+        temporaries; the two-phase oracle's path with them peaks at 21.
+        """
+        t = np.linspace(0.0, math.pi, 10**5)
+        tracemalloc.start()
+        try:
+            momentum_chsh_scan(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * t.nbytes

@@ -24,6 +24,7 @@ from modetangle._common import chsh_curve, scan_grid
 from modetangle.interferometer import momentum_chsh_scan
 from modetangle.polarization import (
     _EPR_PAIR,
+    _analyzed_pair,
     chsh_scan,
     chsh_sum,
     mode_rotation_entropy_scan,
@@ -134,6 +135,13 @@ class TestTransformedPair:
         np.testing.assert_allclose(
             analyzed_pairs(math.pi / 2.0, 0.0)[0], [0.0, ROOT_HALF, -ROOT_HALF, 0.0], atol=1e-12
         )
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.pi), (-20.0, 20.0)], ids=["0-pi", "wide"])
+    @pytest.mark.parametrize("steps", [181, LONG_SCAN])
+    def test_scan_kernel_is_the_two_angle_oracle_at_zero(self, lo, hi, steps):
+        """chsh_scan's one-angle amplitudes are the einsum oracle's at (theta, 0), bit for bit."""
+        theta = scan_grid(lo, hi, steps)
+        assert np.array_equal(_analyzed_pair(theta), analyzed_pairs(theta, 0.0))
 
     def test_entropy_stays_one_bit(self):
         rng = np.random.default_rng(107)
