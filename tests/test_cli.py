@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
 import errno
+import gc
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 import modetangle
-from modetangle import results
+from modetangle import cli, results
+from modetangle._common import CHUNK
 from modetangle.cli import main
 from modetangle.interferometer import momentum_chsh_scan
 from modetangle.oscillator import TAIL_WEIGHT_LIMIT
@@ -313,6 +316,22 @@ class TestScanCommands:
         finally:
             tracemalloc.stop()
         assert peak < 2 * sum(map(len, chunks))
+
+    @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
+    def test_scan_holds_the_text_the_grid_and_one_slice(self, tmp_path, command):
+        # cmd_scan runs the kernel one CHUNK-step slice at a time; a kernel on
+        # the whole grid peaks 2.4-9.6 MB above the text and the grid here
+        out = tmp_path / "scan.csv"
+        steps = 10**5
+        assert main([command, "--out", str(out), "--steps", "3"]) == 0  # loads the modules
+        tracemalloc.start()
+        try:
+            assert main([command, "--out", str(out), "--steps", str(steps)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_slice = 48 * CHUNK * 8  # 48 float64 columns of CHUNK rows, 1.6 MB
+        assert peak < out.stat().st_size + steps * 8 + one_slice
 
     def test_unwritable_output(self, tmp_path):
         code = main(["chsh", "--out", str(tmp_path / "missing" / "x.csv")])
@@ -999,6 +1018,66 @@ class TestEntryPoint:
             text, re.MULTILINE,
         )
         assert re.fullmatch(r"\d+\.\d+\.\d+", modetangle.__version__)
+
+    def test_console_script_is_the_run_entry(self):
+        """The installed `modetangle` script and `python -m modetangle` both enter through cli.run."""
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(pyproject, encoding="utf-8") as handle:
+            scripts = handle.read().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'modetangle = "modetangle.cli:run"'
+        module, _, name = scripts.split('"')[1].partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
+    @pytest.mark.parametrize("code", [0, 2, 3])
+    def test_run_freezes_once_main_has_returned(self, monkeypatch, code):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        assert calls == ["main", "freeze"]
+
+    @pytest.mark.parametrize("command", ["chsh", "oscillator"])
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path, command):
+        # tests, the benchmark's tracer and library callers run main in process
+        before = gc.get_freeze_count()
+        assert main([command, "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh"], ["entropy-rotation"], ["interferometer"], ["oscillator"],
+            ["oscillator", "--lambda", "100"], ["protocol", "CONFIG"],
+        ],
+        ids=["chsh", "entropy-rotation", "interferometer", "oscillator", "oscillator-100", "protocol"],
+    )
+    def test_module_child_matches_main_in_development_mode(self, tmp_path, capsys, argv):
+        """A `-X dev -W error` child prints, writes and exits as main does in process.
+
+        Its stderr is empty, or the warning that lambda = 100 at N = 64 gives.
+        """
+        argv = [write_config(tmp_path, BASE_CONFIG) if a == "CONFIG" else a for a in argv]
+        code = main([*argv, "--out", str(tmp_path / "main")])
+        printed = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "modetangle",
+             *argv, "--out", str(tmp_path / "child")],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, printed.out, printed.err)
+        assert code == 0
+        if "100" in argv:
+            assert printed.err.startswith("warning: truncation 64 is too small for lambda=100: ")
+        else:
+            assert printed.err == ""
+        written = sorted(path.name for path in tmp_path.glob("main*"))
+        assert written
+        for name in written:
+            child = tmp_path / name.replace("main", "child", 1)
+            assert child.read_bytes() == (tmp_path / name).read_bytes()
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
