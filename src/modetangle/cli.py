@@ -183,7 +183,7 @@ def cmd_oscillator(args: argparse.Namespace) -> int:
         "first_order": [oscillator.first_order_energy(n, model.anharmonicity) for n in levels],
         "overlaps": [oscillator.mode_overlap(model, n) for n in overlap_levels],
         "x_squared": [model.x_squared_expectation(n) for n in overlap_levels],
-        "tail_weight": model.tail_weight(levels),
+        "truncation_error": list(model.truncation_errors),
     }
     results.write_json(report, args.out)
     problem = oscillator.truncation_problem(model, levels)

@@ -70,9 +70,8 @@ The model keeps each level's parity and its column over the leading
 rows of its block: O(M k) floats for k levels.  No N x N array is
 formed: eigenstate scatters the column into the number basis, zero
 beyond the block, mode_overlap reads an entry of the column and
-mode_deformation the norm of the others, tail_weight reads the top of
-the padded column, and <X^2> is an O(M) sum over the column with the
-X^2 diagonals restricted to its parity.
+mode_deformation the norm of the others, and <X^2> is an O(M) sum over
+the column with the X^2 diagonals restricted to its parity.
 A level that was not computed is refused.
 
 The diagonal element gives the first-order shift, hence
@@ -83,20 +82,19 @@ which serves as the small-g oracle.  Eigenvectors are sign-fixed so the
 overlap with the corresponding harmonic level is non-negative.
 
 A truncation is too small when a level leans on the top of the basis.
-The tail weight of a level is the weight its eigenvector puts in the top
-TAIL_STATES basis states.  truncation_problem describes levels whose
-tail weight exceeds TAIL_WEIGHT_LIMIT; the oscillator command prints it
-as a warning and the protocol refuses to run through require_converged.
-A level certified from a leading block is zero there, so its tail weight
-reads 0.0.  At g = 0 nothing couples across the cut, so no truncation is
-too small.
-For levels 0-9 the weight tracks how far the levels move when the
-truncation is doubled: 2e-24 at g = 0.1, N = 64 (levels move < 1e-14);
-2.3e-11 at g = 1, N = 64 (1.2e-9); 1.9e-6 at g = 5, N = 64 (3.4e-4);
-1.5e-3 at g = 100, N = 64 (48); and 9.5e-14 at g = 100, N = 256 (7e-8
-on levels up to 81).  First-order
-perturbation theory is no oracle at large g (Bender & Wu, Phys. Rev. 184,
-1231, 1969), so the truncation is checked against itself.
+Check 1's cut residual on the parity bands of H_{N+4}, which reach two
+rows beyond every column, is level n's residual r_n against the
+untruncated operator.  The model keeps r_n^2 / gap_n per level, gap_n
+being the distance to the nearest computed level (Kato-Temple; Parlett,
+ch. 10): an estimate, not a certificate, without a lower bound on that
+neighbour.  A zero gap or an overflow reads as the largest float.
+truncation_problem describes levels whose estimate exceeds
+ENERGY_TOL (n + 1/2); the oscillator command prints it as a warning and
+the protocol refuses to run through require_converged.  At g = 0, r_n
+is exactly 0.  Against a 4N truncation, each estimate was at least 8.8
+times its level's error where that error passed 4 eps ||H_N||_1.
+First-order perturbation theory is no oracle at large g (Bender & Wu,
+Phys. Rev. 184, 1231, 1969), so the truncation is checked against itself.
 
 The module imports no numpy, and the model is a NamedTuple like _Band,
 so the oscillator command loads neither numpy nor inspect: a child's
@@ -106,6 +104,7 @@ cost is the interpreter's start and build_model.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 from ._common import PhysicsPreconditionError, require_finite, require_integer
@@ -121,11 +120,12 @@ __all__ = [
 ]
 
 MIN_TRUNCATION = 8
-TAIL_STATES = 4
-TAIL_WEIGHT_LIMIT = 1e-12
+# a level's truncation error estimate may reach ENERGY_TOL (n + 1/2)
+ENERGY_TOL = 1e-9
 # the leading truncation build_model solves first; it doubles until certified
 BLOCK_START = 64
 _EPS = 2.0**-52
+_FLOAT_MAX = sys.float_info.max
 # Rayleigh quotient iterations allowed per level; a few suffice once the level is isolated
 _MAX_ITERATIONS = 50
 
@@ -138,13 +138,14 @@ class OscillatorModel(NamedTuple):
     eigenvector over the leading basis states p, p + 2, p + 4, ...; it is
     zero on the states below the truncation that follow them.  Each
     column is sign-fixed so the level's harmonic component <n|n(g)> is
-    non-negative.
+    non-negative.  truncation_errors[n] estimates level n's truncation error.
     """
 
     anharmonicity: float
     truncation: int
     eigenvalues: tuple[float, ...]
     vectors: tuple[tuple[int, tuple[float, ...]], ...]
+    truncation_errors: tuple[float, ...]
 
     def energy(self, n: int) -> float:
         return self.eigenvalues[self._check_level(n)]
@@ -168,11 +169,6 @@ class OscillatorModel(NamedTuple):
             x2u[i] += d * u[i + 1]
             x2u[i + 1] += d * u[i]
         return math.fsum([ui * ri for ui, ri in zip(u, x2u)])
-
-    def tail_weight(self, levels: Sequence[int]) -> float:
-        """Largest weight any of the levels puts in the top TAIL_STATES basis states."""
-        tails = [self.eigenstate(n)[-TAIL_STATES:] for n in levels]
-        return max(math.fsum([t * t for t in tail]) for tail in tails)
 
     def _check_level(self, n: int) -> int:
         n = require_integer("level", n)
@@ -244,22 +240,21 @@ def _leading(band: _Band, width: int) -> _Band:
     return _band([band.main[:width], band.first[1:width], band.second[2:width]])
 
 
-def _cut_residual(band: _Band, vectors: Sequence[Sequence[float]]) -> list[float]:
-    """||A v - theta v|| for each vector v, padded with zeros, beyond the cut.
+def _cut_residual(band: _Band, v: Sequence[float]) -> float:
+    """||A v - theta v|| for the vector v, padded with zeros, beyond the cut.
 
-    A is the band, and the vectors are eigenvectors of its leading block,
-    whose width is their length.  Only the rows m and m + 1 just beyond
-    the block reach it, through its last two rows; below A's last row the
-    band's zero padding stands in for them.
+    A is the band, and v is an eigenvector of its leading block, whose
+    width is its length.  Only the rows m and m + 1 just beyond the block
+    reach it, through its last two rows; below A's last row the band's
+    zero padding stands in for them.
     """
     _, first, second, _, _ = band
-    out = []
-    for v in vectors:
-        m = len(v)
-        row_m = second[m] * v[m - 2] + first[m] * v[m - 1]
-        row_m1 = second[m + 1] * v[m - 1]
-        out.append(math.sqrt(row_m * row_m + row_m1 * row_m1))
-    return out
+    m = len(v)
+    row_m, row_m1 = second[m] * v[m - 2] + first[m] * v[m - 1], second[m + 1] * v[m - 1]
+    # scaled by a power of two, which moves no bit, so that no square overflows
+    e = math.frexp(max(abs(row_m), abs(row_m1)))[1]
+    row_m, row_m1 = math.ldexp(row_m, -e), math.ldexp(row_m1, -e)
+    return math.ldexp(math.sqrt(row_m * row_m + row_m1 * row_m1), e)
 
 
 def _count_below(band: _Band, shift: float) -> tuple[int, float]:
@@ -496,7 +491,7 @@ def _certified(bands: list[_Band], leading: list[_Band], pairs: list, merged: li
     margin = 0.5 * (merged[k] - merged[k - 1])
     below = [sum(1 for value in values if value < shift) for values, _ in pairs]
     for band, block, (_, vectors), kp in zip(bands, leading, pairs, below):
-        if any(r > block.rounding for r in _cut_residual(band, vectors[:kp])):
+        if any(_cut_residual(band, v) > block.rounding for v in vectors[:kp]):
             return False
     for band, kp in zip(bands, below):
         count, error = _count_below(band, shift)
@@ -522,7 +517,9 @@ def build_model(anharmonicity: float, truncation: int, levels: int) -> Oscillato
     if k < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
 
-    bands = [_band(diagonals) for diagonals in _parity_blocks(g, n)]
+    # H_N's parity blocks lead those of H_{N+4}, on which the residuals are taken
+    wide = [_band(diagonals) for diagonals in _parity_blocks(g, n + 4)]
+    bands = [_leading(band, (n + 1 - p) // 2) for p, band in enumerate(wide)]
     # the last diagonal entry is H_N's largest, and ||H_N||_1 < 3 times it;
     # the solver's scaling needs ||H_N||_1 well inside the float range
     top = max(band.main[-1] for band in bands)
@@ -547,28 +544,30 @@ def build_model(anharmonicity: float, truncation: int, levels: int) -> Oscillato
                 break
         m *= 2
 
-    vectors = []
-    for level, (_, p, column) in enumerate(ranked[:k]):
+    vectors, errors = [], []
+    for level, (value, p, column) in enumerate(ranked[:k]):
         # one global sign per level: keep the harmonic-level component >= 0;
         # a level of the other parity has no such component and keeps +1
         if level % 2 == p and column[level // 2] < 0.0:
             column = tuple(-x for x in column)
         vectors.append((p, column))
-    return OscillatorModel(g, n, tuple(merged[:k]), tuple(vectors))
+        r = _cut_residual(wide[p], column)
+        gap = min(abs(value - merged[j]) for j in (level - 1, level + 1) if 0 <= j < len(merged))
+        # Kato-Temple with the computed gap, as the module docstring says
+        errors.append(min(r * (r / gap), _FLOAT_MAX) if gap > 0.0 else _FLOAT_MAX)
+    return OscillatorModel(g, n, tuple(merged[:k]), tuple(vectors), tuple(errors))
 
 
 def truncation_problem(model: OscillatorModel, levels: Sequence[int]) -> str | None:
     """Why the truncation is too small to resolve the levels, or None if it is not."""
-    if model.anharmonicity == 0.0:
-        # nothing couples across the cut: every level is a number state, exact at any N
-        return None
-    weight = model.tail_weight(levels)
-    if weight <= TAIL_WEIGHT_LIMIT:
+    errors = {n: model.truncation_errors[model._check_level(n)] for n in levels}
+    failing = [n for n, error in errors.items() if error > ENERGY_TOL * (n + 0.5)]
+    if not failing:
         return None
     return (
         f"truncation {model.truncation} is too small for lambda={model.anharmonicity:.6g}: "
-        f"levels {', '.join(map(str, levels))} put weight {weight:.3g} in the top "
-        f"{TAIL_STATES} basis states (limit {TAIL_WEIGHT_LIMIT:g}); "
+        f"levels {', '.join(map(str, failing))} have truncation error estimates up to "
+        f"{max(errors[n] for n in failing):.3g} (limit {ENERGY_TOL:g} (n + 1/2)); "
         "use a larger truncation"
     )
 

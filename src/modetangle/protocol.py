@@ -354,9 +354,9 @@ def run_campaign(config: ConversionConfig) -> CampaignResult:
     config.trials.  The draws of CHUNK trials at a time come from one
     vectorized pass of _pcg64.SpawnedPCG64, which reproduces numpy's
     objects bit for bit.  Memory is one byte per trial.  A truncation
-    whose two levels put more than the oscillator's TAIL_WEIGHT_LIMIT in
-    the top basis states refuses to run, and so do adiabatic scales that
-    fail their check.
+    whose two levels have a truncation error estimate beyond the
+    oscillator's ENERGY_TOL (n + 1/2) refuses to run, and so do adiabatic
+    scales that fail their check.
     """
     trials = config.trials
     stream = SpawnedPCG64(config.seed)

@@ -6,6 +6,8 @@ independent reference.  The package writes the rotated |1,1> in closed
 form; rotated_pair_state builds it from the rotation's generator.
 """
 
+import math
+
 import numpy as np
 
 from modetangle.oscillator import _parity_blocks
@@ -43,27 +45,36 @@ def dense_levels(g: float, n: int, k: int) -> dict:
 
     Returns the levels, each level's overlap with its number state (the
     sign convention makes it non-negative, and a level of the other
-    parity has none), its <X^2>, and the largest weight any of the k
-    levels puts in the top four basis states.
+    parity has none), its <X^2>, and its truncation error estimate
+    r^2 / gap: r is the norm of H_{N+4} v - E v for the level's vector v
+    padded with four zeros, and gap the distance to the nearest other
+    level of H_N.
     """
     pairs = [np.linalg.eigh(h) for h in parity_block_matrices(g, n)]
     values = np.concatenate([pairs[0][0], pairs[1][0]])
-    order = np.argsort(values, kind="stable")[:k]
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
     even = len(pairs[0][0])
     x2 = symmetric_banded({0: np.arange(n) + 0.5, 2: 0.5 * np.sqrt((np.arange(n - 2) + 1.0) * (np.arange(n - 2) + 2.0))})
-    overlaps, x_squared, tails = [], [], []
-    for level, i in enumerate(order):
+    wide = parity_block_matrices(g, n + 4)
+    overlaps, x_squared, errors = [], [], []
+    for level, i in enumerate(order[:k]):
         parity, column = (0, i) if i < even else (1, i - even)
         state = np.zeros(n)
         state[parity::2] = pairs[parity][1][:, column]
         overlaps.append(abs(state[level]))
         x_squared.append(float(state @ x2 @ state))
-        tails.append(float(np.sum(state[-4:] ** 2)))
+        padded = np.zeros(len(wide[parity]))
+        padded[: len(pairs[parity][0])] = pairs[parity][1][:, column]
+        # hypot, since the squares overflow at the largest couplings tested
+        r = math.hypot(*(wide[parity] @ padded - values[i] * padded))
+        gap = np.min(np.abs(np.delete(ranked, level) - values[i]))
+        errors.append(float(r * r / gap))
     return {
-        "eigenvalues": values[order],
+        "eigenvalues": ranked[:k],
         "overlaps": np.array(overlaps),
         "x_squared": np.array(x_squared),
-        "tail_weight": max(tails),
+        "truncation_error": np.array(errors),
     }
 
 

@@ -23,7 +23,7 @@ from modetangle import cli, results
 from modetangle._common import CHUNK
 from modetangle.cli import main
 from modetangle.interferometer import momentum_chsh_scan
-from modetangle.oscillator import TAIL_WEIGHT_LIMIT
+from modetangle.oscillator import ENERGY_TOL
 from modetangle.polarization import chsh_scan, mode_rotation_entropy_scan
 from modetangle.protocol import ConversionConfig
 from modetangle.results import render_scan_csv
@@ -343,10 +343,10 @@ class TestScanCommands:
 # solves the full blocks, and lambda = 5 at N = 1600 is certified after
 # four block widths, 64 to 512
 OSCILLATOR_DIGESTS = {
-    ("0.1", "1600"): "a8593ee83a4eca841f5f95aec707c8cd43f3b19a545340d5ba2d0954b9c229e5",
-    ("0", "1600"): "01d8fdd82a38ef8454ce66789d1e56a6e0877d8dcbc696c010b8501522f068f7",
-    ("100", "800"): "e1ad9ea01567f35dea41a1f105b10f5f948a6281aaa54ab776abccc8cc884cf6",
-    ("5", "1600"): "3a879a2ddde459c276aa6a5f3aed009bb42166d0f2c94af8997a6a966d5b920b",
+    ("0.1", "1600"): "556e7e88e690d948d102a34ce0c40f20cb43792dc0fbfeaa34678905c711559d",
+    ("0", "1600"): "a4e71c352b404c5924feba2033b3dc488d65920c9d397b8051f5640a330c4768",
+    ("100", "800"): "7f7d90043102a032fb14f65abb4c872005c8a97dec392c73e3d0bdee963cbe07",
+    ("5", "1600"): "99e26467a717b45929953606f1603047a910741144b9ec9f885346ef71bedf52",
 }
 
 
@@ -375,16 +375,16 @@ class TestOscillatorCommand:
             assert energy == pytest.approx(n + 0.5, abs=1e-10)
         assert report["eigenvalues"] == report["first_order"]
         assert all(s == pytest.approx(1.0, abs=1e-12) for s in report["overlaps"])
-        assert report["tail_weight"] == 0.0
+        assert report["truncation_error"] == [0.0] * 10
 
     def test_unconverged_truncation_warns(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["oscillator", "--out", str(out), "--lambda", "100", "--truncation", "64"])
         assert code == 0
         err = capsys.readouterr().err
-        assert err.startswith("warning:")
-        assert "truncation 64" in err
-        assert json.loads(out.read_text())["tail_weight"] > TAIL_WEIGHT_LIMIT
+        assert err.startswith("warning: truncation 64 is too small for lambda=100: levels 0, 1, 2, ")
+        errors = json.loads(out.read_text())["truncation_error"]
+        assert all(error > ENERGY_TOL * (n + 0.5) for n, error in enumerate(errors))
 
     def test_zero_coupling_is_exact_at_any_truncation(self, tmp_path, capsys):
         # levels 8 and 9 are the top basis states, yet at lambda = 0 nothing
@@ -395,13 +395,46 @@ class TestOscillatorCommand:
         assert capsys.readouterr().err == ""
         report = json.loads(out.read_text())
         assert report["eigenvalues"] == [n + 0.5 for n in range(10)]
-        assert report["tail_weight"] == 1.0
+        assert report["truncation_error"] == [0.0] * 10
 
-    def test_larger_truncation_converges(self, tmp_path):
+    def test_larger_truncation_converges(self, tmp_path, capsys):
+        # at N = 256 levels 3-9 are still off by up to 7e-8; N = 800 resolves them
         out = tmp_path / "report.json"
-        code = main(["oscillator", "--out", str(out), "--lambda", "100", "--truncation", "256"])
-        assert code == 0
-        assert json.loads(out.read_text())["tail_weight"] < TAIL_WEIGHT_LIMIT
+        assert main(["oscillator", "--out", str(out), "--lambda", "100", "--truncation", "256"]) == 0
+        assert capsys.readouterr().err.startswith(
+            "warning: truncation 256 is too small for lambda=100: levels 3, 4, 5, 6, 7, 8, 9 have "
+        )
+        assert main(["oscillator", "--out", str(out), "--lambda", "100", "--truncation", "800"]) == 0
+        assert capsys.readouterr().err == ""
+        errors = json.loads(out.read_text())["truncation_error"]
+        assert all(error <= ENERGY_TOL * (n + 0.5) for n, error in enumerate(errors))
+
+    @pytest.mark.parametrize(
+        "coupling, warned", [("0.1", None), ("0.5", None), ("1", "levels 8, 9 "), ("5", "levels 0, 1, ")]
+    )
+    def test_warning_threshold_at_the_default_truncation(self, tmp_path, capsys, coupling, warned):
+        # at N = 64 the levels of lambda = 0.5 are off by < 1e-12 and those
+        # of lambda = 1 by up to 1.2e-9
+        out = tmp_path / "report.json"
+        assert main(["oscillator", "--out", str(out), "--lambda", coupling]) == 0
+        err = capsys.readouterr().err
+        if warned is None:
+            assert err == ""
+        else:
+            assert err.startswith(f"warning: truncation 64 is too small for lambda={coupling}: {warned}")
+
+    @pytest.mark.parametrize("coupling", ["1e250", "5e297"])
+    def test_huge_coupling_report_is_finite(self, tmp_path, capsys, coupling):
+        # the cut residual's squares would overflow here; the report must
+        # stay plain JSON, without Infinity or NaN
+        def refuse(constant):
+            raise ValueError(f"report carries {constant}")
+
+        out = tmp_path / "report.json"
+        assert main(["oscillator", "--out", str(out), "--lambda", coupling]) == 0
+        assert capsys.readouterr().err.startswith("warning: truncation 64 is too small")
+        errors = json.loads(out.read_text(), parse_constant=refuse)["truncation_error"]
+        assert all(0.0 < error < sys.float_info.max for error in errors)
 
     def test_report_bytes_are_pinned(self, tmp_path):
         """Every value of each report; the "tool" line (version) is left out.
@@ -749,8 +782,16 @@ class TestProtocolCommand:
         config = write_config(tmp_path, "trials = 5\nlambda = 100\ntruncation = 64\n")
         code = main(["protocol", config, "--out", str(tmp_path / "x")])
         assert code == 3
-        assert "truncation" in capsys.readouterr().err
+        assert "truncation 64 is too small for lambda=100: levels 1, 2 have " in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
+
+    def test_default_coupling_and_truncation_run(self, tmp_path, capsys):
+        # lambda = 0.1 at N = 64, whose levels 1 and 2 pass the same test
+        # that refuses lambda = 100
+        config = write_config(tmp_path, "trials = 5\n")
+        assert main(["protocol", config, "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "x.jsonl").exists()
 
     def test_zero_coupling_small_truncation_runs(self, tmp_path, capsys):
         # levels 4 and 5 sit in the top four basis states of truncation 8,

@@ -3,14 +3,21 @@
 import functools
 import json
 import math
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from dense_model import dense_levels, norm1, position_operator, symmetric_banded
+from dense_model import dense_levels, norm1, parity_block_matrices, position_operator, symmetric_banded
 
-from modetangle.oscillator import build_model, first_order_energy, mode_deformation, mode_overlap
+from modetangle.oscillator import (
+    build_model,
+    first_order_energy,
+    mode_deformation,
+    mode_overlap,
+    truncation_problem,
+)
 from modetangle.oscillator import (
     _band,
     _count_below,
@@ -77,8 +84,11 @@ class TestClosedFormBuild:
                 v @ x2[:n, :n] @ v, rel=1e-12, abs=0
             )
             assert mode_overlap(model, k) == pytest.approx(vectors[k, k], abs=1e-10)
-        dense_tail = np.max(np.sum(vectors[-4:, :levels] ** 2, axis=0))
-        assert model.tail_weight(range(levels)) == pytest.approx(dense_tail, rel=1e-9, abs=1e-18)
+        # a small residual reads the small top entries of the eigh vectors,
+        # which hold eps ||H_N||_1 of absolute error
+        dense = dense_levels(g, n, levels)["truncation_error"]
+        scale = (4 * np.finfo(float).eps * norm1(g, n)) ** 2 / np.min(np.diff(values))
+        np.testing.assert_allclose(model.truncation_errors[:levels], dense, rtol=1e-4, atol=scale)
 
     @pytest.mark.parametrize("n, levels", [(8, 8), (9, 9), (64, 64), (1600, 10)])
     def test_zero_coupling_levels_are_exact(self, n, levels):
@@ -96,12 +106,20 @@ class TestClosedFormBuild:
                 assert parity == k % 2
                 assert np.array_equal(column, vectors[parity::2, k][: len(column)])
 
-    def test_tail_weight_is_the_largest_top_four_weight(self):
+    def test_truncation_error_is_the_residual_squared_over_the_gap(self):
+        # r is the residual of the padded eigenstate against H_{N+4}; the
+        # gap is to the nearest neighbour among the levels, one more computed
         model = build_model(5.0, 64, levels=10)
-        weights = [np.sum(np.square(model.eigenstate(n)[-4:])) for n in range(10)]
-        assert model.tail_weight(range(10)) == pytest.approx(max(weights), rel=1e-12)
-        assert model.tail_weight([1, 2]) == pytest.approx(max(weights[1:3]), rel=1e-12)
-        assert build_model(0.0, 64, levels=10).tail_weight(range(10)) == 0.0
+        values = build_model(5.0, 64, levels=11).eigenvalues
+        wide = np.zeros((68, 68))
+        for parity, block in enumerate(parity_block_matrices(5.0, 68)):
+            wide[parity::2, parity::2] = block
+        for n in range(10):
+            v = np.concatenate([model.eigenstate(n), np.zeros(4)])
+            r = np.linalg.norm(wide @ v - model.energy(n) * v)
+            gap = min(abs(values[n] - values[m]) for m in (n - 1, n + 1) if m >= 0)
+            assert model.truncation_errors[n] == pytest.approx(r * r / gap, rel=1e-9)
+        assert build_model(0.0, 64, levels=10).truncation_errors == (0.0,) * 10
 
     def test_model_holds_only_the_parity_blocks(self):
         # g = 100 solves the widest blocks, 512 rows each at N = 1600; a
@@ -210,7 +228,7 @@ class TestLeadingBlock:
         for m in (8, 31, 32):
             v = np.linalg.eigh(h[:m, :m])[1][:, -1]
             dense = np.linalg.norm(h[m:, :m] @ v)
-            assert _cut_residual(band, [tuple(v)])[0] == pytest.approx(dense, rel=1e-13, abs=0)
+            assert _cut_residual(band, tuple(v)) == pytest.approx(dense, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
         "spoil", [lambda count, error: (count + 1, error), lambda count, error: (count, math.inf)],
@@ -265,15 +283,19 @@ class TestLeadingBlock:
             model.eigenstate,
             model.x_squared_expectation,
             lambda level: mode_overlap(model, level),
-            lambda level: model.tail_weight([level]),
+            lambda level: truncation_problem(model, [level]),
         ):
             with pytest.raises(ValueError, match="not computed"):
                 read(10)
 
-    def test_cut_levels_have_no_tail_weight(self):
+    def test_cut_levels_have_rounding_size_error_estimates(self):
+        # a certified level's cut residual is within its block's rounding
+        # scale, so its estimate is that scale squared over the gap
         model = build_model(0.1, 800, levels=10)
         assert all(len(column) < 400 for _, column in model.vectors)
-        assert model.tail_weight(range(10)) == 0.0
+        rounding = np.finfo(float).eps * norm1(0.1, 2 * len(model.vectors[0][1]))
+        gap = np.min(np.diff(model.eigenvalues))
+        assert all(error <= rounding**2 / gap for error in model.truncation_errors)
         assert model.vectors[9][0] == 1
         assert not any(model.eigenstate(9)[2 * len(model.vectors[9][1]):])
 
@@ -293,7 +315,10 @@ class TestLeadingBlock:
         np.testing.assert_allclose(report["eigenvalues"], full["eigenvalues"], rtol=0, atol=tol)
         np.testing.assert_allclose(report["overlaps"], full["overlaps"][:4], rtol=0, atol=tol)
         np.testing.assert_allclose(report["x_squared"], full["x_squared"][:4], rtol=0, atol=tol)
-        assert report["tail_weight"] == pytest.approx(full["tail_weight"], rel=1e-9, abs=1e-18)
+        gap = np.min(np.diff(full["eigenvalues"]))
+        np.testing.assert_allclose(
+            report["truncation_error"], full["truncation_error"], rtol=1e-6, atol=tol**2 / gap
+        )
 
 
 def decimal_count_below(diagonals, shift):
@@ -460,6 +485,45 @@ class TestFirstOrderOracle:
         assert max(ratios) < 2.0 * min(ratios)
 
 
+class TestTruncationError:
+    @pytest.mark.parametrize("g, n", [(0.2, 16), (1.0, 32), (1.0, 64), (5.0, 64), (100.0, 64), (100.0, 256)])
+    def test_estimate_covers_the_error_against_four_times_the_truncation(self, g, n):
+        # wherever a level moves by more than its rounding scale when the
+        # truncation is quadrupled, the estimate is at least that move
+        model, wider = build_model(g, n, levels=10), build_model(g, 4 * n, levels=10)
+        rounding = 4 * np.finfo(float).eps * norm1(g, n)
+        moved = [
+            (error, abs(low - high))
+            for error, low, high in zip(model.truncation_errors, model.eigenvalues, wider.eigenvalues)
+            if abs(low - high) > rounding
+        ]
+        assert moved
+        assert all(error >= move for error, move in moved)
+
+    @pytest.mark.parametrize("g", [1e250, 5e297])
+    def test_cut_residual_stays_finite_at_huge_coupling(self, g):
+        # the squares of the residual's two rows pass the float range here
+        model = build_model(g, 64, levels=10)
+        wide = [_band(diagonals) for diagonals in _parity_blocks(g, 68)]
+        assert all(0.0 < _cut_residual(wide[p], column) < math.inf for p, column in model.vectors)
+        assert all(0.0 < error < sys.float_info.max for error in model.truncation_errors)
+
+    def test_zero_gap_fails_without_raising(self, monkeypatch):
+        # every level at one value leaves no gap to divide by
+        from modetangle import oscillator
+
+        monkeypatch.setattr(oscillator, "_rayleigh_quotient", lambda band, v: 1.0)
+        model = build_model(0.1, 16, levels=4)
+        assert model.truncation_errors == (sys.float_info.max,) * 4
+        assert truncation_problem(model, [0, 3]).startswith(
+            "truncation 16 is too small for lambda=0.1: levels 0, 3 have "
+        )
+
+    @pytest.mark.parametrize("g, n", [(0.0, 8), (0.05, 800), (0.2, 64), (0.2, 1600), (0.5, 64), (100.0, 1600)])
+    def test_silent_where_the_levels_are_right(self, g, n):
+        assert truncation_problem(build_model(g, n, levels=10), range(min(10, n))) is None
+
+
 class TestAnharmonicSpectrum:
     def test_levels_rise_with_coupling(self):
         couplings = (0.0, 0.05, 0.2, 1.0)
@@ -513,13 +577,13 @@ class TestAnharmonicSpectrum:
             lambda model: model.energy(1.7),
             lambda model: model.eigenstate(1.7),
             lambda model: model.x_squared_expectation(1.7),
-            lambda model: model.tail_weight([1.7]),
+            lambda model: truncation_problem(model, [1.7]),
             lambda model: mode_overlap(model, 2.5),
             lambda model: mode_deformation(model, 2.5),
             lambda model: first_order_energy(1.5, 0.1),
         ],
         ids=[
-            "energy", "eigenstate", "x_squared", "tail_weight", "mode_overlap",
+            "energy", "eigenstate", "x_squared", "truncation_problem", "mode_overlap",
             "mode_deformation", "first_order",
         ],
     )

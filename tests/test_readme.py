@@ -1,6 +1,7 @@
-"""The README's config table and Library example match the code."""
+"""The README's config table, report keys and Library example match the code."""
 
 import importlib
+import json
 import os
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import modetangle
+from modetangle.cli import main
 from modetangle.runconfig import _KEYS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -53,3 +55,11 @@ def test_library_section_example_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert 0.0 < namespace["result"].delivered_rate < 1.0
 
+
+def test_oscillator_section_lists_the_report_keys(tmp_path):
+    section = readme_text().split("### Oscillator", 1)[1].split("\n### ", 1)[0]
+    table = section.split("| report key | meaning |", 1)[1].split("\n\n", 1)[0]
+    keys = [re.match(r"\| `([^`]+)` \|", row).group(1) for row in table.splitlines() if row.startswith("| `")]
+    out = tmp_path / "report.json"
+    assert main(["oscillator", "--out", str(out), "--lambda", "0.1"]) == 0
+    assert keys == sorted(json.loads(out.read_text()))
