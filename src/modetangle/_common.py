@@ -1,4 +1,11 @@
-"""Shared helpers: parameter validation, scan grids and the CHSH curve."""
+"""Shared helpers: parameter validation, scan grids, the CHSH curve and the entropy kernels.
+
+pair_small_weights and small_weight_entropies give every von Neumann
+entropy the scans and the protocol print (states re-exports them).  They
+live here, not in states, so that no command executes states' labeled
+stack and its dataclasses.  The oscillator uses this module and runs
+without numpy, so each function that needs numpy imports it itself.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +19,8 @@ ANGLE_REACH = 2.0
 
 # scan CSV rows, and campaign trials, per sampling or rendering step
 CHUNK = 4096
+
+_LN2 = math.log(2.0)
 
 
 class PhysicsPreconditionError(RuntimeError):
@@ -76,3 +85,40 @@ def chsh_curve(t):
 
     c = np.cos(2.0 * t)
     return 2.0 * c * (3.0 - 2.0 * c * c)
+
+
+def pair_small_weights(amplitudes: np.ndarray) -> np.ndarray:
+    """Smaller squared Schmidt coefficient of each row (a, b, c, d) of a (steps, 4) pair stack.
+
+    With r0 = |a|^2 + |b|^2, r1 = |c|^2 + |d|^2, n = r0 + r1 and o = a conj(c) + b conj(d),
+    the large weight is (1 + hypot(r0 - r1, 2|o|) / n) / 2 and the small one |ad - bc|^2 / n^2
+    over it: right to rounding relative to its size unless ad and bc cancel, which near
+    (1, 0, 0, 0) they do not.  Complex products are spelled out in real operations, which
+    round alike on every CPU; a real stack's imaginary parts are 0.0, not a zero array.
+    numpy is imported here, as in scan_grid.
+    """
+    import numpy as np
+
+    amps = np.asarray(amplitudes)
+    (ar, br, cr, dr), (ai, bi, ci, di) = amps.real.T, amps.imag.T if np.iscomplexobj(amps) else [0.0] * 4
+    r0 = ar * ar + ai * ai + (br * br + bi * bi)
+    r1 = cr * cr + ci * ci + (dr * dr + di * di)
+    o = np.hypot(ar * cr + ai * ci + (br * dr + bi * di), ai * cr - ar * ci + (bi * dr - br * di))
+    det = np.hypot(ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr))
+    return (det / (r0 + r1)) ** 2 / ((1.0 + np.hypot(r0 - r1, 2.0 * o) / (r0 + r1)) / 2.0)
+
+
+def small_weight_entropies(weights: np.ndarray) -> np.ndarray:
+    """Entropies in bits of (steps, k) spectra, each row all weights but the large one, 1 - W.
+
+    S = [(1 - W)(-log1p(-W)) + sum(w (-ln w))] / ln 2, the small terms summed
+    first: right to rounding relative to its size, also near 0.  A weight of
+    exactly 0 adds 0.  numpy is imported here, as in scan_grid.
+    """
+    import numpy as np
+
+    w = np.asarray(weights, dtype=float)
+    total = np.sum(w, axis=-1)
+    large = 1.0 - total
+    small = np.sum(w * -np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
+    return (small + large * -np.log1p(-total, out=np.zeros_like(total), where=large > 0.0)) / _LN2

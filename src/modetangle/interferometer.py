@@ -29,8 +29,7 @@ import math
 
 import numpy as np
 
-from ._common import chsh_curve
-from .states import pair_small_weights, small_weight_entropies
+from ._common import chsh_curve, pair_small_weights, small_weight_entropies
 
 __all__ = ["momentum_chsh_scan"]
 

@@ -47,8 +47,7 @@ import math
 
 import numpy as np
 
-from ._common import ANGLE_REACH, chsh_curve, require_finite
-from .states import pair_small_weights, small_weight_entropies
+from ._common import ANGLE_REACH, chsh_curve, pair_small_weights, require_finite, small_weight_entropies
 
 __all__ = [
     "chsh_sum",

@@ -55,10 +55,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import CHUNK, PhysicsPreconditionError, require_finite, require_integer
+from ._common import (
+    CHUNK, PhysicsPreconditionError, pair_small_weights, require_finite, require_integer,
+    small_weight_entropies,
+)
 from ._pcg64 import SpawnedPCG64
 from .oscillator import MIN_TRUNCATION, build_model, mode_deformation, mode_overlap, require_converged
-from .states import pair_small_weights, small_weight_entropies
 
 __all__ = [
     "PhysicsPreconditionError",

@@ -5,13 +5,14 @@ data rows at 12 significant digits, one per step of a scan's columns.
 All writes go to a temp file in the target directory followed by an
 atomic rename; a long text can be handed over as an iterable of chunks.
 A symlink is written through, and a target that exists but is no
-regular file, or ends in a separator, is refused.
+regular file, or ends in a separator, is refused.  write_json imports
+json itself, since only the oscillator and protocol write JSON and a
+scan need not load it.
 """
 
 from __future__ import annotations
 
 import errno
-import json
 import os
 import tempfile
 from typing import Callable, Iterable, Mapping
@@ -102,6 +103,8 @@ def render_scan_csv(columns: Mapping[str, object], metadata: Mapping[str, object
 def write_json(
     obj: object, path: str | os.PathLike, before_rename: Callable[[], None] | None = None
 ) -> None:
+    import json
+
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", before_rename)
 
 

@@ -5,24 +5,27 @@ dimensions (first factor varies slowest): complex in a PureState, real
 or complex in a stack.  The reduced spectrum of a factor is the squared
 Schmidt coefficients of the state.  All entropies are base-2 (bits).
 
-The scans and the protocol take every von Neumann entropy from two
-closed-form kernels, and run no SVD: pair_small_weights gives the small
-Schmidt weight of each two-qubit pair from its determinant (Ekert &
-Knight, Am. J. Phys. 63, 415 (1995)), and small_weight_entropies turns
-small weights into bits, with the large weight's term through log1p.
-Each takes a stack, one state per row; a single state is the length-1
-stack.  BasisLabel, PureState, partial_trace and ReducedDensityMatrix
-build and check the explicit reduced density matrix of one labeled
-state, with the *_entropy functions on its spectrum.
+This module holds the labeled stack: BasisLabel, PureState,
+partial_trace and ReducedDensityMatrix build and check the explicit
+reduced density matrix of one labeled state, with the *_entropy
+functions on its spectrum.  No command runs it.  The scans and the
+protocol take every von Neumann entropy from two closed-form kernels
+instead, which live in _common and are imported here under their names:
+pair_small_weights, the small Schmidt weight of each two-qubit pair from
+its determinant (Ekert & Knight, Am. J. Phys. 63, 415 (1995)), and
+small_weight_entropies, which turns small weights into bits with the
+large weight's term through log1p.  Neither runs an SVD.  Each takes a
+stack, one state per row; a single state is the length-1 stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from ._common import pair_small_weights, small_weight_entropies
 
 __all__ = [
     "LabelingError",
@@ -45,7 +48,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-12
 ZERO_NORM_TOL = 1e-15
-_LN2 = math.log(2.0)
 
 
 class LabelingError(ValueError):
@@ -181,38 +183,6 @@ def _kept_matrices(amplitudes: np.ndarray, dims: Sequence[int], keep: int) -> np
         raise ValueError("cannot normalize a zero-norm state")
     psi = (amps / norms[:, np.newaxis]).reshape((len(amps),) + dims)
     return np.moveaxis(psi, keep + 1, 1).reshape(len(amps), dims[keep], -1)
-
-
-def pair_small_weights(amplitudes: np.ndarray) -> np.ndarray:
-    """Smaller squared Schmidt coefficient of each row (a, b, c, d) of a (steps, 4) pair stack.
-
-    With r0 = |a|^2 + |b|^2, r1 = |c|^2 + |d|^2, n = r0 + r1 and o = a conj(c) + b conj(d),
-    the large weight is (1 + hypot(r0 - r1, 2|o|) / n) / 2 and the small one |ad - bc|^2 / n^2
-    over it: right to rounding relative to its size unless ad and bc cancel, which near
-    (1, 0, 0, 0) they do not.  Complex products are spelled out in real operations, which
-    round alike on every CPU; a real stack's imaginary parts are 0.0, not a zero array.
-    """
-    amps = np.asarray(amplitudes)
-    (ar, br, cr, dr), (ai, bi, ci, di) = amps.real.T, amps.imag.T if np.iscomplexobj(amps) else [0.0] * 4
-    r0 = ar * ar + ai * ai + (br * br + bi * bi)
-    r1 = cr * cr + ci * ci + (dr * dr + di * di)
-    o = np.hypot(ar * cr + ai * ci + (br * dr + bi * di), ai * cr - ar * ci + (bi * dr - br * di))
-    det = np.hypot(ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr))
-    return (det / (r0 + r1)) ** 2 / ((1.0 + np.hypot(r0 - r1, 2.0 * o) / (r0 + r1)) / 2.0)
-
-
-def small_weight_entropies(weights: np.ndarray) -> np.ndarray:
-    """Entropies in bits of (steps, k) spectra, each row all weights but the large one, 1 - W.
-
-    S = [(1 - W)(-log1p(-W)) + sum(w (-ln w))] / ln 2, the small terms summed
-    first: right to rounding relative to its size, also near 0.  A weight of
-    exactly 0 adds 0.
-    """
-    w = np.asarray(weights, dtype=float)
-    total = np.sum(w, axis=-1)
-    large = 1.0 - total
-    small = np.sum(w * -np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
-    return (small + large * -np.log1p(-total, out=np.zeros_like(total), where=large > 0.0)) / _LN2
 
 
 def von_neumann_entropies(spectra: np.ndarray) -> np.ndarray:

@@ -1071,13 +1071,15 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("code", [0, 2, 3])
     def test_run_freezes_once_main_has_returned(self, monkeypatch, code):
+        """run raises the young threshold, keeping the older two, before main, and freezes after it."""
         calls = []
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(gc, "set_threshold", lambda *thresholds: calls.append(thresholds))
         with pytest.raises(SystemExit) as exc:
             cli.run()
         assert exc.value.code == code
-        assert calls == ["main", "freeze"]
+        assert calls == [(cli.YOUNG_GC_THRESHOLD, *gc.get_threshold()[1:]), "main", "freeze"]
 
     @pytest.mark.parametrize("command", ["chsh", "oscillator"])
     def test_main_leaves_the_collector_unfrozen(self, tmp_path, command):
@@ -1085,6 +1087,30 @@ class TestEntryPoint:
         before = gc.get_freeze_count()
         assert main([command, "--out", str(tmp_path / "out")]) == 0
         assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("command", ["chsh", "oscillator"])
+    def test_main_leaves_the_threshold_as_it_found_it(self, tmp_path, command):
+        before = gc.get_threshold()
+        assert main([command, "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_threshold() == before
+
+    def test_module_child_ends_with_the_raised_threshold(self, tmp_path):
+        """A `python -m modetangle` child still has the raised threshold, and a frozen heap, at exit."""
+        # runpy.run_module with alter_sys is what -m runs; the hook reads the collector after sys.exit
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_threshold()[0], gc.get_freeze_count() > 0))\n"
+            "sys.argv[0] = 'modetangle'\n"
+            "runpy.run_module('modetangle', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "chsh", "--out", str(tmp_path / "scan.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == [str(cli.YOUNG_GC_THRESHOLD), "True"]
+        assert (tmp_path / "scan.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -1151,19 +1177,22 @@ BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "ben
 # modules it executed: a module registered for loading on first use but
 # never touched is still of the lazy module type.
 LOADED_BY = """
-import json, os, sys, types
+import os, sys, types
 from modetangle.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({
+loaded = {
     "code": code,
     "numpy": "numpy" in sys.modules,
     "dataclasses": "dataclasses" in sys.modules,
     "inspect": "inspect" in sys.modules,
+    "json": "json" in sys.modules,
     "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     "registered": sorted(name for name in sys.modules if name.startswith("modetangle")),
     "executed": sorted(name for name, module in sys.modules.items()
                        if name.startswith("modetangle") and type(module) is types.ModuleType),
-}))
+}
+import json  # only once the command has run, so that "json" reads what it loaded
+print(json.dumps(loaded))
 """
 
 
@@ -1204,6 +1233,22 @@ class TestLoading:
         assert not loaded["numpy"]
         # dataclasses imports inspect, which would cost more than build_model here
         assert not loaded["dataclasses"] and not loaded["inspect"]
+
+    @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer", "protocol"])
+    def test_numpy_commands_leave_the_labeled_states_unexecuted(self, tmp_path, command):
+        # the entropy kernels live in _common; states holds only the labeled stack
+        argv = [command, write_config(tmp_path, BASE_CONFIG)] if command == "protocol" else [command]
+        loaded = loaded_by(*argv, "--out", str(tmp_path / "out"))
+        assert loaded["code"] == 0
+        assert loaded["numpy"]
+        assert "modetangle.states" in loaded["registered"]
+        assert "modetangle.states" not in loaded["executed"]
+
+    @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
+    def test_scans_load_neither_json_nor_dataclasses(self, tmp_path, command):
+        loaded = loaded_by(command, "--out", str(tmp_path / "out.csv"))
+        assert loaded["code"] == 0
+        assert not loaded["json"] and not loaded["dataclasses"]
 
     def test_protocol_loads_numpy(self, tmp_path):
         loaded = loaded_by(
