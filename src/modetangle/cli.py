@@ -24,8 +24,9 @@ which import no numpy and hold their records as NamedTuples.
 
 main runs BLAS on one thread: when numpy is not yet loaded, it sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, whatever
-the caller set.  No command needs BLAS beyond a 4-vector norm, and a
-thread pool adds ~0.1 s of CPU time to the numpy import (2-vCPU host).
+the caller set.  No command calls BLAS; the pin stays because numpy's
+import starts OpenBLAS's thread pool, which adds ~0.1 s of CPU time to it
+(2-vCPU host).
 When numpy is already loaded, as in library use, the caller's setting holds.
 
 A process enters through run(), as the `modetangle` script and

@@ -253,8 +253,15 @@ def final_state_from_overlaps(
         raise ValueError("branch amplitudes must satisfy |h|^2 + |a|^2 = 1")
     s1, t1 = _mode_split("particle_1", particle_1)
     s2, t2 = _mode_split("particle_2", particle_2)
-    amps = np.array([h + a * s1 * s2, a * s1 * t2, a * t1 * s2, a * t1 * t2], dtype=complex)
-    norm = np.linalg.norm(amps)
+    raw = [h + a * s1 * s2, a * s1 * t2, a * t1 * s2, a * t1 * t2]
+    # summed in the order of the two strided OpenBLAS dot products that
+    # np.linalg.norm made here, (x0^2 + x2^2) + (x1^2 + x3^2) over the real
+    # parts and then the imaginary ones: the amplitudes keep their bytes and
+    # no longer rest on a BLAS build's loop
+    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = ((z.real, z.imag) for z in raw)
+    norm = math.sqrt(((r0 * r0 + r2 * r2) + (r1 * r1 + r3 * r3))
+                     + ((i0 * i0 + i2 * i2) + (i1 * i1 + i3 * i3)))
+    amps = np.array(raw, dtype=complex)
     if norm < 1e-9:
         raise ValueError("branches cancel; the final state is degenerate")
     return tuple((amps / norm).tolist())

@@ -12,9 +12,10 @@ the output paths); every other key is absent until given.
 to_conversion_config passes every key present but the two output paths
 to ConversionConfig, so each protocol default, trials and seed included,
 and each rule between keys such as the all-or-none adiabatic_* scales,
-lives in the object that uses it.  _KEYS maps each key to its converter
-and the ConversionConfig parameter it feeds; with_overrides applies
-command-line values with the same converters.
+lives in the object that uses it.  _KEYS maps each key to its converter,
+what a refusal of the value says was expected, and the ConversionConfig
+parameter it feeds; _parse reads it for the file's values and for the
+command-line values with_overrides applies.
 
 The converters only parse: the range of each value, finiteness
 included, is checked by ConversionConfig, whose errors
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping
 
 from .protocol import ConversionConfig
 
@@ -48,64 +49,36 @@ class ConfigError(ValueError):
         super().__init__(message if key is None else f"{key}: {message}")
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected an integer, got {raw!r}") from None
+_ON_OFF = {"on": True, "off": False}
 
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {raw!r}") from None
-
-
-def _parse_str(key: str, raw: str) -> str:
-    return raw
-
-
-def _parse_gate(key: str, raw: str) -> bool:
-    if raw == "on":
-        return True
-    if raw == "off":
-        return False
-    raise ConfigError(key, f"expected 'on' or 'off', got {raw!r}")
-
-
-class _Key(NamedTuple):
-    parse: Callable[[str, str], object]
-    # the ConversionConfig parameter the value feeds; None for file-only keys
-    param: str | None = None
-
-
+# key -> (converter, what a refusal says was expected, the ConversionConfig
+# parameter the value feeds; None for the file-only output paths)
 _KEYS = {
-    "trials": _Key(_parse_int, "trials"),
-    "seed": _Key(_parse_int, "seed"),
-    "eta": _Key(_parse_float, "eta"),
-    "gate": _Key(_parse_gate, "abort_gate_on"),
-    "lambda": _Key(_parse_float, "anharmonicity_on"),
-    "truncation": _Key(_parse_int, "truncation"),
-    "level_a": _Key(_parse_int, "level_a"),
-    "level_b": _Key(_parse_int, "level_b"),
-    "landing_prob": _Key(_parse_float, "landing_prob"),
-    "detect_amp": _Key(_parse_float, "detect_amp"),
-    "clock_period": _Key(_parse_float, "clock_period"),
-    "travel_plus_register_time": _Key(_parse_float, "travel_plus_register_time"),
-    "and_gate_time": _Key(_parse_float, "and_gate_time"),
-    "adiabatic_delta_e": _Key(_parse_float, "adiabatic_delta_e"),
-    "adiabatic_h_tilde": _Key(_parse_float, "adiabatic_h_tilde"),
-    "adiabatic_t_meas": _Key(_parse_float, "adiabatic_t_meas"),
-    "adiabatic_threshold": _Key(_parse_float, "adiabatic_threshold"),
-    "out_log": _Key(_parse_str),
-    "out_summary": _Key(_parse_str),
+    "trials": (int, "an integer", "trials"),
+    "seed": (int, "an integer", "seed"),
+    "eta": (float, "a number", "eta"),
+    "gate": (_ON_OFF.__getitem__, "'on' or 'off'", "abort_gate_on"),
+    "lambda": (float, "a number", "anharmonicity_on"),
+    "truncation": (int, "an integer", "truncation"),
+    "level_a": (int, "an integer", "level_a"),
+    "level_b": (int, "an integer", "level_b"),
+    "landing_prob": (float, "a number", "landing_prob"),
+    "detect_amp": (float, "a number", "detect_amp"),
+    "clock_period": (float, "a number", "clock_period"),
+    "travel_plus_register_time": (float, "a number", "travel_plus_register_time"),
+    "and_gate_time": (float, "a number", "and_gate_time"),
+    "adiabatic_delta_e": (float, "a number", "adiabatic_delta_e"),
+    "adiabatic_h_tilde": (float, "a number", "adiabatic_h_tilde"),
+    "adiabatic_t_meas": (float, "a number", "adiabatic_t_meas"),
+    "adiabatic_threshold": (float, "a number", "adiabatic_threshold"),
+    "out_log": (str, None, None),
+    "out_summary": (str, None, None),
 }
 
 # library parameter -> the config key that feeds it.  A library range
 # error starts with the name of the parameter it refuses, or with |name|,
 # or with "levels" when it refuses the two levels, named by the keys given
-_PARAM_KEYS = {k.param: key for key, k in _KEYS.items() if k.param is not None}
+_PARAM_KEYS = {param: key for key, (_, _, param) in _KEYS.items() if param is not None}
 _REFUSED_NAME = re.compile(r"\|?(\w*)")
 
 _FILE_DEFAULTS = {
@@ -115,6 +88,15 @@ _FILE_DEFAULTS = {
     "out_log": "outcomes.jsonl",
     "out_summary": "summary.json",
 }
+
+
+def _parse(key: str, raw: str) -> object:
+    """raw converted as key's value; a value its converter refuses is a ConfigError."""
+    convert, expected, _ = _KEYS[key]
+    try:
+        return convert(raw)
+    except (ValueError, KeyError):
+        raise ConfigError(key, f"expected {expected}, got {raw!r}") from None
 
 
 def parse_run_config(path: str | os.PathLike) -> dict[str, object]:
@@ -149,14 +131,14 @@ def parse_run_config(path: str | os.PathLike) -> dict[str, object]:
             raise ConfigError(key, "missing value")
         if key in values:
             raise ConfigError(key, "key given more than once")
-        values[key] = _KEYS[key].parse(key, raw_value)
+        values[key] = _parse(key, raw_value)
     return {**_FILE_DEFAULTS, **values}
 
 
 def with_overrides(rc: Mapping[str, object], raw: Mapping[str, str | None]) -> dict[str, object]:
     """rc with each given value in raw parsed as its key would be in a file; non-keys pass."""
     return {**rc, **{
-        key: _KEYS[key].parse(key, value)
+        key: _parse(key, value)
         for key, value in raw.items() if key in _KEYS and value is not None
     }}
 
@@ -172,8 +154,9 @@ def to_conversion_config(rc: Mapping[str, object]) -> ConversionConfig:
     for key, value in rc.items():
         if key not in _KEYS:
             raise ConfigError(key, "unknown configuration key")
-        if _KEYS[key].param is not None:
-            args[_KEYS[key].param] = value
+        _, _, param = _KEYS[key]
+        if param is not None:
+            args[param] = value
     try:
         return ConversionConfig(**args)
     except ValueError as exc:

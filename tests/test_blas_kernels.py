@@ -7,7 +7,7 @@ OPENBLAS_CORETYPE and one thread count, runs every command in COMMANDS
 in process through cli.main, and prints the SHA-256 of each file it
 wrote.  Every child must print the same hashes: the scans, the
 oscillator reports (levels solved in plain Python) and the protocol
-files (whose overlaps come from those levels).
+files (whose overlaps come from those levels, normalized in plain floats).
 
 The child imports numpy before it calls cli.main.  main pins BLAS to one
 thread only when numpy is not yet loaded, so this way the library runs

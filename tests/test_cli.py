@@ -1186,6 +1186,7 @@ loaded = {
     "dataclasses": "dataclasses" in sys.modules,
     "inspect": "inspect" in sys.modules,
     "json": "json" in sys.modules,
+    "numpy.random": "numpy.random" in sys.modules,
     "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     "registered": sorted(name for name in sys.modules if name.startswith("modetangle")),
     "executed": sorted(name for name, module in sys.modules.items()
@@ -1256,6 +1257,15 @@ class TestLoading:
         )
         assert loaded["code"] == 0
         assert loaded["numpy"]
+
+    def test_protocol_loads_no_numpy_random(self, tmp_path):
+        # _pcg64 gives numpy.random's PCG64 streams without importing it,
+        # which would cost 15-21 ms a child
+        loaded = loaded_by(
+            "protocol", write_config(tmp_path, BASE_CONFIG), "--out", str(tmp_path / "run")
+        )
+        assert loaded["code"] == 0
+        assert not loaded["numpy.random"]
 
     @pytest.mark.parametrize("command", ["chsh", "interferometer", "oscillator"])
     def test_only_protocol_executes_the_protocol(self, tmp_path, command):

@@ -638,6 +638,17 @@ class TestRunCampaign:
             if outcome.particle_entropy is not None:
                 assert outcome.particle_entropy == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("gate_on", [True, False], ids=("on", "off"))
+    def test_campaign_calls_no_blas_norm(self, monkeypatch, gate_on):
+        # the delivered state is normalized in plain floats, so its bytes do
+        # not rest on the summation order of a BLAS build's dot product
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign called numpy.linalg.norm")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        config = ConversionConfig(eta=0.9, abort_gate_on=gate_on, trials=100, seed=3)
+        assert run_campaign(config).n_trials == 100
+
     def test_identical_seeds_reproduce_the_log(self):
         config = ConversionConfig(eta=0.7)
         first = run_campaign(replace(config, trials=500, seed=29))
