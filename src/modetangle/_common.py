@@ -1,10 +1,12 @@
-"""Shared helpers: parameter validation, scan grids, the CHSH curve and the entropy kernels.
+"""Shared helpers: parameter validation, the chunk size and the entropy kernels.
 
 pair_small_weights and small_weight_entropies give every von Neumann
-entropy the scans and the protocol print (states re-exports them).  They
-live here, not in states, so that no command executes states' labeled
-stack and its dataclasses.  The oscillator uses this module and runs
-without numpy, so each function that needs numpy imports it itself.
+entropy the protocol prints, and entropy-rotation's bit for bit (states
+re-exports them).  They live here, not in states, so that no command
+executes states' labeled stack and its dataclasses.  The oscillator uses
+this module and runs without numpy, so each function that needs numpy
+imports it itself.  What only the scans use lives in _scans, which the
+oscillator and the protocol do not compile.
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from __future__ import annotations
 import math
 import operator
 
-
-# the largest multiple of a setting that a scan or chsh_sum takes as an
-# angle: 2t in chsh and interferometer, 2phi in entropy-rotation
-ANGLE_REACH = 2.0
 
 # scan CSV rows, and campaign trials, per sampling or rendering step
 CHUNK = 4096
@@ -45,48 +43,6 @@ def require_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def scan_grid(lo: float, hi: float, steps: int):
-    """The settings of a scan: steps uniform points from range_min lo to range_max hi.
-
-    Needs hi > lo, a width hi - lo that does not overflow, at least two
-    steps, distinct points, and finite ANGLE_REACH * lo and
-    ANGLE_REACH * hi, the scan's largest angles.  numpy is imported here,
-    not with the module, since the oscillator uses this module and runs
-    without numpy.
-    """
-    import numpy as np
-
-    lo = require_finite("range_min", lo, ANGLE_REACH)
-    hi = require_finite("range_max", hi, ANGLE_REACH)
-    steps = require_integer("steps", steps)
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
-    if hi <= lo:
-        raise ValueError("range_max must exceed range_min")
-    # np.linspace's last product (steps - 1) * step can overflow where hi - lo does not
-    if not math.isfinite((steps - 1) * ((hi - lo) / (steps - 1))):
-        raise ValueError(f"range_max - range_min overflows, from range_min={lo} to range_max={hi}")
-    grid = np.linspace(lo, hi, steps)
-    # a range only a few ulps wide rounds neighbouring points together
-    if np.any(grid[1:] <= grid[:-1]):
-        raise ValueError("scan parameter must be strictly increasing")
-    return grid
-
-
-def chsh_curve(t):
-    """CHSH sum 3cos(2t) - cos(6t) of the stations (0, t, 2t, 3t), as floats or arrays like t.
-
-    With c = cos(2t), cos(6t) = 4c^3 - 3c, so S = 2c(3 - 2c^2).  2t is
-    exact, 3 - 2c^2 >= 1 cannot cancel, and the zeros of S are those of
-    c, so S is right to rounding relative to its size, also near its
-    zeros.  numpy is imported here, as in scan_grid.
-    """
-    import numpy as np
-
-    c = np.cos(2.0 * t)
-    return 2.0 * c * (3.0 - 2.0 * c * c)
-
-
 def pair_small_weights(amplitudes: np.ndarray) -> np.ndarray:
     """Smaller squared Schmidt coefficient of each row (a, b, c, d) of a (steps, 4) pair stack.
 
@@ -95,7 +51,7 @@ def pair_small_weights(amplitudes: np.ndarray) -> np.ndarray:
     over it: right to rounding relative to its size unless ad and bc cancel, which near
     (1, 0, 0, 0) they do not.  Complex products are spelled out in real operations, which
     round alike on every CPU; a real stack's imaginary parts are 0.0, not a zero array.
-    numpy is imported here, as in scan_grid.
+    numpy is imported here, not with the module.
     """
     import numpy as np
 
@@ -113,7 +69,7 @@ def small_weight_entropies(weights: np.ndarray) -> np.ndarray:
 
     S = [(1 - W)(-log1p(-W)) + sum(w (-ln w))] / ln 2, the small terms summed
     first: right to rounding relative to its size, also near 0.  A weight of
-    exactly 0 adds 0.  numpy is imported here, as in scan_grid.
+    exactly 0 adds 0.  numpy is imported here, not with the module.
     """
     import numpy as np
 

@@ -6,11 +6,11 @@
                                 --gate on|off --lambda G --truncation N]
 
 SCAN is chsh, entropy-rotation or interferometer, which share cmd_scan:
-it builds the settings once with _common.scan_grid, which refuses a
-range at which the scan's largest angle overflows, runs the scan
-function the parser names on each CHUNK-step slice of them, and writes
-CSV.  The oscillator writes a JSON report; the protocol a JSON-lines log
-and a JSON summary.
+it checks the settings with _scans.scan_grid, which refuses a range at
+which the scan's largest angle overflows before any file is opened, then
+builds, runs, renders and writes one CHUNK-step slice at a time, so that
+no scan holds its grid or its CSV whole.  The oscillator writes a JSON
+report; the protocol a JSON-lines log and a JSON summary.
 Outputs are byte-stable for identical flags and seed.  Exit codes: 0
 success, 2 usage or configuration error, 3 failed physics precondition,
 1 output not written (a failed write, or a scan too large for memory).
@@ -20,7 +20,10 @@ first attribute access (`importlib.util.LazyLoader`), so each command
 executes only the modules it calls.  `--version`, `--help` and
 `oscillator` start without numpy or inspect: the oscillator solves its
 parity blocks in plain Python, through oscillator, _common and results,
-which import no numpy and hold their records as NamedTuples.
+which import no numpy and hold their records as NamedTuples.  chsh and
+interferometer load no numpy either: S comes from math.cos, and the
+pair entropies are the constant 1 bit.  Only entropy-rotation and
+protocol load numpy.
 
 main runs BLAS on one thread: when numpy is not yet loaded, it sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, whatever
@@ -76,6 +79,7 @@ def _lazy(name: str):
 # so that bench/tracing.py finds each in sys.modules right after
 # importing this one.
 _common = _lazy("_common")
+_scans = _lazy("_scans")
 interferometer = _lazy("interferometer")
 oscillator = _lazy("oscillator")
 polarization = _lazy("polarization")
@@ -125,23 +129,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each scan names its module and function, which cmd_scan looks up only when
-    # it runs so that --help loads no numpy
+    # it runs so that --help loads no numpy, and the form of its settings:
+    # floats (Grid.points) or, for the one numpy kernel, Grid.array
     scans = (
         ("chsh", "CHSH sum and pair entropy over the separation angle",
-         polarization, "chsh_scan"),
+         polarization, "chsh_scan", "points"),
         ("entropy-rotation", "mode-bipartition entropy over the rotation angle",
-         polarization, "mode_rotation_entropy_scan"),
+         polarization, "mode_rotation_entropy_scan", "array"),
         ("interferometer", "momentum Bell scan over the station half-angle",
-         interferometer, "momentum_chsh_scan"),
+         interferometer, "momentum_chsh_scan", "points"),
     )
-    for name, help_text, module, function in scans:
+    for name, help_text, module, function, form in scans:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=_output_path, required=True, help="CSV output path")
         p.add_argument("--range-min", type=float, default=0.0)
         p.add_argument("--range-max", type=float, default=math.pi)
         p.add_argument("--steps", type=int, default=181)
         p.add_argument("--seed", type=int, default=0, help="recorded in metadata")
-        p.set_defaults(func=cmd_scan, scan=(module, function))
+        p.set_defaults(func=cmd_scan, scan=(module, function, form))
 
     p = sub.add_parser("oscillator", help="the lowest levels of the quartic-anharmonic model")
     p.add_argument("--out", type=_output_path, required=True, help="JSON output path")
@@ -163,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    grid = _common.scan_grid(args.range_min, args.range_max, args.steps)
-    scan = getattr(*args.scan)
+    grid = _scans.scan_grid(args.range_min, args.range_max, args.steps)
+    module, function, form = args.scan
+    scan, settings = getattr(module, function), getattr(grid, form)
     metadata = {
         "tool": f"modetangle {__version__}",
         "command": args.command,
@@ -173,13 +179,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "steps": args.steps,
         "seed": args.seed,
     }
-    # one CHUNK-step slice at a time, so the kernel's temporaries stay a
-    # slice's; each slice renders as the head and one chunk of rows
-    chunks = []
-    for start in range(0, len(grid), _common.CHUNK):
-        head, rows = results.render_scan_csv(scan(grid[start:start + _common.CHUNK]), metadata)
-        chunks += [head, rows] if start == 0 else [rows]
-    results.atomic_write_text(args.out, chunks)
+
+    # one CHUNK-step slice at a time, from its settings to its rows in the
+    # file, so that no scan holds its grid, columns or text whole
+    def chunks():
+        for start in range(0, grid.steps, _common.CHUNK):
+            head, rows = results.render_scan_csv(scan(settings(start, start + _common.CHUNK)), metadata)
+            if start == 0:
+                yield head
+            yield rows
+
+    results.atomic_write_text(args.out, chunks())
     return 0
 
 

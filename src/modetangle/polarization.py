@@ -19,7 +19,11 @@ The four-station CHSH arrangement spaces the analyzer angles in an
 arithmetic sequence (a, b, a', b') = (0, t, 2t, 3t), which gives
 S(t) = E(a,b) - E(a,b') + E(a',b) + E(a',b') = 3cos(2t) - cos(6t), with
 |S| peaking at 2*sqrt(2) near t = pi/8.  The scans take S from its closed
-form, _common.chsh_curve, not from the four correlations.
+form, _scans.chsh_curve, not from the four correlations.  Local
+analyzers leave the pair maximally entangled, so the pair entropy is 1
+bit at every setting, and chsh_scan prints it as the constant 1.0; the
+analyzed pairs and the Schmidt kernel that confirm it are the tests'
+oracle (tests/kernel_views.py).
 
 The mode-rotation scan applies the two-mode rotation
 
@@ -29,25 +33,22 @@ to the two-photon state |1,1>, producing
 cos(2phi)|1,1> + (sin(2phi)/sqrt(2))(|0,2> - |2,0>), whose mode-bipartition
 entropy swings between 0 and log2(3) limits with plateaus at 1 and 1.5 bits.
 Its reduced spectrum is (1 - 2s, s, s) with s = sin^2(2phi) / 2, whose
-small weights (s, s) give the von Neumann entropy, as the analyzed pairs'
-small weights give the CHSH scan's, and the Renyi-2 entropy is closed form.
+small weights (s, s) give the von Neumann entropy, and the Renyi-2
+entropy is closed form.
 
-Each scan is a kernel of its settings, a 1-D float array that the CLI
-builds with _common.scan_grid, and returns a dict of float64 columns in
-CSV header order.  The statistics depend only on theta_a - theta_b, so
-chsh_scan holds photon B's analyzer at 0, where its frame is the
-identity, and _analyzed_pair computes only the angle that varies: each
-amplitude is one entry of photon A's frame times the pair's 1/sqrt(2).
-One setting is the length-1 case: chsh_sum takes chsh_scan's S path.
+Each scan is a kernel of its settings, a 1-D sequence of floats that the
+CLI builds a slice at a time with _scans.scan_grid, and returns a dict
+of columns in CSV header order: the settings as given, the rest lists of
+floats, or one float for a column that holds it on every row.  chsh_scan
+runs in plain Python and loads no numpy; only mode_rotation_entropy_scan
+imports it, and takes its settings as a float64 array.  One setting is
+the length-1 case: chsh_sum takes chsh_scan's S path.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from ._common import ANGLE_REACH, chsh_curve, pair_small_weights, require_finite, small_weight_entropies
+from ._common import _LN2, require_finite
+from ._scans import ANGLE_REACH, chsh_curve
 
 __all__ = [
     "chsh_sum",
@@ -55,47 +56,44 @@ __all__ = [
     "mode_rotation_entropy_scan",
 ]
 
-# (|HH> + |VV>)/sqrt(2) as a matrix: row index photon_A, column index photon_B.
-_EPR_PAIR = np.eye(2) / math.sqrt(2.0)
-
-
-def _analyzed_pair(theta: np.ndarray) -> np.ndarray:
-    """(steps, 4) real amplitudes over ++, +-, -+, -- of the pair analyzed at (theta, 0)."""
-    c, s = np.cos(theta), np.sin(theta)
-    pairs = np.column_stack([c, s, -s, c])
-    pairs *= _EPR_PAIR[0, 0]
-    return pairs
-
 
 def chsh_sum(separation: float) -> float:
     """CHSH sum of the stations (0, t, 2t, 3t) at separation t; closed form 3cos(2t) - cos(6t).
 
     chsh_scan's S at the one setting t; a t whose angle 2t overflows is refused.
     """
-    t = require_finite("separation", separation, ANGLE_REACH)
-    return float(chsh_curve(np.array([t]))[0])
+    return chsh_curve([require_finite("separation", separation, ANGLE_REACH)])[0]
 
 
-def chsh_scan(theta: np.ndarray) -> dict[str, np.ndarray]:
-    """Scan the CHSH sum and pair entropy over theta, a 1-D float array of separation angles.
+def chsh_scan(theta) -> dict:
+    """Scan the CHSH sum and pair entropy over theta, a 1-D sequence of separation angles.
 
     Columns: theta, S, entropy.  The entropy column is the one-photon
-    entropy of the analyzed pair, recomputed at every angle.
+    entropy of the analyzed pair, 1 bit at every angle: the one float 1.0.
     """
-    entropy = small_weight_entropies(pair_small_weights(_analyzed_pair(theta))[:, np.newaxis])
-    return {"theta": theta, "S": chsh_curve(theta), "entropy": entropy}
+    return {"theta": theta, "S": chsh_curve(theta), "entropy": 1.0}
 
 
-def mode_rotation_entropy_scan(phi: np.ndarray) -> dict[str, np.ndarray]:
+def mode_rotation_entropy_scan(phi) -> dict[str, list]:
     """Mode-bipartition entropy of the rotated |1,1> state over phi, a 1-D float array.
 
     Columns: phi, entropy_vn, entropy_renyi2.  Both entropies share zeros
     and maxima; the von Neumann column hits 1.0 at phi = pi/4 and peaks
     at 1.5 bits at phi = pi/8.  Each is right to rounding relative to its
-    own size, also near its zeros.
+    own size, also near its zeros.  The von Neumann column is
+    _common.small_weight_entropies of the rows (s, s), bit for bit, with
+    one logarithm of s a row in place of two: s(-ln s) + s(-ln s) is
+    x + x, and x + x keeps the sum's signed zeros.
     """
+    import numpy as np
+
+    phi = np.asarray(phi, dtype=float)
     two_s = np.sin(2.0 * phi) ** 2
-    entropy_vn = small_weight_entropies(np.column_stack([two_s / 2.0, two_s / 2.0]))
+    s = two_s / 2.0
+    total = s + s
+    x = s * -np.log(s, out=np.zeros_like(s), where=s > 0.0)
+    large = 1.0 - total
+    entropy_vn = (x + x + large * -np.log1p(-total, out=np.zeros_like(total), where=large > 0.0)) / _LN2
     # sum p^2 = (1 - 2s)^2 + 2s^2 = 1 - 2s(2 - 3s)
-    renyi2 = -np.log1p(-two_s * (2.0 - 1.5 * two_s)) / math.log(2.0)
-    return {"phi": phi, "entropy_vn": entropy_vn, "entropy_renyi2": renyi2}
+    renyi2 = -np.log1p(-two_s * (2.0 - 1.5 * two_s)) / _LN2
+    return {"phi": phi.tolist(), "entropy_vn": entropy_vn.tolist(), "entropy_renyi2": renyi2.tolist()}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import errno
 import os
 import tempfile
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._common import CHUNK
 
@@ -87,15 +87,20 @@ def _current_umask() -> int:
     return mask
 
 
-def render_scan_csv(columns: Mapping[str, object], metadata: Mapping[str, object]) -> list[str]:
-    """The CSV of a scan's named 1-D float columns as a list of chunks: the head, then CHUNK rows each."""
+def render_scan_csv(columns: Mapping[str, Sequence[float] | float], metadata: Mapping[str, object]) -> list[str]:
+    """The CSV of a scan's named columns as a list of chunks: the head, then CHUNK rows each.
+
+    A column is a sequence of floats, or one float that every row holds,
+    such as a constant pair entropy, formatted once into the row template.
+    """
     lines = [f"# {key}={_metadata_str(value)}" for key, value in sorted(metadata.items())]
     lines.append(",".join(columns))
     chunks = ["\n".join(lines) + "\n"]
     values = list(columns.values())
-    row_template = ",".join([_NUMBER] * len(values)) + "\n"
+    row_template = ",".join([format_number(v) if isinstance(v, float) else _NUMBER for v in values]) + "\n"
+    values = [v for v in values if not isinstance(v, float)]
     for start in range(0, len(values[0]), CHUNK):
-        cells = [v[start:start + CHUNK].tolist() for v in values]
+        cells = [v[start:start + CHUNK] for v in values]
         chunks.append("".join([row_template % row for row in zip(*cells)]))
     return chunks
 

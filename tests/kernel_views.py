@@ -9,12 +9,16 @@ reduced_spectra is the SVD oracle for the closed-form Schmidt kernels,
 decimal_pair_weights their 50-digit oracle, and pair_from_overlaps
 builds a protocol pair from its overlaps alone.
 
-The scans hold photon B's analyzer, or station B's phase, at 0 and
-compute only the angle that varies.  analyzed_pairs and bragg_outputs
-are the two-angle oracle of those one-angle kernels: they take both
-settings, rotate each photon by its own analyzer frame through einsum,
-and form the Bragg exits' phase factors by complex products.  At B = 0
-they give the scans' amplitudes bit for bit.  einsum without optimize
+The scans print the pair entropies as the constant 1 bit.  The
+amplitudes behind that constant are this module's oracle: _EPR_PAIR and
+_INPUT_PAIR are the pairs before the stations, and _analyzed_pair and
+_bragg_exits the pairs after them, with photon B's analyzer, or station
+B's phase, held at 0 and only the angle that varies computed.
+analyzed_pairs and bragg_outputs are the two-angle oracle of those
+one-angle views: they take both settings, rotate each photon by its own
+analyzer frame through einsum, and form the Bragg exits' phase factors
+by complex products.  At B = 0 they give the one-angle amplitudes bit
+for bit.  einsum without optimize
 sums in one fixed order, where a BLAS product would round differently
 on different CPU kernels, and _complex_product spells out each complex
 product in real operations, which numpy's vectorized multiply may fuse
@@ -31,14 +35,48 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from modetangle.polarization import _EPR_PAIR
 from modetangle.protocol import final_state_from_overlaps
 from modetangle.states import BasisLabel, PureState, _kept_matrices
 
 
+# (|HH> + |VV>)/sqrt(2) as a matrix: row index photon_A, column index photon_B.
+_EPR_PAIR = np.eye(2) / math.sqrt(2.0)
+
+# (|p,-p> + |p',-p'>)/sqrt(2) over factors atom_1, atom_2
+_INPUT_PAIR = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+
+
 def column(result, name):
-    """The named column of a scan's dict of numpy columns, as a list of floats."""
-    return result[name].tolist()
+    """The named column of a scan's dict of columns, as a list of floats, one per row."""
+    values = result[name]
+    if isinstance(values, float):
+        return [values] * len(next(iter(result.values())))
+    return [float(x) for x in values]
+
+
+def _analyzed_pair(theta):
+    """(steps, 4) real amplitudes over ++, +-, -+, -- of the pair analyzed at (theta, 0)."""
+    c, s = np.cos(theta), np.sin(theta)
+    pairs = np.column_stack([c, s, -s, c])
+    pairs *= _EPR_PAIR[0, 0]
+    return pairs
+
+
+def _bragg_exits(t):
+    """(steps, 4) exit-port amplitudes at phases (2t, 0) over (A+,B+), (A+,B-), (A-,B+), (A-,B-).
+
+    At phi_b = 0 the factors -i e^{+-i phi_b} are -i, so the exits come
+    from e = e^{2it} and f = e^{-2it} alone: the corners -i(e + 1) and
+    -i(f + 1) are (Im e, -(Re e + 1)) and (Im f, -(Re f + 1)), with no
+    complex product.
+    """
+    e, f = np.exp(2j * t), np.exp(-2j * t)
+    exits = np.empty((len(t), 4), dtype=complex)
+    exits[:, 0].real, exits[:, 0].imag = e.imag, -(e.real + 1.0)
+    exits[:, 1], exits[:, 2] = e - 1.0, f - 1.0
+    exits[:, 3].real, exits[:, 3].imag = f.imag, -(f.real + 1.0)
+    exits *= 1.0 / (2.0 * math.sqrt(2.0))
+    return exits
 
 
 def _analyzer_frames(theta):

@@ -12,6 +12,7 @@ import time
 import numpy as np
 from dense_model import rotated_pair_state
 from kernel_views import (
+    _INPUT_PAIR,
     analyzed_pairs,
     bragg_outputs,
     labeled,
@@ -19,7 +20,6 @@ from kernel_views import (
     pair_from_overlaps,
 )
 
-from modetangle.interferometer import _INPUT_PAIR
 from modetangle.oscillator import (
     build_model,
     first_order_energy,

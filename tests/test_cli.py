@@ -151,14 +151,21 @@ class TestScanCommands:
         assert not out.exists()
 
     def test_scan_too_large_for_memory_refused(self, tmp_path, monkeypatch, capsys):
-        def no_memory(*args, **kwargs):
-            raise MemoryError("Unable to allocate 745. GiB for an array")
+        """A slice that runs out of memory mid-stream leaves neither the file nor its temp file."""
+        slices = []
 
-        monkeypatch.setattr(np, "linspace", no_memory)
+        def no_memory(theta):
+            slices.append(len(theta))
+            if len(slices) == 2:
+                raise MemoryError("Unable to allocate 745. GiB for an array")
+            return chsh_scan(theta)
+
+        monkeypatch.setattr(modetangle.polarization, "chsh_scan", no_memory)
         out = tmp_path / "x.csv"
-        assert main(["chsh", "--out", str(out), "--steps", "100000000000"]) == 1
+        assert main(["chsh", "--out", str(out), "--steps", str(3 * CHUNK)]) == 1
         err = capsys.readouterr().err
         assert err == "error: out of memory, output not written: Unable to allocate 745. GiB for an array\n"
+        assert slices == [CHUNK, CHUNK]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
@@ -261,7 +268,7 @@ class TestScanCommands:
         "command, columns", [("chsh", [2]), ("interferometer", [2, 3])], ids=["chsh", "interferometer"]
     )
     def test_million_steps_print_every_pair_entropy_as_1(self, tmp_path, command, columns):
-        """At 10^6 steps the closed-form Schmidt kernel prints 1 in every entropy cell of every row."""
+        """At 10^6 steps every entropy cell of every row prints 1 (the oracle: test_pair_oracles_*)."""
         out = tmp_path / "scan.csv"
         assert main([command, "--out", str(out), "--steps", "1000000"]) == 0
         rows, cells = 0, set()
@@ -318,20 +325,42 @@ class TestScanCommands:
         assert peak < 2 * sum(map(len, chunks))
 
     @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
-    def test_scan_holds_the_text_the_grid_and_one_slice(self, tmp_path, command):
-        # cmd_scan runs the kernel one CHUNK-step slice at a time; a kernel on
-        # the whole grid peaks 2.4-9.6 MB above the text and the grid here
+    def test_scan_holds_one_slice_at_any_length(self, tmp_path, command):
+        # cmd_scan builds, runs, renders and writes one CHUNK-step slice at a
+        # time; holding the text and the grid peaked at 4.7-5.9 MB at 10^5 steps
         out = tmp_path / "scan.csv"
-        steps = 10**5
         assert main([command, "--out", str(out), "--steps", "3"]) == 0  # loads the modules
-        tracemalloc.start()
-        try:
-            assert main([command, "--out", str(out), "--steps", str(steps)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for steps in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                assert main([command, "--out", str(out), "--steps", str(steps)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         one_slice = 48 * CHUNK * 8  # 48 float64 columns of CHUNK rows, 1.6 MB
-        assert peak < out.stat().st_size + steps * 8 + one_slice
+        assert peaks[1] < one_slice
+        assert peaks[1] < 1.1 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--range-min", "1", "--range-max", "0.5"],
+            ["--steps", "1"],
+            ["--range-max", "1e308"],
+            ["--range-min", "1", "--range-max", "1.0000000000000004", "--steps", "10"],
+            ["--range-min", "-8.988465674311579e307", "--range-max", "8.988465674311579e307", "--steps", "7"],
+        ],
+        ids=["reversed", "one-step", "angle", "four-ulps", "width"],
+    )
+    @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
+    def test_refused_grid_leaves_an_earlier_output(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "scan.csv"
+        out.write_text("earlier\n")
+        assert main([command, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "earlier\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["scan.csv"]
 
     def test_unwritable_output(self, tmp_path):
         code = main(["chsh", "--out", str(tmp_path / "missing" / "x.csv")])
@@ -1237,13 +1266,27 @@ class TestLoading:
 
     @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer", "protocol"])
     def test_numpy_commands_leave_the_labeled_states_unexecuted(self, tmp_path, command):
-        # the entropy kernels live in _common; states holds only the labeled stack
+        # the entropy kernels live in _common; states holds only the labeled stack;
+        # of these commands only entropy-rotation and protocol load numpy
         argv = [command, write_config(tmp_path, BASE_CONFIG)] if command == "protocol" else [command]
         loaded = loaded_by(*argv, "--out", str(tmp_path / "out"))
         assert loaded["code"] == 0
-        assert loaded["numpy"]
+        assert loaded["numpy"] is (command in ("entropy-rotation", "protocol"))
         assert "modetangle.states" in loaded["registered"]
         assert "modetangle.states" not in loaded["executed"]
+
+    @pytest.mark.parametrize("command", ["chsh", "interferometer"])
+    @pytest.mark.parametrize(
+        "flags, code",
+        [([], 0), (["--steps", "100000"], 0), (["--range-min", "1", "--range-max", "0.5"], 2)],
+        ids=["default", "1e5-steps", "refused"],
+    )
+    def test_bell_scans_run_without_numpy(self, tmp_path, command, flags, code):
+        # S and the constant pair entropies are plain floats; numpy's import
+        # would be half of a default-size child
+        loaded = loaded_by(command, "--out", str(tmp_path / "out.csv"), *flags)
+        assert loaded["code"] == code
+        assert not loaded["numpy"]
 
     @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
     def test_scans_load_neither_json_nor_dataclasses(self, tmp_path, command):
@@ -1303,11 +1346,11 @@ class TestLoading:
 class TestBlasThreads:
     """The CLI runs BLAS on one thread unless numpy was loaded before main."""
 
-    @pytest.mark.parametrize("command", ["chsh", "protocol"])
+    @pytest.mark.parametrize("command", ["entropy-rotation", "protocol"])
     def test_command_runs_one_thread_whatever_the_caller_set(self, tmp_path, command):
         # at OPENBLAS_NUM_THREADS=2 an unpinned child on a multi-core host has 2 threads;
-        # the oscillator loads no numpy, so the protocol stands for the other numpy command
-        argv = [command] if command == "chsh" else [command, write_config(tmp_path, BASE_CONFIG)]
+        # entropy-rotation and protocol are the commands that load numpy
+        argv = [command] if command == "entropy-rotation" else [command, write_config(tmp_path, BASE_CONFIG)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
         loaded = loaded_by(*argv, "--out", str(tmp_path / "out"), env=env)
         if loaded["threads"] is None:

@@ -5,10 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from kernel_views import bragg_outputs, column, fidelity, labeled, momentum_correlations
+from kernel_views import (
+    _INPUT_PAIR,
+    _bragg_exits,
+    bragg_outputs,
+    column,
+    fidelity,
+    labeled,
+    momentum_correlations,
+)
 
-from modetangle._common import scan_grid
-from modetangle.interferometer import _INPUT_PAIR, _bragg_exits, momentum_chsh_scan
+from modetangle._scans import scan_grid
+from modetangle.interferometer import momentum_chsh_scan
 from modetangle.states import partial_trace, von_neumann_entropy
 
 TWO_ROOT_TWO = 2.8284271247461903
@@ -62,9 +70,9 @@ class TestBraggOutput:
 
     @pytest.mark.parametrize("lo, hi", [(0.0, math.pi), (-20.0, 20.0)], ids=["0-pi", "wide"])
     @pytest.mark.parametrize("steps", [181, 10_000])
-    def test_scan_kernel_is_the_two_phase_oracle_at_zero(self, lo, hi, steps):
-        """momentum_chsh_scan's exits are the complex-product oracle's at (2t, 0), bit for bit."""
-        t = scan_grid(lo, hi, steps)
+    def test_one_phase_exits_are_the_two_phase_oracle_at_zero(self, lo, hi, steps):
+        """The exits at (2t, 0) are the complex-product oracle's, bit for bit, on the scans' grids."""
+        t = scan_grid(lo, hi, steps).array(0, steps)
         assert np.array_equal(_bragg_exits(t), bragg_outputs(2.0 * t, 0.0))
 
     def test_output_entropy_is_one_bit(self):
@@ -136,8 +144,8 @@ class TestMomentumChshScan:
     def test_kernel_holds_few_columns(self):
         """The traced peak of a 10^5-step scan stays under 18 float64 columns of the grid.
 
-        The exits at (2t, 0) need no phase_b stack or complex-product
-        temporaries; the two-phase oracle's path with them peaks at 21.
+        The kernel builds S and shares one list of 1.0 between the entropy
+        columns; no exit stack is built for them.
         """
         t = np.linspace(0.0, math.pi, 10**5)
         tracemalloc.start()

@@ -1,12 +1,17 @@
 """Polarization pair statistics, CHSH curve, and mode-rotation entropy."""
 
 import math
+import re
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from dense_model import rotated_pair_state
 from kernel_views import (
+    _EPR_PAIR,
+    _INPUT_PAIR,
+    _analyzed_pair,
+    _bragg_exits,
     analyzed_pairs,
     analyzer_frames,
     chsh_stations,
@@ -20,15 +25,15 @@ from kernel_views import (
     reduced_spectra,
 )
 
-from modetangle._common import chsh_curve, scan_grid
+from modetangle._common import CHUNK, pair_small_weights, small_weight_entropies
+from modetangle._scans import chsh_curve, scan_grid
 from modetangle.interferometer import momentum_chsh_scan
 from modetangle.polarization import (
-    _EPR_PAIR,
-    _analyzed_pair,
     chsh_scan,
     chsh_sum,
     mode_rotation_entropy_scan,
 )
+from modetangle.results import format_number
 from modetangle.states import (
     partial_trace,
     renyi_entropies,
@@ -82,6 +87,19 @@ def closed_form_pairs(theta_a, theta_b):
     # (steps, 4) amplitudes over ++, +-, -+, -- for the analyzed pair
     t = theta_a - theta_b
     return np.stack([np.cos(t), np.sin(t), -np.sin(t), np.cos(t)], axis=-1) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, steps",
+    [(0.0, math.pi, 181), (0.0, math.pi, LONG_SCAN), (0.0, math.pi, 10**6), (-8.98e307, 8.98e307, 2000)],
+    ids=["default", "long", "1e6", "widest"],
+)
+def test_pair_oracles_print_every_entropy_cell_as_1(lo, hi, steps):
+    """The pairs before and after the stations hold 1 bit, at 12 digits, where the scans print 1."""
+    t = scan_grid(lo, hi, steps).array(0, steps)
+    for pairs in (_analyzed_pair(t), _bragg_exits(t), _INPUT_PAIR[np.newaxis], _EPR_PAIR.reshape(1, 4)):
+        entropies = small_weight_entropies(pair_small_weights(pairs)[:, np.newaxis])
+        assert {format_number(x) for x in entropies.tolist()} == {"1"}
 
 
 class TestEprState:
@@ -138,9 +156,9 @@ class TestTransformedPair:
 
     @pytest.mark.parametrize("lo, hi", [(0.0, math.pi), (-20.0, 20.0)], ids=["0-pi", "wide"])
     @pytest.mark.parametrize("steps", [181, LONG_SCAN])
-    def test_scan_kernel_is_the_two_angle_oracle_at_zero(self, lo, hi, steps):
-        """chsh_scan's one-angle amplitudes are the einsum oracle's at (theta, 0), bit for bit."""
-        theta = scan_grid(lo, hi, steps)
+    def test_one_angle_pairs_are_the_two_angle_oracle_at_zero(self, lo, hi, steps):
+        """The pairs analyzed at (theta, 0) are the einsum oracle's, bit for bit, on the scans' grids."""
+        theta = scan_grid(lo, hi, steps).array(0, steps)
         assert np.array_equal(_analyzed_pair(theta), analyzed_pairs(theta, 0.0))
 
     def test_entropy_stays_one_bit(self):
@@ -302,9 +320,64 @@ class TestChshScan:
         with pytest.raises(ValueError, match="^steps must be an integer"):
             scan(scan_grid(0.0, 1.0, steps))
 
+    @pytest.mark.parametrize(
+        "lo, hi, steps, message",
+        [
+            (0.0, 1e308, 3, "range_max times 2 must be finite, got 1e+308"),
+            (-8.988465674311579e307, 8.988465674311579e307, 7,
+             "range_max - range_min overflows, "
+             "from range_min=-8.988465674311579e+307 to range_max=8.988465674311579e+307"),
+            (1.0, 1.0000000000000004, 10, "scan parameter must be strictly increasing"),
+            (1.0, 1.0 + 900 * 2.0**-52, 1000, "scan parameter must be strictly increasing"),
+            (0.0, 5e-324, 3, "scan parameter must be strictly increasing"),
+        ],
+        ids=["angle", "width", "four-ulps", "ulp-steps", "step-underflows"],
+    )
+    def test_grid_refusals_keep_their_text(self, lo, hi, steps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scan_grid(lo, hi, steps)
+        if message.startswith("scan parameter"):
+            # np.linspace, through its own branch where the step underflows, repeats a point too
+            points = np.linspace(lo, hi, steps)
+            assert np.any(points[1:] <= points[:-1])
+
     def test_numpy_integer_steps_admitted(self):
         grid = scan_grid(0.0, 1.0, np.int64(5))
-        np.testing.assert_array_equal(column(chsh_scan(grid), "theta"), np.linspace(0.0, 1.0, 5))
+        np.testing.assert_array_equal(column(chsh_scan(grid.points(0, 5)), "theta"), np.linspace(0.0, 1.0, 5))
+
+
+class TestScanGrid:
+    """scan_grid's points are np.linspace's, bit for bit, whole and a CHUNK at a time."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, steps",
+        [
+            (0.0, math.pi, 181),
+            (0.0, math.pi, 2000),
+            (0.0, math.pi, LONG_SCAN),
+            (0.0, math.pi, 10**6),
+            (-20.0, 20.0, LONG_SCAN),
+            (-8.98e307, 8.98e307, 9),
+            (-8.98e307, 8.98e307, 2000),
+            (-0.0, 1.0, 5),
+            (0.0, 1e-320, 100),
+            (0.0, 1e-300, 2000),
+            (1.0, 1.0 + 4 * 2.0**-52, 3),
+            (1.0, 1.0 + 16 * 2.0**-52, 9),
+            (1.0, 1.0 + 900 * 2.0**-52, 901),
+            (1e300, 1.0000001e300, 5000),
+        ],
+        ids=["default", "2000", "long", "1e6", "wide", "widest", "widest-2000", "minus-zero",
+             "subnormal", "tiny", "4-ulps", "16-ulps", "ulp-steps", "huge"],
+    )
+    def test_points_are_linspace_bit_for_bit(self, lo, hi, steps):
+        grid = scan_grid(lo, hi, steps)
+        want = np.linspace(lo, hi, steps).tobytes()
+        sliced = [x for start in range(0, steps, CHUNK) for x in grid.points(start, start + CHUNK)]
+        assert np.array(grid.points(0, steps)).tobytes() == want
+        assert np.array(sliced).tobytes() == want
+        assert grid.array(0, steps).tobytes() == want
+        assert np.concatenate([grid.array(start, start + CHUNK) for start in range(0, steps, CHUNK)]).tobytes() == want
 
 
 class TestModeRotation:
@@ -388,6 +461,19 @@ class TestModeRotationScan:
             if abs(Decimal(got) - want) > Decimal("1e-14") * abs(want)
         ]
         assert not wrong, f"{len(wrong)} cells, first {wrong[:3]}"
+
+    @pytest.mark.parametrize(
+        "phi",
+        [np.linspace(0.0, math.pi, LONG_SCAN), np.random.default_rng(139).uniform(-4.0, 4.0, 10**5),
+         np.array([0.0, -0.0, math.pi / 8.0, math.pi / 4.0, math.pi / 2.0, 5e-324, 1e-160, -8.98e307])],
+        ids=["long", "random", "landmarks"],
+    )
+    def test_von_neumann_column_is_the_shared_kernel_bit_for_bit(self, phi):
+        """One logarithm a row gives small_weight_entropies' bits on the rows (s, s), signed zeros too."""
+        s = np.sin(2.0 * phi) ** 2 / 2.0
+        want = small_weight_entropies(np.column_stack([s, s]))
+        got = np.array(column(mode_rotation_entropy_scan(phi), "entropy_vn"))
+        assert got.tobytes() == want.tobytes()
 
     def test_long_scan_meets_the_closed_form(self):
         result = mode_rotation_entropy_scan(np.linspace(0.0, math.pi, LONG_SCAN))
