@@ -16,6 +16,8 @@ from ._common import CHUNK, require_finite, require_integer
 # the largest multiple of a setting that a scan or chsh_sum takes as an
 # angle: 2t in chsh and interferometer, 2phi in entropy-rotation
 ANGLE_REACH = 2.0
+# the most steps a scan takes; a scan streams to disk, so a mistyped --steps would fill it
+MAX_STEPS = 2**32
 
 
 class Grid(NamedTuple):
@@ -55,8 +57,8 @@ class Grid(NamedTuple):
 def scan_grid(lo: float, hi: float, steps: int) -> Grid:
     """The settings of a scan: steps uniform points from range_min lo to range_max hi.
 
-    Needs hi > lo, a width hi - lo that does not overflow, at least two
-    steps, distinct points, and finite ANGLE_REACH * lo and
+    Needs hi > lo, a width hi - lo that does not overflow, two to
+    MAX_STEPS steps, distinct points, and finite ANGLE_REACH * lo and
     ANGLE_REACH * hi, the scan's largest angles.  Each point rounds at
     most 2 ulps of max(|lo|, |hi|) from its exact value, so neighbours a
     step above 4 such ulps apart are distinct; only a narrower step makes
@@ -67,6 +69,8 @@ def scan_grid(lo: float, hi: float, steps: int) -> Grid:
     steps = require_integer("steps", steps)
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be at most 2**32 = {MAX_STEPS}, got {steps}")
     if hi <= lo:
         raise ValueError("range_max must exceed range_min")
     step = (hi - lo) / (steps - 1)

@@ -12,8 +12,9 @@ builds, runs, renders and writes one CHUNK-step slice at a time, so that
 no scan holds its grid or its CSV whole.  The oscillator writes a JSON
 report; the protocol a JSON-lines log and a JSON summary.
 Outputs are byte-stable for identical flags and seed.  Exit codes: 0
-success, 2 usage or configuration error, 3 failed physics precondition,
-1 output not written (a failed write, or a scan too large for memory).
+success, 2 usage or configuration error, such as a scan of more than
+2**32 steps, 3 failed physics precondition, 1 output not written (a
+failed write, or memory ran out).
 
 Each library module is registered as a lazy module, which runs on its
 first attribute access (`importlib.util.LazyLoader`), so each command
@@ -195,16 +196,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_oscillator(args: argparse.Namespace) -> int:
     model = oscillator.build_model(args.anharmonicity, args.truncation, levels=REPORTED_LEVELS)
-    levels = list(range(min(REPORTED_LEVELS, model.truncation)))
-    overlap_levels = list(range(min(OVERLAP_LEVELS, model.truncation)))
+    # the truncation is at least MIN_TRUNCATION = 8, so OVERLAP_LEVELS are computed
+    levels = range(len(model.eigenvalues))
     report = {
         "tool": f"modetangle {__version__}",
         "lambda": model.anharmonicity,
         "truncation": model.truncation,
-        "eigenvalues": [model.energy(n) for n in levels],
+        "eigenvalues": list(model.eigenvalues),
         "first_order": [oscillator.first_order_energy(n, model.anharmonicity) for n in levels],
-        "overlaps": [oscillator.mode_overlap(model, n) for n in overlap_levels],
-        "x_squared": [model.x_squared_expectation(n) for n in overlap_levels],
+        "overlaps": [oscillator.mode_overlap(model, n) for n in range(OVERLAP_LEVELS)],
+        "x_squared": [model.x_squared_expectation(n) for n in range(OVERLAP_LEVELS)],
         "truncation_error": list(model.truncation_errors),
     }
     results.write_json(report, args.out)

@@ -267,52 +267,46 @@ def _count_below(band: _Band, shift: float) -> tuple[int, float]:
     rounding of A - shift I is inside that bound), so the count is exact
     unless an eigenvalue of A lies within ||E||_2 of the shift.  The second
     value bounds ||E||_2 by 4 eps times the largest row sum of |L||D||L^T|;
-    it is infinite at a zero pivot.  The factorization is that of
-    _negative_pivots, which bisection calls without the bound.
+    it is infinite at a zero pivot.  _negative_pivots factors and records
+    the factors; this function only bounds them.
     """
-    main, first, second, _, _ = band
-    count = 0
-    d1 = d2 = 1.0  # D[i - 1] and D[i - 2]; any nonzero value before row 0
-    l1 = 0.0  # L[i - 1, i - 2]
-    e, s, t = [], [], []  # |D[i]|, |L[i, i - 1]| and |L[i, i - 2]|
-    for ai, bi, ci in zip(main, first, second):
-        li2 = ci / d2
-        b = bi - ci * l1
-        li1 = b / d1
-        di = ai - shift - li1 * b - li2 * ci
-        if di < 0.0:
-            count += 1
-        elif di == 0.0:
-            return 0, math.inf
-        e.append(abs(di))
-        s.append(abs(li1))
-        t.append(abs(li2))
-        d2, d1, l1 = d1, di, li1
+    pivots = []
+    count = _negative_pivots(band, shift, pivots)
+    e, s, t = (list(map(abs, pivots[i::3])) for i in range(3))  # |D[i]|, |L[i, i - 1]|, |L[i, i - 2]|
+    if 0.0 in e:
+        return 0, math.inf
     # w_j = |D_j| + |D_j||L[j + 1, j]| + |D_j||L[j + 2, j]|, without the
     # terms of rows past the last, and row i of |L||D||L^T| sums to
     # w_i + |L[i, i - 1]| w_{i - 1} + |L[i, i - 2]| w_{i - 2}
-    w = [ej + ej * sj for ej, sj in zip(e, s[1:])] + e[-1:]
-    w = [wj + ej * tj for wj, ej, tj in zip(w, e, t[2:])] + w[-2:]
+    w = [ej + ej * sj + ej * tj for ej, sj, tj in zip(e, s[1:], t[2:])]
+    w += [ej + ej * sj for ej, sj in zip(e[-2:-1], s[-1:])] + e[-1:]
     above = [0.0, 0.0, *w]  # above[i + 2] = w_i, zero before row 0
     rows = [wi + si * w1 + ti * w2 for wi, si, ti, w1, w2 in zip(w, s, t, above[1:], above)]
     return count, 4.0 * _EPS * max(0.0, *rows)
 
 
-def _negative_pivots(band: _Band, shift: float) -> int:
-    """The count of _count_below alone: eigenvalues of the band below shift.
+def _negative_pivots(band: _Band, shift: float, pivots: list | None = None) -> int:
+    """The count of _count_below: eigenvalues of the band below shift.
 
     A pivot that is exactly zero is taken as a negative one of the size
-    of the band's rounding, as if the shift were that much higher.
+    of the band's rounding, as if the shift were that much higher.  Given
+    a list, it appends each row's D[i], taken before that substitution,
+    L[i, i - 1] and L[i, i - 2]: the factors that _count_below bounds.
+    Bisection passes none and records nothing.
     """
     main, first, second, _, rounding = band
     count = 0
-    d1 = d2 = 1.0
-    l1 = 0.0
+    d1 = d2 = 1.0  # D[i - 1] and D[i - 2]; any nonzero value before row 0
+    l1 = 0.0  # L[i - 1, i - 2]
     for ai, bi, ci in zip(main, first, second):
         li2 = ci / d2
         b = bi - ci * l1
         li1 = b / d1
         di = ai - shift - li1 * b - li2 * ci
+        if pivots is not None:
+            pivots.append(di)
+            pivots.append(li1)
+            pivots.append(li2)
         if di <= 0.0:
             count += 1
             if di == 0.0:

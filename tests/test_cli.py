@@ -23,7 +23,7 @@ from modetangle import cli, results
 from modetangle._common import CHUNK
 from modetangle.cli import main
 from modetangle.interferometer import momentum_chsh_scan
-from modetangle.oscillator import ENERGY_TOL
+from modetangle.oscillator import ENERGY_TOL, MIN_TRUNCATION
 from modetangle.polarization import chsh_scan, mode_rotation_entropy_scan
 from modetangle.protocol import ConversionConfig
 from modetangle.results import render_scan_csv
@@ -166,6 +166,19 @@ class TestScanCommands:
         err = capsys.readouterr().err
         assert err == "error: out of memory, output not written: Unable to allocate 745. GiB for an array\n"
         assert slices == [CHUNK, CHUNK]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
+    def test_steps_beyond_2_to_the_32_refused_before_any_write(self, tmp_path, monkeypatch, capsys, command):
+        """A mistyped --steps is refused at once; a scan that started would stream until the disk fills."""
+
+        def no_write(*args, **kwargs):
+            pytest.fail("a refused scan must not reach atomic_write_text")
+
+        monkeypatch.setattr(results, "atomic_write_text", no_write)
+        out = tmp_path / "x.csv"
+        assert main([command, "--out", str(out), "--steps", "100000000000"]) == 2
+        assert capsys.readouterr().err == "error: steps must be at most 2**32 = 4294967296, got 100000000000\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer"])
@@ -464,6 +477,11 @@ class TestOscillatorCommand:
         assert capsys.readouterr().err.startswith("warning: truncation 64 is too small")
         errors = json.loads(out.read_text(), parse_constant=refuse)["truncation_error"]
         assert all(0.0 < error < sys.float_info.max for error in errors)
+
+    def test_every_overlap_level_is_computed(self):
+        # cmd_oscillator reports OVERLAP_LEVELS overlaps at any truncation,
+        # and build_model computes min(REPORTED_LEVELS, truncation) levels
+        assert cli.OVERLAP_LEVELS <= min(cli.REPORTED_LEVELS, MIN_TRUNCATION)
 
     def test_report_bytes_are_pinned(self, tmp_path):
         """Every value of each report; the "tool" line (version) is left out.

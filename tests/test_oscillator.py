@@ -22,6 +22,7 @@ from modetangle.oscillator import (
     _band,
     _count_below,
     _cut_residual,
+    _negative_pivots,
     _parity_blocks,
     _shifted_solve,
     _x_squared_diagonals,
@@ -217,6 +218,14 @@ class TestLeadingBlock:
             count, error = _count_below(_band(diagonals), shift)
             assert error < np.min(np.abs(values - shift))
             assert count == np.sum(values < shift), shift
+
+    def test_an_exact_zero_pivot_counts_as_negative_and_voids_the_bound(self):
+        # diag(1/2, 5/2, 9/2, ...) at its entry 5/2: D[1] is exactly 0
+        band = _band(_parity_blocks(0.0, 16)[0])
+        pivots = []
+        assert _negative_pivots(band, 2.5, pivots) == 2
+        assert pivots[3] == 0.0  # D[1], recorded before it is replaced
+        assert _count_below(band, 2.5) == (0, math.inf)
 
     @pytest.mark.parametrize("g", [0.1, 100.0])
     @pytest.mark.parametrize("parity", [0, 1])

@@ -313,6 +313,12 @@ class TestChshScan:
         with pytest.raises(ValueError, match="^range_max must be finite, got inf$"):
             scan_grid(0.0, math.inf, 5)
 
+    def test_steps_bounded_at_2_to_the_32(self):
+        # the step of [0, 1] is far above 4 ulps, so no point is checked
+        assert scan_grid(0.0, 1.0, 2**32).steps == 2**32
+        with pytest.raises(ValueError, match=r"^steps must be at most 2\*\*32 = 4294967296, got 4294967297$"):
+            scan_grid(0.0, 1.0, 2**32 + 1)
+
     @pytest.mark.parametrize("scan", [chsh_scan, mode_rotation_entropy_scan, momentum_chsh_scan])
     @pytest.mark.parametrize("steps", [10.7, "10", None], ids=["float", "str", "none"])
     def test_non_integer_steps_refused_by_name(self, scan, steps):
