@@ -1,12 +1,13 @@
 """Shared helpers: parameter validation, the chunk size and the entropy kernels.
 
 pair_small_weights and small_weight_entropies give every von Neumann
-entropy the protocol prints, and entropy-rotation's bit for bit (states
-re-exports them).  They live here, not in states, so that no command
-executes states' labeled stack and its dataclasses.  The oscillator uses
-this module and runs without numpy, so each function that needs numpy
-imports it itself.  What only the scans use lives in _scans, which the
-oscillator and the protocol do not compile.
+entropy the protocol prints (states re-exports them); entropy-rotation
+spells small_weight_entropies' sum out in plain Python, a row at a time,
+so that no scan loads numpy.  They live here, not in states, so that no
+command executes states' labeled stack and its dataclasses.  The
+oscillator and the scans use this module and run without numpy, so each
+function that needs numpy imports it itself.  What only the scans use
+lives in _scans, which the oscillator and the protocol do not compile.
 """
 
 from __future__ import annotations

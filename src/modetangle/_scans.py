@@ -1,8 +1,7 @@
 """What the three scans share: their settings grid and the CHSH curve.
 
 Only the scan commands run this module, so the oscillator and the
-protocol, which share _common, compile none of it.  It loads no numpy;
-Grid.array imports it for entropy-rotation, the one numpy scan.
+protocol, which share _common, compile none of it.  It loads no numpy.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ class Grid(NamedTuple):
     """A scan's settings, np.linspace(lo, hi, steps) bit for bit, built a slice at a time.
 
     Point i is i * step + lo with step = (hi - lo) / (steps - 1), and the
-    last point is hi.  points gives floats without numpy; array gives
-    numpy's float64, with no float per point.  Where step underflows to
-    0, np.linspace takes another branch, but there [lo, hi] holds fewer
-    floats than steps, so both repeat a point and scan_grid refuses.
+    last point is hi; points gives them as floats, without numpy.  Where
+    step underflows to 0, np.linspace takes another branch, but there
+    [lo, hi] holds fewer floats than steps, so both repeat a point and
+    scan_grid refuses.
     """
 
     lo: float
@@ -39,16 +38,6 @@ class Grid(NamedTuple):
         lo, stop = self.lo, min(stop, self.steps)
         step = (self.hi - lo) / (self.steps - 1)
         points = [i * step + lo for i in range(start, stop)]
-        if stop == self.steps:
-            points[-1] = self.hi
-        return points
-
-    def array(self, start: int, stop: int):
-        """Points start to stop - 1 as a float64 array, as points gives them."""
-        import numpy as np
-
-        stop = min(stop, self.steps)
-        points = np.arange(start, stop, dtype=float) * ((self.hi - self.lo) / (self.steps - 1)) + self.lo
         if stop == self.steps:
             points[-1] = self.hi
         return points

@@ -14,7 +14,7 @@ report; the protocol a JSON-lines log and a JSON summary.
 Outputs are byte-stable for identical flags and seed.  Exit codes: 0
 success, 2 usage or configuration error, such as a scan of more than
 2**32 steps, 3 failed physics precondition, 1 output not written (a
-failed write, or memory ran out).
+failed write, or memory ran out), 143 stopped by SIGTERM (see run).
 
 Each library module is registered as a lazy module, which runs on its
 first attribute access (`importlib.util.LazyLoader`), so each command
@@ -23,8 +23,9 @@ executes only the modules it calls.  `--version`, `--help` and
 parity blocks in plain Python, through oscillator, _common and results,
 which import no numpy and hold their records as NamedTuples.  chsh and
 interferometer load no numpy either: S comes from math.cos, and the
-pair entropies are the constant 1 bit.  Only entropy-rotation and
-protocol load numpy.
+pair entropies are the constant 1 bit; entropy-rotation takes its
+entropies from math.sin, math.log and math.log1p.  Only protocol loads
+numpy.
 
 main runs BLAS on one thread: when numpy is not yet loaded, it sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, whatever
@@ -35,21 +36,26 @@ When numpy is already loaded, as in library use, the caller's setting holds.
 
 A process enters through run(), as the `modetangle` script and
 `python -m modetangle` both do.  It raises the young-generation GC
-threshold from 700 to YOUNG_GC_THRESHOLD, then calls main, then
-gc.freeze(), then sys.exit.  numpy's import allocates ~20 000 tracked
-objects, which at 700 cost ~29 young collections (~5 ms a child) that
-find almost nothing to free; at the raised threshold it runs none.
-Collection stays on, so cycles a long run leaves are still freed and
-memory stays bounded, which gc.disable() would not promise.  The freeze
-lets the collections of interpreter shutdown skip the ~12k to ~22k
-objects the modules and numpy left, 7-16 ms a child.  Shutdown still
-flushes, closes and runs atexit.  main itself changes neither the
-threshold nor the freeze, since tests, the benchmark's tracer and
-library callers call it in process.
+threshold from 700 to YOUNG_GC_THRESHOLD, turns SIGTERM into
+SystemExit(143), then calls main, then gc.freeze(), then sys.exit.
+numpy's import allocates ~20 000 tracked objects, which at 700 cost ~29
+young collections (~5 ms a child) that find almost nothing to free; at
+the raised threshold it runs none.  Collection stays on, so cycles a
+long run leaves are still freed and memory stays bounded, which
+gc.disable() would not promise.  The freeze lets the collections of
+interpreter shutdown skip the ~12k to ~22k objects the modules and numpy
+left, 7-16 ms a child.  Shutdown still flushes, closes and runs atexit.
+SIGTERM, as `timeout` sends it, would otherwise end the process where it
+stands and strand a write's temp file, as large as the rows a long scan
+had written; as SystemExit it unwinds through results.atomic_write_text,
+which removes the file, as Ctrl-C's KeyboardInterrupt does.  main itself
+changes neither the threshold, the freeze nor the handler, since tests,
+the benchmark's tracer and library callers call it in process.
 """
 
 from __future__ import annotations
 
+import _signal  # signal's C core, loaded at interpreter start; signal's enum tables cost ~1 ms a child
 import argparse
 import gc
 import importlib.util
@@ -130,24 +136,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each scan names its module and function, which cmd_scan looks up only when
-    # it runs so that --help loads no numpy, and the form of its settings:
-    # floats (Grid.points) or, for the one numpy kernel, Grid.array
+    # it runs, so that --help executes neither
     scans = (
         ("chsh", "CHSH sum and pair entropy over the separation angle",
-         polarization, "chsh_scan", "points"),
+         polarization, "chsh_scan"),
         ("entropy-rotation", "mode-bipartition entropy over the rotation angle",
-         polarization, "mode_rotation_entropy_scan", "array"),
+         polarization, "mode_rotation_entropy_scan"),
         ("interferometer", "momentum Bell scan over the station half-angle",
-         interferometer, "momentum_chsh_scan", "points"),
+         interferometer, "momentum_chsh_scan"),
     )
-    for name, help_text, module, function, form in scans:
+    for name, help_text, module, function in scans:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=_output_path, required=True, help="CSV output path")
         p.add_argument("--range-min", type=float, default=0.0)
         p.add_argument("--range-max", type=float, default=math.pi)
         p.add_argument("--steps", type=int, default=181)
         p.add_argument("--seed", type=int, default=0, help="recorded in metadata")
-        p.set_defaults(func=cmd_scan, scan=(module, function, form))
+        p.set_defaults(func=cmd_scan, scan=(module, function))
 
     p = sub.add_parser("oscillator", help="the lowest levels of the quartic-anharmonic model")
     p.add_argument("--out", type=_output_path, required=True, help="JSON output path")
@@ -170,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     grid = _scans.scan_grid(args.range_min, args.range_max, args.steps)
-    module, function, form = args.scan
-    scan, settings = getattr(module, function), getattr(grid, form)
+    module, function = args.scan
+    scan = getattr(module, function)
     metadata = {
         "tool": f"modetangle {__version__}",
         "command": args.command,
@@ -185,7 +190,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # file, so that no scan holds its grid, columns or text whole
     def chunks():
         for start in range(0, grid.steps, _common.CHUNK):
-            head, rows = results.render_scan_csv(scan(settings(start, start + _common.CHUNK)), metadata)
+            head, rows = results.render_scan_csv(scan(grid.points(start, start + _common.CHUNK)), metadata)
             if start == 0:
                 yield head
             yield rows
@@ -266,9 +271,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _terminate(signum: int, frame) -> None:
+    """Exit 128 + signum as SystemExit, so that a write in progress removes its temp file."""
+    sys.exit(128 + signum)
+
+
 def run() -> None:
     """The process entry: main on sys.argv with few young collections, then exit past a frozen heap."""
     gc.set_threshold(YOUNG_GC_THRESHOLD, *gc.get_threshold()[1:])
+    _signal.signal(_signal.SIGTERM, _terminate)
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -39,13 +39,16 @@ entropy is closed form.
 Each scan is a kernel of its settings, a 1-D sequence of floats that the
 CLI builds a slice at a time with _scans.scan_grid, and returns a dict
 of columns in CSV header order: the settings as given, the rest lists of
-floats, or one float for a column that holds it on every row.  chsh_scan
-runs in plain Python and loads no numpy; only mode_rotation_entropy_scan
-imports it, and takes its settings as a float64 array.  One setting is
-the length-1 case: chsh_sum takes chsh_scan's S path.
+floats, or one float for a column that holds it on every row.  Both
+kernels run in plain Python, on math's sin, cos, log and log1p, and load
+no numpy, so their bytes rest on glibc's libm and not on the SIMD loops
+numpy picks for the CPU.  One setting is the length-1 case: chsh_sum
+takes chsh_scan's S path.
 """
 
 from __future__ import annotations
+
+from math import log, log1p, sin
 
 from ._common import _LN2, require_finite
 from ._scans import ANGLE_REACH, chsh_curve
@@ -74,26 +77,28 @@ def chsh_scan(theta) -> dict:
     return {"theta": theta, "S": chsh_curve(theta), "entropy": 1.0}
 
 
-def mode_rotation_entropy_scan(phi) -> dict[str, list]:
-    """Mode-bipartition entropy of the rotated |1,1> state over phi, a 1-D float array.
+def mode_rotation_entropy_scan(phi) -> dict:
+    """Mode-bipartition entropy of the rotated |1,1> state over phi, a 1-D sequence of floats.
 
     Columns: phi, entropy_vn, entropy_renyi2.  Both entropies share zeros
     and maxima; the von Neumann column hits 1.0 at phi = pi/4 and peaks
     at 1.5 bits at phi = pi/8.  Each is right to rounding relative to its
     own size, also near its zeros.  The von Neumann column is
-    _common.small_weight_entropies of the rows (s, s), bit for bit, with
-    one logarithm of s a row in place of two: s(-ln s) + s(-ln s) is
-    x + x, and x + x keeps the sum's signed zeros.
+    _common.small_weight_entropies of the rows (s, s), spelled out a row
+    at a time, with one logarithm of s a row in place of two:
+    s(-ln s) + s(-ln s) is x + x, and x + x keeps the sum's signed zeros.
+    It gives that kernel's bits wherever numpy's sin, log and log1p round
+    as glibc's do, as numpy's baseline loops did on every row tested.  One
+    comprehension a column over math.sin, so a scan makes no Python call
+    per setting and loads no numpy.
     """
-    import numpy as np
-
-    phi = np.asarray(phi, dtype=float)
-    two_s = np.sin(2.0 * phi) ** 2
-    s = two_s / 2.0
-    total = s + s
-    x = s * -np.log(s, out=np.zeros_like(s), where=s > 0.0)
-    large = 1.0 - total
-    entropy_vn = (x + x + large * -np.log1p(-total, out=np.zeros_like(total), where=large > 0.0)) / _LN2
+    two_s = [v * v for v in map(sin, [2.0 * x for x in phi])]
+    # s = two_s / 2; a weight of exactly 0 adds s * -0.0, as the shared kernel's masked log does
+    entropy_vn = [
+        ((x := (s := t / 2.0) * -(log(s) if s > 0.0 else 0.0)) + x
+         + (large := 1.0 - (total := s + s)) * -(log1p(-total) if large > 0.0 else 0.0)) / _LN2
+        for t in two_s
+    ]
     # sum p^2 = (1 - 2s)^2 + 2s^2 = 1 - 2s(2 - 3s)
-    renyi2 = -np.log1p(-two_s * (2.0 - 1.5 * two_s)) / _LN2
-    return {"phi": phi.tolist(), "entropy_vn": entropy_vn.tolist(), "entropy_renyi2": renyi2.tolist()}
+    renyi2 = [-log1p(-t * (2.0 - 1.5 * t)) / _LN2 for t in two_s]
+    return {"phi": phi, "entropy_vn": entropy_vn, "entropy_renyi2": renyi2}

@@ -12,17 +12,20 @@ files (whose overlaps come from those levels, normalized in plain floats).
 The child imports numpy before it calls cli.main.  main pins BLAS to one
 thread only when numpy is not yet loaded, so this way the library runs
 at the thread count the child was given, and the thread axis still
-checks the scan kernels at two threads.
+checks the protocol, the one command that loads numpy, at two threads.
 
 SkylakeX is not forced, since a CPU without AVX-512 cannot run it; the
 unset case runs whatever the CPU picks, SkylakeX included.
 
-numpy's ufuncs (the scans' cos, sin, exp and log2 among them) dispatch
-to SIMD loops built for the CPU at hand.  One more child runs with
+numpy's ufuncs (log1p among them) dispatch to SIMD loops built for the
+CPU at hand, and on an AVX-512 CPU those round some values differently
+from its baseline loops.  One more child runs with
 NPY_DISABLE_CPU_FEATURES naming every dispatch target this CPU has, so
 it runs numpy's baseline loops (X86_V2 on x86-64), and must print the
 same hashes.  Only targets the CPU has are named, since numpy refuses to
-disable one it lacks.
+disable one it lacks.  The scans load no numpy, so this child checks
+that no scan reaches it; the near-tie rows of entropy-rotation, which
+printed a different last digit through numpy's AVX-512 log1p, show it.
 """
 
 import contextlib
@@ -43,6 +46,12 @@ import modetangle
 COMMANDS = {
     "chsh.csv": ["chsh", "--steps", "10000"],
     "entropy-rotation.csv": ["entropy-rotation", "--steps", "10000"],
+    # two rows whose 12-digit Renyi-2 cells lie within an ulp of a rounding
+    # boundary: numpy's AVX-512 log1p printed ...907 there, its baseline ...906
+    "entropy-rotation-near-ties.csv": [
+        "entropy-rotation", "--range-min", "1.049387243465842", "--range-max", "2.092205410123951",
+        "--steps", "2",
+    ],
     "interferometer.csv": ["interferometer", "--steps", "10000"],
     "oscillator-0.1-64.json": ["oscillator", "--lambda", "0.1", "--truncation", "64"],
     "oscillator-0.1-1600.json": ["oscillator", "--lambda", "0.1", "--truncation", "1600"],
@@ -115,13 +124,19 @@ pytestmark = [
 ]
 
 
+def child_env(**extra_env):
+    """os.environ plus extra_env, with the tested package first on PYTHONPATH."""
+    env = dict(os.environ, **extra_env)
+    package_root = str(Path(modetangle.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return env
+
+
 def start_child(core_type, threads, **extra_env):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OPENBLAS_VERBOSE="2", **extra_env)
+    env = child_env(OPENBLAS_NUM_THREADS=str(threads), OPENBLAS_VERBOSE="2", **extra_env)
     env.pop("OPENBLAS_CORETYPE", None)
     if core_type is not None:
         env["OPENBLAS_CORETYPE"] = core_type
-    package_root = str(Path(modetangle.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     return subprocess.Popen(
         [sys.executable, "-c", CHILD.format(commands=COMMANDS, config_text=CONFIG_TEXT)],
         env=env,

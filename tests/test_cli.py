@@ -9,9 +9,11 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -276,6 +278,22 @@ class TestScanCommands:
         lines = out.read_bytes().splitlines(keepends=True)
         body = b"".join(line for line in lines if not line.startswith(b"#"))
         assert hashlib.sha256(body).hexdigest() == digest
+
+    def test_near_tie_rows_are_pinned(self, tmp_path):
+        """Two rows whose Renyi-2 cells lie within an ulp of a 12-digit rounding boundary.
+
+        Their 50-digit value is 1.5444720390650001; math.log1p, like numpy's
+        baseline loop, prints ...906, where numpy's AVX-512 loop printed ...907.
+        """
+        out = tmp_path / "scan.csv"
+        argv = ["--range-min", "1.049387243465842", "--range-max", "2.092205410123951", "--steps", "2"]
+        assert main(["entropy-rotation", "--out", str(out), *argv]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"#"))
+        assert body.splitlines()[1].endswith(b",1.54447203906")
+        assert hashlib.sha256(body).hexdigest() == (
+            "3229fc79c314dee4ed0bae2b3b8f63565a78e7f926c248aa86ba959822dcb77b"
+        )
 
     @pytest.mark.parametrize(
         "command, columns", [("chsh", [2]), ("interferometer", [2, 3])], ids=["chsh", "interferometer"]
@@ -1118,15 +1136,41 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("code", [0, 2, 3])
     def test_run_freezes_once_main_has_returned(self, monkeypatch, code):
-        """run raises the young threshold, keeping the older two, before main, and freezes after it."""
+        """Before main, run raises the young threshold, keeping the older two, and handles SIGTERM; after it, it freezes."""
         calls = []
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         monkeypatch.setattr(gc, "set_threshold", lambda *thresholds: calls.append(thresholds))
+        monkeypatch.setattr(cli._signal, "signal", lambda *handler: calls.append(handler))
         with pytest.raises(SystemExit) as exc:
             cli.run()
         assert exc.value.code == code
-        assert calls == [(cli.YOUNG_GC_THRESHOLD, *gc.get_threshold()[1:]), "main", "freeze"]
+        assert calls == [
+            (cli.YOUNG_GC_THRESHOLD, *gc.get_threshold()[1:]), (signal.SIGTERM, cli._terminate), "main", "freeze"
+        ]
+
+    def test_sigterm_exits_143_and_removes_the_temp_file(self, tmp_path):
+        """A scan stopped by SIGTERM part way exits 143 and leaves no .tmp-*~ file behind."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modetangle", "chsh", "--steps", "4294967296", "--out", str(tmp_path / "big.csv")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            # rows on disk: the write is under way, inside atomic_write_text's try
+            deadline = time.monotonic() + 60.0
+            while not any(path.stat().st_size for path in tmp_path.glob(".tmp-*~")):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "no temp file with rows in 60 s"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once the child has exited
+            proc.communicate()
+        assert (proc.returncode, stdout, stderr) == (143, "", "")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["chsh", "oscillator"])
     def test_main_leaves_the_collector_unfrozen(self, tmp_path, command):
@@ -1285,11 +1329,11 @@ class TestLoading:
     @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer", "protocol"])
     def test_numpy_commands_leave_the_labeled_states_unexecuted(self, tmp_path, command):
         # the entropy kernels live in _common; states holds only the labeled stack;
-        # of these commands only entropy-rotation and protocol load numpy
+        # of these commands only protocol loads numpy
         argv = [command, write_config(tmp_path, BASE_CONFIG)] if command == "protocol" else [command]
         loaded = loaded_by(*argv, "--out", str(tmp_path / "out"))
         assert loaded["code"] == 0
-        assert loaded["numpy"] is (command in ("entropy-rotation", "protocol"))
+        assert loaded["numpy"] is (command == "protocol")
         assert "modetangle.states" in loaded["registered"]
         assert "modetangle.states" not in loaded["executed"]
 
@@ -1367,14 +1411,15 @@ class TestBlasThreads:
     @pytest.mark.parametrize("command", ["entropy-rotation", "protocol"])
     def test_command_runs_one_thread_whatever_the_caller_set(self, tmp_path, command):
         # at OPENBLAS_NUM_THREADS=2 an unpinned child on a multi-core host has 2 threads;
-        # entropy-rotation and protocol are the commands that load numpy
+        # protocol, the one command that loads numpy, is pinned, and entropy-rotation
+        # starts no thread pool at all
         argv = [command] if command == "entropy-rotation" else [command, write_config(tmp_path, BASE_CONFIG)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
         loaded = loaded_by(*argv, "--out", str(tmp_path / "out"), env=env)
         if loaded["threads"] is None:
             pytest.skip("no /proc/self/task to count the threads")
         assert loaded["code"] == 0
-        assert loaded["numpy"]
+        assert loaded["numpy"] is (command == "protocol")
         assert loaded["threads"] == 1
 
     def test_main_leaves_the_environment_alone_once_numpy_is_loaded(self, tmp_path):

@@ -72,7 +72,7 @@ class TestBraggOutput:
     @pytest.mark.parametrize("steps", [181, 10_000])
     def test_one_phase_exits_are_the_two_phase_oracle_at_zero(self, lo, hi, steps):
         """The exits at (2t, 0) are the complex-product oracle's, bit for bit, on the scans' grids."""
-        t = scan_grid(lo, hi, steps).array(0, steps)
+        t = np.array(scan_grid(lo, hi, steps).points(0, steps))
         assert np.array_equal(_bragg_exits(t), bragg_outputs(2.0 * t, 0.0))
 
     def test_output_entropy_is_one_bit(self):
