@@ -1,11 +1,11 @@
 """Shared helpers: parameter validation, the chunk size and the entropy kernels.
 
-pair_small_weights and small_weight_entropies give every von Neumann
-entropy the protocol prints (states re-exports them); entropy-rotation
-spells small_weight_entropies' sum out in plain Python, a row at a time,
-so that no scan loads numpy.  They live here, not in states, so that no
-command executes states' labeled stack and its dataclasses.  The
-oscillator and the scans use this module and run without numpy, so each
+pair_small_weights and small_weight_entropies are the batched entropy
+kernels that states re-exports and the tests take as the reference.  No
+command calls them: protocol.particle_entanglement_entropy spells both
+out for one pair in math.hypot, math.log and math.log1p, and
+entropy-rotation spells small_weight_entropies' sum out a row at a time,
+so that no command loads numpy.  Every command uses this module, so each
 function that needs numpy imports it itself.  What only the scans use
 lives in _scans, which the oscillator and the protocol do not compile.
 """

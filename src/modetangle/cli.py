@@ -18,33 +18,27 @@ failed write, or memory ran out), 143 stopped by SIGTERM (see run).
 
 Each library module is registered as a lazy module, which runs on its
 first attribute access (`importlib.util.LazyLoader`), so each command
-executes only the modules it calls.  `--version`, `--help` and
-`oscillator` start without numpy or inspect: the oscillator solves its
-parity blocks in plain Python, through oscillator, _common and results,
-which import no numpy and hold their records as NamedTuples.  chsh and
-interferometer load no numpy either: S comes from math.cos, and the
-pair entropies are the constant 1 bit; entropy-rotation takes its
-entropies from math.sin, math.log and math.log1p.  Only protocol loads
-numpy.
-
-main runs BLAS on one thread: when numpy is not yet loaded, it sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, whatever
-the caller set.  No command calls BLAS; the pin stays because numpy's
-import starts OpenBLAS's thread pool, which adds ~0.1 s of CPU time to it
-(2-vCPU host).
-When numpy is already loaded, as in library use, the caller's setting holds.
+executes only the modules it calls.  No command loads numpy, and
+`--version`, `--help` and `oscillator` start without inspect too: the
+oscillator solves its parity blocks in plain Python, through oscillator,
+_common and results, which hold their records as NamedTuples.  chsh and
+interferometer take S from math.cos, and their pair entropies are the
+constant 1 bit; entropy-rotation takes its entropies from math.sin,
+math.log and math.log1p.  protocol draws its trials from random.Random
+and its pair entropies from math.hypot, math.log and math.log1p.  So no
+command starts OpenBLAS's thread pool, and main sets no thread count.
 
 A process enters through run(), as the `modetangle` script and
 `python -m modetangle` both do.  It raises the young-generation GC
 threshold from 700 to YOUNG_GC_THRESHOLD, turns SIGTERM into
 SystemExit(143), then calls main, then gc.freeze(), then sys.exit.
-numpy's import allocates ~20 000 tracked objects, which at 700 cost ~29
-young collections (~5 ms a child) that find almost nothing to free; at
-the raised threshold it runs none.  Collection stays on, so cycles a
-long run leaves are still freed and memory stays bounded, which
-gc.disable() would not promise.  The freeze lets the collections of
-interpreter shutdown skip the ~12k to ~22k objects the modules and numpy
-left, 7-16 ms a child.  Shutdown still flushes, closes and runs atexit.
+The threshold was raised while protocol loaded numpy, whose import
+allocates ~20 000 tracked objects, ~29 young collections at 700; a
+5e4-trial campaign now runs ~9 at 700 and none at the raised threshold.
+Collection stays on, so cycles a long run leaves are still freed and
+memory stays bounded, which gc.disable() would not promise.  The freeze
+lets the collections of interpreter shutdown skip the objects the
+modules left.  Shutdown still flushes, closes and runs atexit.
 SIGTERM, as `timeout` sends it, would otherwise end the process where it
 stands and strand a write's temp file, as large as the rows a long scan
 had written; as SystemExit it unwinds through results.atomic_write_text,
@@ -99,7 +93,7 @@ USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
 
 # objects allocated, less those freed, between young collections in a
-# process run(); numpy's import allocates ~20 000 and so runs none
+# process run(); a command allocates fewer, and so runs none
 YOUNG_GC_THRESHOLD = 100_000
 
 REPORTED_LEVELS = 10
@@ -246,10 +240,6 @@ def cmd_protocol(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # OpenBLAS reads its thread count once, when numpy loads it
-    if "numpy" not in sys.modules:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -41,7 +41,10 @@ hbar/delta_e << hbar/h_tilde << t_meas before any trial runs.
 
 A campaign therefore delivers one of only two pair states, and is held
 as one kind byte per trial (see CampaignOutcomes) and the outcome of each
-kind, sampled and rendered CHUNK trials at a time.
+kind, sampled and rendered CHUNK trials at a time.  The trials draw from
+the standard library's Mersenne Twister (random.Random; Matsumoto and
+Nishimura, ACM TOMACS 8, 3 (1998)) and every number is a plain float, so
+the module loads no numpy.
 """
 
 from __future__ import annotations
@@ -49,17 +52,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from collections.abc import Iterator, Sequence
+import random
+import sys
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from ._common import (
-    CHUNK, PhysicsPreconditionError, pair_small_weights, require_finite, require_integer,
-    small_weight_entropies,
-)
-from ._pcg64 import SpawnedPCG64
+from ._common import _LN2, CHUNK, PhysicsPreconditionError, require_finite, require_integer
 from .oscillator import MIN_TRUNCATION, build_model, mode_deformation, mode_overlap, require_converged
 
 __all__ = [
@@ -77,7 +76,7 @@ __all__ = [
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 AMPLITUDE_TOL = 1e-12
-# a trial id must fit the one spawn word _pcg64 draws with; a log this long is ~1 TB
+# a log this long is ~1 TB, and its kind bytes alone hold 4.3 GB
 MAX_TRIALS = 2**32
 
 _PAIR_FACTORS = ("photon_1", "photon_2")
@@ -97,11 +96,12 @@ class ConversionConfig:
     clock_period must exceed travel_plus_register_time + and_gate_time so
     the abort decision for one cycle lands before the next one starts.
     The truncation must reach MIN_TRUNCATION and exceed both levels.
-    abort_gate_on must be a bool or a numpy bool, stored as a bool.
+    abort_gate_on must be a bool, or a numpy bool once numpy is loaded,
+    and is stored as a bool.
     The adiabatic_* fields are all-or-none: a threshold or any one scale
     needs all three scales, which then arm the campaign's adiabatic check
     (require_adiabatic), with the threshold 10.0 unless given.
-    trials, 1 to MAX_TRIALS, counts the campaign's trials, spawned from
+    trials, 1 to MAX_TRIALS, counts the campaign's trials, drawn from
     the master seed, a non-negative integer of any size.
     """
 
@@ -168,7 +168,8 @@ class ConversionConfig:
         if max(levels) >= n:
             raise ValueError(f"levels must lie below truncation {n}, got {levels}")
         # a string such as "off" is truthy: only a bool says which way the gate is set
-        if not isinstance(self.abort_gate_on, (bool, np.bool_)):
+        numpy = sys.modules.get("numpy")
+        if not isinstance(self.abort_gate_on, (bool, numpy.bool_) if numpy else bool):
             raise ValueError(f"abort_gate_on must be a bool, got {self.abort_gate_on!r}")
         object.__setattr__(self, "abort_gate_on", bool(self.abort_gate_on))
         trials = self._integer("trials")
@@ -261,10 +262,12 @@ def final_state_from_overlaps(
     (r0, i0), (r1, i1), (r2, i2), (r3, i3) = ((z.real, z.imag) for z in raw)
     norm = math.sqrt(((r0 * r0 + r2 * r2) + (r1 * r1 + r3 * r3))
                      + ((i0 * i0 + i2 * i2) + (i1 * i1 + i3 * i3)))
-    amps = np.array(raw, dtype=complex)
     if norm < 1e-9:
         raise ValueError("branches cancel; the final state is degenerate")
-    return tuple((amps / norm).tolist())
+    # numpy's complex division by norm + 0j, which the amplitudes' bytes
+    # were pinned under: z / norm in Python divides, and rounds differently
+    r = 1.0 / norm
+    return tuple(complex((z.real + z.imag * 0.0) * r, (z.imag - z.real * 0.0) * r) for z in raw)
 
 
 def _mode_split(name: str, split: tuple[float, float]) -> tuple[float, float]:
@@ -282,9 +285,23 @@ def _unit_interval(name: str, value: float) -> float:
 
 
 def particle_entanglement_entropy(state: Sequence[complex]) -> float:
-    """Entropy (bits) of one particle of a pair state, given as its four amplitudes."""
-    weights = pair_small_weights(np.array([state], dtype=complex))
-    return float(small_weight_entropies(weights[:, np.newaxis])[0])
+    """Entropy (bits) of one particle of a pair state, given as its four amplitudes.
+
+    _common.pair_small_weights and small_weight_entropies on the one row
+    (a, b, c, d), spelled out in math.hypot, math.log and math.log1p: the
+    small Schmidt weight w = |ad - bc|^2 / n^2 over the large one, then
+    [w(-ln w) + (1 - w)(-log1p(-w))] / ln 2.
+    """
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((z.real, z.imag) for z in map(complex, state))
+    r0 = ar * ar + ai * ai + (br * br + bi * bi)
+    r1 = cr * cr + ci * ci + (dr * dr + di * di)
+    o = math.hypot(ar * cr + ai * ci + (br * dr + bi * di), ai * cr - ar * ci + (bi * dr - br * di))
+    det = math.hypot(ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr))
+    q = det / (r0 + r1)
+    w = q * q / ((1.0 + math.hypot(r0 - r1, 2.0 * o) / (r0 + r1)) / 2.0)
+    large = 1.0 - w
+    return (w * -(math.log(w) if w > 0.0 else 0.0)
+            + large * -(math.log1p(-w) if large > 0.0 else 0.0)) / _LN2
 
 
 def _outcome_templates(config: ConversionConfig) -> tuple[ConversionOutcome, ...]:
@@ -308,17 +325,17 @@ def _outcome_templates(config: ConversionConfig) -> tuple[ConversionOutcome, ...
     )
 
 
-def _draw(config: ConversionConfig, raw: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The kinds of trials from their raw draws.
+def _draw(config: ConversionConfig, rand: Callable[[], float], count: int) -> list[int]:
+    """The kinds of the next count trials, each from the next two doubles rand gives.
 
-    raw holds each trial's first two raw 64-bit PCG64 outputs as two
-    columns.  They map to [0, 1) as Generator.random() maps them, so a
-    trial takes the first two doubles of np.random.default_rng on its
-    SeedSequence.
+    The first double decides the landing and the second the registration;
+    both are drawn for every trial, so that trial i takes doubles 2i and
+    2i + 1 whatever the outcomes.  A trial's kind is landed + (landed and
+    registered), written with the registration draw first so that it is
+    never skipped.
     """
-    landing, registering = ((column >> np.uint64(11)) * 2.0**-53 for column in raw)
-    landed = landing < config.landing_prob
-    return landed.astype(np.uint8) + (landed & (registering < config.eta))
+    p, eta = config.landing_prob, config.eta
+    return [(landed := rand() < p) + (rand() < eta and landed) for _ in range(count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +349,7 @@ class CampaignOutcomes(Sequence[ConversionOutcome]):
     """
 
     templates: tuple[ConversionOutcome, ...]
-    kinds: np.ndarray
+    kinds: bytearray
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -357,29 +374,26 @@ class CampaignResult:
 def run_campaign(config: ConversionConfig) -> CampaignResult:
     """Run the config's seeded trials and aggregate delivery statistics.
 
-    Trial i takes the first two doubles of PCG64 seeded by the i-th
-    spawned child of SeedSequence(config.seed), so an identical config
+    Trial i takes doubles 2i and 2i + 1 of random.Random(config.seed),
+    the standard library's Mersenne Twister, whose random() gives the same
+    sequence for the same seed on every Python, so an identical config
     reproduces the log exactly and the first trials do not depend on
-    config.trials.  The draws of CHUNK trials at a time come from one
-    vectorized pass of _pcg64.SpawnedPCG64, which reproduces numpy's
-    objects bit for bit.  Memory is one byte per trial.  A truncation
+    config.trials.  The kinds of CHUNK trials at a time come from one
+    comprehension, and memory is one byte per trial.  A truncation
     whose two levels have a truncation error estimate beyond the
     oscillator's ENERGY_TOL (n + 1/2) refuses to run, and so do adiabatic
     scales that fail their check.
     """
     trials = config.trials
-    stream = SpawnedPCG64(config.seed)
     templates = _outcome_templates(config)
     require_adiabatic(config)
-    kinds = np.empty(trials, dtype=np.uint8)
-    counts = np.zeros(len(templates), dtype=np.int64)  # trials of each kind
+    rand = random.Random(config.seed).random
+    kinds = bytearray(trials)
     for start in range(0, trials, CHUNK):
-        stop = min(start + CHUNK, trials)
-        kinds[start:stop] = _draw(config, stream.raw2(range(start, stop)))
-        counts += np.bincount(kinds[start:stop], minlength=len(templates))
+        kinds[start:start + CHUNK] = _draw(config, rand, min(CHUNK, trials - start))
     # the gate ships registered trials only; without it every landing ships
     shipped = [
-        (count, t) for count, t in zip(counts.tolist(), templates)
+        (count, t) for count, t in zip(map(kinds.count, range(len(templates))), templates)
         if count and t.delivered_state is not None
     ]
     n_delivered = sum(count for count, _ in shipped)
@@ -428,7 +442,7 @@ def render_outcome_log(outcomes: CampaignOutcomes) -> Iterator[str]:
     """
     prefixes = [outcome_json_line(t)[: -len("0}")] for t in outcomes.templates]
     for start in range(0, len(outcomes), CHUNK):
-        kinds = outcomes.kinds[start:start + CHUNK].tolist()
+        kinds = outcomes.kinds[start:start + CHUNK]
         yield "".join([f"{prefixes[kind]}{i}}}\n" for i, kind in enumerate(kinds, start)])
 
 

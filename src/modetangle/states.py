@@ -8,10 +8,10 @@ Schmidt coefficients of the state.  All entropies are base-2 (bits).
 This module holds the labeled stack: BasisLabel, PureState,
 partial_trace and ReducedDensityMatrix build and check the explicit
 reduced density matrix of one labeled state, with the *_entropy
-functions on its spectrum.  No command runs it.  The protocol takes
-every von Neumann entropy from two closed-form kernels instead, and
-entropy-rotation gets their bits, while the Bell scans print the
-constant 1 bit.  The kernels live in _common and are imported here:
+functions on its spectrum.  No command runs it.  The protocol and
+entropy-rotation take their von Neumann entropies from two closed-form
+kernels instead, spelled out in plain floats, while the Bell scans print
+the constant 1 bit.  The kernels live in _common and are imported here:
 pair_small_weights, the small Schmidt weight of each two-qubit pair from
 its determinant (Ekert & Knight, Am. J. Phys. 63, 415 (1995)), and
 small_weight_entropies, which turns small weights into bits with the

@@ -9,10 +9,10 @@ wrote.  Every child must print the same hashes: the scans, the
 oscillator reports (levels solved in plain Python) and the protocol
 files (whose overlaps come from those levels, normalized in plain floats).
 
-The child imports numpy before it calls cli.main.  main pins BLAS to one
-thread only when numpy is not yet loaded, so this way the library runs
-at the thread count the child was given, and the thread axis still
-checks the protocol, the one command that loads numpy, at two threads.
+The child imports numpy before it calls cli.main, so numpy runs at the
+kernel and thread count the child was given.  No command loads numpy, so
+these children check that no artifact reaches it: the trials come from
+random.Random, and every other number from plain floats.
 
 SkylakeX is not forced, since a CPU without AVX-512 cannot run it; the
 unset case runs whatever the CPU picks, SkylakeX included.

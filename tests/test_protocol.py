@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 import tracemalloc
 from dataclasses import replace
@@ -13,7 +14,6 @@ import pytest
 from dense_model import position_operator
 from kernel_views import decimal_pair_weights, fidelity, labeled, pair_from_overlaps
 
-from modetangle._pcg64 import SpawnedPCG64
 from modetangle.oscillator import build_model, mode_deformation, mode_overlap
 from modetangle.protocol import (
     CHUNK,
@@ -329,6 +329,33 @@ class TestDeliveredEntropy:
         law = p * (math.log2(1.0 / p) + 1.0 / math.log(2.0))
         assert abs(entropy - law) <= 20 * anharmonicity * law
 
+    def test_random_states_against_a_50_digit_oracle(self):
+        # generic pairs and pairs near (1, 0, 0, 0), as the protocol delivers them
+        rng = random.Random(79)
+        for i in range(1000):
+            scale = (1.0, 1e-2, 1e-4, 1e-8)[i % 4]
+            state = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * f for f in (1.0, scale, scale, scale * scale)]
+            exact = decimal_pair_entropy(state)
+            assert abs(Decimal(particle_entanglement_entropy(state)) - exact) <= Decimal("1e-14") * exact
+
+    def test_the_determinant_is_rounded_once(self):
+        """math.hypot rounds |ad - bc| to the nearest double, where numpy's hypot missed by an ulp."""
+        config = ConversionConfig(
+            anharmonicity_on=1e-4, truncation=128, level_a=2, level_b=0,
+            detect_amp=-0.8136479296104621 + 0.36379425889591477j, abort_gate_on=False,
+            landing_prob=1.0, eta=1.0,
+        )
+        outcome = one_trial(config, seed=0)
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = ((z.real, z.imag) for z in outcome.delivered_state)
+        re_part, im_part = ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr)
+        det = math.hypot(re_part, im_part)
+        assert det == 6.665292789275598e-09
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (Decimal(re_part) ** 2 + Decimal(im_part) ** 2).sqrt()
+        assert abs(Decimal(det) - exact) < Decimal(math.ulp(det)) / 2
+        assert outcome.particle_entropy == 2.477381454212703e-15
+
     def test_summary_prints_the_delivered_entropy(self):
         config = ConversionConfig(anharmonicity_on=1e-6, landing_prob=1.0, eta=1.0)
         result = run_campaign(replace(config, trials=3, seed=0))
@@ -426,8 +453,8 @@ class TestConfigValidation:
             ConversionConfig(trials=trials, seed=seed)
 
     def test_more_trials_than_spawn_ids_refused(self):
-        # refused with the config, before any campaign can draw: the sampler
-        # would need ids from 2**32 on
+        # refused with the config, before any campaign draws; at the bound
+        # the log is ~1 TB
         message = r"^trials must be at most 2\*\*32 = 4294967296, got 4294967297$"
         with pytest.raises(ValueError, match=message):
             ConversionConfig(trials=MAX_TRIALS + 1, seed=1)
@@ -546,13 +573,13 @@ class TestRunTrial:
         second = one_trial(config, seed=99)
         assert outcome_json_line(first) == outcome_json_line(second)
 
-    def test_draws_are_those_of_default_rng(self):
-        """Trial 0 takes the first two doubles of default_rng on the seed's first spawned child."""
+    def test_draws_are_those_of_random_random(self):
+        """Trial 0 takes the first two doubles of random.Random on the seed."""
         config = ConversionConfig(eta=0.5)
         kinds = set()
         for seed in range(40):
-            child = np.random.SeedSequence(seed).spawn(1)[0]
-            landing_draw, eta_draw = np.random.default_rng(child).random(2)
+            rand = random.Random(seed).random
+            landing_draw, eta_draw = rand(), rand()
             outcome = one_trial(config, seed=seed)
             assert outcome.photon_detected == (landing_draw < 0.5)
             assert outcome.registered == (landing_draw < 0.5 and eta_draw < 0.5)
@@ -560,35 +587,40 @@ class TestRunTrial:
         assert len(kinds) == 3
 
 
-# 2**32 - 1 and 2**32 take one and two seed words, 2**64 + 3 three, and
-# 2**128 + 5 five, more than SeedSequence's pool of four
+# the Mersenne Twister keys on the seed's 32-bit words: 2**32 - 1 and 2**32
+# take one and two, 2**64 + 3 three, and 2**128 + 5 five
 ORACLE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]
 
 
-def numpy_raw2(seed_sequence):
-    return np.random.PCG64(seed_sequence).random_raw(2)
+def kinds_one_trial_at_a_time(config):
+    """The campaign's kind bytes, two doubles of a fresh random.Random(seed) per trial."""
+    rand = random.Random(config.seed).random
+    kinds = bytearray()
+    for _ in range(config.trials):
+        landing, registering = rand(), rand()
+        landed = landing < config.landing_prob
+        kinds.append(2 if landed and registering < config.eta else int(landed))
+    return kinds
 
 
-class TestSpawnedPCG64:
-    """The campaign's draw kernel against numpy's own SeedSequence and PCG64."""
+class TestMersenneStream:
+    """The campaign's chunked draws against the stream drawn one trial at a time."""
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    def test_children_across_a_block_boundary(self, seed):
-        stream = SpawnedPCG64(seed)
-        children = np.random.SeedSequence(seed).spawn(CHUNK + 6)
-        expected = np.array([numpy_raw2(child) for child in children])
-        drawn = [stream.raw2(range(0, CHUNK)), stream.raw2(range(CHUNK, CHUNK + 6))]
-        assert np.array_equal(np.concatenate([np.stack(pair, axis=1) for pair in drawn]), expected)
+    def test_kinds_across_a_chunk_boundary(self, seed):
+        config = ConversionConfig(eta=0.7, trials=CHUNK + 6, seed=seed)
+        kinds = run_campaign(config).outcomes.kinds
+        assert kinds == kinds_one_trial_at_a_time(config)
+        assert set(kinds) == {0, 1, 2}
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    def test_last_children_below_2_to_the_32(self, seed):
-        block = range(2**32 - 8, 2**32)
-        expected = [numpy_raw2(np.random.SeedSequence(seed, spawn_key=(i,))) for i in block]
-        assert np.array_equal(np.stack(SpawnedPCG64(seed).raw2(block), axis=1), expected)
-
-    def test_children_from_2_to_the_32_refused(self):
-        with pytest.raises(ValueError, match=r"below 2\*\*32, got up to 4294967296$"):
-            SpawnedPCG64(1).raw2(range(2**32 - 1, 2**32 + 1))
+    def test_campaigns_around_a_chunk_are_prefixes_of_one_another(self, seed):
+        short, whole, long = (
+            run_campaign(ConversionConfig(eta=0.7, trials=n, seed=seed)).outcomes.kinds
+            for n in (CHUNK - 1, CHUNK, CHUNK + 1)
+        )
+        assert len(long) == CHUNK + 1
+        assert long[:CHUNK] == whole and whole[:CHUNK - 1] == short
 
 
 def rendered(result):
