@@ -12,7 +12,7 @@ imported from its defining module.
 
 import importlib
 
-__version__ = "0.40.0"
+__version__ = "0.41.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {

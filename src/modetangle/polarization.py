@@ -83,17 +83,18 @@ def mode_rotation_entropy_scan(phi) -> dict:
     Columns: phi, entropy_vn, entropy_renyi2.  Both entropies share zeros
     and maxima; the von Neumann column hits 1.0 at phi = pi/4 and peaks
     at 1.5 bits at phi = pi/8.  Each is right to rounding relative to its
-    own size, also near its zeros.  The von Neumann column is
-    _common.small_weight_entropies of the rows (s, s), spelled out a row
-    at a time, with one logarithm of s a row in place of two:
-    s(-ln s) + s(-ln s) is x + x, and x + x keeps the sum's signed zeros.
+    own size, also near its zeros.  The von Neumann column is the tests'
+    small_weight_entropies (tests/kernel_views.py) of the rows (s, s),
+    spelled out a row at a time, with one logarithm of s a row in place
+    of two: s(-ln s) + s(-ln s) is x + x, and x + x keeps the sum's
+    signed zeros.
     It gives that kernel's bits wherever numpy's sin, log and log1p round
     as glibc's do, as numpy's baseline loops did on every row tested.  One
     comprehension a column over math.sin, so a scan makes no Python call
     per setting and loads no numpy.
     """
     two_s = [v * v for v in map(sin, [2.0 * x for x in phi])]
-    # s = two_s / 2; a weight of exactly 0 adds s * -0.0, as the shared kernel's masked log does
+    # s = two_s / 2; a weight of exactly 0 adds s * -0.0, as small_weight_entropies' masked log does
     entropy_vn = [
         ((x := (s := t / 2.0) * -(log(s) if s > 0.0 else 0.0)) + x
          + (large := 1.0 - (total := s + s)) * -(log1p(-total) if large > 0.0 else 0.0)) / _LN2

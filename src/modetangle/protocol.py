@@ -287,9 +287,10 @@ def _unit_interval(name: str, value: float) -> float:
 def particle_entanglement_entropy(state: Sequence[complex]) -> float:
     """Entropy (bits) of one particle of a pair state, given as its four amplitudes.
 
-    _common.pair_small_weights and small_weight_entropies on the one row
-    (a, b, c, d), spelled out in math.hypot, math.log and math.log1p: the
-    small Schmidt weight w = |ad - bc|^2 / n^2 over the large one, then
+    The tests' kernels pair_small_weights and small_weight_entropies
+    (tests/kernel_views.py) on the one row (a, b, c, d), spelled out in
+    math.hypot, math.log and math.log1p: the small Schmidt weight
+    w = |ad - bc|^2 / n^2 over the large one, then
     [w(-ln w) + (1 - w)(-log1p(-w))] / ln 2.
     """
     (ar, ai), (br, bi), (cr, ci), (dr, di) = ((z.real, z.imag) for z in map(complex, state))

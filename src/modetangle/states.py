@@ -9,14 +9,12 @@ This module holds the labeled stack: BasisLabel, PureState,
 partial_trace and ReducedDensityMatrix build and check the explicit
 reduced density matrix of one labeled state, with the *_entropy
 functions on its spectrum.  No command runs it.  The protocol and
-entropy-rotation take their von Neumann entropies from two closed-form
-kernels instead, spelled out in plain floats, while the Bell scans print
-the constant 1 bit.  The kernels live in _common and are imported here:
-pair_small_weights, the small Schmidt weight of each two-qubit pair from
-its determinant (Ekert & Knight, Am. J. Phys. 63, 415 (1995)), and
-small_weight_entropies, which turns small weights into bits with the
-large weight's term through log1p.  Neither runs an SVD.  Each takes a
-stack, one state per row; a single state is the length-1 stack.
+entropy-rotation take their von Neumann entropies in plain floats from
+the closed-form Schmidt weights of a pair (Ekert & Knight, Am. J. Phys.
+63, 415 (1995)), with no SVD, while the Bell scans print the constant 1
+bit; the batched kernels they spell out, pair_small_weights and
+small_weight_entropies, are the tests' oracle (tests/kernel_views.py).
+This is the only module of the package that imports numpy.
 """
 
 from __future__ import annotations
@@ -26,16 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import pair_small_weights, small_weight_entropies
-
 __all__ = [
     "LabelingError",
     "BasisLabel",
     "PureState",
     "ReducedDensityMatrix",
     "partial_trace",
-    "pair_small_weights",
-    "small_weight_entropies",
     "von_neumann_entropy",
     "von_neumann_entropies",
     "renyi_entropy",

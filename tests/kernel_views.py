@@ -1,13 +1,15 @@
-"""Per-setting views of the package's batched kernels, for the tests.
+"""The tests' oracles: batched Schmidt kernels and per-setting views of the scans.
 
 The scans compute each quantity once over an array of settings, the
 step axis, and one setting is the length-1 case.  These helpers take
 floats or arrays of settings and return one row per setting.  labeled
 and fidelity give a dense state the factor names and the overlap that
 the density-matrix oracle and the protocol's laws are stated in.
-reduced_spectra is the SVD oracle for the closed-form Schmidt kernels,
-decimal_pair_weights their 50-digit oracle, and pair_from_overlaps
-builds a protocol pair from its overlaps alone.
+pair_small_weights and small_weight_entropies are the batched
+closed-form Schmidt kernels that the commands' plain-Python entropies
+spell out; reduced_spectra is their SVD oracle, decimal_pair_weights
+their 50-digit oracle, and pair_from_overlaps builds a protocol pair
+from its overlaps alone.
 
 The scans print the pair entropies as the constant 1 bit.  The
 amplitudes behind that constant are this module's oracle: _EPR_PAIR and
@@ -35,6 +37,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from modetangle._common import _LN2
 from modetangle.protocol import final_state_from_overlaps
 from modetangle.states import BasisLabel, PureState, _kept_matrices
 
@@ -161,6 +164,38 @@ def fidelity(a, b):
     """|<a|b>|^2 of the normalized amplitude vectors."""
     va, vb = (np.asarray(v, dtype=complex) for v in (a, b))
     return float(np.abs(np.vdot(va / np.linalg.norm(va), vb / np.linalg.norm(vb))) ** 2)
+
+
+def pair_small_weights(amplitudes: np.ndarray) -> np.ndarray:
+    """Smaller squared Schmidt coefficient of each row (a, b, c, d) of a (steps, 4) pair stack.
+
+    With r0 = |a|^2 + |b|^2, r1 = |c|^2 + |d|^2, n = r0 + r1 and o = a conj(c) + b conj(d),
+    the large weight is (1 + hypot(r0 - r1, 2|o|) / n) / 2 and the small one |ad - bc|^2 / n^2
+    over it: right to rounding relative to its size unless ad and bc cancel, which near
+    (1, 0, 0, 0) they do not.  Complex products are spelled out in real operations, which
+    round alike on every CPU; a real stack's imaginary parts are 0.0, not a zero array.
+    """
+    amps = np.asarray(amplitudes)
+    (ar, br, cr, dr), (ai, bi, ci, di) = amps.real.T, amps.imag.T if np.iscomplexobj(amps) else [0.0] * 4
+    r0 = ar * ar + ai * ai + (br * br + bi * bi)
+    r1 = cr * cr + ci * ci + (dr * dr + di * di)
+    o = np.hypot(ar * cr + ai * ci + (br * dr + bi * di), ai * cr - ar * ci + (bi * dr - br * di))
+    det = np.hypot(ar * dr - ai * di - (br * cr - bi * ci), ar * di + ai * dr - (br * ci + bi * cr))
+    return (det / (r0 + r1)) ** 2 / ((1.0 + np.hypot(r0 - r1, 2.0 * o) / (r0 + r1)) / 2.0)
+
+
+def small_weight_entropies(weights: np.ndarray) -> np.ndarray:
+    """Entropies in bits of (steps, k) spectra, each row all weights but the large one, 1 - W.
+
+    S = [(1 - W)(-log1p(-W)) + sum(w (-ln w))] / ln 2, the small terms summed
+    first: right to rounding relative to its size, also near 0.  A weight of
+    exactly 0 adds 0.
+    """
+    w = np.asarray(weights, dtype=float)
+    total = np.sum(w, axis=-1)
+    large = 1.0 - total
+    small = np.sum(w * -np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
+    return (small + large * -np.log1p(-total, out=np.zeros_like(total), where=large > 0.0)) / _LN2
 
 
 def reduced_spectra(amplitudes, dims, keep):

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import ast
 import errno
 import gc
 import hashlib
@@ -1329,8 +1330,8 @@ class TestLoading:
 
     @pytest.mark.parametrize("command", ["chsh", "entropy-rotation", "interferometer", "protocol"])
     def test_numpy_commands_leave_the_labeled_states_unexecuted(self, tmp_path, command):
-        # the entropy kernels live in _common; states holds only the labeled stack;
-        # none of these commands loads numpy
+        # the batched entropy kernels live in tests/kernel_views.py; states holds
+        # only the labeled stack; none of these commands loads numpy
         argv = [command, write_config(tmp_path, BASE_CONFIG)] if command == "protocol" else [command]
         loaded = loaded_by(*argv, "--out", str(tmp_path / "out"))
         assert loaded["code"] == 0
@@ -1367,6 +1368,20 @@ class TestLoading:
         )
         assert loaded["code"] == 0
         assert not loaded["numpy"]
+
+    def test_only_states_imports_numpy(self):
+        """No module of the package but states.py imports numpy, at top level or inside a function."""
+        package = os.path.dirname(modetangle.__file__)
+        importers = set()
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), name)
+                modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+                modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+                if any(module.partition(".")[0] == "numpy" for module in modules):
+                    importers.add(name)
+        assert importers == {"states.py"}
 
     @pytest.mark.parametrize("command", ["chsh", "interferometer", "oscillator"])
     def test_only_protocol_executes_the_protocol(self, tmp_path, command):

@@ -1,6 +1,7 @@
 """Polarization pair statistics, CHSH curve, and mode-rotation entropy."""
 
 import math
+import os
 import re
 import subprocess
 import sys
@@ -24,11 +25,13 @@ from kernel_views import (
     four_correlation_sum,
     labeled,
     momentum_correlations,
+    pair_small_weights,
     reduced_spectra,
+    small_weight_entropies,
 )
 from test_blas_kernels import child_env, present_simd_targets
 
-from modetangle._common import CHUNK, pair_small_weights, small_weight_entropies
+from modetangle._common import CHUNK
 from modetangle._scans import chsh_curve, scan_grid
 from modetangle.interferometer import momentum_chsh_scan
 from modetangle.polarization import (
@@ -51,11 +54,13 @@ LONG_SCAN = 10_000
 PAIR_FACTORS = ("photon_A", "photon_B")
 
 # Prints how many von Neumann cells of the rotation scan at the angles saved
-# in argv[1] differ in any bit from small_weight_entropies on the rows (s, s).
+# in argv[1] differ in any bit from small_weight_entropies on the rows (s, s);
+# argv[2] is the tests directory, which holds the kernel.
 VON_NEUMANN_CHILD = """
 import sys
+sys.path.insert(0, sys.argv[2])
 import numpy as np
-from modetangle._common import small_weight_entropies
+from kernel_views import small_weight_entropies
 from modetangle.polarization import mode_rotation_entropy_scan
 
 phi = np.load(sys.argv[1])
@@ -493,7 +498,7 @@ class TestModeRotationScan:
     def test_von_neumann_column_is_the_shared_kernel_bit_for_bit(self, tmp_path, phi):
         """One logarithm a row gives small_weight_entropies' bits on the rows (s, s), signed zeros too.
 
-        The scan takes math's sin, log and log1p, the shared kernel numpy's,
+        The scan takes math's sin, log and log1p, the batched kernel numpy's,
         whose AVX-512 loops round a few values otherwise than glibc.  So the
         two are compared in a child that runs numpy's baseline loops, with
         every SIMD target this CPU has disabled.
@@ -502,7 +507,10 @@ class TestModeRotationScan:
         np.save(angles, phi)
         env = child_env(NPY_DISABLE_CPU_FEATURES=" ".join(present_simd_targets()))
         proc = subprocess.run(
-            [sys.executable, "-c", VON_NEUMANN_CHILD, str(angles)], env=env, capture_output=True, text=True
+            [sys.executable, "-c", VON_NEUMANN_CHILD, str(angles), os.path.dirname(os.path.abspath(__file__))],
+            env=env,
+            capture_output=True,
+            text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"

@@ -6,7 +6,13 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from kernel_views import decimal_pair_weights, fidelity, reduced_spectra
+from kernel_views import (
+    decimal_pair_weights,
+    fidelity,
+    pair_small_weights,
+    reduced_spectra,
+    small_weight_entropies,
+)
 
 from modetangle.states import (
     BasisLabel,
@@ -14,11 +20,9 @@ from modetangle.states import (
     PureState,
     ReducedDensityMatrix,
     _kept_matrices,
-    pair_small_weights,
     partial_trace,
     renyi_entropies,
     renyi_entropy,
-    small_weight_entropies,
     von_neumann_entropies,
     von_neumann_entropy,
 )
